@@ -30,8 +30,7 @@ target = transform_design(optimum, amap)
 print(f"mapped optimum support: {target.points.ravel().tolist()}")
 
 inv = invariance_check(pair, optimum, amap,
-                       InnerConfig(multistart_count=8, local_tolerance=1e-10,
-                                   max_local_iterations=2000))
+                       InnerConfig(local_tolerance=1e-10, max_local_iterations=2000))
 print(f"criterion on x-domain: {inv.value_original:.10f}")
 print(f"criterion on z-domain: {inv.value_transformed:.10f}")
 print(f"difference: {inv.difference:.2e}  (pass: {inv.passed})")
@@ -41,7 +40,7 @@ start = transform_design(Design(space, [[-1.0], [-0.6], [0.1], [0.8]], [0.25] * 
                          amap)
 run = run_first_order(image_pair, start, image_space,
                       AlgoConfig(delta=0.95, max_iterations=500, seed=20240817),
-                      InnerConfig(multistart_count=4))
+                      InnerConfig())
 print(f"\nrescaled run: {run.termination_reason} after {len(run.history)} iterations")
 print(f"Wasserstein distance to the mapped optimum: "
       f"{wasserstein_distance(run.final_design, target):.5f}")

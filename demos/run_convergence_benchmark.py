@@ -26,7 +26,7 @@ optimum = Design(space, [[-1.0], [-0.5], [0.5], [1.0]], [1 / 6, 1 / 3, 1 / 3, 1 
 
 run = run_first_order(pair, start, space,
                       AlgoConfig(delta=0.99, max_iterations=500, seed=20240817),
-                      InnerConfig(multistart_count=4))
+                      InnerConfig())
 
 print(f"terminated: {run.termination_reason} after {len(run.history)} iterations")
 print(f"criterion value {run.final_value:.8f}  (analytic optimum {1 / 16:.8f})")
@@ -46,8 +46,7 @@ for x, w in zip(run.final_design.points.ravel(), run.final_design.weights):
 # A run stopped at delta = 0.99 is 99%-efficient, not exactly optimal, so
 # its certificate reports the residual derivative gap rather than passing:
 # the relative gap is bounded by (1 - delta) / delta.
-tight = InnerConfig(multistart_count=8, local_tolerance=1e-10,
-                    max_local_iterations=2000)
+tight = InnerConfig(local_tolerance=1e-10, max_local_iterations=2000)
 report = equivalence_check(pair, run.final_design, inner_config=tight)
 print(f"\nfinal-design certificate: {report.verdict} "
       f"(relative gap {report.psi_max / report.criterion_value:.2e}, "

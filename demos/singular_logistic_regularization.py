@@ -26,7 +26,7 @@ pair = LogisticGlmPair.from_exponents(
 space = DesignSpace([0], [1])
 start = Design(space, [[0.0], [1 / 3], [2 / 3], [1.0]], [0.25] * 4)
 algo = AlgoConfig(delta=0.995, max_iterations=50, seed=7)
-inner = InnerConfig(multistart_count=4)
+inner = InnerConfig()
 
 plain = run_first_order(pair, start, space, algo, inner)
 print(f"plain run: {plain.termination_reason} after {len(plain.history)} iterations")
@@ -43,8 +43,7 @@ print(f"  final design: points {finish.final_design.points.ravel().tolist()} "
 
 # certificate for the singular optimum through the regularized derivative
 report = equivalence_check(pair, finish.final_design, grid_size=1001,
-                           inner_config=InnerConfig(multistart_count=8,
-                                                    local_tolerance=1e-10,
+                           inner_config=InnerConfig(local_tolerance=1e-10,
                                                     max_local_iterations=2000),
                            reg=reg)
 print(f"\ncertificate: {report.verdict}")

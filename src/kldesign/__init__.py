@@ -22,8 +22,7 @@ from .designs import (AffineMap, Design, DesignSpace, ValidationReport,
                       wasserstein_distance_lp)
 from .errors import (ConfigError, DomainError, KLDesignError, SingularMapError,
                      UndefinedEfficiencyError, UnsupportedModelError)
-from .inner import (InnerConfig, InnerSolution, criterion_value,
-                    least_squares_oracle, minimize_beta2)
+from .inner import InnerConfig, InnerSolution, least_squares_oracle, minimize_beta2
 from .models import (GaussianRegressionPair, GlmDesignMatrix, LogisticGlmPair,
                      ModelPair, ParamBox, SyntheticFamily, glm_fisher_information,
                      glm_is_regular, glm_weight_vector, kl_average, kl_pointwise,
@@ -42,7 +41,7 @@ __all__ = [
     "RunResult", "SINGULAR", "STALLED", "STALLED_REGULARIZED", "SingularMapError",
     "SyntheticFamily", "UndefinedEfficiencyError", "UnsupportedModelError",
     "ValidationReport", "best_support_candidate", "blend_designs",
-    "collapse_support", "criterion_value", "default_reference_design",
+    "collapse_support", "default_reference_design",
     "directional_derivative_psi", "efficiency_bound", "equivalence_check",
     "glm_fisher_information", "glm_is_regular", "glm_weight_vector",
     "invariance_check", "iterations_to_csv", "kl_average", "kl_pointwise",

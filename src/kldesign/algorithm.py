@@ -2,13 +2,15 @@
 
 One iteration, given the current design xi_n:
 
-1. inner solve: beta2_n minimizing the averaged divergence (warm-started
-   from the previous iterate's solution, with a random perturbation);
+1. inner solve: beta2_n minimizing the averaged divergence (bounded Newton,
+   warm-started from the previous iterate's solution);
 2. best-point search: x_n maximizing the pointwise divergence over the
    domain (grid scan plus a bounded local polish);
-3. stopping check: the efficiency bound U = [1 + psi_max / value]^{-1}
-   is evaluated here, after the best-point search and before any further
-   work, and the run stops once U exceeds the target delta;
+3. stopping check: the efficiency bound U = [1 + psi_max / value]^{-1},
+   a lower bound on value / optimum, is evaluated here, after the
+   best-point search and before any further work. A singular inner
+   solve stops the plain loop first; otherwise the run stops once U
+   exceeds the target delta;
 4. step size: exact line search of the criterion along the segment
    (1-a) xi_n + a delta_{x_n} (golden section; the criterion is concave
    along the segment, so the scan is valid);
@@ -20,10 +22,10 @@ One iteration, given the current design xi_n:
 
 Singular problems (non-unique inner minimizer) make the directional
 derivative meaningless, so the plain loop stops with reason
-"stalled-regularized" when it detects one: too few support points, a
-rank-deficient rival design matrix (GLM pairs), a zero step while the
-divergence gap is still positive, or repeated singularity flags from the
-multistart diagnostics. `run_regularized` then optimizes the regularized
+"stalled-regularized" when it detects one: a singular inner solve (the
+rival matrix on the support is rank deficient, which covers a support
+smaller than d2), or a zero step while the divergence gap is still
+positive. `run_regularized` then optimizes the regularized
 criterion I_gamma(xi) = I[(1-gamma) xi + gamma xi_tilde], whose directional
 derivative psi_gamma(x; xi) = (1-gamma) * [I(x, b) - avg_xi I(., b)] with
 b = beta2((1-gamma) xi + gamma xi_tilde) is well defined at any design.
@@ -186,10 +188,11 @@ def directional_derivative_psi(pair: ModelPair, design: Design, beta2_hat, x) ->
 
 
 def efficiency_bound(value: float, psi_max: float) -> float:
-    """Upper bound U = [1 + psi_max / value]^{-1} on the design's efficiency.
+    """Lower bound U = [1 + psi_max / value]^{-1} on the design's efficiency.
 
-    Whenever psi_max >= 0 this is a number in (0, 1] that bounds
-    value / optimum from above; it is the stopping certificate of the loop.
+    The criterion is concave, so optimum <= value + psi_max and hence
+    value / optimum >= U. Whenever psi_max >= 0 this is a number in (0, 1];
+    it is the stopping certificate of the loop.
     """
     if value <= 0.0:
         raise UndefinedEfficiencyError(
@@ -235,25 +238,22 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new,
                       inner_config: InnerConfig = InnerConfig(), *,
                       tolerance: float = 1e-3,
                       reg: RegularizationConfig | None = None,
-                      warm_start=None, rng=None,
+                      warm_start=None,
                       value_at_zero: float | None = None):
     """Exact step size: maximize g(a) = criterion((1-a) design + a delta_x).
 
     Golden-section search on [0, 1]; the criterion is concave and the path
     is linear in a, so g is concave and the bracketing is valid. Each inner
-    solve is warm-started from the previous evaluation's minimizer (the
-    multistart pool shrinks to that single start here; the full-strength
-    solve at the accepted design happens in the outer loop). Returns
+    solve is warm-started from the previous evaluation's minimizer. Returns
     (alpha, g(alpha)); alpha = 0.0 signals that no ascent step exists.
     """
-    solve_cfg = replace(inner_config, multistart_count=1)
     warm = {"beta": warm_start}
 
     def g(a: float) -> float:
         mixed = mix_design(design, x_new, a)
         if reg is not None:
             mixed = blend_designs(mixed, reg.xi_tilde, reg.gamma)
-        sol = minimize_beta2(pair, mixed, solve_cfg, warm_start=warm["beta"], rng=rng)
+        sol = minimize_beta2(pair, mixed, inner_config, warm_start=warm["beta"])
         warm["beta"] = sol.beta2_hat
         return sol.value
 
@@ -313,13 +313,6 @@ def _resolve_reference(pair: ModelPair, space: DesignSpace,
     return xi_tilde
 
 
-def _rank_deficient(pair: ModelPair, design: Design) -> bool:
-    rows = pair.rival_matrix(design.points)
-    if rows is None:
-        return False
-    return not glm_is_regular(GlmDesignMatrix(rows, pair.theta2.midpoint))
-
-
 def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
               algo: AlgoConfig, inner_cfg: InnerConfig,
               reg: RegularizationConfig | None, on_iteration=None) -> RunResult:
@@ -334,24 +327,21 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
         gamma = reg.gamma
     else:
         gamma = 0.0
-        if _rank_deficient(pair, initial_design):
-            warnings.warn("initial design matrix is rank deficient; the plain loop "
-                          "will hand off to the regularized criterion", stacklevel=2)
 
-    rng = np.random.default_rng(algo.seed)
-    d2 = pair.theta2.dimension
     r0 = algo.collapse_radius_base
     if r0 is None:
         r0 = 0.05 * space.diameter
 
     def solve_on(d: Design, warm) -> InnerSolution:
         target = blend_designs(d, reg.xi_tilde, gamma) if regularizing else d
-        return minimize_beta2(pair, target, inner_cfg, warm_start=warm, rng=rng)
+        return minimize_beta2(pair, target, inner_cfg, warm_start=warm)
 
     design = initial_design
     inner = solve_on(design, None)
+    if not regularizing and inner.singular_flag:
+        warnings.warn("initial design matrix is rank deficient; the plain loop "
+                      "will hand off to the regularized criterion", stacklevel=2)
     history: list[IterationRecord] = []
-    singular_streak = 0
     boundary_warned = False
     reason = MAX_ITERATIONS
 
@@ -362,8 +352,6 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
                           f"at iteration {n}; consider enlarging the box",
                           stacklevel=2)
             boundary_warned = True
-        if not regularizing:
-            singular_streak = singular_streak + 1 if inner.singular_flag else 0
 
         x_n, psi_raw = best_support_candidate(pair, design, inner.beta2_hat, space, algo)
         psi_max = (1.0 - gamma) * psi_raw
@@ -371,17 +359,18 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
 
         alpha = 0.0
         stop = None
-        if u > algo.delta:
-            stop = EFFICIENCY_REACHED
-        elif not regularizing and (design.size < d2 or singular_streak >= 2
-                                   or _rank_deficient(pair, design)):
+        # U is read off the inner minimizer, so it means nothing when that
+        # minimizer is not unique: the singularity test comes first.
+        if not regularizing and inner.singular_flag:
             stop = STALLED_REGULARIZED
+        elif u > algo.delta:
+            stop = EFFICIENCY_REACHED
 
         if stop is None:
             alpha, _ = line_search_alpha(
                 pair, design, x_n, inner_cfg,
                 tolerance=algo.line_search_tolerance, reg=reg,
-                warm_start=inner.beta2_hat, rng=rng, value_at_zero=value)
+                warm_start=inner.beta2_hat, value_at_zero=value)
             if alpha == 0.0:
                 if not regularizing and psi_max > _STALL_PSI_TOL * max(1.0, value):
                     stop = STALLED_REGULARIZED
@@ -440,9 +429,8 @@ def run_first_order(pair: ModelPair, initial_design: Design, space: DesignSpace,
     """Run the plain exchange loop until the efficiency bound passes delta.
 
     Stops with reason "stalled-regularized" when a singularity trigger fires
-    (support below d2, rank-deficient rival matrix, zero step with a positive
-    divergence gap, or two consecutive singular inner solves); rerun with
-    `run_regularized` from there.
+    (a singular inner solve, or a zero step with a positive divergence gap);
+    rerun with `run_regularized` from there.
     """
     return _run_loop(pair, initial_design, space, algo, inner_config, None,
                      on_iteration)
@@ -465,8 +453,7 @@ def run_regularized(pair: ModelPair, initial_design: Design, space: DesignSpace,
 def regularized_directional_derivative(pair: ModelPair, design: Design,
                                        reg: RegularizationConfig, x,
                                        inner_config: InnerConfig = InnerConfig(),
-                                       space: DesignSpace | None = None,
-                                       rng=None) -> float:
+                                       space: DesignSpace | None = None) -> float:
     """psi_gamma(x; design): derivative of the regularized criterion toward delta_x.
 
     Equals (1-gamma) * [I(x, b) - avg_design I(., b)] with b solved on the
@@ -475,5 +462,5 @@ def regularized_directional_derivative(pair: ModelPair, design: Design,
     space = space or design.space
     xi_tilde = reg.xi_tilde or default_reference_design(pair, space)
     blended = blend_designs(design, xi_tilde, reg.gamma)
-    sol = minimize_beta2(pair, blended, inner_config, rng=rng)
+    sol = minimize_beta2(pair, blended, inner_config)
     return (1.0 - reg.gamma) * directional_derivative_psi(pair, design, sol.beta2_hat, x)

@@ -42,9 +42,6 @@ _VERDICT_EXIT = {CERTIFIED: EXIT_OK, REJECTED: EXIT_REJECTED, SINGULAR: EXIT_SIN
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (numeric results are independent "
-                             "of this setting)")
     parser.add_argument("--output-dir", default=None,
                         help="override the config output directory")
     parser.add_argument("--quiet", action="store_true",

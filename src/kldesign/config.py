@@ -162,7 +162,7 @@ def _build_config(cls, section, path: str, overrides=None):
         allowed = {f.name for f in fields(cls)}
         _check_keys(section, allowed, path)
         int_fields = {"max_iterations", "grid_points_per_dim", "seed",
-                      "multistart_count", "max_local_iterations"}
+                      "max_local_iterations"}
         for key, raw in section.items():
             if raw is None:
                 continue  # explicit null keeps the default

@@ -1,69 +1,57 @@
 """Inner minimization of the averaged divergence over the rival parameters.
 
-Solves min_{beta2 in box} sum_i w_i I(x_i, beta2) with a multistart,
-box-clipped Nelder-Mead descent. The multistart pool is one warm start
-(perturbed by relative noise so the search does not stagnate on a stale
-optimum) plus uniform draws from the parameter box. The spread of the
-near-optimal multistart endpoints doubles as a singularity diagnostic: a
-design whose minimizer is far from unique shows a large dispersion.
+Solves min_{beta2 in box} sum_i w_i I(x_i, beta2). For the GLM pairs the
+divergence depends on beta2 only through the rival predictor
+eta2 = X beta2 (X the rival matrix at the support) and is convex in eta2:
+Gaussian pairs give weighted least squares, logistic pairs the convex KL
+divergence of two Bernoulli laws. The solve is therefore bounded Newton:
+each step minimizes the box-constrained quadratic model with
+`scipy.optimize.lsq_linear(method="bvls")`, and a backtracking step follows
+it. One step is exact for Gaussian pairs. A convex pair's minimizer is
+unique if and only if X has full column rank on the support, so the
+singularity flag is that rank test. The synthetic family has no rival
+matrix; its one-dimensional box is scanned and the best node polished.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import lsq_linear
 
 from .designs import Design
 from .errors import DomainError, UnsupportedModelError
-from .models import GaussianRegressionPair, ModelPair, ParamBox
+from .models import (GaussianRegressionPair, GlmDesignMatrix, ModelPair, ParamBox,
+                     glm_is_regular)
 
-# Multistart values within this (relative) distance of the best tie for the
-# dispersion diagnostic.
-VALUE_TIE_RTOL = 1e-8
-# Exact-tie window for the lexicographic tie-break of beta2_hat.
-EXACT_TIE_TOL = 1e-12
-# Additive floor inside the warm-start perturbation magnitude.
-WARM_NOISE_FLOOR = 0.01
+# Sufficient-decrease fraction and halving budget of the backtracking step.
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 40
+# Nodes of the synthetic family's box scan.
+_SCAN_POINTS = 201
 
 
 @dataclass(frozen=True)
 class InnerConfig:
-    """Knobs for the multistart box-constrained inner solve."""
+    """Stopping rule of the inner solve: Newton steps stop once the step moves
+    the rival predictor by at most `local_tolerance`, or after
+    `max_local_iterations` steps (also the polish budget of the scan path)."""
 
-    multistart_count: int = 8
     local_tolerance: float = 1e-9
     max_local_iterations: int = 800
-    warm_start_noise_scale: float = 0.1
-    dispersion_threshold: float | None = None  # None: 1e-3 x box diameter
 
     def __post_init__(self):
-        if self.multistart_count < 1:
-            raise ValueError("multistart_count must be >= 1")
         if self.local_tolerance <= 0 or self.max_local_iterations <= 0:
             raise ValueError("local tolerance and iteration budget must be positive")
-        if self.warm_start_noise_scale <= 0:
-            raise ValueError("warm_start_noise_scale must be positive")
-        if self.dispersion_threshold is not None and self.dispersion_threshold <= 0:
-            raise ValueError("dispersion_threshold must be positive")
 
 
 @dataclass(frozen=True)
 class InnerSolution:
-    """Best box-constrained minimizer found, plus the multistart evidence."""
+    """Box-constrained minimizer, its value and the uniqueness diagnostic."""
 
     beta2_hat: np.ndarray
     value: float
-    all_minima: tuple[tuple[np.ndarray, float], ...]
-    dispersion: float
     singular_flag: bool
     at_boundary: bool
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if rng is None:
-        return np.random.default_rng(0)
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def _nelder_mead_box(f, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
@@ -120,98 +108,100 @@ def _nelder_mead_box(f, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     return sim[i], float(fs[i])
 
 
-def _local_minimize(f, x0: np.ndarray, box: ParamBox, tol: float, max_iter: int):
-    """Nelder-Mead descent with restart polishing from progressively smaller simplexes."""
-    lower, upper = box.lower, box.upper
-    span = upper - lower
-    x, fx = _nelder_mead_box(f, np.clip(x0, lower, upper), lower, upper,
-                             xatol=tol, fatol=1e-13, max_iter=max_iter,
-                             initial_step=0.05 * span)
-    step = np.maximum(1e-5 * span, 100.0 * tol)
-    for _ in range(3):
-        x2, f2 = _nelder_mead_box(f, x, lower, upper, xatol=tol, fatol=1e-14,
-                                  max_iter=max_iter, initial_step=step)
-        if f2 < fx:
-            x, fx = x2, f2
-            step = np.maximum(step * 0.01, 10.0 * tol)
-        else:
+def _newton(pair: ModelPair, design: Design, rows: np.ndarray, objective,
+            start: np.ndarray, config: InnerConfig) -> np.ndarray:
+    """Bounded Newton descent in beta2 for a pair convex in eta2 = rows @ beta2.
+
+    The quadratic model of the objective at eta is
+    sum_i w_i h_i (eta2_i - eta_i + g_i / h_i)^2 / 2 with g, h the first and
+    second derivatives of the pointwise divergence, so its box-constrained
+    minimizer is a bounded weighted least-squares solution.
+    """
+    box = pair.theta2
+    weights = design.weights
+    derivatives = pair.divergence_derivatives(design.points)
+    beta = start
+    value = objective(beta)
+    for _ in range(config.max_local_iterations):
+        eta = rows @ beta
+        g, h = derivatives(eta)
+        scale = np.sqrt(weights * h)
+        rhs = np.sqrt(weights / h) * (h * eta - g)
+        target = lsq_linear(scale[:, None] * rows, rhs, bounds=(box.lower, box.upper),
+                            method="bvls").x
+        step = target - beta
+        moved = rows @ step
+        size = float(np.max(np.abs(moved)))
+        if size <= config.local_tolerance:
             break
-    return x, fx
+        slope = float((weights * g) @ moved)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = box.clip(beta + t * step)
+            trial_value = objective(trial)
+            if trial_value <= value + _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            break  # no decrease left above rounding
+        beta, value = trial, trial_value
+        if t * size <= config.local_tolerance:
+            break  # the objective is flat to rounding along the step
+    return beta
+
+
+def _scan_and_polish(box: ParamBox, objective, config: InnerConfig) -> np.ndarray:
+    """Equispaced scan of a one-dimensional box, then a simplex polish inside
+    the best node's cell."""
+    nodes = np.linspace(box.lower, box.upper, _SCAN_POINTS)
+    best = nodes[int(np.argmin([objective(b) for b in nodes]))]
+    cell = (box.upper - box.lower) / (_SCAN_POINTS - 1)
+    lower = np.maximum(box.lower, best - cell)
+    upper = np.minimum(box.upper, best + cell)
+    # The simplex keeps its best vertex, so the polish never ends above `best`.
+    polished, _ = _nelder_mead_box(objective, best, lower, upper,
+                                   xatol=config.local_tolerance, fatol=1e-14,
+                                   max_iter=config.max_local_iterations,
+                                   initial_step=0.25 * cell)
+    return polished
 
 
 def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerConfig(),
-                   warm_start=None, rng=None) -> InnerSolution:
-    """Multistart minimization of the design-averaged divergence over beta2.
+                   warm_start=None) -> InnerSolution:
+    """Minimize the design-averaged divergence over the rival parameter box.
 
-    The start pool is the warm start perturbed componentwise by Gaussian
-    noise of scale ``warm_start_noise_scale * (|beta_j| + 0.01)`` (the box
-    midpoint when no warm start is given), followed by
-    ``multistart_count - 1`` uniform draws from the box. Draws come from
-    `rng` (seed, Generator, or None for a fixed default), so the solve is
-    pure given its inputs and seed, and enlarging the pool under the same
-    seed only extends it.
+    Pairs with a rival matrix take bounded Newton steps from `warm_start`
+    (clipped into the box; the box midpoint when None), so the result is a
+    pure function of the inputs. `singular_flag` is set exactly when the
+    rival matrix on the positive-weight support is rank deficient, i.e.
+    when the minimizer is not unique.
     """
     if design.size < 1:
         raise DomainError("design has no support points")
     box = pair.theta2
-    gen = _as_generator(rng)
     weights = design.weights
-    evaluator = getattr(pair, "divergence_evaluator", None)
-    if evaluator is not None:
-        pointwise = evaluator(design.points)
-    else:
-        points = design.points
-        pointwise = lambda b: pair.divergence(points, b)  # noqa: E731
+    pointwise = pair.divergence_evaluator(design.points)
 
     def objective(b: np.ndarray) -> float:
         return float(weights @ pointwise(b))
 
-    if warm_start is not None:
-        b0 = box.clip(warm_start)
-        noise = gen.normal(0.0, config.warm_start_noise_scale * (np.abs(b0) + WARM_NOISE_FLOOR))
-        first = box.clip(b0 + noise)
+    rows = pair.rival_matrix(design.points)
+    if rows is None:
+        beta2_hat = _scan_and_polish(box, objective, config)
+        singular = False
     else:
-        first = box.midpoint
-    starts = [first]
-    if config.multistart_count > 1:
-        starts.extend(box.sample(gen, config.multistart_count - 1))
-
-    minima = [_local_minimize(objective, s, box, config.local_tolerance,
-                              config.max_local_iterations) for s in starts]
-    values = np.array([v for _, v in minima])
-    best_value = float(values.min())
-
-    # Deterministic tie-break: lexicographically smallest beta2 among exact ties.
-    tied = [b for b, v in minima if v <= best_value + EXACT_TIE_TOL]
-    tied.sort(key=lambda b: tuple(b))
-    beta2_hat = tied[0]
-    value = objective(beta2_hat)
-
-    near = [b for b, v in minima if v <= best_value + VALUE_TIE_RTOL * max(1.0, abs(best_value))]
-    dispersion = 0.0
-    for i in range(len(near)):
-        for j in range(i + 1, len(near)):
-            dispersion = max(dispersion, float(np.linalg.norm(near[i] - near[j])))
-    threshold = config.dispersion_threshold
-    if threshold is None:
-        threshold = 1e-3 * box.diameter
+        start = box.midpoint if warm_start is None else box.clip(warm_start)
+        beta2_hat = _newton(pair, design, rows, objective, start, config)
+        singular = not glm_is_regular(GlmDesignMatrix(rows[weights > 0.0], beta2_hat))
     edge = 1e-9 * (box.upper - box.lower)
     at_boundary = bool(np.any(beta2_hat <= box.lower + edge)
                        or np.any(beta2_hat >= box.upper - edge))
     return InnerSolution(
         beta2_hat=beta2_hat,
-        value=value,
-        all_minima=tuple((b, float(v)) for b, v in minima),
-        dispersion=dispersion,
-        singular_flag=dispersion > threshold,
+        value=objective(beta2_hat),
+        singular_flag=singular,
         at_boundary=at_boundary,
     )
-
-
-def criterion_value(pair: ModelPair, design: Design, config: InnerConfig = InnerConfig(),
-                    warm_start=None, rng=None) -> float:
-    """Min-divergence criterion value: the minimum of the averaged divergence."""
-    return minimize_beta2(pair, design, config, warm_start, rng).value
 
 
 def least_squares_oracle(pair: GaussianRegressionPair, design: Design):

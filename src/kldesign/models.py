@@ -49,10 +49,6 @@ class ParamBox:
         return self.lower.size
 
     @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
-
-    @property
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
@@ -62,9 +58,6 @@ class ParamBox:
 
     def clip(self, beta2) -> np.ndarray:
         return np.clip(np.asarray(beta2, dtype=float).ravel(), self.lower, self.upper)
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper, size=(count, self.dimension))
 
 
 def softplus(x) -> np.ndarray:
@@ -178,6 +171,13 @@ class GaussianRegressionPair:
 
         return values
 
+    def divergence_derivatives(self, points):
+        """First and second derivatives of the pointwise divergence in the
+        rival mean eta2, as a closure over fixed points."""
+        y = self.true_values(points)
+        inv_var = 1.0 / self.sigma2
+        return lambda eta2: ((eta2 - y) * inv_var, np.full(eta2.shape, inv_var))
+
 
 @dataclass(frozen=True)
 class LogisticGlmPair:
@@ -240,6 +240,12 @@ class LogisticGlmPair:
             return np.maximum(val, 0.0)
 
         return values
+
+    def divergence_derivatives(self, points):
+        """First and second derivatives of the pointwise divergence in the
+        rival predictor eta2, as a closure over fixed points."""
+        mean1 = expit(self.true_predictor(points))
+        return lambda eta2: (expit(eta2) - mean1, expit(eta2) * expit(-eta2))
 
 
 def _default_synthetic_box() -> ParamBox:

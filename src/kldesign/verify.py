@@ -70,13 +70,13 @@ def equivalence_check(pair: ModelPair, design: Design,
                       space: DesignSpace | None = None,
                       grid_size: int | None = None,
                       inner_config: InnerConfig = InnerConfig(),
-                      reg: RegularizationConfig | None = None,
-                      rng=None) -> EquivalenceReport:
+                      reg: RegularizationConfig | None = None) -> EquivalenceReport:
     """Grid check of the optimality condition psi(x) <= 0.
 
     Without `reg`, the derivative uses the design's own inner minimizer; if
-    that solve flags singularity the verdict is "singular-needs-regularization"
-    (the derivative is not trustworthy there). With `reg`, the scaled
+    that minimizer is not unique (rank-deficient rival matrix on the
+    support) the verdict is "singular-needs-regularization" (the derivative
+    is not trustworthy there). With `reg`, the scaled
     derivative of the regularized criterion is used instead, which is valid
     for any design. The pass tolerance scales with the criterion value:
     1e-6 * max(1, value).
@@ -85,7 +85,7 @@ def equivalence_check(pair: ModelPair, design: Design,
     grid_size = grid_size or _default_grid_size(space.q)
 
     if reg is None:
-        sol = minimize_beta2(pair, design, inner_config, rng=rng)
+        sol = minimize_beta2(pair, design, inner_config)
         value = sol.value
         scale = 1.0
         gamma = None
@@ -93,7 +93,7 @@ def equivalence_check(pair: ModelPair, design: Design,
     else:
         xi_tilde = reg.xi_tilde or default_reference_design(pair, space)
         blended = blend_designs(design, xi_tilde, reg.gamma)
-        sol = minimize_beta2(pair, blended, inner_config, rng=rng)
+        sol = minimize_beta2(pair, blended, inner_config)
         value = sol.value  # regularized criterion value I_gamma(design)
         scale = 1.0 - reg.gamma
         gamma = reg.gamma
@@ -157,18 +157,17 @@ class InvarianceReport:
 
 
 def invariance_check(pair: ModelPair, design: Design, amap: AffineMap,
-                     inner_config: InnerConfig = InnerConfig(),
-                     rng=None) -> InvarianceReport:
+                     inner_config: InnerConfig = InnerConfig()) -> InvarianceReport:
     """Check that the criterion is invariant under z = a + Bx.
 
     Solves the inner problem for the design on its own domain and for its
     affine image under the reparametrized pair; the two values must agree
     within 1e-8 * max(1, value).
     """
-    sol_x = minimize_beta2(pair, design, inner_config, rng=rng)
+    sol_x = minimize_beta2(pair, design, inner_config)
     image_pair = reparametrize_under_affine(pair, amap)
     image_design = transform_design(design, amap)
-    sol_z = minimize_beta2(image_pair, image_design, inner_config, rng=rng)
+    sol_z = minimize_beta2(image_pair, image_design, inner_config)
     diff = abs(sol_x.value - sol_z.value)
     tol = 1e-8 * max(1.0, sol_x.value)
     return InvarianceReport(

@@ -58,6 +58,6 @@ class TestAcceptance:
         _run(benchmarks.check_glm_regularity, ctx)
 
     def test_8_cli_determinism(self, ctx):
-        """cmd_run with a fixed seed produces byte-identical iterations.csv
-        (and result.json modulo timestamp) for --threads 1 and 4."""
+        """Two cmd_run calls on one config produce byte-identical
+        iterations.csv and result.json apart from its timestamp."""
         _run(benchmarks.check_cli_determinism, ctx)

@@ -9,18 +9,18 @@ from kldesign.algorithm import (EFFICIENCY_REACHED, STALLED_REGULARIZED,
                                 directional_derivative_psi, efficiency_bound,
                                 line_search_alpha, run_first_order,
                                 run_regularized)
-from kldesign.benchmarks import (cubic_quadratic_optimum, cubic_quadratic_pair,
-                                 cubic_quadratic_space, cubic_quadratic_start,
-                                 logistic_pair, logistic_reference_design,
-                                 logistic_space, logistic_start_design)
-from kldesign.designs import Design, blend_designs, mix_design
+from kldesign.benchmarks import (benchmark_inner_config, cubic_quadratic_optimum,
+                                 cubic_quadratic_pair, cubic_quadratic_space,
+                                 cubic_quadratic_start, logistic_pair,
+                                 logistic_reference_design, logistic_space,
+                                 logistic_start_design)
+from kldesign.designs import Design, DesignSpace, blend_designs, mix_design
 from kldesign.errors import UndefinedEfficiencyError
-from kldesign.inner import InnerConfig, criterion_value, minimize_beta2
-from kldesign.models import kl_average
+from kldesign.inner import InnerConfig, minimize_beta2
+from kldesign.models import LogisticGlmPair, ParamBox, kl_average
 
-TIGHT = InnerConfig(multistart_count=8, local_tolerance=1e-10,
-                    max_local_iterations=2000)
-FAST = InnerConfig(multistart_count=3, local_tolerance=1e-9)
+TIGHT = InnerConfig(local_tolerance=1e-10, max_local_iterations=2000)
+FAST = InnerConfig(local_tolerance=1e-9)
 OPT_BETA = np.array([0.0, 0.75, 0.0])
 
 
@@ -56,7 +56,7 @@ class TestBestSupportCandidate:
         pair = cubic_quadratic_pair()
         space = cubic_quadratic_space()
         d0 = Design(space, [[0.0]], [1.0])
-        sol = minimize_beta2(pair, d0, TIGHT, rng=1)
+        sol = minimize_beta2(pair, d0, TIGHT)
         x, psi = best_support_candidate(pair, d0, sol.beta2_hat, space)
         grid = np.linspace(-1, 1, 10000)
         brute = grid[np.argmax(pair.divergence(grid, sol.beta2_hat))]
@@ -67,7 +67,7 @@ class TestBestSupportCandidate:
     def test_zero_gap_at_the_optimum(self):
         pair = cubic_quadratic_pair()
         opt = cubic_quadratic_optimum()
-        sol = minimize_beta2(pair, opt, TIGHT, rng=1)
+        sol = minimize_beta2(pair, opt, TIGHT)
         _, psi = best_support_candidate(pair, opt, sol.beta2_hat,
                                         cubic_quadratic_space())
         assert abs(psi) <= 1e-8
@@ -77,7 +77,7 @@ class TestBestSupportCandidate:
         d0 = Design(logistic_space(), [[0.0]], [1.0])
         # with this beta2 the divergence is largest at 0 and the design sits there
         sol = minimize_beta2(pair, blend_designs(d0, logistic_reference_design(),
-                                                 0.05), TIGHT, rng=1)
+                                                 0.05), TIGHT)
         x, psi = best_support_candidate(pair, d0, sol.beta2_hat, logistic_space())
         assert x[0] == pytest.approx(0.0, abs=1e-9)
         assert psi == pytest.approx(0.0, abs=1e-9)
@@ -102,9 +102,9 @@ class TestLineSearch:
     def test_no_step_at_the_optimum(self):
         pair = cubic_quadratic_pair()
         opt = cubic_quadratic_optimum()
-        sol = minimize_beta2(pair, opt, TIGHT, rng=1)
+        sol = minimize_beta2(pair, opt, TIGHT)
         alpha, value = line_search_alpha(pair, opt, [0.3], TIGHT,
-                                         warm_start=sol.beta2_hat, rng=1,
+                                         warm_start=sol.beta2_hat,
                                          value_at_zero=sol.value)
         assert alpha == 0.0
         assert value == sol.value
@@ -114,10 +114,10 @@ class TestLineSearch:
         # so the criterion is identically zero along delta_{-1} -> delta_1
         pair = cubic_quadratic_pair()
         start = Design(cubic_quadratic_space(), [[-1.0]], [1.0])
-        sol = minimize_beta2(pair, start, TIGHT, rng=1)
+        sol = minimize_beta2(pair, start, TIGHT)
         assert sol.value <= 1e-12
         alpha, value = line_search_alpha(pair, start, [1.0], TIGHT,
-                                         warm_start=sol.beta2_hat, rng=1,
+                                         warm_start=sol.beta2_hat,
                                          value_at_zero=sol.value)
         assert alpha == 0.0
         assert value <= 1e-12
@@ -125,16 +125,16 @@ class TestLineSearch:
     def test_matches_grid_scan(self):
         pair = cubic_quadratic_pair()
         start = cubic_quadratic_start()
-        sol = minimize_beta2(pair, start, TIGHT, rng=1)
+        sol = minimize_beta2(pair, start, TIGHT)
         x_new, psi = best_support_candidate(pair, start, sol.beta2_hat,
                                             cubic_quadratic_space())
         assert psi > 0.0
         alpha, value = line_search_alpha(pair, start, x_new, TIGHT,
-                                         warm_start=sol.beta2_hat, rng=1,
+                                         warm_start=sol.beta2_hat,
                                          value_at_zero=sol.value)
         assert alpha > 0.0
         assert value > sol.value
-        scan = [criterion_value(pair, mix_design(start, x_new, a), TIGHT, rng=1)
+        scan = [minimize_beta2(pair, mix_design(start, x_new, a), TIGHT).value
                 for a in np.linspace(0, 1, 1001)]
         assert value == pytest.approx(max(scan), abs=1e-6)
         assert abs(alpha - np.linspace(0, 1, 1001)[int(np.argmax(scan))]) <= 2e-3
@@ -142,9 +142,9 @@ class TestLineSearch:
     def test_value_at_zero_equals_criterion(self):
         pair = cubic_quadratic_pair()
         d = cubic_quadratic_start()
-        sol = minimize_beta2(pair, d, TIGHT, rng=2)
+        sol = minimize_beta2(pair, d, TIGHT)
         alpha, value = line_search_alpha(pair, d, d.points[0], TIGHT,
-                                         warm_start=sol.beta2_hat, rng=2)
+                                         warm_start=sol.beta2_hat)
         if alpha == 0.0:
             assert value == pytest.approx(sol.value, abs=1e-10)
 
@@ -157,7 +157,7 @@ class TestLineSearch:
             d = Design(space, rng.uniform(-1, 1, (m, 1)), rng.dirichlet(np.ones(m)))
             x = rng.uniform(-1, 1, 1)
             a, b = sorted(rng.uniform(0, 1, 2))
-            g = [criterion_value(pair, mix_design(d, x, t), TIGHT, rng=3)
+            g = [minimize_beta2(pair, mix_design(d, x, t), TIGHT).value
                  for t in (a, (a + b) / 2, b)]
             assert g[1] >= (g[0] + g[2]) / 2 - 1e-8
 
@@ -169,8 +169,9 @@ class TestRuns:
         assert run.final_efficiency > 0.99
         values = np.array([r.value for r in run.history])
         assert np.all(np.diff(values) >= -1e-10)
-        # the known optimum value bounds the efficiency from above
-        for rec in run.history:
+        # U is a lower bound on the efficiency value / (1/16); the affine
+        # image of the fixture has the same optimum value
+        for rec in run.history + ctx.transformed_run().history:
             assert rec.efficiency <= rec.value / (1 / 16) + 1e-8
             assert rec.psi_max >= -1e-9
 
@@ -196,6 +197,23 @@ class TestRuns:
         run = ctx.logistic_plain_run()
         assert run.termination_reason == STALLED_REGULARIZED
         assert not run.regularized
+
+    def test_singular_design_is_not_certified(self):
+        # The loop moves all mass to x = 0 at iteration 3, where the intercept-free
+        # rival is singular and U = 1 is read off an arbitrary minimizer.
+        pair = LogisticGlmPair.from_exponents(
+            [-1.3049499918010312, -0.046634605256675954, 0.3678975736484933], [1, 2],
+            ParamBox([-10.0, -10.0], [10.0, 10.0]))
+        space = DesignSpace([0.0], [1.0])
+        start = Design(space,
+                       [[0.6840734264943017], [0.519704181427148], [0.15138787673324017],
+                        [0.5427954899259857], [0.8889032900133069]],
+                       [0.4197155770434777, 0.24353642944674372, 0.2809436060886842,
+                        0.05412969371031404, 0.0016746937107803453])
+        algo = AlgoConfig(delta=0.995, max_iterations=50, seed=1898267361)
+        run = run_first_order(pair, start, space, algo, benchmark_inner_config())
+        assert run.history[-1].singular_flag
+        assert run.termination_reason == STALLED_REGULARIZED
 
     def test_logistic_regularized_run(self, ctx):
         run = ctx.logistic_regularized_run()
@@ -228,7 +246,7 @@ class TestRuns:
         gaps = []
         for gamma in (0.1, 0.05, 0.01):
             value = minimize_beta2(pair, blend_designs(opt, ref, gamma),
-                                   TIGHT, rng=1).value
+                                   TIGHT).value
             gap = abs(value - 1 / 16)
             assert gap <= gamma * 0.05
             gaps.append(gap)

@@ -45,7 +45,7 @@ initial_design:
   points: [[0.0], [0.3333333333333333], [0.6666666666666666], [1.0]]
   weights: [0.25, 0.25, 0.25, 0.25]
 inner:
-  multistart_count: 4
+  local_tolerance: 1.0e-9
 """
 
 REGULARIZATION = """\
@@ -69,7 +69,7 @@ class TestRun:
     def test_benchmark_run_reaches_the_optimum(self, tmp_path):
         cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN +
                     "seed: 11\nalgorithm:\n  delta: 0.97\n  max_iterations: 300\n"
-                    "inner:\n  multistart_count: 4\n")
+                    "inner:\n  local_tolerance: 1.0e-9\n")
         rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"), "--quiet"])
         assert rc == 0
         result = json.loads((tmp_path / "out" / "result.json").read_text())
@@ -95,7 +95,7 @@ class TestRun:
     def test_budget_exhaustion_exits_2(self, tmp_path):
         cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN +
                     "algorithm:\n  delta: 0.999999\n  max_iterations: 5\n"
-                    "inner:\n  multistart_count: 2\n")
+                    "inner:\n  max_local_iterations: 200\n")
         rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"), "--quiet"])
         assert rc == 2
 
@@ -119,9 +119,20 @@ class TestRun:
         cfg = write(tmp_path / "run.yaml", BASE_MODEL +
                     "initial_design: start.json\n"
                     "algorithm:\n  delta: 0.8\n  max_iterations: 60\n"
-                    "inner:\n  multistart_count: 2\n")
+                    "inner:\n  max_local_iterations: 200\n")
         rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"), "--quiet"])
         assert rc == 0
+
+    def test_removed_inner_keys_are_rejected_by_name(self, tmp_path, capsys):
+        for key in ("multistart_count", "warm_start_noise_scale",
+                    "dispersion_threshold"):
+            cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN +
+                        f"inner:\n  {key}: 4\n")
+            rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"),
+                           "--quiet"])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert "inner" in err and key in err
 
     def test_missing_design_file_names_it(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.yaml", BASE_MODEL +
@@ -149,7 +160,7 @@ class TestRun:
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN +
                     "seed: 1\nalgorithm:\n  delta: 0.9\n  max_iterations: 10\n"
-                    "inner:\n  multistart_count: 2\n")
+                    "inner:\n  max_local_iterations: 200\n")
         outs, codes = [], []
         for i, seed in enumerate(("123", "123")):
             outdir = tmp_path / f"out{i}"
@@ -163,7 +174,7 @@ class TestRun:
     def test_round_trip_criterion_value(self, tmp_path):
         cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN +
                     "algorithm:\n  delta: 0.95\n  max_iterations: 200\n"
-                    "inner:\n  multistart_count: 4\n")
+                    "inner:\n  local_tolerance: 1.0e-9\n")
         rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"), "--quiet"])
         assert rc == 0
         result = json.loads((tmp_path / "out" / "result.json").read_text())

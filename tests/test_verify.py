@@ -65,7 +65,7 @@ class TestEquivalenceCheck:
         run = run_first_order(cubic_quadratic_pair(), cubic_quadratic_optimum(),
                               cubic_quadratic_space(),
                               AlgoConfig(delta=delta, max_iterations=200, seed=5),
-                              InnerConfig(multistart_count=4))
+                              InnerConfig())
         assert run.termination_reason == "efficiency-reached"
         report = equivalence_check(cubic_quadratic_pair(), run.final_design,
                                    inner_config=verify_inner_config())
@@ -97,8 +97,7 @@ class TestInvarianceCheck:
         rng = np.random.default_rng(91)
         amap = AffineMap([-3.0], [[2.0]])
         space = DesignSpace([-1.0], [1.0])
-        cfg = InnerConfig(multistart_count=4, local_tolerance=1e-10,
-                          max_local_iterations=1500)
+        cfg = InnerConfig(local_tolerance=1e-10, max_local_iterations=1500)
         for _ in range(20):
             d = Design(space, rng.uniform(-1, 1, (4, 1)), rng.dirichlet(np.ones(4)))
             report = invariance_check(cubic_quadratic_pair(), d, amap, cfg)
