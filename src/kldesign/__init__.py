@@ -9,13 +9,12 @@ regularized variant for singular optima, equivalence-theorem certification,
 and affine-invariance transforms, plus a `kl-design` CLI.
 """
 
-from .algorithm import (EFFICIENCY_REACHED, MAX_ITERATIONS, STALLED,
-                        STALLED_REGULARIZED, AlgoConfig, IterationRecord,
+from .algorithm import (EFFICIENCY_REACHED, MAX_ITERATIONS, RIVAL_ATTAINS_TRUTH,
+                        STALLED, STALLED_REGULARIZED, AlgoConfig, IterationRecord,
                         RegularizationConfig, RunResult, best_support_candidate,
                         default_reference_design, directional_derivative_psi,
                         efficiency_bound, iterations_to_csv, line_search_alpha,
-                        regularized_directional_derivative, run_first_order,
-                        run_regularized)
+                        run_first_order, run_regularized)
 from .designs import (AffineMap, Design, DesignSpace, ValidationReport,
                       blend_designs, collapse_support, mix_design, prune_support,
                       transform_design, validate_design, wasserstein_distance,
@@ -33,21 +32,21 @@ from .verify import (CERTIFIED, REJECTED, SINGULAR, EquivalenceReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap", "AlgoConfig", "CERTIFIED", "ConfigError", "Design",
-    "DesignSpace", "DomainError", "EFFICIENCY_REACHED", "EquivalenceReport",
+    "AffineMap", "AlgoConfig", "CERTIFIED", "ConfigError", "Design", "DesignSpace",
+    "DomainError", "EFFICIENCY_REACHED", "EquivalenceReport",
     "GaussianRegressionPair", "GlmDesignMatrix", "InnerConfig", "InnerSolution",
     "InvarianceReport", "IterationRecord", "KLDesignError", "LogisticGlmPair",
-    "MAX_ITERATIONS", "ModelPair", "ParamBox", "REJECTED", "RegularizationConfig",
-    "RunResult", "SINGULAR", "STALLED", "STALLED_REGULARIZED", "SingularMapError",
-    "SyntheticFamily", "UndefinedEfficiencyError", "UnsupportedModelError",
-    "ValidationReport", "best_support_candidate", "blend_designs",
-    "collapse_support", "default_reference_design",
-    "directional_derivative_psi", "efficiency_bound", "equivalence_check",
-    "glm_fisher_information", "glm_is_regular", "glm_weight_vector",
-    "invariance_check", "iterations_to_csv", "kl_average", "kl_pointwise",
-    "least_squares_oracle", "line_search_alpha", "minimize_beta2",
+    "MAX_ITERATIONS", "ModelPair", "ParamBox", "REJECTED", "RIVAL_ATTAINS_TRUTH",
+    "RegularizationConfig", "RunResult", "SINGULAR", "STALLED",
+    "STALLED_REGULARIZED", "SingularMapError", "SyntheticFamily",
+    "UndefinedEfficiencyError", "UnsupportedModelError", "ValidationReport",
+    "best_support_candidate", "blend_designs", "collapse_support",
+    "default_reference_design", "directional_derivative_psi", "efficiency_bound",
+    "equivalence_check", "glm_fisher_information", "glm_is_regular",
+    "glm_weight_vector", "invariance_check", "iterations_to_csv", "kl_average",
+    "kl_pointwise", "least_squares_oracle", "line_search_alpha", "minimize_beta2",
     "mix_design", "monomial_basis", "prune_support",
-    "regularized_directional_derivative", "reparametrize_under_affine",
-    "run_first_order", "run_regularized", "transform_design", "validate_design",
-    "wasserstein_distance", "wasserstein_distance_lp",
+    "reparametrize_under_affine", "run_first_order", "run_regularized",
+    "transform_design", "validate_design", "wasserstein_distance",
+    "wasserstein_distance_lp",
 ]

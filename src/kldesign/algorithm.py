@@ -4,13 +4,13 @@ One iteration, given the current design xi_n:
 
 1. inner solve: beta2_n minimizing the averaged divergence (bounded Newton,
    warm-started from the previous iterate's solution);
-2. best-point search: x_n maximizing the pointwise divergence over the
-   domain (grid scan plus a bounded local polish);
+2. best-point search: x_n maximizing psi over the domain, read off
+   `psi_scan`, the scan the certificate uses (exact for Gaussian pairs);
 3. stopping check: the efficiency bound U = [1 + psi_max / value]^{-1},
    a lower bound on value / optimum, is evaluated here, after the
-   best-point search and before any further work. A singular inner
-   solve stops the plain loop first; otherwise the run stops once U
-   exceeds the target delta;
+   best-point search and before any further work. A rival that attains
+   the true model stops the run first, a singular inner solve the plain
+   loop next; otherwise the run stops once U exceeds the target delta;
 4. step size: exact line search of the criterion along the segment
    (1-a) xi_n + a delta_{x_n} (golden section; the criterion is concave
    along the segment, so the scan is valid);
@@ -40,13 +40,16 @@ import numpy as np
 from .designs import (Design, DesignSpace, blend_designs, collapse_support,
                       mix_design, prune_support, validate_design)
 from .errors import DomainError, UndefinedEfficiencyError
-from .inner import InnerConfig, InnerSolution, _nelder_mead_box, minimize_beta2
-from .models import GlmDesignMatrix, ModelPair, glm_is_regular, kl_average, kl_pointwise
+from .inner import InnerConfig, InnerSolution, minimize_beta2
+from .models import (GaussianRegressionPair, GlmDesignMatrix, ModelPair,
+                     glm_is_regular, kl_average, kl_pointwise)
 
 EFFICIENCY_REACHED = "efficiency-reached"
 MAX_ITERATIONS = "max-iterations"
 STALLED_REGULARIZED = "stalled-regularized"
 STALLED = "stalled"
+RIVAL_ATTAINS_TRUTH = "rival-attains-truth"
+PSI_GRID_SIZE = 2001  # grid nodes per axis of the psi scan
 
 # A zero line-search step only signals a singular loop when the divergence
 # gap is clearly positive at this scale.
@@ -56,17 +59,19 @@ _ASCENT_HARD = 1e-8
 _ASCENT_SOFT = 1e-10
 # Line-search improvements below this are treated as a zero step.
 _LS_IMPROVEMENT_TOL = 1e-13
+# The rival attains the true model when no divergence on the domain exceeds this
+# share of the all-zero rival's (rounding leaves 1e-31 Gaussian, 1e-15 logistic).
+_ATTAIN_TOL = 1e-12
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class AlgoConfig:
-    """Outer-loop knobs: stopping target, search grids, housekeeping schedule."""
+    """Outer-loop knobs: stopping target, line search, housekeeping schedule."""
 
     delta: float = 0.99
     max_iterations: int = 500
-    grid_points_per_dim: int = 201
     line_search_tolerance: float = 1e-3
     collapse_radius_base: float | None = None  # None: 0.05 x domain diameter
     collapse_radius_exponent: float = 0.65
@@ -80,8 +85,6 @@ class AlgoConfig:
             raise ValueError("delta must lie strictly between 0 and 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.grid_points_per_dim < 2:
-            raise ValueError("grid_points_per_dim must be >= 2")
         if self.line_search_tolerance <= 0:
             raise ValueError("line_search_tolerance must be positive")
         if self.collapse_radius_base is not None and self.collapse_radius_base <= 0:
@@ -201,37 +204,31 @@ def efficiency_bound(value: float, psi_max: float) -> float:
     return 1.0 / (1.0 + psi_max / value)
 
 
-def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
-                           space: DesignSpace, config: AlgoConfig = AlgoConfig()):
-    """Maximize the pointwise divergence over the domain.
+def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
+             grid_size: int = PSI_GRID_SIZE):
+    """psi(x) at the candidate maximizers: the grid, the support points and,
+    for a Gaussian pair, the roots of r' inside the domain, where r^2 peaks.
 
-    Scans an equispaced grid (plus the current support, so the returned gap
-    can never be negative beyond solver noise) and polishes the best node
-    with a bounded simplex ascent confined to its grid cell.
-
-    Returns (x_best, psi_at_best).
+    The Gaussian maximum is thus exact; for other pairs it falls short by at
+    most h^2/8 * max|psi''|, h the grid spacing. Returns (points, psi); the
+    support rows start at grid_size**q.
     """
-    grid = space.grid(config.grid_points_per_dim)
-    candidates = np.vstack([grid, design.points])
-    values = pair.divergence(candidates, beta2_hat)
-    i = int(np.argmax(values))
-    x0, f0 = candidates[i], float(values[i])
+    parts = [space.grid(grid_size), design.points]
+    if isinstance(pair, GaussianRegressionPair):
+        parts.append(pair.residual_critical_points(beta2_hat, space.lower[0], space.upper[0]))
+    points = np.vstack(parts)
+    values = pair.divergence(points, beta2_hat)
+    first = grid_size ** space.q
+    average = design.weights @ values[first:first + design.size]
+    return points, values - average
 
-    cell = (space.upper - space.lower) / (config.grid_points_per_dim - 1)
-    lower = np.maximum(space.lower, x0 - cell)
-    upper = np.minimum(space.upper, x0 + cell)
 
-    def negated(x):
-        return -float(pair.divergence(x[None, :] if x.ndim == 1 else x, beta2_hat)[0])
-
-    x_best, neg_best = _nelder_mead_box(
-        negated, x0, lower, upper,
-        xatol=1e-10 * max(1.0, float(np.max(cell))), fatol=1e-14,
-        max_iter=300, initial_step=0.25 * cell)
-    if -neg_best < f0:  # polish never hands back something worse than the scan
-        x_best, neg_best = x0, -f0
-    psi = -neg_best - kl_average(pair, design, beta2_hat)
-    return x_best, float(psi)
+def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
+                           space: DesignSpace):
+    """(x, psi) at the top of `psi_scan`; x is copied so records keep no scan."""
+    points, psi = psi_scan(pair, design, beta2_hat, space)
+    i = int(np.argmax(psi))
+    return points[i].copy(), float(psi[i])
 
 
 def line_search_alpha(pair: ModelPair, design: Design, x_new,
@@ -304,10 +301,7 @@ def default_reference_design(pair: ModelPair, space: DesignSpace) -> Design:
 def _resolve_reference(pair: ModelPair, space: DesignSpace,
                        reg: RegularizationConfig) -> Design:
     xi_tilde = reg.xi_tilde or default_reference_design(pair, space)
-    d2 = pair.theta2.dimension
-    if xi_tilde.size < d2:
-        raise DomainError(f"reference design needs at least d2={d2} support points")
-    rows = pair.rival_matrix(xi_tilde.points)
+    rows = pair.rival_matrix(xi_tilde.points)  # rank d2 needs d2 support points
     if rows is not None and not glm_is_regular(GlmDesignMatrix(rows, pair.theta2.midpoint)):
         raise DomainError("reference design has a singular rival design matrix")
     return xi_tilde
@@ -336,6 +330,9 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
         target = blend_designs(d, reg.xi_tilde, gamma) if regularizing else d
         return minimize_beta2(pair, target, inner_cfg, warm_start=warm)
 
+    null_scale = float(np.max(pair.divergence(space.grid(PSI_GRID_SIZE),
+                                              np.zeros(pair.dimension))))
+
     design = initial_design
     inner = solve_on(design, None)
     if not regularizing and inner.singular_flag:
@@ -353,15 +350,20 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
                           stacklevel=2)
             boundary_warned = True
 
-        x_n, psi_raw = best_support_candidate(pair, design, inner.beta2_hat, space, algo)
+        x_n, psi_raw = best_support_candidate(pair, design, inner.beta2_hat, space)
         psi_max = (1.0 - gamma) * psi_raw
-        u = efficiency_bound(value, psi_max)
+        # value + psi_max is the largest divergence over the domain (mixed with
+        # the reference's average when regularizing)
+        attained = value + psi_max <= _ATTAIN_TOL * null_scale
+        u = math.nan if attained else efficiency_bound(value, psi_max)
 
         alpha = 0.0
         stop = None
-        # U is read off the inner minimizer, so it means nothing when that
-        # minimizer is not unique: the singularity test comes first.
-        if not regularizing and inner.singular_flag:
+        # U is read off the inner minimizer, so it means nothing when the
+        # rival attains the true model or the minimizer is not unique.
+        if attained:
+            stop = RIVAL_ATTAINS_TRUTH
+        elif not regularizing and inner.singular_flag:
             stop = STALLED_REGULARIZED
         elif u > algo.delta:
             stop = EFFICIENCY_REACHED
@@ -430,7 +432,8 @@ def run_first_order(pair: ModelPair, initial_design: Design, space: DesignSpace,
 
     Stops with reason "stalled-regularized" when a singularity trigger fires
     (a singular inner solve, or a zero step with a positive divergence gap);
-    rerun with `run_regularized` from there.
+    rerun with `run_regularized` from there. A rival that attains the true
+    model stops it with "rival-attains-truth" and efficiency NaN.
     """
     return _run_loop(pair, initial_design, space, algo, inner_config, None,
                      on_iteration)
@@ -448,19 +451,3 @@ def run_regularized(pair: ModelPair, initial_design: Design, space: DesignSpace,
     """
     return _run_loop(pair, initial_design, space, algo, inner_config, reg,
                      on_iteration)
-
-
-def regularized_directional_derivative(pair: ModelPair, design: Design,
-                                       reg: RegularizationConfig, x,
-                                       inner_config: InnerConfig = InnerConfig(),
-                                       space: DesignSpace | None = None) -> float:
-    """psi_gamma(x; design): derivative of the regularized criterion toward delta_x.
-
-    Equals (1-gamma) * [I(x, b) - avg_design I(., b)] with b solved on the
-    blended design; well defined whether or not `design` is regular.
-    """
-    space = space or design.space
-    xi_tilde = reg.xi_tilde or default_reference_design(pair, space)
-    blended = blend_designs(design, xi_tilde, reg.gamma)
-    sol = minimize_beta2(pair, blended, inner_config)
-    return (1.0 - reg.gamma) * directional_derivative_psi(pair, design, sol.beta2_hat, x)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/certified, 1 configuration or input error,
 2 iteration budget exhausted, 3 stalled (regularization needed),
-4 certificate rejected, 5 singular design needs regularization.
+4 certificate rejected, 5 singular design needs regularization,
+6 the rival attains the true model (no design discriminates).
 """
 
 import argparse
@@ -14,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks
-from .algorithm import (EFFICIENCY_REACHED, MAX_ITERATIONS, STALLED,
-                        STALLED_REGULARIZED, CSV_HEADER, iteration_csv_line,
+from .algorithm import (EFFICIENCY_REACHED, MAX_ITERATIONS, RIVAL_ATTAINS_TRUTH,
+                        STALLED, STALLED_REGULARIZED, CSV_HEADER, iteration_csv_line,
                         iterations_to_csv, run_first_order, run_regularized)
 from .config import load_design_file, load_run_config
 from .designs import AffineMap, transform_design
@@ -28,12 +29,14 @@ EXIT_BUDGET = 2
 EXIT_STALLED = 3
 EXIT_REJECTED = 4
 EXIT_SINGULAR = 5
+EXIT_RIVAL_ATTAINS = 6
 
 _RUN_EXIT = {
     EFFICIENCY_REACHED: EXIT_OK,
     MAX_ITERATIONS: EXIT_BUDGET,
     STALLED_REGULARIZED: EXIT_STALLED,
     STALLED: EXIT_STALLED,
+    RIVAL_ATTAINS_TRUTH: EXIT_RIVAL_ATTAINS,
 }
 
 _VERDICT_EXIT = {CERTIFIED: EXIT_OK, REJECTED: EXIT_REJECTED, SINGULAR: EXIT_SINGULAR}

@@ -161,8 +161,7 @@ def _build_config(cls, section, path: str, overrides=None):
     if section:
         allowed = {f.name for f in fields(cls)}
         _check_keys(section, allowed, path)
-        int_fields = {"max_iterations", "grid_points_per_dim", "seed",
-                      "max_local_iterations"}
+        int_fields = {"max_iterations", "seed", "max_local_iterations"}
         for key, raw in section.items():
             if raw is None:
                 continue  # explicit null keeps the default

@@ -171,6 +171,22 @@ class GaussianRegressionPair:
 
         return values
 
+    def residual_critical_points(self, beta2, lower: float, upper: float) -> np.ndarray:
+        """Real parts of the roots of r' in (lower, upper), r = m1 - m2(., beta2), as
+        a column: with the endpoints they hold the maximum of r^2 / (2 sigma2). A
+        nearly double root can come back complex, hence the real parts."""
+        coef = np.zeros(max(c.size for c in (self.beta1, *self.rival_basis)))
+        coef[:self.beta1.size] += self.beta1
+        for b, c in zip(np.asarray(beta2, dtype=float), self.rival_basis):
+            coef[:c.size] -= b * c
+        # r'(radius * t) with |t| <= 1 on the domain, less its terms below 1e-15
+        # of the largest: rounding noise that would swamp the companion matrix.
+        radius = max(abs(lower), abs(upper))
+        scaled = coef[1:] * np.arange(1.0, coef.size) * radius ** np.arange(coef.size - 1)
+        scaled[np.abs(scaled) <= 1e-15 * np.max(np.abs(scaled), initial=0.0)] = 0.0
+        roots = radius * np.roots(scaled[::-1]).real
+        return roots[(roots > lower) & (roots < upper), None]
+
     def divergence_derivatives(self, points):
         """First and second derivatives of the pointwise divergence in the
         rival mean eta2, as a closure over fixed points."""

@@ -1,33 +1,31 @@
 """Post-hoc certification of candidate optimal designs.
 
-The equivalence check evaluates the directional derivative on a dense grid
-plus the support points: a design is certified optimal when the derivative
-is nonpositive everywhere and vanishes on the support. For singular designs
-the derivative is only defined through the regularized criterion, so the
-check asks for a regularization config before issuing a verdict.
+The equivalence check evaluates the directional derivative on the loop's own
+scan, `algorithm.psi_scan`: a design is certified optimal when the derivative
+is nonpositive everywhere and vanishes on the support. The scan is exact for
+Gaussian pairs; for others, grid spacing h hides at most h^2/8 * max|psi''|.
+For singular designs the derivative is only defined through the regularized
+criterion, so the check asks for a regularization config first.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithm import RegularizationConfig, default_reference_design
+from .algorithm import (PSI_GRID_SIZE, RegularizationConfig, _resolve_reference,
+                        psi_scan)
 from .designs import Design, DesignSpace, AffineMap, blend_designs, transform_design
 from .inner import InnerConfig, minimize_beta2
-from .models import ModelPair, kl_average, reparametrize_under_affine
+from .models import ModelPair, reparametrize_under_affine
 
 CERTIFIED = "certified"
 REJECTED = "rejected"
 SINGULAR = "singular-needs-regularization"
 
 
-def _default_grid_size(q: int) -> int:
-    return 2001 if q == 1 else 201
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Grid evidence for (or against) the optimality of a design."""
+    """Scan evidence for (or against) the optimality of a design."""
 
     verdict: str
     grid_size: int
@@ -68,46 +66,42 @@ class EquivalenceReport:
 
 def equivalence_check(pair: ModelPair, design: Design,
                       space: DesignSpace | None = None,
-                      grid_size: int | None = None,
+                      grid_size: int = PSI_GRID_SIZE,
                       inner_config: InnerConfig = InnerConfig(),
                       reg: RegularizationConfig | None = None) -> EquivalenceReport:
-    """Grid check of the optimality condition psi(x) <= 0.
+    """Check of the optimality condition psi(x) <= 0 on `psi_scan`.
 
     Without `reg`, the derivative uses the design's own inner minimizer; if
     that minimizer is not unique (rank-deficient rival matrix on the
     support) the verdict is "singular-needs-regularization" (the derivative
-    is not trustworthy there). With `reg`, the scaled
-    derivative of the regularized criterion is used instead, which is valid
-    for any design. The pass tolerance scales with the criterion value:
-    1e-6 * max(1, value).
+    is not trustworthy there). With `reg`, the scaled derivative of the
+    regularized criterion is used instead, which is valid for any design;
+    its reference design must be regular, as for `run_regularized`. The
+    pass tolerance scales with the criterion value: 1e-6 * max(1, value).
     """
     space = space or design.space
-    grid_size = grid_size or _default_grid_size(space.q)
 
     if reg is None:
         sol = minimize_beta2(pair, design, inner_config)
-        value = sol.value
         scale = 1.0
         gamma = None
         singular = sol.singular_flag
     else:
-        xi_tilde = reg.xi_tilde or default_reference_design(pair, space)
+        xi_tilde = _resolve_reference(pair, space, reg)
         blended = blend_designs(design, xi_tilde, reg.gamma)
-        sol = minimize_beta2(pair, blended, inner_config)
-        value = sol.value  # regularized criterion value I_gamma(design)
+        sol = minimize_beta2(pair, blended, inner_config)  # value: I_gamma(design)
         scale = 1.0 - reg.gamma
         gamma = reg.gamma
         singular = False
+    value = sol.value
 
-    average = kl_average(pair, design, sol.beta2_hat)
-    grid = space.grid(grid_size)
-    grid_psi = scale * (pair.divergence(grid, sol.beta2_hat) - average)
-    support_psi = scale * (pair.divergence(design.points, sol.beta2_hat) - average)
-
-    psi_all = np.concatenate([grid_psi, support_psi])
-    pts_all = np.vstack([grid, design.points])
-    i_max = int(np.argmax(psi_all))
-    psi_max = float(psi_all[i_max])
+    points, psi = psi_scan(pair, design, sol.beta2_hat, space, grid_size)
+    psi = scale * psi
+    first = grid_size ** space.q
+    grid, grid_psi = points[:first], psi[:first]
+    support_psi = psi[first:first + design.size]
+    i_max = int(np.argmax(psi))
+    psi_max = float(psi[i_max])
 
     tol = 1e-6 * max(1.0, value)
     zeros = grid[np.abs(grid_psi) <= tol]
@@ -123,7 +117,7 @@ def equivalence_check(pair: ModelPair, design: Design,
         verdict=verdict,
         grid_size=grid_size,
         psi_max=psi_max,
-        psi_argmax=pts_all[i_max],
+        psi_argmax=points[i_max],
         support_psi=support_psi,
         zero_locations=zeros,
         criterion_value=value,

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kldesign.algorithm import (EFFICIENCY_REACHED, STALLED_REGULARIZED,
                                 AlgoConfig, RegularizationConfig,
                                 best_support_candidate, default_reference_design,
                                 directional_derivative_psi, efficiency_bound,
-                                line_search_alpha, run_first_order,
+                                line_search_alpha, psi_scan, run_first_order,
                                 run_regularized)
 from kldesign.benchmarks import (benchmark_inner_config, cubic_quadratic_optimum,
                                  cubic_quadratic_pair, cubic_quadratic_space,
@@ -17,7 +19,8 @@ from kldesign.benchmarks import (benchmark_inner_config, cubic_quadratic_optimum
 from kldesign.designs import Design, DesignSpace, blend_designs, mix_design
 from kldesign.errors import UndefinedEfficiencyError
 from kldesign.inner import InnerConfig, minimize_beta2
-from kldesign.models import LogisticGlmPair, ParamBox, kl_average
+from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
+                             kl_average)
 
 TIGHT = InnerConfig(local_tolerance=1e-10, max_local_iterations=2000)
 FAST = InnerConfig(local_tolerance=1e-9)
@@ -81,6 +84,41 @@ class TestBestSupportCandidate:
         x, psi = best_support_candidate(pair, d0, sol.beta2_hat, logistic_space())
         assert x[0] == pytest.approx(0.0, abs=1e-9)
         assert psi == pytest.approx(0.0, abs=1e-9)
+
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_gaussian_scan_maximum_is_exact(self, data):
+        # no dense grid finds a larger psi than a coarse scan, whose best
+        # candidate attains the psi it reports
+        d2 = data.draw(st.integers(1, 4))
+        exponents = sorted(data.draw(st.lists(st.integers(0, 5), min_size=d2,
+                                              max_size=d2, unique=True)))
+        beta1 = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
+        pair = GaussianRegressionPair.from_exponents(
+            beta1, exponents, ParamBox([-5.0] * d2, [5.0] * d2),
+            data.draw(st.floats(0.2, 2.0)))
+        lower = data.draw(st.floats(-2.0, 1.0))
+        space = DesignSpace([lower], [lower + data.draw(st.floats(0.1, 3.0))])
+        m = data.draw(st.integers(1, 6))
+        points = data.draw(st.lists(st.floats(space.lower[0], space.upper[0]),
+                                    min_size=m, max_size=m))
+        raw = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=m,
+                                          max_size=m)))
+        design = Design(space, np.array(points)[:, None], raw / raw.sum())
+        beta = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=d2,
+                                           max_size=d2)))
+        grid_size = data.draw(st.integers(2, 21))
+
+        candidates, psi = psi_scan(pair, design, beta, space, grid_size)
+        i = int(np.argmax(psi))
+        average = kl_average(pair, design, beta)
+        # psi is a difference of divergences, so rounding scales with them
+        value = float(np.max(pair.divergence(space.grid(200_001), beta)))
+        tol = 1e-12 * max(1.0, value)
+        assert psi[i] >= value - average - tol
+        attained = float(pair.divergence(candidates[i], beta)[0]) - average
+        assert attained == pytest.approx(psi[i], abs=tol)
 
 
 class TestEfficiencyBound:

@@ -1,12 +1,15 @@
 """Command-line interface: run, verify, transform, benchmark."""
 
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from kldesign import cli
 from kldesign.benchmarks import (cubic_quadratic_optimum, logistic_space,
                                  verify_inner_config)
+from kldesign.config import load_run_config
 from kldesign.designs import Design, DesignSpace
 from kldesign.inner import minimize_beta2
 
@@ -53,6 +56,9 @@ regularization:
   gamma: 0.05
 """
 
+DEMO_CONFIGS = sorted((Path(__file__).resolve().parent.parent
+                       / "demos" / "configs").glob("*.yaml"))
+
 
 def write(path, text):
     path.write_text(text)
@@ -81,8 +87,6 @@ class TestRun:
 
     def test_shipped_benchmark_config_reaches_the_optimum(self, tmp_path):
         # the annotated example config, verbatim, at its delta = 0.99
-        from pathlib import Path
-
         from kldesign.designs import wasserstein_distance
         cfg = str(Path(__file__).resolve().parent.parent
                   / "demos" / "configs" / "cubic_vs_quadratic.yaml")
@@ -124,15 +128,36 @@ class TestRun:
         assert rc == 0
 
     def test_removed_inner_keys_are_rejected_by_name(self, tmp_path, capsys):
-        for key in ("multistart_count", "warm_start_noise_scale",
-                    "dispersion_threshold"):
+        for section, key in (("inner", "multistart_count"),
+                             ("inner", "warm_start_noise_scale"),
+                             ("inner", "dispersion_threshold"),
+                             ("algorithm", "grid_points_per_dim")):
             cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN +
-                        f"inner:\n  {key}: 4\n")
+                        f"{section}:\n  {key}: 4\n")
             rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"),
                            "--quiet"])
             assert rc == 1
             err = capsys.readouterr().err
-            assert "inner" in err and key in err
+            assert section in err and key in err
+
+    @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_parses(self, path):
+        setup = load_run_config(path)
+        assert setup.initial_design is not None
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    def test_rival_attaining_the_true_model_exits_6(self, tmp_path, c):
+        # true mean c x^2 lies in the rival span {1, x, x^2}: every design has
+        # criterion value zero, and value and psi_max are rounding noise
+        model = BASE_MODEL.replace("beta1: [0, 0, 0, 1]", f"beta1: [0, 0, {c!r}]")
+        model = model.replace("[-5, -5, -5]", "[-5000, -5000, -5000]")
+        model = model.replace("[5, 5, 5]", "[5000, 5000, 5000]")
+        cfg = write(tmp_path / "run.yaml", model + START_DESIGN)
+        rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"), "--quiet"])
+        assert rc == 6
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert result["termination_reason"] == "rival-attains-truth"
+        assert len(result["iterations"]) == 1
 
     def test_missing_design_file_names_it(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.yaml", BASE_MODEL +
@@ -212,6 +237,16 @@ class TestVerify:
         rc = cli.main(["verify", cfg, design_file(tmp_path, d0),
                        "--output-dir", str(tmp_path / "out"), "--quiet"])
         assert rc == 5
+
+    def test_singular_reference_design_exits_1(self, tmp_path, capsys):
+        # the certificate checks xi_tilde as run_regularized does
+        cfg = write(tmp_path / "cfg.yaml", LOGISTIC_MODEL + REGULARIZATION +
+                    "  xi_tilde:\n    points: [[0.0]]\n    weights: [1.0]\n")
+        d0 = Design(logistic_space(), [[0.0]], [1.0])
+        rc = cli.main(["verify", cfg, design_file(tmp_path, d0),
+                       "--output-dir", str(tmp_path / "out"), "--quiet"])
+        assert rc == 1
+        assert "reference design" in capsys.readouterr().err
 
     def test_singular_design_with_gamma_certifies(self, tmp_path):
         cfg = write(tmp_path / "cfg.yaml", LOGISTIC_MODEL + REGULARIZATION)

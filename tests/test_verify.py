@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from kldesign.algorithm import AlgoConfig, RegularizationConfig, run_first_order
+from kldesign.algorithm import (AlgoConfig, RegularizationConfig,
+                                best_support_candidate, run_first_order)
 from kldesign.benchmarks import (cubic_quadratic_optimum, cubic_quadratic_pair,
-                                 cubic_quadratic_space, logistic_pair,
-                                 logistic_reference_design, logistic_space,
-                                 verify_inner_config)
+                                 cubic_quadratic_space, cubic_quadratic_start,
+                                 logistic_pair, logistic_reference_design,
+                                 logistic_space, verify_inner_config)
 from kldesign.designs import AffineMap, Design, DesignSpace
+from kldesign.errors import DomainError
 from kldesign.inner import InnerConfig, least_squares_oracle
 from kldesign.verify import (CERTIFIED, REJECTED, SINGULAR, equivalence_check,
                              invariance_check)
@@ -36,6 +38,29 @@ class TestEquivalenceCheck:
         assert report.verdict == REJECTED
         assert report.psi_max > report.pass_tolerance
 
+    @pytest.mark.parametrize("grid_size", [11, 2001])
+    def test_rejects_a_peak_between_grid_nodes(self, grid_size):
+        # weights optimal for the support {+-1, +-0.55}; psi peaks at about
+        # +-0.5 with 1.87e-3, between the nodes of an 11-node grid
+        design = Design(cubic_quadratic_space(), [[-1.0], [-0.55], [0.55], [1.0]],
+                        [0.17742, 0.32258, 0.32258, 0.17742])
+        report = equivalence_check(cubic_quadratic_pair(), design,
+                                   grid_size=grid_size,
+                                   inner_config=verify_inner_config())
+        assert report.verdict == REJECTED
+        assert report.psi_max == pytest.approx(1.87e-3, rel=1e-2)
+        assert abs(abs(report.psi_argmax[0]) - 0.5) <= 1e-2
+
+    def test_loop_and_certificate_agree(self):
+        design = cubic_quadratic_start()
+        report = equivalence_check(cubic_quadratic_pair(), design,
+                                   inner_config=verify_inner_config())
+        x, psi = best_support_candidate(cubic_quadratic_pair(), design,
+                                        report.beta2_hat, cubic_quadratic_space())
+        assert psi == report.psi_max
+        np.testing.assert_array_equal(x, report.psi_argmax)
+        assert x.base is None  # a copy: iteration records do not keep the scan
+
     def test_singular_without_regularization(self):
         d0 = Design(logistic_space(), [[0.0]], [1.0])
         report = equivalence_check(logistic_pair(), d0,
@@ -51,6 +76,13 @@ class TestEquivalenceCheck:
         assert report.gamma == 0.05
         assert report.psi_max <= 1e-6
         assert np.all(report.grid_psi <= 1e-6)
+
+    def test_regularized_check_rejects_a_singular_reference(self):
+        d0 = Design(logistic_space(), [[0.0]], [1.0])
+        reg = RegularizationConfig(gamma=0.05, xi_tilde=d0)
+        with pytest.raises(DomainError, match="reference design"):
+            equivalence_check(logistic_pair(), d0, grid_size=1001,
+                              inner_config=verify_inner_config(), reg=reg)
 
     def test_certified_verdict_stable_under_grid_refinement(self):
         for grid in (1001, 2001, 4001):
