@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tour of the design containers and measure operations.
 
-Designs are immutable finite-support probability measures on a box. The
+Designs are immutable finite-support probability measures on an interval. The
 exchange algorithm is built from a handful of measure-level operations:
 validation, mixing with a point mass, collapsing nearby support, pruning
 low weights, exact transport distances, and affine images.
@@ -52,9 +52,3 @@ print(f"\nimage of the design under z = 2 + 4x: {image.points.ravel().tolist()}"
 print(f"weights are untouched: {np.round(image.weights, 4).tolist()}")
 back = transform_design(image, amap.inverted())
 print(f"round trip error: {np.max(np.abs(back.points - design.points)):.1e}")
-
-# a two-dimensional example goes through the transport LP
-plane = DesignSpace([0, 0], [1, 1])
-d1 = Design(plane, [[0, 0], [1, 1]], [0.6, 0.4])
-d2 = Design(plane, [[1, 0], [0, 1]], [0.5, 0.5])
-print(f"\n2-D transport distance: {wasserstein_distance(d1, d2):.6f}")

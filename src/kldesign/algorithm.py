@@ -49,7 +49,7 @@ MAX_ITERATIONS = "max-iterations"
 STALLED_REGULARIZED = "stalled-regularized"
 STALLED = "stalled"
 RIVAL_ATTAINS_TRUTH = "rival-attains-truth"
-PSI_GRID_SIZE = 2001  # grid nodes per axis of the psi scan
+PSI_GRID_SIZE = 2001  # grid nodes of the psi scan
 
 # A zero line-search step only signals a singular loop when the divergence
 # gap is clearly positive at this scale.
@@ -78,7 +78,7 @@ class AlgoConfig:
     anchor_weight_exponent: float = 0.8
     prune_abs_threshold: float = 1e-4
     prune_rel_threshold: float = 0.1
-    seed: int = 0
+    seed: int = 0  # accepted for compatibility; no result depends on it
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
@@ -211,15 +211,14 @@ def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
 
     The Gaussian maximum is thus exact; for other pairs it falls short by at
     most h^2/8 * max|psi''|, h the grid spacing. Returns (points, psi); the
-    support rows start at grid_size**q.
+    support rows start at grid_size.
     """
     parts = [space.grid(grid_size), design.points]
     if isinstance(pair, GaussianRegressionPair):
         parts.append(pair.residual_critical_points(beta2_hat, space.lower[0], space.upper[0]))
     points = np.vstack(parts)
     values = pair.divergence(points, beta2_hat)
-    first = grid_size ** space.q
-    average = design.weights @ values[first:first + design.size]
+    average = design.weights @ values[grid_size:grid_size + design.size]
     return points, values - average
 
 
@@ -287,8 +286,6 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new,
 def default_reference_design(pair: ModelPair, space: DesignSpace) -> Design:
     """Uniform design on d2+1 equispaced points; the stock regular reference."""
     d2 = pair.theta2.dimension
-    if space.q != 1:
-        raise DomainError("supply an explicit xi_tilde for multidimensional domains")
     pts = np.linspace(space.lower[0], space.upper[0], d2 + 1)[:, None]
     design = Design(space, pts, np.full(d2 + 1, 1.0 / (d2 + 1)))
     rows = pair.rival_matrix(design.points)

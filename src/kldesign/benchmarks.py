@@ -378,7 +378,7 @@ def check_oracle_suite(ctx: BenchmarkContext, scale: float = 1.0) -> CheckResult
 def _random_design(rng: np.random.Generator, space: DesignSpace,
                    max_points: int = 8) -> Design:
     m = int(rng.integers(1, max_points + 1))
-    pts = rng.uniform(space.lower, space.upper, size=(m, space.q))
+    pts = rng.uniform(space.lower, space.upper, size=(m, 1))
     return Design(space, pts, rng.dirichlet(np.ones(m)))
 
 

@@ -12,13 +12,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import benchmarks
 from .algorithm import (EFFICIENCY_REACHED, MAX_ITERATIONS, RIVAL_ATTAINS_TRUTH,
                         STALLED, STALLED_REGULARIZED, CSV_HEADER, iteration_csv_line,
                         iterations_to_csv, run_first_order, run_regularized)
-from .config import load_design_file, load_run_config
+from .config import _to_float, load_design_file, load_run_config
 from .designs import AffineMap, transform_design
 from .errors import ConfigError, KLDesignError, SingularMapError
 from .verify import CERTIFIED, REJECTED, SINGULAR, equivalence_check
@@ -44,7 +42,7 @@ _VERDICT_EXIT = {CERTIFIED: EXIT_OK, REJECTED: EXIT_REJECTED, SINGULAR: EXIT_SIN
 
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
+                        help="accepted for compatibility; no result depends on it")
     parser.add_argument("--output-dir", default=None,
                         help="override the config output directory")
     parser.add_argument("--quiet", action="store_true",
@@ -70,14 +68,13 @@ def _parser() -> argparse.ArgumentParser:
     _common_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_tr = sub.add_parser("transform", help="apply z = offset + matrix @ x to "
+    p_tr = sub.add_parser("transform", help="apply z = offset + matrix * x to "
                                             "a design file")
     p_tr.add_argument("design", help="design JSON file")
     p_tr.add_argument("--offset", required=True,
-                      help="comma-separated offset vector, e.g. '2' or '1,0'")
+                      help="the offset, one number, e.g. '2'")
     p_tr.add_argument("--matrix", required=True,
-                      help="matrix rows separated by ';', entries by ',', "
-                           "e.g. '4' or '1,0;0,2'")
+                      help="the scale, one nonzero number, e.g. '4'")
     p_tr.add_argument("--output", default=None,
                       help="write the transformed design here (default: stdout)")
     p_tr.set_defaults(func=cmd_transform)
@@ -150,24 +147,10 @@ def cmd_verify(args) -> int:
     return _VERDICT_EXIT[report.verdict]
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    try:
-        return np.array([float(v) for v in text.split(",")])
-    except ValueError:
-        raise ConfigError(f"cannot parse vector {text!r}") from None
-
-
-def _parse_matrix(text: str) -> np.ndarray:
-    try:
-        rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
-        return np.array(rows)
-    except ValueError:
-        raise ConfigError(f"cannot parse matrix {text!r}") from None
-
-
 def cmd_transform(args) -> int:
     design = load_design_file(Path(args.design))
-    amap = AffineMap(_parse_vector(args.offset), _parse_matrix(args.matrix))
+    amap = AffineMap(_to_float(args.offset, "--offset"),
+                     _to_float(args.matrix, "--matrix"))
     transformed = transform_design(design, amap)
     text = json.dumps(transformed.as_dict(), indent=2) + "\n"
     if args.output:

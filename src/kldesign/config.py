@@ -131,7 +131,7 @@ def load_design_file(path: Path) -> Design:
     try:
         data = json.loads(path.read_text())
         return Design.from_dict(data)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"{path}: not a valid design file ({exc})") from None
 
 

@@ -1,45 +1,44 @@
-"""Finite-support experimental designs on compact box domains.
+"""Finite-support experimental designs on a compact interval.
 
-A design is a probability measure with finitely many support points. This
-module holds the measure-level toolbox the exchange algorithm is built on:
-validation, mixing a design with a point mass, collapsing/pruning support,
-exact Kantorovich-Wasserstein (order-1) distances, and affine images of
-designs. Designs are immutable values and every operation here is a pure
-function.
+A design is a probability measure with finitely many support points on an
+interval [lower, upper] of one experimental variable. This module holds the
+measure-level toolbox the exchange algorithm is built on: validation,
+mixing a design with a point mass, collapsing/pruning support, exact
+Kantorovich-Wasserstein (order-1) distances, and affine images of designs.
+Designs are immutable values and every operation here is a pure function.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial.distance import cdist
 
 from .errors import DomainError, SingularMapError
 
-# Support points closer than this in max-norm are considered the same point.
+# Support points closer than this are considered the same point.
 DUPLICATE_TOL = 1e-12
-# Slack allowed on box membership checks.
+# Slack allowed on interval membership checks.
 BOX_SLACK = 1e-12
 # Tolerance on the weight-sum-one invariant.
 WEIGHT_TOL = 1e-12
 
 
-def _as_matrix(points) -> np.ndarray:
-    """Coerce point data to a float (n, q) array; 1-D input is n points in q=1."""
+def _as_column(points) -> np.ndarray:
+    """Coerce point data to a float (n, 1) column; scalars and 1-D input are n points."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
-        pts = pts[:, None]
-    elif pts.ndim != 2:
-        raise ValueError(f"points must be at most 2-dimensional, got shape {pts.shape}")
+    if pts.ndim < 2:
+        return pts.reshape(-1, 1)
+    if pts.ndim != 2 or pts.shape[1] != 1:
+        raise DomainError(f"points must form one column (one experimental "
+                          f"variable), got shape {pts.shape}")
     return pts
 
 
-def _as_vector(x, q: int, what: str = "point") -> np.ndarray:
+def _as_point(x, what: str = "point") -> np.ndarray:
+    """One number of any array shape, as a one-element vector."""
     v = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    if v.size != q:
-        raise DomainError(f"{what} has dimension {v.size}, expected {q}")
+    if v.size != 1:
+        raise DomainError(f"{what} must be one number, got {v.size}")
     return v
 
 
@@ -50,77 +49,59 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DesignSpace:
-    """Compact nondegenerate box [lower, upper] ⊂ R^q of experimental conditions."""
+    """Compact nondegenerate interval [lower, upper] of one experimental variable.
+
+    The bounds are kept as one-element arrays, so they broadcast against
+    (n, 1) point columns and serialize as one-element lists.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float)).ravel()
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float)).ravel()
-        if lo.size != hi.size or lo.size < 1:
-            raise ValueError("lower and upper must be vectors of equal length >= 1")
-        if not np.all(lo < hi):
-            raise ValueError("box must satisfy lower[i] < upper[i] for all i")
+        lo = _as_point(self.lower, "lower")
+        hi = _as_point(self.upper, "upper")
+        if not lo[0] < hi[0]:
+            raise ValueError("interval must satisfy lower < upper")
         object.__setattr__(self, "lower", _freeze(lo))
         object.__setattr__(self, "upper", _freeze(hi))
 
     @property
-    def q(self) -> int:
-        return self.lower.size
-
-    @property
     def diameter(self) -> float:
-        """Euclidean length of the box diagonal."""
-        return float(np.linalg.norm(self.upper - self.lower))
+        """Length of the interval."""
+        return float(self.upper[0] - self.lower[0])
 
     def contains(self, points, slack: float = BOX_SLACK) -> np.ndarray:
-        pts = _as_matrix(points)
-        return np.all((pts >= self.lower - slack) & (pts <= self.upper + slack), axis=1)
+        x = _as_column(points)[:, 0]
+        return (x >= self.lower[0] - slack) & (x <= self.upper[0] + slack)
 
     def clip(self, points) -> np.ndarray:
-        return np.clip(_as_matrix(points), self.lower, self.upper)
+        return np.clip(_as_column(points), self.lower, self.upper)
 
-    def corners(self) -> np.ndarray:
-        """All 2^q box corners, one per row."""
-        grids = np.meshgrid(*[(self.lower[j], self.upper[j]) for j in range(self.q)],
-                            indexing="ij")
-        return np.column_stack([g.ravel() for g in grids])
-
-    def grid(self, points_per_dim: int) -> np.ndarray:
-        """Equispaced lattice with `points_per_dim` nodes per axis, shape (m^q, q)."""
-        if points_per_dim < 2:
-            raise ValueError("points_per_dim must be >= 2")
-        axes = [np.linspace(self.lower[j], self.upper[j], points_per_dim)
-                for j in range(self.q)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([g.ravel() for g in grids])
+    def grid(self, size: int) -> np.ndarray:
+        """`size` equispaced nodes from lower to upper, shape (size, 1)."""
+        if size < 2:
+            raise ValueError("grid size must be >= 2")
+        return np.linspace(self.lower[0], self.upper[0], size)[:, None]
 
 
 @dataclass(frozen=True)
 class Design:
-    """Probability measure with finite support: points (n, q) and weights (n,)."""
+    """Probability measure with finite support: points (n, 1) and weights (n,)."""
 
     space: DesignSpace
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = _as_matrix(self.points)
+        pts = _as_column(self.points)
         w = np.atleast_1d(np.asarray(self.weights, dtype=float)).ravel()
         if pts.shape[0] != w.size:
             raise ValueError(f"{pts.shape[0]} points but {w.size} weights")
         if pts.shape[0] < 1:
             raise ValueError("a design needs at least one support point")
-        if pts.shape[1] != self.space.q:
-            raise DomainError(
-                f"points have dimension {pts.shape[1]}, space has dimension {self.space.q}")
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "weights", _freeze(w))
-
-    @property
-    def q(self) -> int:
-        return self.points.shape[1]
 
     @property
     def size(self) -> int:
@@ -129,8 +110,8 @@ class Design:
 
     def weight_at(self, x, tol: float = DUPLICATE_TOL) -> float:
         """Total weight on support points equal to x (within the duplicate tolerance)."""
-        x = _as_vector(x, self.q)
-        match = np.max(np.abs(self.points - x), axis=1) <= tol
+        x = _as_point(x)
+        match = np.abs(self.points[:, 0] - x[0]) <= tol
         return float(self.weights[match].sum())
 
     def as_dict(self) -> dict:
@@ -157,13 +138,11 @@ class ValidationReport:
 def validate_design(design: Design, space: DesignSpace | None = None) -> ValidationReport:
     """Check the design invariants and report every violation found.
 
-    Checks box membership (1e-12 slack), nonnegative weights, weight sum one
-    (1e-12), and pairwise-distinct support points (1e-12 max-norm).
+    Checks interval membership (1e-12 slack), nonnegative weights, weight
+    sum one (1e-12), and pairwise-distinct support points (1e-12 apart).
     """
     space = space or design.space
     bad = []
-    if design.q != space.q:
-        return ValidationReport(False, (f"points dimension {design.q} != space dimension {space.q}",))
     inside = space.contains(design.points)
     for i in np.nonzero(~inside)[0]:
         bad.append(f"point {i} = {design.points[i].tolist()} outside box")
@@ -173,7 +152,7 @@ def validate_design(design: Design, space: DesignSpace | None = None) -> Validat
     if abs(total - 1.0) > WEIGHT_TOL:
         bad.append(f"weight sum {total:.12g} != 1")
     if design.size > 1:
-        dist = cdist(design.points, design.points, metric="chebyshev")
+        dist = np.abs(design.points - design.points.T)
         iu = np.triu_indices(design.size, k=1)
         for i, j in zip(*iu):
             if dist[i, j] <= DUPLICATE_TOL:
@@ -189,13 +168,13 @@ def mix_design(design: Design, new_point, alpha: float) -> Design:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    x = _as_vector(new_point, design.q)
+    x = _as_point(new_point)
     if not design.space.contains(x)[0]:
         raise DomainError(f"point {x.tolist()} outside the design space")
     if alpha == 0.0:
         return design
     w = design.weights * (1.0 - alpha)
-    match = np.max(np.abs(design.points - x), axis=1) <= DUPLICATE_TOL
+    match = np.abs(design.points[:, 0] - x[0]) <= DUPLICATE_TOL
     if match.any():
         w = w.copy()
         w[np.argmax(match)] += alpha
@@ -211,15 +190,13 @@ def blend_designs(first: Design, second: Design, alpha: float) -> Design:
     """Mixture (1-alpha)*first + alpha*second, merging coincident support points."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if first.q != second.q:
-        raise DomainError(f"dimension mismatch: {first.q} vs {second.q}")
     if alpha == 0.0:
         return first
     if alpha == 1.0:
         return second
     base_w = first.weights * (1.0 - alpha)
     extra_pts, extra_w = [], []
-    near = cdist(second.points, first.points, metric="chebyshev")
+    near = np.abs(second.points - first.points.T)
     for i in range(second.size):
         j = int(np.argmin(near[i]))
         if near[i, j] <= DUPLICATE_TOL:
@@ -235,36 +212,36 @@ def blend_designs(first: Design, second: Design, alpha: float) -> Design:
 
 def collapse_support(design: Design, anchor, radius: float,
                      anchor_weight_factor: float = 1.0) -> Design:
-    """Merge all support points within `radius` (Euclidean) of `anchor`.
+    """Merge all support points within `radius` of `anchor`.
 
     The merged points are replaced by their weighted barycenter; the anchor's
     own weight is multiplied by `anchor_weight_factor` in the barycenter
     computation only. The merged weight is the plain sum of the merged
-    weights. The barycenter is clipped to the design-space box.
+    weights. The barycenter is clipped to the design-space interval.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     if anchor_weight_factor < 1.0:
         raise ValueError("anchor_weight_factor must be >= 1")
-    x = _as_vector(anchor, design.q, "anchor")
-    dist = np.linalg.norm(design.points - x, axis=1)
+    x = _as_point(anchor, "anchor")
+    dist = np.abs(design.points[:, 0] - x[0])
     mask = dist <= radius
     if not mask.any():
         return design
     pts_in = design.points[mask]
     w_in = design.weights[mask]
     bary_w = w_in.copy()
-    exact = np.max(np.abs(pts_in - x), axis=1) <= DUPLICATE_TOL
+    exact = np.abs(pts_in[:, 0] - x[0]) <= DUPLICATE_TOL
     if exact.any():
         bary_w[np.argmax(exact)] *= anchor_weight_factor
     bary = design.space.clip(bary_w @ pts_in / bary_w.sum())[0]
-    if mask.sum() == 1 and np.max(np.abs(pts_in[0] - bary)) <= DUPLICATE_TOL:
+    if mask.sum() == 1 and abs(pts_in[0, 0] - bary[0]) <= DUPLICATE_TOL:
         return design
     keep_pts = design.points[~mask]
     keep_w = design.weights[~mask]
     merged_w = float(w_in.sum())
     if keep_pts.shape[0]:
-        near = np.max(np.abs(keep_pts - bary), axis=1) <= DUPLICATE_TOL
+        near = np.abs(keep_pts[:, 0] - bary[0]) <= DUPLICATE_TOL
         if near.any():
             keep_w = keep_w.copy()
             keep_w[np.argmax(near)] += merged_w
@@ -320,13 +297,12 @@ def _wasserstein_1d(x1: np.ndarray, w1: np.ndarray,
 def wasserstein_distance_lp(d1: Design, d2: Design) -> float:
     """Exact order-1 transport distance via the dense linear program.
 
-    Supports in this algorithm stay small, so the (n1*n2)-variable LP with
-    Euclidean ground cost is solved exactly; no entropic approximation.
+    The reference the quantile formula of `wasserstein_distance` is checked
+    against; supports stay small, so the (n1*n2)-variable LP is solved
+    exactly, with no entropic approximation.
     """
-    if d1.q != d2.q:
-        raise DomainError(f"dimension mismatch: {d1.q} vs {d2.q}")
     n1, n2 = d1.size, d2.size
-    cost = cdist(d1.points, d2.points, metric="euclidean")
+    cost = np.abs(d1.points - d2.points.T)
     a_eq = np.zeros((n1 + n2, n1 * n2))
     for i in range(n1):
         a_eq[i, i * n2:(i + 1) * n2] = 1.0
@@ -342,70 +318,58 @@ def wasserstein_distance_lp(d1: Design, d2: Design) -> float:
 
 
 def wasserstein_distance(d1: Design, d2: Design) -> float:
-    """Exact Kantorovich-Wasserstein (order-1) distance between two designs.
-
-    Uses the quantile/CDF formula for q=1 and the discrete transport LP
-    otherwise.
-    """
-    if d1.q != d2.q:
-        raise DomainError(f"dimension mismatch: {d1.q} vs {d2.q}")
-    if d1.q == 1:
-        return _wasserstein_1d(d1.points.ravel(), d1.weights,
-                               d2.points.ravel(), d2.weights)
-    return wasserstein_distance_lp(d1, d2)
+    """Exact Kantorovich-Wasserstein (order-1) distance between two designs:
+    the integral of |F1 - F2| over the line."""
+    x1, w1 = d1.points[:, 0], d1.weights
+    x2, w2 = d2.points[:, 0], d2.weights
+    o1, o2 = np.argsort(x1), np.argsort(x2)
+    s1, c1 = x1[o1], np.cumsum(w1[o1])
+    s2, c2 = x2[o2], np.cumsum(w2[o2])
+    grid = np.sort(np.concatenate([s1, s2]))
+    if grid.size < 2:
+        return 0.0
+    mid = grid[:-1]
+    i1 = np.searchsorted(s1, mid, side="right")
+    i2 = np.searchsorted(s2, mid, side="right")
+    f1 = np.where(i1 > 0, c1[np.maximum(i1 - 1, 0)], 0.0)
+    f2 = np.where(i2 > 0, c2[np.maximum(i2 - 1, 0)], 0.0)
+    return float(np.sum(np.abs(f1 - f2) * np.diff(grid)))
 
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Scale-position transform z = offset + matrix @ x with a nonsingular matrix."""
+    """Scale-position transform z = offset + scale * x with a nonzero scale.
 
-    offset: np.ndarray
-    matrix: np.ndarray
-    inverse_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    Either argument may be any array holding one number, so
+    AffineMap([2.0], [[4.0]]) is z = 2 + 4x.
+    """
+
+    offset: float
+    scale: float
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.offset, dtype=float)).ravel()
-        b = np.asarray(self.matrix, dtype=float)
-        if b.ndim == 0:
-            b = b.reshape(1, 1)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {b.shape}")
-        if a.size != b.shape[0]:
-            raise ValueError("offset and matrix dimensions disagree")
-        row_norms = np.linalg.norm(b, axis=1)
-        if np.any(row_norms == 0.0) or abs(np.linalg.det(b / row_norms[:, None])) <= 1e-12:
-            raise SingularMapError("map matrix is singular or nearly singular")
-        object.__setattr__(self, "offset", _freeze(a))
-        object.__setattr__(self, "matrix", _freeze(b))
-        object.__setattr__(self, "inverse_matrix", _freeze(np.linalg.inv(b)))
-
-    @classmethod
-    def identity(cls, q: int) -> "AffineMap":
-        return cls(np.zeros(q), np.eye(q))
-
-    @property
-    def q(self) -> int:
-        return self.offset.size
+        a = float(_as_point(self.offset, "offset")[0])
+        b = float(_as_point(self.scale, "scale")[0])
+        if b == 0.0:
+            raise SingularMapError("map is singular: its scale is zero")
+        object.__setattr__(self, "offset", a)
+        object.__setattr__(self, "scale", b)
 
     def apply(self, points) -> np.ndarray:
-        return _as_matrix(points) @ self.matrix.T + self.offset
-
-    def invert(self, points) -> np.ndarray:
-        return (_as_matrix(points) - self.offset) @ self.inverse_matrix.T
+        return _as_column(points) * self.scale + self.offset
 
     def inverted(self) -> "AffineMap":
-        return AffineMap(-self.inverse_matrix @ self.offset, self.inverse_matrix)
+        inverse = 1.0 / self.scale
+        return AffineMap(-inverse * self.offset, inverse)
 
     def image_box(self, space: DesignSpace) -> DesignSpace:
-        # Bounding box of the transformed corners; exact for q=1.
-        img = self.apply(space.corners())
-        return DesignSpace(img.min(axis=0), img.max(axis=0))
+        """The interval the map sends `space` onto."""
+        ends = self.apply([space.lower[0], space.upper[0]])
+        return DesignSpace(ends.min(), ends.max())
 
 
 def transform_design(design: Design, amap: AffineMap) -> Design:
-    """Push the design forward through z = a + Bx; weights are unchanged."""
-    if amap.q != design.q:
-        raise DomainError(f"map dimension {amap.q} != design dimension {design.q}")
+    """Push the design forward through z = a + bx; weights are unchanged."""
     new_space = amap.image_box(design.space)
     pts = new_space.clip(amap.apply(design.points))
     return Design(new_space, pts, design.weights.copy())

@@ -427,21 +427,17 @@ def _compose_affine(coeffs: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 def reparametrize_under_affine(pair: ModelPair, amap: AffineMap) -> ModelPair:
-    """Re-express a polynomial-predictor pair on the image domain z = a + Bx.
+    """Re-express a polynomial-predictor pair on the image domain z = a + bx.
 
     The true-model coefficients are the exact expansion of the original
-    polynomial composed with x = B^{-1}(z - a); each rival basis function is
+    polynomial composed with x = (z - a) / b; each rival basis function is
     composed the same way, so the rival span on the image domain equals the
     original span and beta2 keeps its meaning (the induced coefficient map is
     the identity in this representation).
     """
     if isinstance(pair, SyntheticFamily):
         raise UnsupportedModelError("synthetic family has no polynomial predictor")
-    if amap.q != 1:
-        raise UnsupportedModelError("built-in reparametrization covers scalar "
-                                    "experimental conditions only")
-    a = float(amap.offset[0])
-    b = float(amap.matrix[0, 0])
+    a, b = amap.offset, amap.scale
     beta1 = _compose_affine(pair.beta1, a, b)
     basis = tuple(_compose_affine(c, a, b) for c in pair.rival_basis)
     if isinstance(pair, GaussianRegressionPair):

@@ -55,12 +55,10 @@ class EquivalenceReport:
         }
 
     def psi_curve_csv(self) -> str:
-        """Derivative curve as CSV (x columns, then psi), ready for plotting."""
-        q = self.grid_points.shape[1]
-        header = ",".join([f"x{j + 1}" for j in range(q)] + ["psi"])
-        lines = [header]
-        for row, val in zip(self.grid_points, self.grid_psi):
-            lines.append(",".join([repr(float(c)) for c in row] + [repr(float(val))]))
+        """Derivative curve as CSV (x1, psi), ready for plotting."""
+        lines = ["x1,psi"]
+        for x, val in zip(self.grid_points[:, 0], self.grid_psi):
+            lines.append(f"{float(x)!r},{float(val)!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -97,9 +95,8 @@ def equivalence_check(pair: ModelPair, design: Design,
 
     points, psi = psi_scan(pair, design, sol.beta2_hat, space, grid_size)
     psi = scale * psi
-    first = grid_size ** space.q
-    grid, grid_psi = points[:first], psi[:first]
-    support_psi = psi[first:first + design.size]
+    grid, grid_psi = points[:grid_size], psi[:grid_size]
+    support_psi = psi[grid_size:grid_size + design.size]
     i_max = int(np.argmax(psi))
     psi_max = float(psi[i_max])
 
@@ -152,7 +149,7 @@ class InvarianceReport:
 
 def invariance_check(pair: ModelPair, design: Design, amap: AffineMap,
                      inner_config: InnerConfig = InnerConfig()) -> InvarianceReport:
-    """Check that the criterion is invariant under z = a + Bx.
+    """Check that the criterion is invariant under z = a + bx.
 
     Solves the inner problem for the design on its own domain and for its
     affine image under the reparametrized pair; the two values must agree

@@ -11,6 +11,7 @@ from kldesign.benchmarks import (cubic_quadratic_optimum, logistic_space,
                                  verify_inner_config)
 from kldesign.config import load_run_config
 from kldesign.designs import Design, DesignSpace
+from kldesign.errors import ConfigError
 from kldesign.inner import minimize_beta2
 
 BASE_MODEL = """\
@@ -69,6 +70,19 @@ def design_file(tmp_path, design, name="design.json"):
     path = tmp_path / name
     path.write_text(json.dumps(design.as_dict()))
     return str(path)
+
+
+TWO_COLUMN_POINTS = "[[-1.0, 0.0], [-0.6, 0.0], [0.1, 0.0], [0.8, 0.0]]"
+
+# JSON texts that are not designs: the root or its space is not a mapping,
+# or the points have a second column
+NOT_DESIGNS = {
+    "root-list": "[1, 2]",
+    "space-number": '{"space": 3, "points": [[0.0]], "weights": [1.0]}',
+    "space-list": '{"space": [-1, 1], "points": [[0.0]], "weights": [1.0]}',
+    "two-columns": '{"space": {"lower": [-1], "upper": [1]}, "points": '
+                   + TWO_COLUMN_POINTS + ', "weights": [0.25, 0.25, 0.25, 0.25]}',
+}
 
 
 class TestRun:
@@ -158,6 +172,21 @@ class TestRun:
         result = json.loads((tmp_path / "out" / "result.json").read_text())
         assert result["termination_reason"] == "rival-attains-truth"
         assert len(result["iterations"]) == 1
+
+    def test_second_experimental_variable_is_rejected_at_parse_time(self, tmp_path):
+        two_d = BASE_MODEL.replace("lower: [-1]\n  upper: [1]",
+                                   "lower: [-1, -1]\n  upper: [1, 1]")
+        for text in (two_d, BASE_MODEL.replace("upper: [1]", "upper: [1, 1]")):
+            with pytest.raises(ConfigError, match=r"^space: "):
+                load_run_config(write(tmp_path / "run.yaml", text))
+        inline = START_DESIGN.replace("[[-1.0], [-0.6], [0.1], [0.8]]",
+                                      TWO_COLUMN_POINTS)
+        with pytest.raises(ConfigError, match=r"^initial_design: "):
+            load_run_config(write(tmp_path / "run.yaml", BASE_MODEL + inline))
+        (tmp_path / "start.json").write_text(NOT_DESIGNS["two-columns"])
+        with pytest.raises(ConfigError, match="start.json: not a valid design file"):
+            load_run_config(write(tmp_path / "run.yaml", BASE_MODEL +
+                                  "initial_design: start.json\n"))
 
     def test_missing_design_file_names_it(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.yaml", BASE_MODEL +
@@ -280,6 +309,18 @@ class TestTransform:
         assert rc == 1
         assert "singular" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--offset", "--matrix"])
+    def test_more_than_one_number_exits_1_and_names_the_flag(self, tmp_path, capsys,
+                                                             flag):
+        dpath = design_file(tmp_path, cubic_quadratic_optimum())
+        values = {"--offset": "0", "--matrix": "1"}
+        values[flag] = "1,0;0,2"
+        rc = cli.main(["transform", dpath, "--offset", values["--offset"],
+                       "--matrix", values["--matrix"]])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and flag in err
+
     def test_output_file(self, tmp_path):
         dpath = design_file(tmp_path, cubic_quadratic_optimum())
         target = tmp_path / "transformed.json"
@@ -287,6 +328,22 @@ class TestTransform:
                        "--output", str(target)])
         assert rc == 0
         assert json.loads(target.read_text())["space"]["lower"] == [-2.0]
+
+
+class TestDesignFiles:
+    @pytest.mark.parametrize("kind", NOT_DESIGNS)
+    @pytest.mark.parametrize("command", ["transform", "verify"])
+    def test_malformed_design_file_exits_1(self, tmp_path, capsys, command, kind):
+        dpath = write(tmp_path / "design.json", NOT_DESIGNS[kind])
+        if command == "transform":
+            argv = ["transform", dpath, "--offset", "2", "--matrix", "4"]
+        else:
+            argv = ["verify", write(tmp_path / "cfg.yaml", BASE_MODEL), dpath,
+                    "--output-dir", str(tmp_path / "out"), "--quiet"]
+        rc = cli.main(argv)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {dpath}: not a valid design file")
 
 
 class TestBenchmarkCommand:

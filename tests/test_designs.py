@@ -44,7 +44,7 @@ def transport_lp_oracle(d1: Design, d2: Design) -> float:
 
 def random_design(rng, space, max_points=8) -> Design:
     m = int(rng.integers(1, max_points + 1))
-    pts = rng.uniform(space.lower, space.upper, size=(m, space.q))
+    pts = rng.uniform(space.lower, space.upper, size=(m, 1))
     return Design(space, pts, rng.dirichlet(np.ones(m)))
 
 
@@ -229,24 +229,13 @@ class TestWasserstein:
             assert wasserstein_distance(a, a) == 0.0
             assert dab <= wasserstein_distance(a, c) + wasserstein_distance(c, b) + 1e-9
 
-    def test_two_dimensional_lp(self):
-        # 2x2 transport with a single free flow variable, scanned as oracle
-        space = DesignSpace([0.0, 0.0], [1.0, 1.0])
-        d1 = Design(space, [[0.0, 0.0], [1.0, 1.0]], [0.6, 0.4])
-        d2 = Design(space, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
-        cost = np.array([[np.linalg.norm(d1.points[i] - d2.points[j])
-                          for j in range(2)] for i in range(2)])
-        best = np.inf
-        for t in np.linspace(0.1, 0.5, 100001):  # flow (0,0)->(1,0) in [0.1, 0.5]
-            plan = np.array([[t, 0.6 - t], [0.5 - t, t - 0.1]])
-            best = min(best, float(np.sum(plan * cost)))
-        assert wasserstein_distance(d1, d2) == pytest.approx(best, abs=1e-8)
-
     def test_dimension_mismatch(self):
-        d1 = chebyshev_design()
-        d2 = Design(DesignSpace([0, 0], [1, 1]), [[0.5, 0.5]], [1.0])
+        # designs have one experimental variable, so no pair of them can
+        # disagree in dimension: a second variable is refused at construction
         with pytest.raises(DomainError):
-            wasserstein_distance(d1, d2)
+            DesignSpace([0, 0], [1, 1])
+        with pytest.raises(DomainError):
+            Design(DesignSpace([0], [1]), [[0.5, 0.5]], [1.0])
 
 
 class TestAffine:
@@ -259,7 +248,7 @@ class TestAffine:
 
     def test_identity_map(self):
         d = chebyshev_design()
-        out = transform_design(d, AffineMap.identity(1))
+        out = transform_design(d, AffineMap(0.0, 1.0))
         np.testing.assert_array_equal(out.points, d.points)
         np.testing.assert_array_equal(out.weights, d.weights)
 
@@ -270,25 +259,35 @@ class TestAffine:
 
     def test_roundtrip(self):
         rng = np.random.default_rng(21)
-        amap = AffineMap([0.7, -1.2], [[2.0, 0.3], [-0.5, 1.5]])
-        space = DesignSpace([-1.0, -1.0], [1.0, 1.0])
-        for _ in range(20):
-            d = random_design(rng, space, max_points=5)
-            back = transform_design(transform_design(d, amap), amap.inverted())
-            assert np.max(np.abs(back.points - d.points)) <= 1e-10
-            np.testing.assert_array_equal(back.weights, d.weights)
+        space = DesignSpace([-1.0], [1.0])
+        for amap in (AffineMap(0.7, 2.3), AffineMap(-1.2, -0.45)):
+            for _ in range(20):
+                d = random_design(rng, space, max_points=5)
+                back = transform_design(transform_design(d, amap), amap.inverted())
+                assert np.max(np.abs(back.points - d.points)) <= 1e-10
+                np.testing.assert_array_equal(back.weights, d.weights)
 
     def test_map_inverse_identity_on_corners(self):
-        amap = AffineMap([0.7, -1.2], [[2.0, 0.3], [-0.5, 1.5]])
-        corners = DesignSpace([-1.0, -2.0], [3.0, 4.0]).corners()
-        back = amap.invert(amap.apply(corners))
-        assert np.max(np.abs(back - corners)) <= 1e-10
+        # the corners of an interval are its two ends
+        ends = np.array([[-1.0], [3.0]])
+        for amap in (AffineMap(0.7, 2.3), AffineMap(-1.2, -0.45)):
+            back = amap.inverted().apply(amap.apply(ends))
+            assert np.max(np.abs(back - ends)) <= 1e-10
+            image = amap.image_box(DesignSpace([-1.0], [3.0]))
+            np.testing.assert_allclose(
+                [image.lower[0], image.upper[0]], np.sort(amap.apply(ends)[:, 0]))
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularMapError):
             AffineMap([0.0], [[0.0]])
-        with pytest.raises(SingularMapError):
-            AffineMap([0.0, 0.0], [[1.0, 2.0], [2.0, 4.0]])
+
+    def test_map_takes_one_number_each(self):
+        with pytest.raises(ValueError, match="offset"):
+            AffineMap([0.0, 1.0], 2.0)
+        with pytest.raises(ValueError, match="scale"):
+            AffineMap(0.0, [[1.0, 0.0], [0.0, 2.0]])
+        amap = AffineMap([2.0], [[4.0]])
+        assert (amap.offset, amap.scale) == (2.0, 4.0)
 
 
 class TestBlend:

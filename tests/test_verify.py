@@ -122,7 +122,7 @@ class TestInvarianceCheck:
 
     def test_identity_map_is_exact(self):
         report = invariance_check(cubic_quadratic_pair(), cubic_quadratic_optimum(),
-                                  AffineMap.identity(1), verify_inner_config())
+                                  AffineMap(0.0, 1.0), verify_inner_config())
         assert report.difference == 0.0
 
     def test_random_designs_under_shift_and_scale(self):
