@@ -39,7 +39,7 @@ print(f"difference: {inv.difference:.2e}  (pass: {inv.passed})")
 start = transform_design(Design(space, [[-1.0], [-0.6], [0.1], [0.8]], [0.25] * 4),
                          amap)
 run = run_first_order(image_pair, start, image_space,
-                      AlgoConfig(delta=0.95, max_iterations=500, seed=20240817),
+                      AlgoConfig(delta=0.95, max_iterations=500),
                       InnerConfig())
 print(f"\nrescaled run: {run.termination_reason} after {len(run.history)} iterations")
 print(f"Wasserstein distance to the mapped optimum: "

@@ -25,7 +25,7 @@ start = Design(space, [[-1.0], [-0.6], [0.1], [0.8]], [0.25] * 4)
 optimum = Design(space, [[-1.0], [-0.5], [0.5], [1.0]], [1 / 6, 1 / 3, 1 / 3, 1 / 6])
 
 run = run_first_order(pair, start, space,
-                      AlgoConfig(delta=0.99, max_iterations=500, seed=20240817),
+                      AlgoConfig(delta=0.99, max_iterations=500),
                       InnerConfig())
 
 print(f"terminated: {run.termination_reason} after {len(run.history)} iterations")

@@ -25,7 +25,7 @@ pair = LogisticGlmPair.from_exponents(
 )
 space = DesignSpace([0], [1])
 start = Design(space, [[0.0], [1 / 3], [2 / 3], [1.0]], [0.25] * 4)
-algo = AlgoConfig(delta=0.995, max_iterations=50, seed=7)
+algo = AlgoConfig(delta=0.995, max_iterations=50)
 inner = InnerConfig()
 
 plain = run_first_order(pair, start, space, algo, inner)
@@ -34,7 +34,7 @@ print(f"  mass at zero so far: {plain.final_design.weight_at([0.0]):.4f}")
 
 reg = RegularizationConfig(gamma=0.05, xi_tilde=start)
 finish = run_regularized(pair, start, space,
-                         AlgoConfig(delta=0.995, max_iterations=10, seed=7),
+                         AlgoConfig(delta=0.995, max_iterations=10),
                          inner, reg)
 print(f"\nregularized run (gamma=0.05): {finish.termination_reason} "
       f"after {len(finish.history)} iterations")

@@ -22,10 +22,10 @@ from .designs import (AffineMap, Design, DesignSpace, ValidationReport,
 from .errors import (ConfigError, DomainError, KLDesignError, SingularMapError,
                      UndefinedEfficiencyError, UnsupportedModelError)
 from .inner import InnerConfig, InnerSolution, least_squares_oracle, minimize_beta2
-from .models import (GaussianRegressionPair, GlmDesignMatrix, LogisticGlmPair,
-                     ModelPair, ParamBox, SyntheticFamily, glm_fisher_information,
-                     glm_is_regular, glm_weight_vector, kl_average, kl_pointwise,
-                     monomial_basis, reparametrize_under_affine)
+from .models import (GaussianRegressionPair, LogisticGlmPair, ModelPair, ParamBox,
+                     PolynomialPair, SyntheticFamily, glm_fisher_information,
+                     glm_is_regular, kl_average, kl_pointwise, monomial_basis,
+                     reparametrize_under_affine)
 from .verify import (CERTIFIED, REJECTED, SINGULAR, EquivalenceReport,
                      InvarianceReport, equivalence_check, invariance_check)
 
@@ -34,16 +34,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineMap", "AlgoConfig", "CERTIFIED", "ConfigError", "Design", "DesignSpace",
     "DomainError", "EFFICIENCY_REACHED", "EquivalenceReport",
-    "GaussianRegressionPair", "GlmDesignMatrix", "InnerConfig", "InnerSolution",
-    "InvarianceReport", "IterationRecord", "KLDesignError", "LogisticGlmPair",
-    "MAX_ITERATIONS", "ModelPair", "ParamBox", "REJECTED", "RIVAL_ATTAINS_TRUTH",
+    "GaussianRegressionPair", "InnerConfig", "InnerSolution", "InvarianceReport",
+    "IterationRecord", "KLDesignError", "LogisticGlmPair", "MAX_ITERATIONS",
+    "ModelPair", "ParamBox", "PolynomialPair", "REJECTED", "RIVAL_ATTAINS_TRUTH",
     "RegularizationConfig", "RunResult", "SINGULAR", "STALLED",
     "STALLED_REGULARIZED", "SingularMapError", "SyntheticFamily",
     "UndefinedEfficiencyError", "UnsupportedModelError", "ValidationReport",
     "best_support_candidate", "blend_designs", "collapse_support",
     "default_reference_design", "directional_derivative_psi", "efficiency_bound",
     "equivalence_check", "glm_fisher_information", "glm_is_regular",
-    "glm_weight_vector", "invariance_check", "iterations_to_csv", "kl_average",
+    "invariance_check", "iterations_to_csv", "kl_average",
     "kl_pointwise", "least_squares_oracle", "line_search_alpha", "minimize_beta2",
     "mix_design", "monomial_basis", "prune_support",
     "reparametrize_under_affine", "run_first_order", "run_regularized",

@@ -41,8 +41,8 @@ from .designs import (Design, DesignSpace, blend_designs, collapse_support,
                       mix_design, prune_support, validate_design)
 from .errors import DomainError, UndefinedEfficiencyError
 from .inner import InnerConfig, InnerSolution, minimize_beta2
-from .models import (GaussianRegressionPair, GlmDesignMatrix, ModelPair,
-                     glm_is_regular, kl_average, kl_pointwise)
+from .models import (GaussianRegressionPair, ModelPair, glm_is_regular, kl_average,
+                     kl_pointwise)
 
 EFFICIENCY_REACHED = "efficiency-reached"
 MAX_ITERATIONS = "max-iterations"
@@ -78,7 +78,6 @@ class AlgoConfig:
     anchor_weight_exponent: float = 0.8
     prune_abs_threshold: float = 1e-4
     prune_rel_threshold: float = 0.1
-    seed: int = 0  # accepted for compatibility; no result depends on it
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
@@ -289,7 +288,7 @@ def default_reference_design(pair: ModelPair, space: DesignSpace) -> Design:
     pts = np.linspace(space.lower[0], space.upper[0], d2 + 1)[:, None]
     design = Design(space, pts, np.full(d2 + 1, 1.0 / (d2 + 1)))
     rows = pair.rival_matrix(design.points)
-    if rows is not None and not glm_is_regular(GlmDesignMatrix(rows, pair.theta2.midpoint)):
+    if rows is not None and not glm_is_regular(rows):
         raise DomainError("default reference design is not regular for this pair; "
                           "supply an explicit xi_tilde")
     return design
@@ -299,7 +298,7 @@ def _resolve_reference(pair: ModelPair, space: DesignSpace,
                        reg: RegularizationConfig) -> Design:
     xi_tilde = reg.xi_tilde or default_reference_design(pair, space)
     rows = pair.rival_matrix(xi_tilde.points)  # rank d2 needs d2 support points
-    if rows is not None and not glm_is_regular(GlmDesignMatrix(rows, pair.theta2.midpoint)):
+    if rows is not None and not glm_is_regular(rows):
         raise DomainError("reference design has a singular rival design matrix")
     return xi_tilde
 

@@ -41,8 +41,6 @@ _VERDICT_EXIT = {CERTIFIED: EXIT_OK, REJECTED: EXIT_REJECTED, SINGULAR: EXIT_SIN
 
 
 def _common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help="accepted for compatibility; no result depends on it")
     parser.add_argument("--output-dir", default=None,
                         help="override the config output directory")
     parser.add_argument("--quiet", action="store_true",
@@ -72,7 +70,8 @@ def _parser() -> argparse.ArgumentParser:
                                             "a design file")
     p_tr.add_argument("design", help="design JSON file")
     p_tr.add_argument("--offset", required=True,
-                      help="the offset, one number, e.g. '2'")
+                      help="the offset, one number, e.g. '2'; a negative one "
+                           "after '=', e.g. --offset=-1e3")
     p_tr.add_argument("--matrix", required=True,
                       help="the scale, one nonzero number, e.g. '4'")
     p_tr.add_argument("--output", default=None,
@@ -94,8 +93,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    setup = load_run_config(args.config, seed_override=args.seed,
-                            output_dir_override=args.output_dir)
+    setup = load_run_config(args.config, output_dir_override=args.output_dir)
     if setup.initial_design is None:
         raise ConfigError("initial_design: missing (required by 'run')")
     outdir = setup.output_dir
@@ -130,8 +128,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    setup = load_run_config(args.config, seed_override=args.seed,
-                            output_dir_override=args.output_dir)
+    setup = load_run_config(args.config, output_dir_override=args.output_dir)
     design = load_design_file(Path(args.design))
     report = equivalence_check(setup.pair, design, space=setup.space,
                                inner_config=setup.inner, reg=setup.reg)
@@ -183,7 +180,11 @@ def cmd_benchmark(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; 2 is EXIT_BUDGET here
+        return EXIT_OK if not exc.code else EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -32,7 +32,6 @@ class RunSetup:
     algo: AlgoConfig
     inner: InnerConfig
     reg: RegularizationConfig | None
-    seed: int
     output_dir: Path
 
 
@@ -125,14 +124,23 @@ def _build_space(section: dict) -> DesignSpace:
         raise ConfigError(f"space: {exc}") from None
 
 
+def _check_design(design: Design, space: DesignSpace, path) -> Design:
+    report = validate_design(design, space)
+    if not report.ok:
+        raise ConfigError("; ".join(f"{path}: {v}" for v in report.violations))
+    return design
+
+
 def load_design_file(path: Path) -> Design:
+    """Read a design JSON file and check it against its own space."""
     if not path.exists():
         raise ConfigError(f"design file does not exist: {path}")
     try:
         data = json.loads(path.read_text())
-        return Design.from_dict(data)
+        design = Design.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"{path}: not a valid design file ({exc})") from None
+    return _check_design(design, design.space, path)
 
 
 def _build_design(value, space: DesignSpace, base_dir: Path, path: str) -> Design:
@@ -150,18 +158,15 @@ def _build_design(value, space: DesignSpace, base_dir: Path, path: str) -> Desig
             raise ConfigError(f"{path}: {exc}") from None
     else:
         raise ConfigError(f"{path}: expected a mapping or a file path")
-    report = validate_design(design, space)
-    if not report.ok:
-        raise ConfigError("; ".join(f"{path}: {v}" for v in report.violations))
-    return design
+    return _check_design(design, space, path)
 
 
-def _build_config(cls, section, path: str, overrides=None):
-    kwargs = dict(overrides or {})
+def _build_config(cls, section, path: str):
+    kwargs = {}
     if section:
         allowed = {f.name for f in fields(cls)}
         _check_keys(section, allowed, path)
-        int_fields = {"max_iterations", "seed", "max_local_iterations"}
+        int_fields = {"max_iterations", "max_local_iterations"}
         for key, raw in section.items():
             if raw is None:
                 continue  # explicit null keeps the default
@@ -175,21 +180,16 @@ def _build_config(cls, section, path: str, overrides=None):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def parse_run_config(data: dict, base_dir: Path, *, seed_override=None,
-                     output_dir_override=None) -> RunSetup:
+def parse_run_config(data: dict, base_dir: Path, *, output_dir_override=None) -> RunSetup:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     _check_keys(data, {"model", "space", "initial_design", "algorithm", "inner",
-                       "regularization", "seed", "output_dir"}, "config")
+                       "regularization", "output_dir"}, "config")
     pair = _build_pair(_section(data, "model", ""))
     space = _build_space(_section(data, "space", ""))
 
-    seed = seed_override
-    if seed is None:
-        seed = _to_int(data.get("seed", 0), "seed")
-
     algo = _build_config(AlgoConfig, _section(data, "algorithm", "", required=False),
-                         "algorithm", overrides={"seed": seed})
+                         "algorithm")
     inner = _build_config(InnerConfig, _section(data, "inner", "", required=False),
                           "inner")
 
@@ -216,10 +216,10 @@ def parse_run_config(data: dict, base_dir: Path, *, seed_override=None,
     if not out.is_absolute():
         out = (base_dir / out).resolve()
     return RunSetup(pair=pair, space=space, initial_design=initial, algo=algo,
-                    inner=inner, reg=reg, seed=seed, output_dir=out)
+                    inner=inner, reg=reg, output_dir=out)
 
 
-def load_run_config(path, *, seed_override=None, output_dir_override=None) -> RunSetup:
+def load_run_config(path, *, output_dir_override=None) -> RunSetup:
     cfg_path = Path(path)
     if not cfg_path.exists():
         raise ConfigError(f"config file does not exist: {cfg_path}")
@@ -227,5 +227,5 @@ def load_run_config(path, *, seed_override=None, output_dir_override=None) -> Ru
         data = yaml.safe_load(cfg_path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"{cfg_path}: invalid YAML ({exc})") from None
-    return parse_run_config(data, cfg_path.parent, seed_override=seed_override,
+    return parse_run_config(data, cfg_path.parent,
                             output_dir_override=output_dir_override)

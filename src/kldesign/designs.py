@@ -138,7 +138,7 @@ class ValidationReport:
 def validate_design(design: Design, space: DesignSpace | None = None) -> ValidationReport:
     """Check the design invariants and report every violation found.
 
-    Checks interval membership (1e-12 slack), nonnegative weights, weight
+    Checks interval membership (1e-12 slack), finite nonnegative weights, weight
     sum one (1e-12), and pairwise-distinct support points (1e-12 apart).
     """
     space = space or design.space
@@ -146,6 +146,8 @@ def validate_design(design: Design, space: DesignSpace | None = None) -> Validat
     inside = space.contains(design.points)
     for i in np.nonzero(~inside)[0]:
         bad.append(f"point {i} = {design.points[i].tolist()} outside box")
+    for i in np.nonzero(~np.isfinite(design.weights))[0]:
+        bad.append(f"non-finite weight {design.weights[i]} at index {i}")
     for i in np.nonzero(design.weights < 0.0)[0]:
         bad.append(f"negative weight {design.weights[i]:.12g} at index {i}")
     total = float(design.weights.sum())
@@ -275,23 +277,6 @@ def prune_support(design: Design, abs_threshold: float = 0.0,
         keep[int(np.argmax(w))] = True
     w_kept = w[keep]
     return Design(design.space, design.points[keep], w_kept / w_kept.sum())
-
-
-def _wasserstein_1d(x1: np.ndarray, w1: np.ndarray,
-                    x2: np.ndarray, w2: np.ndarray) -> float:
-    # Order-1 transport on the line: integral of |F1 - F2| over the union grid.
-    o1, o2 = np.argsort(x1), np.argsort(x2)
-    s1, c1 = x1[o1], np.cumsum(w1[o1])
-    s2, c2 = x2[o2], np.cumsum(w2[o2])
-    grid = np.sort(np.concatenate([s1, s2]))
-    if grid.size < 2:
-        return 0.0
-    mid = grid[:-1]
-    i1 = np.searchsorted(s1, mid, side="right")
-    i2 = np.searchsorted(s2, mid, side="right")
-    f1 = np.where(i1 > 0, c1[np.maximum(i1 - 1, 0)], 0.0)
-    f2 = np.where(i2 > 0, c2[np.maximum(i2 - 1, 0)], 0.0)
-    return float(np.sum(np.abs(f1 - f2) * np.diff(grid)))
 
 
 def wasserstein_distance_lp(d1: Design, d2: Design) -> float:

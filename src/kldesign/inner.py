@@ -20,8 +20,7 @@ from scipy.optimize import lsq_linear
 
 from .designs import Design
 from .errors import DomainError, UnsupportedModelError
-from .models import (GaussianRegressionPair, GlmDesignMatrix, ModelPair, ParamBox,
-                     glm_is_regular)
+from .models import GaussianRegressionPair, ModelPair, ParamBox, glm_is_regular
 
 # Sufficient-decrease fraction and halving budget of the backtracking step.
 _ARMIJO = 1e-4
@@ -192,7 +191,7 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
     else:
         start = box.midpoint if warm_start is None else box.clip(warm_start)
         beta2_hat = _newton(pair, design, rows, objective, start, config)
-        singular = not glm_is_regular(GlmDesignMatrix(rows[weights > 0.0], beta2_hat))
+        singular = not glm_is_regular(rows[weights > 0.0])
     edge = 1e-9 * (box.upper - box.lower)
     at_boundary = bool(np.any(beta2_hat <= box.lower + edge)
                        or np.any(beta2_hat >= box.upper - edge))
@@ -214,7 +213,7 @@ def least_squares_oracle(pair: GaussianRegressionPair, design: Design):
     if not isinstance(pair, GaussianRegressionPair):
         raise UnsupportedModelError("least-squares oracle applies to Gaussian pairs only")
     x = design.points
-    y = pair.true_values(x)
+    y = pair.true_predictor(x)
     basis = pair.rival_matrix(x)
     sw = np.sqrt(design.weights)
     beta, *_ = np.linalg.lstsq(sw[:, None] * basis, sw * y, rcond=None)

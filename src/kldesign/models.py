@@ -7,16 +7,21 @@ distributions; its design average is what the inner solver minimizes.
 
 Built-in kinds:
 
+* :class:`PolynomialPair` -- the shared form of the two GLM pairs: true and
+  rival polynomial predictors eta1(x) and eta2(x) = X(x) beta2, and a
+  divergence that depends on x and beta2 only through (eta1, eta2). Each
+  family states that dependence once, as a kernel eta2 -> I over fixed eta1
+  and its first two derivatives in eta2.
 * :class:`GaussianRegressionPair` -- equal-variance Gaussian responses with
-  polynomial means; divergence (m1(x) - m2(x, beta2))^2 / (2 sigma2).
-* :class:`LogisticGlmPair` -- Bernoulli responses with logistic link and
-  polynomial linear predictors.
+  polynomial means; kernel (eta1 - eta2)^2 / (2 sigma2).
+* :class:`LogisticGlmPair` -- Bernoulli responses with logistic link; kernel
+  (eta1 - eta2) expit(eta1) + softplus(eta2) - softplus(eta1).
 * :class:`SyntheticFamily` -- a fixed piecewise divergence family on [0, 1]
   whose design averages under (truncated) uniform measures have closed
   forms; useful for probing discontinuity of the min-divergence criterion.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar, Union
 
 import numpy as np
@@ -113,41 +118,39 @@ def _check_basis(basis: tuple[np.ndarray, ...], box: ParamBox):
 
 
 @dataclass(frozen=True)
-class GaussianRegressionPair:
-    """Equal-variance Gaussian responses; true polynomial mean vs rival span.
+class PolynomialPair:
+    """A GLM pair with polynomial predictors: the divergence depends on x and
+    beta2 only through the two linear predictors.
 
-    `beta1` holds the ascending monomial coefficients of the known true mean;
-    the rival mean is sum_j beta2[j] * basis_j(x) with each basis function a
-    polynomial given by its ascending coefficient vector. The pointwise
-    divergence is (m1(x) - m2(x, beta2))^2 / (2 sigma2).
+    `beta1` holds the ascending monomial coefficients of the known true
+    predictor eta1 (intercept included); the rival predictor is
+    eta2 = sum_j beta2[j] * basis_j(x), each basis function a polynomial given
+    by its ascending coefficient vector. A family supplies `kernel(eta1)`,
+    the map eta2 -> I, and `kernel_derivatives(eta1)`, the map
+    eta2 -> (dI/deta2, d2I/deta2^2); both are closures over fixed eta1.
     """
 
     beta1: np.ndarray
     rival_basis: tuple[np.ndarray, ...]
     theta2: ParamBox
-    sigma2: float = 0.5
-
-    kind: ClassVar[str] = "gaussian-regression"
-    glm_family: ClassVar[str] = "gaussian"
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
         object.__setattr__(self, "beta1", _freeze(_coef(self.beta1)))
         basis = tuple(_freeze(_coef(c)) for c in self.rival_basis)
         _check_basis(basis, self.theta2)
         object.__setattr__(self, "rival_basis", basis)
 
     @classmethod
-    def from_exponents(cls, beta1, exponents, theta2: ParamBox,
-                       sigma2: float = 0.5) -> "GaussianRegressionPair":
-        return cls(_coef(beta1), monomial_basis(exponents), theta2, sigma2)
+    def from_exponents(cls, beta1, exponents, theta2: ParamBox, *args, **kwargs):
+        """Rival span of the monomials x^e; further arguments are the family's
+        own fields (sigma2 for Gaussian pairs)."""
+        return cls(_coef(beta1), monomial_basis(exponents), theta2, *args, **kwargs)
 
     @property
     def dimension(self) -> int:
         return self.theta2.dimension
 
-    def true_values(self, points) -> np.ndarray:
+    def true_predictor(self, points) -> np.ndarray:
         return np.polynomial.polynomial.polyval(_scalar_inputs(points), self.beta1)
 
     def rival_matrix(self, points) -> np.ndarray:
@@ -155,21 +158,48 @@ class GaussianRegressionPair:
 
     def divergence(self, points, beta2) -> np.ndarray:
         x = _scalar_inputs(points)
-        resid = self.true_values(x) - self.rival_matrix(x) @ np.asarray(beta2, dtype=float)
-        return resid * resid / (2.0 * self.sigma2)
+        kernel = self.kernel(self.true_predictor(x))
+        return kernel(self.rival_matrix(x) @ np.asarray(beta2, dtype=float))
 
     def divergence_evaluator(self, points):
         """Closure over fixed points for repeated beta2 evaluation (hot path)."""
         x = _scalar_inputs(points)
-        y = self.true_values(x)
+        kernel = self.kernel(self.true_predictor(x))
         basis = self.rival_matrix(x)
+        return lambda beta2: kernel(basis @ beta2)
+
+    def divergence_derivatives(self, points):
+        """First and second derivatives of the pointwise divergence in the
+        rival predictor eta2, as a closure over fixed points."""
+        return self.kernel_derivatives(self.true_predictor(points))
+
+
+@dataclass(frozen=True)
+class GaussianRegressionPair(PolynomialPair):
+    """Equal-variance Gaussian responses; the predictors are the means, and the
+    pointwise divergence is (eta1 - eta2)^2 / (2 sigma2)."""
+
+    sigma2: float = 0.5
+
+    kind: ClassVar[str] = "gaussian-regression"
+
+    def __post_init__(self):
+        if self.sigma2 <= 0:
+            raise ValueError("sigma2 must be positive")
+        super().__post_init__()
+
+    def kernel(self, eta1):
         half_inv_var = 0.5 / self.sigma2
 
-        def values(beta2) -> np.ndarray:
-            resid = y - basis @ beta2
+        def values(eta2) -> np.ndarray:
+            resid = eta1 - eta2
             return resid * resid * half_inv_var
 
         return values
+
+    def kernel_derivatives(self, eta1):
+        inv_var = 1.0 / self.sigma2
+        return lambda eta2: ((eta2 - eta1) * inv_var, np.full(eta2.shape, inv_var))
 
     def residual_critical_points(self, beta2, lower: float, upper: float) -> np.ndarray:
         """Real parts of the roots of r' in (lower, upper), r = m1 - m2(., beta2), as
@@ -187,80 +217,31 @@ class GaussianRegressionPair:
         roots = radius * np.roots(scaled[::-1]).real
         return roots[(roots > lower) & (roots < upper), None]
 
-    def divergence_derivatives(self, points):
-        """First and second derivatives of the pointwise divergence in the
-        rival mean eta2, as a closure over fixed points."""
-        y = self.true_values(points)
-        inv_var = 1.0 / self.sigma2
-        return lambda eta2: ((eta2 - y) * inv_var, np.full(eta2.shape, inv_var))
-
 
 @dataclass(frozen=True)
-class LogisticGlmPair:
-    """Bernoulli responses P(Y=1|x) = expit(eta_i(x)) with polynomial predictors.
-
-    `beta1` holds the ascending coefficients of the true predictor eta1
-    (intercept included); the rival predictor is eta2 = sum_j beta2[j] *
-    basis_j(x). The divergence is evaluated in the softplus form
+class LogisticGlmPair(PolynomialPair):
+    """Bernoulli responses P(Y=1|x) = expit(eta_i(x)). The divergence is
+    evaluated in the softplus form
 
         (eta1 - eta2) * expit(eta1) + softplus(eta2) - softplus(eta1),
 
     which is exact and stable for |eta| <= 700.
     """
 
-    beta1: np.ndarray
-    rival_basis: tuple[np.ndarray, ...]
-    theta2: ParamBox
-
     kind: ClassVar[str] = "logistic-glm"
-    glm_family: ClassVar[str] = "logistic"
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta1", _freeze(_coef(self.beta1)))
-        basis = tuple(_freeze(_coef(c)) for c in self.rival_basis)
-        _check_basis(basis, self.theta2)
-        object.__setattr__(self, "rival_basis", basis)
-
-    @classmethod
-    def from_exponents(cls, beta1, exponents, theta2: ParamBox) -> "LogisticGlmPair":
-        return cls(_coef(beta1), monomial_basis(exponents), theta2)
-
-    @property
-    def dimension(self) -> int:
-        return self.theta2.dimension
-
-    def true_predictor(self, points) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(_scalar_inputs(points), self.beta1)
-
-    def rival_matrix(self, points) -> np.ndarray:
-        return _poly_matrix(self.rival_basis, _scalar_inputs(points))
-
-    def divergence(self, points, beta2) -> np.ndarray:
-        x = _scalar_inputs(points)
-        eta1 = self.true_predictor(x)
-        eta2 = self.rival_matrix(x) @ np.asarray(beta2, dtype=float)
-        val = (eta1 - eta2) * expit(eta1) + softplus(eta2) - softplus(eta1)
-        return np.maximum(val, 0.0)  # clamp rounding noise; KL is nonnegative
-
-    def divergence_evaluator(self, points):
-        """Closure over fixed points for repeated beta2 evaluation (hot path)."""
-        x = _scalar_inputs(points)
-        eta1 = self.true_predictor(x)
-        basis = self.rival_matrix(x)
+    def kernel(self, eta1):
         mean1 = expit(eta1)
         soft1 = softplus(eta1)
 
-        def values(beta2) -> np.ndarray:
-            eta2 = basis @ beta2
+        def values(eta2) -> np.ndarray:
             val = (eta1 - eta2) * mean1 + softplus(eta2) - soft1
-            return np.maximum(val, 0.0)
+            return np.maximum(val, 0.0)  # clamp rounding noise; KL is nonnegative
 
         return values
 
-    def divergence_derivatives(self, points):
-        """First and second derivatives of the pointwise divergence in the
-        rival predictor eta2, as a closure over fixed points."""
-        mean1 = expit(self.true_predictor(points))
+    def kernel_derivatives(self, eta1):
+        mean1 = expit(eta1)
         return lambda eta2: (expit(eta2) - mean1, expit(eta2) * expit(-eta2))
 
 
@@ -284,7 +265,6 @@ class SyntheticFamily:
     theta2: ParamBox = field(default_factory=_default_synthetic_box)
 
     kind: ClassVar[str] = "synthetic-family"
-    glm_family: ClassVar[str] = ""
 
     def __post_init__(self):
         if self.theta2.dimension != 1:
@@ -353,66 +333,27 @@ def kl_average(pair: ModelPair, design: Design, beta2) -> float:
     return float(design.weights @ pair.divergence(design.points, beta2))
 
 
-@dataclass(frozen=True)
-class GlmDesignMatrix:
-    """Rival-model regressor rows X at the support points, with the beta2 they
-    are evaluated at (the GLM weight matrix depends on beta2)."""
-
-    rows: np.ndarray
-    beta2: np.ndarray
-
-    def __post_init__(self):
-        rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
-        b = np.atleast_1d(np.asarray(self.beta2, dtype=float)).ravel()
-        if rows.shape[0] < 1:
-            raise ValueError("design matrix needs at least one row")
-        if rows.shape[1] != b.size:
-            raise ValueError(f"matrix has {rows.shape[1]} columns but beta2 has "
-                             f"{b.size} entries")
-        object.__setattr__(self, "rows", _freeze(rows))
-        object.__setattr__(self, "beta2", _freeze(b))
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def d2(self) -> int:
-        return self.rows.shape[1]
-
-
-def glm_weight_vector(m: GlmDesignMatrix, family: str = "logistic",
-                      sigma2: float = 1.0) -> np.ndarray:
-    """Diagonal of the GLM weight matrix W = diag[(dmu/deta)^2 / Var(Y)]."""
-    if family == "logistic":
-        p = expit(m.rows @ m.beta2)
-        return p * (1.0 - p)
-    if family == "gaussian":
-        if sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
-        return np.full(m.n, 1.0 / sigma2)
-    raise ValueError(f"unknown GLM family {family!r}")
-
-
-def glm_fisher_information(m: GlmDesignMatrix, family: str = "logistic",
-                           sigma2: float = 1.0) -> np.ndarray:
-    """Fisher information J = X^T W X for the rival GLM."""
-    w = glm_weight_vector(m, family, sigma2)
-    j = m.rows.T @ (w[:, None] * m.rows)
+def glm_fisher_information(rows, weights) -> np.ndarray:
+    """Fisher information J = X^T W X of the rival GLM: `rows` is X, `weights`
+    the diagonal of W, i.e. the divergence's second derivative in eta2."""
+    x = np.atleast_2d(np.asarray(rows, dtype=float))
+    j = x.T @ (np.asarray(weights, dtype=float)[:, None] * x)
     return 0.5 * (j + j.T)
 
 
-def glm_is_regular(m: GlmDesignMatrix) -> bool:
-    """True iff rank(X) = d2, i.e. the Fisher information is nonsingular.
+def glm_is_regular(rows) -> bool:
+    """True iff the rival matrix X (n, d2) has rank d2, i.e. the Fisher
+    information is nonsingular.
 
     Rank is decided from singular values with the threshold
     max(n, d2) * sigma_max * 1e-12.
     """
-    s = np.linalg.svd(m.rows, compute_uv=False)
+    x = np.atleast_2d(np.asarray(rows, dtype=float))
+    s = np.linalg.svd(x, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return False
-    threshold = max(m.n, m.d2) * s[0] * 1e-12
-    return int(np.sum(s > threshold)) == m.d2
+    threshold = max(x.shape) * s[0] * 1e-12
+    return int(np.sum(s > threshold)) == x.shape[1]
 
 
 def _compose_affine(coeffs: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -435,11 +376,8 @@ def reparametrize_under_affine(pair: ModelPair, amap: AffineMap) -> ModelPair:
     original span and beta2 keeps its meaning (the induced coefficient map is
     the identity in this representation).
     """
-    if isinstance(pair, SyntheticFamily):
+    if not isinstance(pair, PolynomialPair):
         raise UnsupportedModelError("synthetic family has no polynomial predictor")
     a, b = amap.offset, amap.scale
-    beta1 = _compose_affine(pair.beta1, a, b)
-    basis = tuple(_compose_affine(c, a, b) for c in pair.rival_basis)
-    if isinstance(pair, GaussianRegressionPair):
-        return GaussianRegressionPair(beta1, basis, pair.theta2, pair.sigma2)
-    return LogisticGlmPair(beta1, basis, pair.theta2)
+    return replace(pair, beta1=_compose_affine(pair.beta1, a, b),
+                   rival_basis=tuple(_compose_affine(c, a, b) for c in pair.rival_basis))

@@ -220,8 +220,8 @@ class TestRuns:
                 pair, rec.design, rec.beta2_hat)
             assert abs(float(rec.design.weights @ psis)) <= 1e-10
 
-    def test_seed_determinism(self):
-        algo = AlgoConfig(delta=0.9, max_iterations=15, seed=123)
+    def test_run_is_deterministic(self):
+        algo = AlgoConfig(delta=0.9, max_iterations=15)
         runs = [run_first_order(cubic_quadratic_pair(), cubic_quadratic_start(),
                                 cubic_quadratic_space(), algo, FAST)
                 for _ in range(2)]
@@ -248,7 +248,7 @@ class TestRuns:
                         [0.5427954899259857], [0.8889032900133069]],
                        [0.4197155770434777, 0.24353642944674372, 0.2809436060886842,
                         0.05412969371031404, 0.0016746937107803453])
-        algo = AlgoConfig(delta=0.995, max_iterations=50, seed=1898267361)
+        algo = AlgoConfig(delta=0.995, max_iterations=50)
         run = run_first_order(pair, start, space, algo, benchmark_inner_config())
         assert run.history[-1].singular_flag
         assert run.termination_reason == STALLED_REGULARIZED
@@ -263,7 +263,7 @@ class TestRuns:
         # psi_gamma = (1 - gamma) psi with the blended-design minimizer
         pair = logistic_pair()
         reg = RegularizationConfig(gamma=0.1, xi_tilde=logistic_reference_design())
-        algo = AlgoConfig(delta=0.999, max_iterations=3, seed=7)
+        algo = AlgoConfig(delta=0.999, max_iterations=3)
         run = run_regularized(pair, logistic_start_design(), logistic_space(),
                               algo, FAST, reg)
         for rec in run.history:

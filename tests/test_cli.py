@@ -88,7 +88,7 @@ NOT_DESIGNS = {
 class TestRun:
     def test_benchmark_run_reaches_the_optimum(self, tmp_path):
         cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN +
-                    "seed: 11\nalgorithm:\n  delta: 0.97\n  max_iterations: 300\n"
+                    "algorithm:\n  delta: 0.97\n  max_iterations: 300\n"
                     "inner:\n  local_tolerance: 1.0e-9\n")
         rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"), "--quiet"])
         assert rc == 0
@@ -211,19 +211,17 @@ class TestRun:
         final = Design.from_dict(result["final_design"])
         assert final.weight_at([0.0]) >= 0.95
 
-    def test_seed_flag_overrides_config(self, tmp_path):
-        cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN +
-                    "seed: 1\nalgorithm:\n  delta: 0.9\n  max_iterations: 10\n"
-                    "inner:\n  max_local_iterations: 200\n")
-        outs, codes = [], []
-        for i, seed in enumerate(("123", "123")):
-            outdir = tmp_path / f"out{i}"
-            rc = cli.main(["run", cfg, "--seed", seed, "--output-dir",
-                           str(outdir), "--quiet"])
-            codes.append(rc)
-            outs.append((outdir / "iterations.csv").read_bytes())
-        assert codes[0] == codes[1]
-        assert outs[0] == outs[1]
+    def test_seed_settings_are_rejected(self, tmp_path, capsys):
+        # no result depends on a seed, so neither the key nor the flag exists
+        cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN + "seed: 1\n")
+        rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"), "--quiet"])
+        assert rc == 1
+        assert "unknown key(s) ['seed']" in capsys.readouterr().err
+        cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN)
+        rc = cli.main(["run", cfg, "--seed", "1", "--output-dir",
+                       str(tmp_path / "out"), "--quiet"])
+        assert rc == 1
+        assert "--seed" in capsys.readouterr().err
 
     def test_round_trip_criterion_value(self, tmp_path):
         cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN +
@@ -321,6 +319,14 @@ class TestTransform:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and flag in err
 
+    def test_negative_offset_in_equals_form(self, tmp_path, capsys):
+        # argparse reads a bare -1e3 as a flag, so the value goes after '='
+        dpath = design_file(tmp_path, cubic_quadratic_optimum())
+        rc = cli.main(["transform", dpath, "--offset=-1e3", "--matrix", "4"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [p[0] for p in out["points"]] == [-1004.0, -1002.0, -998.0, -996.0]
+
     def test_output_file(self, tmp_path):
         dpath = design_file(tmp_path, cubic_quadratic_optimum())
         target = tmp_path / "transformed.json"
@@ -344,6 +350,37 @@ class TestDesignFiles:
         assert rc == 1
         assert capsys.readouterr().err.startswith(
             f"config error: {dpath}: not a valid design file")
+
+
+    @pytest.mark.parametrize("weights", ["[NaN]", "[NaN, 1.0]"])
+    @pytest.mark.parametrize("command", ["transform", "verify"])
+    def test_non_finite_weight_exits_1_and_names_the_file(self, tmp_path, capsys,
+                                                          command, weights):
+        points = "[[0.0]]" if weights == "[NaN]" else "[[0.0], [0.5]]"
+        dpath = write(tmp_path / "design.json",
+                      '{"space": {"lower": [-1], "upper": [1]}, "points": '
+                      f'{points}, "weights": {weights}}}')
+        if command == "transform":
+            argv = ["transform", dpath, "--offset", "2", "--matrix", "4"]
+        else:
+            argv = ["verify", write(tmp_path / "cfg.yaml", BASE_MODEL), dpath,
+                    "--output-dir", str(tmp_path / "out"), "--quiet"]
+        rc = cli.main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {dpath}: ") and "non-finite weight" in err
+
+
+class TestUsageErrors:
+    def test_missing_flag_exits_1(self, tmp_path, capsys):
+        # not 2, which is the exit code of an exhausted iteration budget
+        dpath = design_file(tmp_path, cubic_quadratic_optimum())
+        assert cli.main(["transform", dpath, "--matrix", "4"]) == 1
+        assert "--offset" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert cli.main(["run", "--help"]) == 0
+        assert "usage: kl-design run" in capsys.readouterr().out
 
 
 class TestBenchmarkCommand:

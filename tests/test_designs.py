@@ -68,6 +68,13 @@ class TestValidation:
         assert any("outside box" in v for v in report.violations)
         assert any("negative weight" in v for v in report.violations)
 
+    @pytest.mark.parametrize("weights", [[np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_non_finite_weight_is_reported(self, weights):
+        points = [[0.2], [0.8]][:len(weights)]
+        report = validate_design(Design(DesignSpace([0.0], [1.0]), points, weights))
+        assert not report.ok
+        assert any("non-finite weight" in v for v in report.violations)
+
     def test_duplicate_points_reported(self):
         d = Design(DesignSpace([0.0], [1.0]), [[0.5], [0.5]], [0.5, 0.5])
         report = validate_design(d)

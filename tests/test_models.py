@@ -6,10 +6,10 @@ from scipy.integrate import quad
 
 from kldesign.designs import AffineMap, Design, DesignSpace, mix_design, transform_design
 from kldesign.errors import UnsupportedModelError
-from kldesign.models import (GaussianRegressionPair, GlmDesignMatrix,
-                             LogisticGlmPair, ParamBox, SyntheticFamily,
-                             glm_fisher_information, glm_is_regular, kl_average,
-                             kl_pointwise, reparametrize_under_affine)
+from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
+                             PolynomialPair, SyntheticFamily, glm_fisher_information,
+                             glm_is_regular, kl_average, kl_pointwise,
+                             reparametrize_under_affine)
 
 BOX3 = ParamBox([-5.0] * 3, [5.0] * 3)
 
@@ -73,6 +73,37 @@ class TestPointwiseDivergence:
                                               ParamBox([-700, -700], [700, 700]))
         val = kl_pointwise(pair, 1.0, [-700.0, 0.0])
         assert np.isfinite(val) and val > 0
+
+
+class TestPolynomialPair:
+    def test_families_state_only_their_kernel(self):
+        # the shared methods live on the base class alone, once
+        shared = {"divergence", "divergence_evaluator", "divergence_derivatives",
+                  "rival_matrix", "from_exponents", "true_predictor"}
+        for cls in (GaussianRegressionPair, LogisticGlmPair):
+            assert issubclass(cls, PolynomialPair)
+            assert not shared & set(vars(cls))
+
+    @pytest.mark.parametrize("pair", [cubic_pair(sigma2=0.7), logistic_pair()],
+                             ids=["gaussian", "logistic"])
+    def test_derivatives_match_the_kernel(self, pair):
+        rng = np.random.default_rng(41)
+        eta1, eta2 = rng.uniform(-3, 3, 50), rng.uniform(-3, 3, 50)
+        value, (g, h) = pair.kernel(eta1), pair.kernel_derivatives(eta1)(eta2)
+        step = 1e-5
+        np.testing.assert_allclose(g, (value(eta2 + step) - value(eta2 - step))
+                                   / (2 * step), atol=1e-8)
+        g_plus, _ = pair.kernel_derivatives(eta1)(eta2 + step)
+        g_minus, _ = pair.kernel_derivatives(eta1)(eta2 - step)
+        np.testing.assert_allclose(h, (g_plus - g_minus) / (2 * step), atol=1e-8)
+
+    @pytest.mark.parametrize("pair", [cubic_pair(sigma2=0.7), logistic_pair()],
+                             ids=["gaussian", "logistic"])
+    def test_evaluator_equals_divergence(self, pair):
+        xs = np.linspace(-1.0, 1.0, 9)
+        beta2 = np.linspace(-0.8, 0.6, pair.dimension)
+        np.testing.assert_array_equal(pair.divergence_evaluator(xs)(beta2),
+                                      pair.divergence(xs, beta2))
 
 
 class TestAverageDivergence:
@@ -144,50 +175,56 @@ class TestSyntheticFamily:
         assert fam.uniform_criterion(ParamBox([1e-6], [50.0])) == 1.0
 
 
+def glm_weights(pair, rows, beta2) -> np.ndarray:
+    """Diagonal of the GLM weight matrix at eta2 = rows @ beta2: the second
+    derivative of the pair's divergence kernel, which does not depend on eta1."""
+    eta2 = np.asarray(rows, dtype=float) @ np.asarray(beta2, dtype=float)
+    return pair.kernel_derivatives(np.zeros_like(eta2))(eta2)[1]
+
+
 class TestGlmInformation:
     def test_identity_design_logistic(self):
         # eta = (1, 0) gives W = diag(F(1)(1-F(1)), F(0)(1-F(0)))
-        m = GlmDesignMatrix(np.eye(2), [1.0, 0.0])
-        j = glm_fisher_information(m, family="logistic")
+        j = glm_fisher_information(np.eye(2), glm_weights(logistic_pair(), np.eye(2),
+                                                          [1.0, 0.0]))
         f1 = np.exp(1) / (1 + np.exp(1)) ** 2
         np.testing.assert_allclose(np.diag(j), [f1, 0.25], atol=1e-12)
         np.testing.assert_allclose(j, np.diag(np.diag(j)), atol=1e-15)
         assert np.diag(j)[0] == pytest.approx(0.19661, abs=1e-5)
 
     def test_identical_rows_rank_one(self):
-        m = GlmDesignMatrix([[1.0, 2.0], [1.0, 2.0]], [0.3, -0.2])
-        j = glm_fisher_information(m, family="logistic")
+        rows = [[1.0, 2.0], [1.0, 2.0]]
+        j = glm_fisher_information(rows, glm_weights(logistic_pair(), rows, [0.3, -0.2]))
         assert np.linalg.matrix_rank(j) == 1
-        assert not glm_is_regular(m)
+        assert not glm_is_regular(rows)
 
     def test_gaussian_family_is_plain_gram(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 3))
-        m = GlmDesignMatrix(x, np.zeros(3))
-        np.testing.assert_allclose(glm_fisher_information(m, family="gaussian"),
-                                   x.T @ x, atol=1e-12)
+        w = glm_weights(cubic_pair(sigma2=1.0), x, np.zeros(3))
+        np.testing.assert_allclose(glm_fisher_information(x, w), x.T @ x, atol=1e-12)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             n, d2 = int(rng.integers(1, 8)), int(rng.integers(1, 5))
-            m = GlmDesignMatrix(rng.normal(size=(n, d2)), rng.normal(size=d2))
-            eigs = np.linalg.eigvalsh(glm_fisher_information(m))
+            rows = rng.normal(size=(n, d2))
+            w = glm_weights(logistic_pair(), rows, rng.normal(size=d2))
+            eigs = np.linalg.eigvalsh(glm_fisher_information(rows, w))
             assert eigs.min() >= -1e-12
 
 
 class TestGlmRegularity:
     def test_single_row_is_deficient(self):
-        assert not glm_is_regular(GlmDesignMatrix([[1.0, 0.5]], [0.0, 0.0]))
+        assert not glm_is_regular([[1.0, 0.5]])
 
     def test_vandermonde_is_regular(self):
         x = np.array([-1.0, -0.5, 0.5, 1.0])
         rows = np.column_stack([np.ones(4), x, x ** 2])
-        assert glm_is_regular(GlmDesignMatrix(rows, np.zeros(3)))
+        assert glm_is_regular(rows)
 
     def test_proportional_rows_deficient(self):
-        assert not glm_is_regular(GlmDesignMatrix([[1.0, 2.0], [2.0, 4.0]],
-                                                  [0.0, 0.0]))
+        assert not glm_is_regular([[1.0, 2.0], [2.0, 4.0]])
 
     def test_agreement_with_information_eigenvalues(self):
         rng = np.random.default_rng(31)
@@ -197,11 +234,10 @@ class TestGlmRegularity:
             rows = rng.normal(size=(n, d2))
             if rng.uniform() < 0.4 and n >= 2:
                 rows[-1] = rows[0] * rng.choice([1.0, -2.0])
-            m = GlmDesignMatrix(rows, rng.uniform(-2, 2, d2))
-            j = glm_fisher_information(m)
-            eigs = np.linalg.eigvalsh(j)
+            w = glm_weights(logistic_pair(), rows, rng.uniform(-2, 2, d2))
+            eigs = np.linalg.eigvalsh(glm_fisher_information(rows, w))
             by_eig = eigs.min() > max(n, d2) * eigs.max() * 1e-12
-            assert glm_is_regular(m) == by_eig
+            assert glm_is_regular(rows) == by_eig
 
 
 class TestReparametrization:

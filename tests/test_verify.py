@@ -96,7 +96,7 @@ class TestEquivalenceCheck:
         delta = 0.995
         run = run_first_order(cubic_quadratic_pair(), cubic_quadratic_optimum(),
                               cubic_quadratic_space(),
-                              AlgoConfig(delta=delta, max_iterations=200, seed=5),
+                              AlgoConfig(delta=delta, max_iterations=200),
                               InnerConfig())
         assert run.termination_reason == "efficiency-reached"
         report = equivalence_check(cubic_quadratic_pair(), run.final_design,
