@@ -30,7 +30,7 @@ target = transform_design(optimum, amap)
 print(f"mapped optimum support: {target.points.ravel().tolist()}")
 
 inv = invariance_check(pair, optimum, amap,
-                       InnerConfig(local_tolerance=1e-10, max_local_iterations=2000))
+                       InnerConfig(local_tolerance=1e-10))
 print(f"criterion on x-domain: {inv.value_original:.10f}")
 print(f"criterion on z-domain: {inv.value_transformed:.10f}")
 print(f"difference: {inv.difference:.2e}  (pass: {inv.passed})")

@@ -46,7 +46,7 @@ for x, w in zip(run.final_design.points.ravel(), run.final_design.weights):
 # A run stopped at delta = 0.99 is 99%-efficient, not exactly optimal, so
 # its certificate reports the residual derivative gap rather than passing:
 # the relative gap is bounded by (1 - delta) / delta.
-tight = InnerConfig(local_tolerance=1e-10, max_local_iterations=2000)
+tight = InnerConfig(local_tolerance=1e-10)
 report = equivalence_check(pair, run.final_design, inner_config=tight)
 print(f"\nfinal-design certificate: {report.verdict} "
       f"(relative gap {report.psi_max / report.criterion_value:.2e}, "

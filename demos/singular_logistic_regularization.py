@@ -43,8 +43,7 @@ print(f"  final design: points {finish.final_design.points.ravel().tolist()} "
 
 # certificate for the singular optimum through the regularized derivative
 report = equivalence_check(pair, finish.final_design, grid_size=1001,
-                           inner_config=InnerConfig(local_tolerance=1e-10,
-                                                    max_local_iterations=2000),
+                           inner_config=InnerConfig(local_tolerance=1e-10),
                            reg=reg)
 print(f"\ncertificate: {report.verdict}")
 print(f"  scaled derivative max over the grid: {report.psi_max:.3e}")

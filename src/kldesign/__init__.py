@@ -12,9 +12,9 @@ and affine-invariance transforms, plus a `kl-design` CLI.
 from .algorithm import (EFFICIENCY_REACHED, MAX_ITERATIONS, RIVAL_ATTAINS_TRUTH,
                         STALLED, STALLED_REGULARIZED, AlgoConfig, IterationRecord,
                         RegularizationConfig, RunResult, best_support_candidate,
-                        default_reference_design, directional_derivative_psi,
-                        efficiency_bound, iterations_to_csv, line_search_alpha,
-                        run_first_order, run_regularized)
+                        default_reference_design, efficiency_bound,
+                        iterations_to_csv, line_search_alpha, run_first_order,
+                        run_regularized)
 from .designs import (AffineMap, Design, DesignSpace, ValidationReport,
                       blend_designs, collapse_support, mix_design, prune_support,
                       transform_design, validate_design, wasserstein_distance,
@@ -41,7 +41,7 @@ __all__ = [
     "STALLED_REGULARIZED", "SingularMapError", "SyntheticFamily",
     "UndefinedEfficiencyError", "UnsupportedModelError", "ValidationReport",
     "best_support_candidate", "blend_designs", "collapse_support",
-    "default_reference_design", "directional_derivative_psi", "efficiency_bound",
+    "default_reference_design", "efficiency_bound",
     "equivalence_check", "glm_fisher_information", "glm_is_regular",
     "invariance_check", "iterations_to_csv", "kl_average",
     "kl_pointwise", "least_squares_oracle", "line_search_alpha", "minimize_beta2",

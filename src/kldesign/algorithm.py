@@ -14,11 +14,14 @@ One iteration, given the current design xi_n:
 4. step size: exact line search of the criterion along the segment
    (1-a) xi_n + a delta_{x_n} (golden section; the criterion is concave
    along the segment, so the scan is valid);
-5. housekeeping: support points near x_n are collapsed to a barycenter
-   whose radius shrinks like n^-0.65 while the anchor's barycenter weight
-   grows like n^0.8, then low-weight points are pruned. A guard re-solves
-   the cleaned design and falls back to the raw mixture if cleanup would
-   break the monotone-ascent guarantee of the exact line search.
+5. housekeeping on a fixed schedule:
+   support points near x_n are collapsed to a barycenter whose radius
+   shrinks like 0.05 * diameter * n^-0.65 while the anchor's barycenter
+   weight grows like n^0.8, then points with weight below 1e-4, or below
+   0.1 times the mean weight of the other points, are pruned. A guard
+   re-solves the cleaned design and falls back to the raw mixture if
+   cleanup would break the monotone-ascent guarantee of the exact line
+   search.
 
 Singular problems (non-unique inner minimizer) make the directional
 derivative meaningless, so the plain loop stops with reason
@@ -41,8 +44,7 @@ from .designs import (Design, DesignSpace, blend_designs, collapse_support,
                       mix_design, prune_support, validate_design)
 from .errors import DomainError, UndefinedEfficiencyError
 from .inner import InnerConfig, InnerSolution, minimize_beta2
-from .models import (GaussianRegressionPair, ModelPair, glm_is_regular, kl_average,
-                     kl_pointwise)
+from .models import GaussianRegressionPair, ModelPair, glm_is_regular
 
 EFFICIENCY_REACHED = "efficiency-reached"
 MAX_ITERATIONS = "max-iterations"
@@ -62,36 +64,30 @@ _LS_IMPROVEMENT_TOL = 1e-13
 # The rival attains the true model when no divergence on the domain exceeds this
 # share of the all-zero rival's (rounding leaves 1e-31 Gaussian, 1e-15 logistic).
 _ATTAIN_TOL = 1e-12
+# Golden-section bracket width at which the line search stops.
+_LINE_SEARCH_TOL = 1e-3
+# Housekeeping schedule, step 5 of the module docstring.
+_COLLAPSE_RADIUS_SHARE = 0.05
+_COLLAPSE_RADIUS_EXPONENT = 0.65
+_ANCHOR_WEIGHT_EXPONENT = 0.8
+_PRUNE_ABS = 1e-4
+_PRUNE_REL = 0.1
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class AlgoConfig:
-    """Outer-loop knobs: stopping target, line search, housekeeping schedule."""
+    """Outer-loop stopping rule: efficiency target and iteration budget."""
 
     delta: float = 0.99
     max_iterations: int = 500
-    line_search_tolerance: float = 1e-3
-    collapse_radius_base: float | None = None  # None: 0.05 x domain diameter
-    collapse_radius_exponent: float = 0.65
-    anchor_weight_exponent: float = 0.8
-    prune_abs_threshold: float = 1e-4
-    prune_rel_threshold: float = 0.1
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.line_search_tolerance <= 0:
-            raise ValueError("line_search_tolerance must be positive")
-        if self.collapse_radius_base is not None and self.collapse_radius_base <= 0:
-            raise ValueError("collapse_radius_base must be positive")
-        if self.collapse_radius_exponent <= 0 or self.anchor_weight_exponent <= 0:
-            raise ValueError("collapse exponents must be positive")
-        if self.prune_abs_threshold < 0 or self.prune_rel_threshold < 0:
-            raise ValueError("prune thresholds must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -183,12 +179,6 @@ def iterations_to_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def directional_derivative_psi(pair: ModelPair, design: Design, beta2_hat, x) -> float:
-    """Gateaux derivative of the criterion at `design` toward delta_x:
-    the pointwise divergence at x minus its design average."""
-    return kl_pointwise(pair, x, beta2_hat) - kl_average(pair, design, beta2_hat)
-
-
 def efficiency_bound(value: float, psi_max: float) -> float:
     """Lower bound U = [1 + psi_max / value]^{-1} on the design's efficiency.
 
@@ -231,7 +221,6 @@ def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
 
 def line_search_alpha(pair: ModelPair, design: Design, x_new,
                       inner_config: InnerConfig = InnerConfig(), *,
-                      tolerance: float = 1e-3,
                       reg: RegularizationConfig | None = None,
                       warm_start=None,
                       value_at_zero: float | None = None):
@@ -261,7 +250,7 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new,
     for xi, fi in ((x1, f1), (x2, f2)):
         if fi > best_g:
             best_a, best_g = xi, fi
-    while (b - a) > tolerance:
+    while (b - a) > _LINE_SEARCH_TOL:
         if f1 >= f2:  # maximum lies in [a, x2]
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
@@ -318,9 +307,7 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
     else:
         gamma = 0.0
 
-    r0 = algo.collapse_radius_base
-    if r0 is None:
-        r0 = 0.05 * space.diameter
+    r0 = _COLLAPSE_RADIUS_SHARE * space.diameter
 
     def solve_on(d: Design, warm) -> InnerSolution:
         target = blend_designs(d, reg.xi_tilde, gamma) if regularizing else d
@@ -366,8 +353,7 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
 
         if stop is None:
             alpha, _ = line_search_alpha(
-                pair, design, x_n, inner_cfg,
-                tolerance=algo.line_search_tolerance, reg=reg,
+                pair, design, x_n, inner_cfg, reg=reg,
                 warm_start=inner.beta2_hat, value_at_zero=value)
             if alpha == 0.0:
                 if not regularizing and psi_max > _STALL_PSI_TOL * max(1.0, value):
@@ -396,10 +382,9 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
             break
 
         mixed = mix_design(design, x_n, alpha)
-        radius = r0 * n ** (-algo.collapse_radius_exponent)
-        cleaned = collapse_support(mixed, x_n, radius, n ** algo.anchor_weight_exponent)
-        cleaned = prune_support(cleaned, algo.prune_abs_threshold,
-                                algo.prune_rel_threshold)
+        radius = r0 * n ** (-_COLLAPSE_RADIUS_EXPONENT)
+        cleaned = collapse_support(mixed, x_n, radius, n ** _ANCHOR_WEIGHT_EXPONENT)
+        cleaned = prune_support(cleaned, _PRUNE_ABS, _PRUNE_REL)
         next_inner = solve_on(cleaned, inner.beta2_hat)
         if cleaned is not mixed and next_inner.value < value - 1e-13 * max(1.0, abs(value)):
             # Housekeeping moved the support too far; keep the raw mixture.

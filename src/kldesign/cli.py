@@ -42,7 +42,8 @@ _VERDICT_EXIT = {CERTIFIED: EXIT_OK, REJECTED: EXIT_REJECTED, SINGULAR: EXIT_SIN
 
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--output-dir", default=None,
-                        help="override the config output directory")
+                        help="override the config output directory (a relative "
+                             "path is taken from the working directory)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-iteration log lines")
 

@@ -164,13 +164,12 @@ def _build_design(value, space: DesignSpace, base_dir: Path, path: str) -> Desig
 def _build_config(cls, section, path: str):
     kwargs = {}
     if section:
-        allowed = {f.name for f in fields(cls)}
-        _check_keys(section, allowed, path)
-        int_fields = {"max_iterations", "max_local_iterations"}
+        types = {f.name: f.type for f in fields(cls)}
+        _check_keys(section, set(types), path)
         for key, raw in section.items():
             if raw is None:
                 continue  # explicit null keeps the default
-            if key in int_fields:
+            if types[key] is int:
                 kwargs[key] = _to_int(raw, f"{path}.{key}")
             else:
                 kwargs[key] = _to_float(raw, f"{path}.{key}")
@@ -214,7 +213,8 @@ def parse_run_config(data: dict, base_dir: Path, *, output_dir_override=None) ->
 
     out = Path(output_dir_override or data.get("output_dir", "kl-design-output"))
     if not out.is_absolute():
-        out = (base_dir / out).resolve()
+        # the override is relative to the working directory, the key to the config
+        out = ((Path.cwd() if output_dir_override else base_dir) / out).resolve()
     return RunSetup(pair=pair, space=space, initial_design=initial, algo=algo,
                     inner=inner, reg=reg, output_dir=out)
 

@@ -10,13 +10,14 @@ each step minimizes the box-constrained quadratic model with
 it. One step is exact for Gaussian pairs. A convex pair's minimizer is
 unique if and only if X has full column rank on the support, so the
 singularity flag is that rank test. The synthetic family has no rival
-matrix; its one-dimensional box is scanned and the best node polished.
+matrix; its one-dimensional box is scanned and the best node's cell
+searched with `scipy.optimize.minimize_scalar`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
+from scipy.optimize import lsq_linear, minimize_scalar
 
 from .designs import Design
 from .errors import DomainError, UnsupportedModelError
@@ -25,6 +26,8 @@ from .models import GaussianRegressionPair, ModelPair, ParamBox, glm_is_regular
 # Sufficient-decrease fraction and halving budget of the backtracking step.
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
+# Newton step budget: a safety cap, far above the dozen steps a solve takes.
+_MAX_NEWTON_STEPS = 800
 # Nodes of the synthetic family's box scan.
 _SCAN_POINTS = 201
 
@@ -32,15 +35,14 @@ _SCAN_POINTS = 201
 @dataclass(frozen=True)
 class InnerConfig:
     """Stopping rule of the inner solve: Newton steps stop once the step moves
-    the rival predictor by at most `local_tolerance`, or after
-    `max_local_iterations` steps (also the polish budget of the scan path)."""
+    the rival predictor by at most `local_tolerance`; the scan path's polish
+    stops once its bracket is that narrow."""
 
     local_tolerance: float = 1e-9
-    max_local_iterations: int = 800
 
     def __post_init__(self):
-        if self.local_tolerance <= 0 or self.max_local_iterations <= 0:
-            raise ValueError("local tolerance and iteration budget must be positive")
+        if self.local_tolerance <= 0:
+            raise ValueError("local_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -51,60 +53,6 @@ class InnerSolution:
     value: float
     singular_flag: bool
     at_boundary: bool
-
-
-def _nelder_mead_box(f, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                     xatol: float, fatol: float, max_iter: int,
-                     initial_step: np.ndarray):
-    """Nelder-Mead with every candidate clipped into [lower, upper].
-
-    Returns (best point, best value). Termination: simplex extent below
-    `xatol` and value spread below `fatol`, or the iteration budget.
-    """
-    d = x0.size
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    sim = np.empty((d + 1, d))
-    sim[0] = x0
-    for j in range(d):
-        v = x0.copy()
-        step = initial_step[j]
-        v[j] = v[j] + step if v[j] + step <= upper[j] else v[j] - step
-        sim[j + 1] = np.clip(v, lower, upper)
-    fs = np.array([f(s) for s in sim])
-    for _ in range(max_iter):
-        order = np.argsort(fs, kind="stable")
-        sim, fs = sim[order], fs[order]
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fs[1:] - fs[0])) <= fatol * max(1.0, abs(fs[0]))):
-            break
-        centroid = sim[:-1].mean(axis=0)
-        xr = np.clip(centroid + alpha * (centroid - sim[-1]), lower, upper)
-        fr = f(xr)
-        if fr < fs[0]:
-            xe = np.clip(centroid + gamma * (xr - centroid), lower, upper)
-            fe = f(xe)
-            if fe < fr:
-                sim[-1], fs[-1] = xe, fe
-            else:
-                sim[-1], fs[-1] = xr, fr
-        elif fr < fs[-2]:
-            sim[-1], fs[-1] = xr, fr
-        else:
-            if fr < fs[-1]:
-                xc = np.clip(centroid + rho * (xr - centroid), lower, upper)
-                fc = f(xc)
-                shrink = fc > fr
-            else:
-                xc = centroid + rho * (sim[-1] - centroid)
-                fc = f(xc)
-                shrink = fc >= fs[-1]
-            if shrink:
-                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
-                fs[1:] = [f(s) for s in sim[1:]]
-            else:
-                sim[-1], fs[-1] = xc, fc
-    i = int(np.argmin(fs))
-    return sim[i], float(fs[i])
 
 
 def _newton(pair: ModelPair, design: Design, rows: np.ndarray, objective,
@@ -121,7 +69,7 @@ def _newton(pair: ModelPair, design: Design, rows: np.ndarray, objective,
     derivatives = pair.divergence_derivatives(design.points)
     beta = start
     value = objective(beta)
-    for _ in range(config.max_local_iterations):
+    for _ in range(_MAX_NEWTON_STEPS):
         eta = rows @ beta
         g, h = derivatives(eta)
         scale = np.sqrt(weights * h)
@@ -150,19 +98,18 @@ def _newton(pair: ModelPair, design: Design, rows: np.ndarray, objective,
 
 
 def _scan_and_polish(box: ParamBox, objective, config: InnerConfig) -> np.ndarray:
-    """Equispaced scan of a one-dimensional box, then a simplex polish inside
-    the best node's cell."""
-    nodes = np.linspace(box.lower, box.upper, _SCAN_POINTS)
-    best = nodes[int(np.argmin([objective(b) for b in nodes]))]
-    cell = (box.upper - box.lower) / (_SCAN_POINTS - 1)
-    lower = np.maximum(box.lower, best - cell)
-    upper = np.minimum(box.upper, best + cell)
-    # The simplex keeps its best vertex, so the polish never ends above `best`.
-    polished, _ = _nelder_mead_box(objective, best, lower, upper,
-                                   xatol=config.local_tolerance, fatol=1e-14,
-                                   max_iter=config.max_local_iterations,
-                                   initial_step=0.25 * cell)
-    return polished
+    """Equispaced scan of a one-dimensional box, then a bounded scalar search
+    inside the best node's cell; the lower of node and polish wins."""
+    def scalar(b: float) -> float:
+        return objective(np.array([b]))
+
+    nodes = np.linspace(box.lower[0], box.upper[0], _SCAN_POINTS)
+    values = [scalar(b) for b in nodes]
+    best = int(np.argmin(values))
+    cell = (nodes[max(best - 1, 0)], nodes[min(best + 1, _SCAN_POINTS - 1)])
+    polish = minimize_scalar(scalar, bounds=cell, method="bounded",
+                             options={"xatol": config.local_tolerance})
+    return np.array([polish.x if polish.fun < values[best] else nodes[best]])
 
 
 def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerConfig(),

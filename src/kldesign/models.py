@@ -22,7 +22,7 @@ Built-in kinds:
 """
 
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Union
+from typing import Union
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -181,8 +181,6 @@ class GaussianRegressionPair(PolynomialPair):
 
     sigma2: float = 0.5
 
-    kind: ClassVar[str] = "gaussian-regression"
-
     def __post_init__(self):
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
@@ -228,8 +226,6 @@ class LogisticGlmPair(PolynomialPair):
     which is exact and stable for |eta| <= 700.
     """
 
-    kind: ClassVar[str] = "logistic-glm"
-
     def kernel(self, eta1):
         mean1 = expit(eta1)
         soft1 = softplus(eta1)
@@ -263,8 +259,6 @@ class SyntheticFamily:
     """
 
     theta2: ParamBox = field(default_factory=_default_synthetic_box)
-
-    kind: ClassVar[str] = "synthetic-family"
 
     def __post_init__(self):
         if self.theta2.dimension != 1:

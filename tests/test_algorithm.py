@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from kldesign.algorithm import (EFFICIENCY_REACHED, STALLED_REGULARIZED,
                                 AlgoConfig, RegularizationConfig,
                                 best_support_candidate, default_reference_design,
-                                directional_derivative_psi, efficiency_bound,
-                                line_search_alpha, psi_scan, run_first_order,
-                                run_regularized)
+                                efficiency_bound, line_search_alpha, psi_scan,
+                                run_first_order, run_regularized)
 from kldesign.benchmarks import (benchmark_inner_config, cubic_quadratic_optimum,
                                  cubic_quadratic_pair, cubic_quadratic_space,
                                  cubic_quadratic_start, logistic_pair,
@@ -22,24 +21,27 @@ from kldesign.inner import InnerConfig, minimize_beta2
 from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
                              kl_average)
 
-TIGHT = InnerConfig(local_tolerance=1e-10, max_local_iterations=2000)
+TIGHT = InnerConfig(local_tolerance=1e-10)
 FAST = InnerConfig(local_tolerance=1e-9)
 OPT_BETA = np.array([0.0, 0.75, 0.0])
 
 
 class TestDirectionalDerivative:
     def test_value_at_the_center(self):
-        # psi(0) = 0 - 1/16 at the analytic optimum parameters
-        psi = directional_derivative_psi(cubic_quadratic_pair(),
-                                         cubic_quadratic_optimum(), OPT_BETA, [0.0])
-        assert psi == pytest.approx(-0.0625, abs=1e-15)
+        # psi(0) = 0 - 1/16 at the analytic optimum parameters; the middle of
+        # three grid nodes is x = 0
+        points, psi = psi_scan(cubic_quadratic_pair(), cubic_quadratic_optimum(),
+                               OPT_BETA, cubic_quadratic_space(), grid_size=3)
+        assert points[1, 0] == 0.0
+        assert psi[1] == pytest.approx(-0.0625, abs=1e-15)
 
     def test_zero_at_support_points(self):
-        pair = cubic_quadratic_pair()
         opt = cubic_quadratic_optimum()
-        for x in (-1.0, -0.5, 0.5, 1.0):
-            assert directional_derivative_psi(pair, opt, OPT_BETA,
-                                              [x]) == pytest.approx(0.0, abs=1e-15)
+        points, psi = psi_scan(cubic_quadratic_pair(), opt, OPT_BETA,
+                               cubic_quadratic_space(), grid_size=3)
+        np.testing.assert_array_equal(points[3:3 + opt.size], opt.points)
+        for value in psi[3:3 + opt.size]:
+            assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_centering_over_the_design(self):
         rng = np.random.default_rng(71)
@@ -49,8 +51,8 @@ class TestDirectionalDerivative:
             m = int(rng.integers(1, 8))
             d = Design(space, rng.uniform(-1, 1, (m, 1)), rng.dirichlet(np.ones(m)))
             b = rng.uniform(-3, 3, 3)
-            psis = [directional_derivative_psi(pair, d, b, x) for x in d.points]
-            assert abs(float(d.weights @ np.array(psis))) <= 1e-10
+            _, psi = psi_scan(pair, d, b, space, grid_size=2)
+            assert abs(float(d.weights @ psi[2:2 + m])) <= 1e-10
 
 
 class TestBestSupportCandidate:

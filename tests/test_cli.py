@@ -112,8 +112,7 @@ class TestRun:
 
     def test_budget_exhaustion_exits_2(self, tmp_path):
         cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN +
-                    "algorithm:\n  delta: 0.999999\n  max_iterations: 5\n"
-                    "inner:\n  max_local_iterations: 200\n")
+                    "algorithm:\n  delta: 0.999999\n  max_iterations: 5\n")
         rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"), "--quiet"])
         assert rc == 2
 
@@ -136,8 +135,7 @@ class TestRun:
         design_file(tmp_path, start, name="start.json")
         cfg = write(tmp_path / "run.yaml", BASE_MODEL +
                     "initial_design: start.json\n"
-                    "algorithm:\n  delta: 0.8\n  max_iterations: 60\n"
-                    "inner:\n  max_local_iterations: 200\n")
+                    "algorithm:\n  delta: 0.8\n  max_iterations: 60\n")
         rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"), "--quiet"])
         assert rc == 0
 
@@ -145,7 +143,14 @@ class TestRun:
         for section, key in (("inner", "multistart_count"),
                              ("inner", "warm_start_noise_scale"),
                              ("inner", "dispersion_threshold"),
-                             ("algorithm", "grid_points_per_dim")):
+                             ("inner", "max_local_iterations"),
+                             ("algorithm", "grid_points_per_dim"),
+                             ("algorithm", "line_search_tolerance"),
+                             ("algorithm", "collapse_radius_base"),
+                             ("algorithm", "collapse_radius_exponent"),
+                             ("algorithm", "anchor_weight_exponent"),
+                             ("algorithm", "prune_abs_threshold"),
+                             ("algorithm", "prune_rel_threshold")):
             cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN +
                         f"{section}:\n  {key}: 4\n")
             rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"),
@@ -153,6 +158,21 @@ class TestRun:
             assert rc == 1
             err = capsys.readouterr().err
             assert section in err and key in err
+
+    def test_relative_output_dir_flag_is_taken_from_the_working_directory(
+            self, tmp_path, monkeypatch):
+        (tmp_path / "configs").mkdir()
+        (tmp_path / "work").mkdir()
+        cfg = write(tmp_path / "configs" / "run.yaml", BASE_MODEL + START_DESIGN +
+                    "algorithm:\n  max_iterations: 2\noutput_dir: from-config\n")
+        monkeypatch.chdir(tmp_path / "work")
+        rc = cli.main(["run", cfg, "--output-dir", "out", "--quiet"])
+        assert rc == 2
+        assert (tmp_path / "work" / "out" / "iterations.csv").exists()
+        assert not (tmp_path / "configs" / "out").exists()
+        # the config's own key still resolves against the config's directory
+        expected = tmp_path.resolve() / "configs" / "from-config"
+        assert load_run_config(cfg).output_dir == expected
 
     @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_parses(self, path):

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from kldesign.designs import Design, DesignSpace, blend_designs, mix_design
-from kldesign.inner import (InnerConfig, _nelder_mead_box, least_squares_oracle,
-                            minimize_beta2)
+from kldesign.inner import InnerConfig, least_squares_oracle, minimize_beta2
 from kldesign.errors import UnsupportedModelError
 from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
                              SyntheticFamily, kl_average)
 
 BOX3 = ParamBox([-5.0] * 3, [5.0] * 3)
-TIGHT = InnerConfig(local_tolerance=1e-10, max_local_iterations=2000)
+TIGHT = InnerConfig(local_tolerance=1e-10)
 # Fixed example sequence, so the suite stays deterministic.
 EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -63,6 +62,17 @@ def gaussian_instances(draw):
 
 
 @st.composite
+def synthetic_instances(draw):
+    box = ParamBox([draw(st.sampled_from([1e-6, 0.1]))],
+                   [draw(st.sampled_from([3.0, 10.0, 50.0, 1000.0]))])
+    m = draw(st.integers(1, 6))
+    points = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    design = Design(DesignSpace([0.0], [1.0]), np.array(points)[:, None],
+                    _weights(draw, m))
+    return SyntheticFamily(box), design
+
+
+@st.composite
 def logistic_instances(draw):
     d2 = draw(st.integers(1, 3))
     exponents = sorted(draw(st.lists(st.integers(0, 3), min_size=d2, max_size=d2,
@@ -77,6 +87,60 @@ def logistic_instances(draw):
     return pair, design
 
 
+def nelder_mead_box(f, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                    xatol: float, fatol: float, max_iter: int,
+                    initial_step: np.ndarray):
+    """Nelder-Mead with every candidate clipped into [lower, upper].
+
+    Returns (best point, best value). Termination: simplex extent below
+    `xatol` and value spread below `fatol`, or the iteration budget.
+    """
+    d = x0.size
+    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    sim = np.empty((d + 1, d))
+    sim[0] = x0
+    for j in range(d):
+        v = x0.copy()
+        step = initial_step[j]
+        v[j] = v[j] + step if v[j] + step <= upper[j] else v[j] - step
+        sim[j + 1] = np.clip(v, lower, upper)
+    fs = np.array([f(s) for s in sim])
+    for _ in range(max_iter):
+        order = np.argsort(fs, kind="stable")
+        sim, fs = sim[order], fs[order]
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fs[1:] - fs[0])) <= fatol * max(1.0, abs(fs[0]))):
+            break
+        centroid = sim[:-1].mean(axis=0)
+        xr = np.clip(centroid + alpha * (centroid - sim[-1]), lower, upper)
+        fr = f(xr)
+        if fr < fs[0]:
+            xe = np.clip(centroid + gamma * (xr - centroid), lower, upper)
+            fe = f(xe)
+            if fe < fr:
+                sim[-1], fs[-1] = xe, fe
+            else:
+                sim[-1], fs[-1] = xr, fr
+        elif fr < fs[-2]:
+            sim[-1], fs[-1] = xr, fr
+        else:
+            if fr < fs[-1]:
+                xc = np.clip(centroid + rho * (xr - centroid), lower, upper)
+                fc = f(xc)
+                shrink = fc > fr
+            else:
+                xc = centroid + rho * (sim[-1] - centroid)
+                fc = f(xc)
+                shrink = fc >= fs[-1]
+            if shrink:
+                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+                fs[1:] = [f(s) for s in sim[1:]]
+            else:
+                sim[-1], fs[-1] = xc, fc
+    i = int(np.argmin(fs))
+    return sim[i], float(fs[i])
+
+
 def multistart_simplex_value(pair, design, starts) -> float:
     """Best value of box-clipped Nelder-Mead descents from the given starts:
     an oracle that knows nothing of convexity."""
@@ -84,10 +148,10 @@ def multistart_simplex_value(pair, design, starts) -> float:
     pointwise = pair.divergence_evaluator(design.points)
     best = np.inf
     for start in starts:
-        _, value = _nelder_mead_box(lambda b: float(design.weights @ pointwise(b)),
-                                    box.clip(start), box.lower, box.upper,
-                                    xatol=1e-10, fatol=1e-14, max_iter=2000,
-                                    initial_step=0.05 * (box.upper - box.lower))
+        _, value = nelder_mead_box(lambda b: float(design.weights @ pointwise(b)),
+                                   box.clip(start), box.lower, box.upper,
+                                   xatol=1e-10, fatol=1e-14, max_iter=2000,
+                                   initial_step=0.05 * (box.upper - box.lower))
         best = min(best, value)
     return best
 
@@ -264,3 +328,20 @@ class TestCriterionValue:
             dense = min(kl_average(fam, design, [b]) for b in scan)
             assert sol.value <= dense + 1e-12
             assert not sol.singular_flag
+
+    @EXAMPLES
+    @given(synthetic_instances())
+    def test_synthetic_polish_matches_a_simplex_polish(self, instance):
+        # Reference: a box-clipped simplex from the best of 201 scan nodes,
+        # confined to that node's cell.
+        fam, design = instance
+        box = fam.theta2
+        nodes = np.linspace(box.lower, box.upper, 201)
+        scan = [kl_average(fam, design, b) for b in nodes]
+        best = nodes[int(np.argmin(scan))]
+        cell = (box.upper - box.lower) / 200
+        _, reference = nelder_mead_box(
+            lambda b: kl_average(fam, design, b), best,
+            np.maximum(box.lower, best - cell), np.minimum(box.upper, best + cell),
+            xatol=1e-9, fatol=1e-14, max_iter=800, initial_step=0.25 * cell)
+        assert minimize_beta2(fam, design).value <= reference + 1e-8

@@ -129,7 +129,7 @@ class TestInvarianceCheck:
         rng = np.random.default_rng(91)
         amap = AffineMap([-3.0], [[2.0]])
         space = DesignSpace([-1.0], [1.0])
-        cfg = InnerConfig(local_tolerance=1e-10, max_local_iterations=1500)
+        cfg = InnerConfig(local_tolerance=1e-10)
         for _ in range(20):
             d = Design(space, rng.uniform(-1, 1, (4, 1)), rng.dirichlet(np.ones(4)))
             report = invariance_check(cubic_quadratic_pair(), d, amap, cfg)
