@@ -12,13 +12,14 @@ One iteration, given the current design xi_n:
    the true model stops the run first, a singular inner solve the plain
    loop next; otherwise the run stops once U exceeds the target delta;
 4. step size: exact line search of the criterion along the segment
-   (1-a) xi_n + a delta_{x_n} (golden section; the criterion is concave
-   along the segment, so the scan is valid);
+   (1-a) xi_n + a delta_{x_n}. The criterion is concave along the segment,
+   and each inner solve's minimizer gives its supergradient in a (Danskin),
+   so the step is the root of that slope, bracketed by its signs at 0 and 1;
 5. housekeeping on a fixed schedule:
    support points near x_n are collapsed to a barycenter whose radius
    shrinks like 0.05 * diameter * n^-0.65 while the anchor's barycenter
-   weight grows like n^0.8, then points with weight below 1e-4, or below
-   0.1 times the mean weight of the other points, are pruned. A guard
+   weight grows like n^0.8, then points with weight below 0.1 times the
+   mean weight of the other points are pruned. A guard
    re-solves the cleaned design and falls back to the raw mixture if
    cleanup would break the monotone-ascent guarantee of the exact line
    search.
@@ -39,12 +40,13 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .designs import (Design, DesignSpace, blend_designs, collapse_support,
                       mix_design, prune_support, validate_design)
-from .errors import DomainError, UndefinedEfficiencyError
+from .errors import DomainError, UndefinedEfficiencyError, UnsupportedModelError
 from .inner import InnerConfig, InnerSolution, minimize_beta2
-from .models import GaussianRegressionPair, ModelPair, glm_is_regular
+from .models import GaussianRegressionPair, ModelPair, PolynomialPair, glm_is_regular
 
 EFFICIENCY_REACHED = "efficiency-reached"
 MAX_ITERATIONS = "max-iterations"
@@ -64,16 +66,13 @@ _LS_IMPROVEMENT_TOL = 1e-13
 # The rival attains the true model when no divergence on the domain exceeds this
 # share of the all-zero rival's (rounding leaves 1e-31 Gaussian, 1e-15 logistic).
 _ATTAIN_TOL = 1e-12
-# Golden-section bracket width at which the line search stops.
-_LINE_SEARCH_TOL = 1e-3
+# Bracket width at which the root find of the line-search slope stops.
+_STEP_XTOL = 1e-6
 # Housekeeping schedule, step 5 of the module docstring.
 _COLLAPSE_RADIUS_SHARE = 0.05
 _COLLAPSE_RADIUS_EXPONENT = 0.65
 _ANCHOR_WEIGHT_EXPONENT = 0.8
-_PRUNE_ABS = 1e-4
 _PRUNE_REL = 0.1
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -222,53 +221,48 @@ def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
 def line_search_alpha(pair: ModelPair, design: Design, x_new,
                       inner_config: InnerConfig = InnerConfig(), *,
                       reg: RegularizationConfig | None = None,
-                      warm_start=None,
-                      value_at_zero: float | None = None):
+                      warm_start=None):
     """Exact step size: maximize g(a) = criterion((1-a) design + a delta_x).
 
-    Golden-section search on [0, 1]; the criterion is concave and the path
-    is linear in a, so g is concave and the bracketing is valid. Each inner
-    solve is warm-started from the previous evaluation's minimizer. Returns
-    (alpha, g(alpha)); alpha = 0.0 signals that no ascent step exists.
+    g is the minimum over beta2 of functions linear in a, so it is concave,
+    and by Danskin's theorem slope(a) = (1-gamma) [I(x, b_a) - avg_design
+    I(., b_a)], read off the inner minimizer b_a at a (gamma = 0 unless
+    regularizing), is a supergradient of g at a; it is the derivative
+    wherever b_a is unique. For a concave g the sign of any supergradient
+    tells on which side of a the maximum lies: slope(0) <= 0 means no ascent
+    step, slope(1) >= 0 means the full step, and otherwise the step is the
+    sign change of slope on (0, 1), found with `brentq`. Each inner solve is
+    warm-started from the previous one's minimizer, and each a is solved
+    once. Returns (alpha, g(alpha)); alpha = 0.0 signals that no ascent step
+    exists.
     """
+    points = np.append(design.points[:, 0], x_new)  # the support, then x_new
+    scale = 1.0 - (reg.gamma if reg is not None else 0.0)
     warm = {"beta": warm_start}
+    solved: dict[float, tuple[float, float]] = {}
 
-    def g(a: float) -> float:
-        mixed = mix_design(design, x_new, a)
-        if reg is not None:
-            mixed = blend_designs(mixed, reg.xi_tilde, reg.gamma)
-        sol = minimize_beta2(pair, mixed, inner_config, warm_start=warm["beta"])
-        warm["beta"] = sol.beta2_hat
-        return sol.value
+    def solve(a: float) -> tuple[float, float]:
+        if a not in solved:
+            mixed = mix_design(design, x_new, a)
+            if reg is not None:
+                mixed = blend_designs(mixed, reg.xi_tilde, reg.gamma)
+            sol = minimize_beta2(pair, mixed, inner_config, warm_start=warm["beta"])
+            warm["beta"] = sol.beta2_hat
+            row = pair.divergence(points, sol.beta2_hat)
+            solved[a] = sol.value, scale * (row[-1] - design.weights @ row[:-1])
+        return solved[a]
 
-    g0 = g(0.0) if value_at_zero is None else float(value_at_zero)
-    best_a, best_g = 0.0, g0
-    a, b = 0.0, 1.0
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = g(x1), g(x2)
-    for xi, fi in ((x1, f1), (x2, f2)):
-        if fi > best_g:
-            best_a, best_g = xi, fi
-    while (b - a) > _LINE_SEARCH_TOL:
-        if f1 >= f2:  # maximum lies in [a, x2]
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = g(x1)
-            if f1 > best_g:
-                best_a, best_g = x1, f1
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = g(x2)
-            if f2 > best_g:
-                best_a, best_g = x2, f2
-    f_end = g(1.0)
-    if f_end > best_g:
-        best_a, best_g = 1.0, f_end
-    if best_g - g0 <= _LS_IMPROVEMENT_TOL * max(1.0, abs(g0)):
+    g0, slope0 = solve(0.0)
+    if slope0 <= 0.0:
         return 0.0, g0
-    return best_a, best_g
+    if solve(1.0)[1] >= 0.0:
+        alpha = 1.0
+    else:
+        alpha = brentq(lambda a: solve(a)[1], 0.0, 1.0, xtol=_STEP_XTOL)
+    value = solve(alpha)[0]
+    if value - g0 <= _LS_IMPROVEMENT_TOL * max(1.0, abs(g0)):
+        return 0.0, g0
+    return alpha, value
 
 
 def default_reference_design(pair: ModelPair, space: DesignSpace) -> Design:
@@ -277,7 +271,7 @@ def default_reference_design(pair: ModelPair, space: DesignSpace) -> Design:
     pts = np.linspace(space.lower[0], space.upper[0], d2 + 1)[:, None]
     design = Design(space, pts, np.full(d2 + 1, 1.0 / (d2 + 1)))
     rows = pair.rival_matrix(design.points)
-    if rows is not None and not glm_is_regular(rows):
+    if not glm_is_regular(rows):
         raise DomainError("default reference design is not regular for this pair; "
                           "supply an explicit xi_tilde")
     return design
@@ -285,9 +279,12 @@ def default_reference_design(pair: ModelPair, space: DesignSpace) -> Design:
 
 def _resolve_reference(pair: ModelPair, space: DesignSpace,
                        reg: RegularizationConfig) -> Design:
+    if not isinstance(pair, PolynomialPair):  # as minimize_beta2 refuses it
+        raise UnsupportedModelError("regularization applies to polynomial-predictor "
+                                    "pairs only")
     xi_tilde = reg.xi_tilde or default_reference_design(pair, space)
     rows = pair.rival_matrix(xi_tilde.points)  # rank d2 needs d2 support points
-    if rows is not None and not glm_is_regular(rows):
+    if not glm_is_regular(rows):
         raise DomainError("reference design has a singular rival design matrix")
     return xi_tilde
 
@@ -313,11 +310,10 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
         target = blend_designs(d, reg.xi_tilde, gamma) if regularizing else d
         return minimize_beta2(pair, target, inner_cfg, warm_start=warm)
 
-    null_scale = float(np.max(pair.divergence(space.grid(PSI_GRID_SIZE),
-                                              np.zeros(pair.dimension))))
-
     design = initial_design
     inner = solve_on(design, None)
+    null_scale = float(np.max(pair.divergence(space.grid(PSI_GRID_SIZE),
+                                              np.zeros(pair.dimension))))
     if not regularizing and inner.singular_flag:
         warnings.warn("initial design matrix is rank deficient; the plain loop "
                       "will hand off to the regularized criterion", stacklevel=2)
@@ -352,9 +348,8 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
             stop = EFFICIENCY_REACHED
 
         if stop is None:
-            alpha, _ = line_search_alpha(
-                pair, design, x_n, inner_cfg, reg=reg,
-                warm_start=inner.beta2_hat, value_at_zero=value)
+            alpha, _ = line_search_alpha(pair, design, x_n, inner_cfg, reg=reg,
+                                         warm_start=inner.beta2_hat)
             if alpha == 0.0:
                 if not regularizing and psi_max > _STALL_PSI_TOL * max(1.0, value):
                     stop = STALLED_REGULARIZED
@@ -384,7 +379,7 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
         mixed = mix_design(design, x_n, alpha)
         radius = r0 * n ** (-_COLLAPSE_RADIUS_EXPONENT)
         cleaned = collapse_support(mixed, x_n, radius, n ** _ANCHOR_WEIGHT_EXPONENT)
-        cleaned = prune_support(cleaned, _PRUNE_ABS, _PRUNE_REL)
+        cleaned = prune_support(cleaned, rel_threshold=_PRUNE_REL)
         next_inner = solve_on(cleaned, inner.beta2_hat)
         if cleaned is not mixed and next_inner.value < value - 1e-13 * max(1.0, abs(value)):
             # Housekeeping moved the support too far; keep the raw mixture.

@@ -16,10 +16,9 @@ from .algorithm import AlgoConfig, RegularizationConfig
 from .designs import Design, DesignSpace, validate_design
 from .errors import ConfigError
 from .inner import InnerConfig
-from .models import (GaussianRegressionPair, LogisticGlmPair, ModelPair,
-                     ParamBox, SyntheticFamily)
+from .models import GaussianRegressionPair, LogisticGlmPair, ModelPair, ParamBox
 
-MODEL_KINDS = ("gaussian-regression", "logistic-glm", "synthetic-family")
+MODEL_KINDS = ("gaussian-regression", "logistic-glm")
 
 
 @dataclass
@@ -92,11 +91,6 @@ def _build_pair(section: dict) -> ModelPair:
     kind = section.get("kind")
     if kind not in MODEL_KINDS:
         raise ConfigError(f"model.kind: expected one of {MODEL_KINDS}, got {kind!r}")
-    if kind == "synthetic-family":
-        _check_keys(section, {"kind", "beta2_box"}, "model")
-        if "beta2_box" in section:
-            return SyntheticFamily(_param_box(section["beta2_box"], "model.beta2_box"))
-        return SyntheticFamily()
     box = _param_box(_section(section, "beta2_box", "model"), "model.beta2_box")
     beta1 = _float_list(section.get("beta1"), "model.beta1")
     exponents = section.get("rival_exponents")

@@ -9,34 +9,32 @@ each step minimizes the box-constrained quadratic model with
 `scipy.optimize.lsq_linear(method="bvls")`, and a backtracking step follows
 it. One step is exact for Gaussian pairs. A convex pair's minimizer is
 unique if and only if X has full column rank on the support, so the
-singularity flag is that rank test. The synthetic family has no rival
-matrix; its one-dimensional box is scanned and the best node's cell
-searched with `scipy.optimize.minimize_scalar`.
+singularity flag is that rank test. Only these polynomial-predictor pairs
+are solved; the synthetic family, a discontinuity example with closed-form
+criterion values, is refused.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear, minimize_scalar
+from scipy.optimize import lsq_linear
 
 from .designs import Design
 from .errors import DomainError, UnsupportedModelError
-from .models import GaussianRegressionPair, ModelPair, ParamBox, glm_is_regular
+from .models import (GaussianRegressionPair, ModelPair, PolynomialPair,
+                     glm_is_regular)
 
 # Sufficient-decrease fraction and halving budget of the backtracking step.
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
 # Newton step budget: a safety cap, far above the dozen steps a solve takes.
 _MAX_NEWTON_STEPS = 800
-# Nodes of the synthetic family's box scan.
-_SCAN_POINTS = 201
 
 
 @dataclass(frozen=True)
 class InnerConfig:
     """Stopping rule of the inner solve: Newton steps stop once the step moves
-    the rival predictor by at most `local_tolerance`; the scan path's polish
-    stops once its bracket is that narrow."""
+    the rival predictor by at most `local_tolerance`."""
 
     local_tolerance: float = 1e-9
 
@@ -97,31 +95,20 @@ def _newton(pair: ModelPair, design: Design, rows: np.ndarray, objective,
     return beta
 
 
-def _scan_and_polish(box: ParamBox, objective, config: InnerConfig) -> np.ndarray:
-    """Equispaced scan of a one-dimensional box, then a bounded scalar search
-    inside the best node's cell; the lower of node and polish wins."""
-    def scalar(b: float) -> float:
-        return objective(np.array([b]))
-
-    nodes = np.linspace(box.lower[0], box.upper[0], _SCAN_POINTS)
-    values = [scalar(b) for b in nodes]
-    best = int(np.argmin(values))
-    cell = (nodes[max(best - 1, 0)], nodes[min(best + 1, _SCAN_POINTS - 1)])
-    polish = minimize_scalar(scalar, bounds=cell, method="bounded",
-                             options={"xatol": config.local_tolerance})
-    return np.array([polish.x if polish.fun < values[best] else nodes[best]])
-
-
 def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerConfig(),
                    warm_start=None) -> InnerSolution:
     """Minimize the design-averaged divergence over the rival parameter box.
 
-    Pairs with a rival matrix take bounded Newton steps from `warm_start`
-    (clipped into the box; the box midpoint when None), so the result is a
-    pure function of the inputs. `singular_flag` is set exactly when the
-    rival matrix on the positive-weight support is rank deficient, i.e.
-    when the minimizer is not unique.
+    Bounded Newton steps from `warm_start` (clipped into the box; the box
+    midpoint when None), so the result is a pure function of the inputs.
+    `singular_flag` is set exactly when the rival matrix on the
+    positive-weight support is rank deficient, i.e. when the minimizer is
+    not unique. A pair that is not a `PolynomialPair` raises
+    `UnsupportedModelError`.
     """
+    if not isinstance(pair, PolynomialPair):
+        raise UnsupportedModelError("the inner solve applies to polynomial-predictor "
+                                    "pairs only")
     if design.size < 1:
         raise DomainError("design has no support points")
     box = pair.theta2
@@ -132,13 +119,9 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
         return float(weights @ pointwise(b))
 
     rows = pair.rival_matrix(design.points)
-    if rows is None:
-        beta2_hat = _scan_and_polish(box, objective, config)
-        singular = False
-    else:
-        start = box.midpoint if warm_start is None else box.clip(warm_start)
-        beta2_hat = _newton(pair, design, rows, objective, start, config)
-        singular = not glm_is_regular(rows[weights > 0.0])
+    start = box.midpoint if warm_start is None else box.clip(warm_start)
+    beta2_hat = _newton(pair, design, rows, objective, start, config)
+    singular = not glm_is_regular(rows[weights > 0.0])
     edge = 1e-9 * (box.upper - box.lower)
     at_boundary = bool(np.any(beta2_hat <= box.lower + edge)
                        or np.any(beta2_hat >= box.upper - edge))

@@ -19,6 +19,7 @@ Built-in kinds:
 * :class:`SyntheticFamily` -- a fixed piecewise divergence family on [0, 1]
   whose design averages under (truncated) uniform measures have closed
   forms; useful for probing discontinuity of the min-divergence criterion.
+  It is not a `ModelPair`: the inner solve and the loop refuse it.
 """
 
 from dataclasses import dataclass, field, replace
@@ -264,13 +265,6 @@ class SyntheticFamily:
         if self.theta2.dimension != 1:
             raise ValueError("synthetic family has a single scalar parameter")
 
-    @property
-    def dimension(self) -> int:
-        return 1
-
-    def rival_matrix(self, points):
-        return None
-
     def divergence(self, points, beta2) -> np.ndarray:
         x = _scalar_inputs(points)
         b = float(np.asarray(beta2, dtype=float).ravel()[0])
@@ -279,10 +273,6 @@ class SyntheticFamily:
         else:
             val = (b + 1.0) * np.power(x, b)
         return np.maximum(val, 0.0)
-
-    def divergence_evaluator(self, points):
-        x = _scalar_inputs(points)
-        return lambda beta2: self.divergence(x, beta2)
 
     # Closed-form averages for the continuous fixtures.
 
@@ -313,7 +303,7 @@ class SyntheticFamily:
         return 1.0
 
 
-ModelPair = Union[GaussianRegressionPair, LogisticGlmPair, SyntheticFamily]
+ModelPair = Union[GaussianRegressionPair, LogisticGlmPair]
 
 
 def kl_pointwise(pair: ModelPair, x, beta2) -> float:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from kldesign import algorithm
 from kldesign.algorithm import (EFFICIENCY_REACHED, STALLED_REGULARIZED,
                                 AlgoConfig, RegularizationConfig,
                                 best_support_candidate, default_reference_design,
@@ -16,10 +18,10 @@ from kldesign.benchmarks import (benchmark_inner_config, cubic_quadratic_optimum
                                  logistic_reference_design, logistic_space,
                                  logistic_start_design)
 from kldesign.designs import Design, DesignSpace, blend_designs, mix_design
-from kldesign.errors import UndefinedEfficiencyError
+from kldesign.errors import UndefinedEfficiencyError, UnsupportedModelError
 from kldesign.inner import InnerConfig, minimize_beta2
 from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
-                             kl_average)
+                             SyntheticFamily, kl_average)
 
 TIGHT = InnerConfig(local_tolerance=1e-10)
 FAST = InnerConfig(local_tolerance=1e-9)
@@ -144,8 +146,7 @@ class TestLineSearch:
         opt = cubic_quadratic_optimum()
         sol = minimize_beta2(pair, opt, TIGHT)
         alpha, value = line_search_alpha(pair, opt, [0.3], TIGHT,
-                                         warm_start=sol.beta2_hat,
-                                         value_at_zero=sol.value)
+                                         warm_start=sol.beta2_hat)
         assert alpha == 0.0
         assert value == sol.value
 
@@ -157,8 +158,7 @@ class TestLineSearch:
         sol = minimize_beta2(pair, start, TIGHT)
         assert sol.value <= 1e-12
         alpha, value = line_search_alpha(pair, start, [1.0], TIGHT,
-                                         warm_start=sol.beta2_hat,
-                                         value_at_zero=sol.value)
+                                         warm_start=sol.beta2_hat)
         assert alpha == 0.0
         assert value <= 1e-12
 
@@ -170,8 +170,7 @@ class TestLineSearch:
                                             cubic_quadratic_space())
         assert psi > 0.0
         alpha, value = line_search_alpha(pair, start, x_new, TIGHT,
-                                         warm_start=sol.beta2_hat,
-                                         value_at_zero=sol.value)
+                                         warm_start=sol.beta2_hat)
         assert alpha > 0.0
         assert value > sol.value
         scan = [minimize_beta2(pair, mix_design(start, x_new, a), TIGHT).value
@@ -200,6 +199,78 @@ class TestLineSearch:
             g = [minimize_beta2(pair, mix_design(d, x, t), TIGHT).value
                  for t in (a, (a + b) / 2, b)]
             assert g[1] >= (g[0] + g[2]) / 2 - 1e-8
+
+
+SEGMENT_REFERENCE = Design(DesignSpace([-1.0], [1.0]), np.linspace(0.2, 1.0, 6)[:, None],
+                           np.full(6, 1 / 6))
+
+
+@st.composite
+def segments(draw, family: str, regularized: bool):
+    """A line search's pair, design and regularization, with an interior step
+    a at which to compare the slope with the derivative."""
+    d2 = draw(st.integers(1, 3))
+    exponents = sorted(draw(st.lists(st.integers(0, 4), min_size=d2, max_size=d2,
+                                     unique=True)))
+    beta1 = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))
+    if family == "logistic":
+        pair = LogisticGlmPair.from_exponents(
+            beta1, exponents, ParamBox([-10.0] * d2, [10.0] * d2))
+    else:
+        pair = GaussianRegressionPair.from_exponents(
+            beta1, exponents, ParamBox([-50.0] * d2, [50.0] * d2),
+            draw(st.floats(0.2, 2.0)))
+    m = draw(st.integers(1, 5))
+    points = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+    design = Design(SEGMENT_REFERENCE.space, np.array(points)[:, None], raw / raw.sum())
+    reg = None
+    if regularized:
+        reg = RegularizationConfig(gamma=draw(st.sampled_from([0.05, 0.2])),
+                                   xi_tilde=SEGMENT_REFERENCE)
+    return pair, design, reg, draw(st.floats(0.05, 0.95))
+
+
+class TestLineSearchProperties:
+    @pytest.mark.parametrize("regularized", [False, True], ids=["plain", "regularized"])
+    @pytest.mark.parametrize("family", ["gaussian", "logistic"])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=4)
+    @given(data=st.data())
+    def test_step_is_the_maximum_and_the_slope_is_the_derivative(self, family,
+                                                                 regularized, data):
+        pair, design, reg, a = data.draw(segments(family, regularized))
+
+        def solve(t, warm=None):
+            target = mix_design(design, x_new, t) if t > 0.0 else design
+            if reg is not None:
+                target = blend_designs(target, reg.xi_tilde, reg.gamma)
+            return minimize_beta2(pair, target, TIGHT, warm_start=warm)
+
+        # the segment the loop takes: toward the top of the psi scan
+        x_new, _ = best_support_candidate(pair, design, solve(0.0).beta2_hat,
+                                          design.space)
+
+        # the slope line_search_alpha hands to its root find, if it gets there
+        slopes = []
+
+        def spy(f, *args, **kwargs):
+            slopes.append(f)
+            return brentq(f, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algorithm, "brentq", spy)
+            alpha, value = line_search_alpha(pair, design, x_new, TIGHT, reg=reg)
+        assert value == pytest.approx(solve(alpha).value, abs=1e-9)
+        scan, warm = [], None
+        for t in np.linspace(0.0, 1.0, 1001):
+            sol = solve(t, warm)
+            scan.append(sol.value)
+            warm = sol.beta2_hat
+        assert value >= max(scan) - 1e-9
+        if slopes and not solve(a).singular_flag:
+            h = 1e-5
+            derivative = (solve(a + h).value - solve(a - h).value) / (2 * h)
+            assert slopes[0](a) == pytest.approx(derivative, rel=1e-6, abs=1e-10)
 
 
 class TestRuns:
@@ -254,6 +325,17 @@ class TestRuns:
         run = run_first_order(pair, start, space, algo, benchmark_inner_config())
         assert run.history[-1].singular_flag
         assert run.termination_reason == STALLED_REGULARIZED
+
+    def test_plain_run_refuses_the_synthetic_family(self):
+        start = Design(DesignSpace([0.0], [1.0]), [[0.2], [0.9]], [0.5, 0.5])
+        with pytest.raises(UnsupportedModelError):
+            run_first_order(SyntheticFamily(), start, start.space)
+
+    def test_regularized_run_refuses_the_synthetic_family(self):
+        start = Design(DesignSpace([0.0], [1.0]), [[0.2], [0.9]], [0.5, 0.5])
+        with pytest.raises(UnsupportedModelError):
+            run_regularized(SyntheticFamily(), start, start.space, AlgoConfig(),
+                            InnerConfig(), RegularizationConfig())
 
     def test_logistic_regularized_run(self, ctx):
         run = ctx.logistic_regularized_run()

@@ -208,6 +208,14 @@ class TestRun:
             load_run_config(write(tmp_path / "run.yaml", BASE_MODEL +
                                   "initial_design: start.json\n"))
 
+    def test_synthetic_family_kind_exits_1(self, tmp_path, capsys):
+        # a discontinuity example with closed forms, not a design problem
+        cfg = write(tmp_path / "run.yaml", "model:\n  kind: synthetic-family\n"
+                    "space:\n  lower: [0]\n  upper: [1]\n")
+        rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"), "--quiet"])
+        assert rc == 1
+        assert "model.kind: expected one of" in capsys.readouterr().err
+
     def test_missing_design_file_names_it(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.yaml", BASE_MODEL +
                     "initial_design: absent.json\n")

@@ -62,17 +62,6 @@ def gaussian_instances(draw):
 
 
 @st.composite
-def synthetic_instances(draw):
-    box = ParamBox([draw(st.sampled_from([1e-6, 0.1]))],
-                   [draw(st.sampled_from([3.0, 10.0, 50.0, 1000.0]))])
-    m = draw(st.integers(1, 6))
-    points = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
-    design = Design(DesignSpace([0.0], [1.0]), np.array(points)[:, None],
-                    _weights(draw, m))
-    return SyntheticFamily(box), design
-
-
-@st.composite
 def logistic_instances(draw):
     d2 = draw(st.integers(1, 3))
     exponents = sorted(draw(st.lists(st.integers(0, 3), min_size=d2, max_size=d2,
@@ -311,37 +300,13 @@ class TestOracle:
         with pytest.raises(UnsupportedModelError):
             least_squares_oracle(SyntheticFamily(), d0)
 
+    def test_solve_rejects_the_synthetic_family(self):
+        d0 = Design(DesignSpace([0.0], [1.0]), [[0.5]], [1.0])
+        with pytest.raises(UnsupportedModelError):
+            minimize_beta2(SyntheticFamily(), d0)
+
 
 class TestCriterionValue:
     def test_synthetic_uniform_fixture(self):
         fam = SyntheticFamily(ParamBox([1e-6], [50.0]))
         assert fam.uniform_criterion() == 1.0
-
-    def test_synthetic_solve_matches_a_dense_scan(self):
-        fam = SyntheticFamily(ParamBox([1e-6], [50.0]))
-        space = DesignSpace([0.0], [1.0])
-        scan = np.linspace(1e-6, 50.0, 5001)
-        for points, weights in (([[0.5]], [1.0]), ([[0.2], [0.9]], [0.3, 0.7]),
-                                ([[0.0], [0.5], [1.0]], [0.2, 0.5, 0.3])):
-            design = Design(space, points, weights)
-            sol = minimize_beta2(fam, design)
-            dense = min(kl_average(fam, design, [b]) for b in scan)
-            assert sol.value <= dense + 1e-12
-            assert not sol.singular_flag
-
-    @EXAMPLES
-    @given(synthetic_instances())
-    def test_synthetic_polish_matches_a_simplex_polish(self, instance):
-        # Reference: a box-clipped simplex from the best of 201 scan nodes,
-        # confined to that node's cell.
-        fam, design = instance
-        box = fam.theta2
-        nodes = np.linspace(box.lower, box.upper, 201)
-        scan = [kl_average(fam, design, b) for b in nodes]
-        best = nodes[int(np.argmin(scan))]
-        cell = (box.upper - box.lower) / 200
-        _, reference = nelder_mead_box(
-            lambda b: kl_average(fam, design, b), best,
-            np.maximum(box.lower, best - cell), np.minimum(box.upper, best + cell),
-            xatol=1e-9, fatol=1e-14, max_iter=800, initial_step=0.25 * cell)
-        assert minimize_beta2(fam, design).value <= reference + 1e-8

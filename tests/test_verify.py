@@ -10,8 +10,9 @@ from kldesign.benchmarks import (cubic_quadratic_optimum, cubic_quadratic_pair,
                                  logistic_pair, logistic_reference_design,
                                  logistic_space, verify_inner_config)
 from kldesign.designs import AffineMap, Design, DesignSpace
-from kldesign.errors import DomainError
+from kldesign.errors import DomainError, UnsupportedModelError
 from kldesign.inner import InnerConfig, least_squares_oracle
+from kldesign.models import SyntheticFamily
 from kldesign.verify import (CERTIFIED, REJECTED, SINGULAR, equivalence_check,
                              invariance_check)
 
@@ -83,6 +84,11 @@ class TestEquivalenceCheck:
         with pytest.raises(DomainError, match="reference design"):
             equivalence_check(logistic_pair(), d0, grid_size=1001,
                               inner_config=verify_inner_config(), reg=reg)
+
+    def test_refuses_the_synthetic_family(self):
+        design = Design(DesignSpace([0.0], [1.0]), [[0.2], [0.9]], [0.5, 0.5])
+        with pytest.raises(UnsupportedModelError):
+            equivalence_check(SyntheticFamily(), design)
 
     def test_certified_verdict_stable_under_grid_refinement(self):
         for grid in (1001, 2001, 4001):
