@@ -24,7 +24,7 @@ from .errors import (ConfigError, DomainError, KLDesignError, SingularMapError,
 from .inner import InnerConfig, InnerSolution, least_squares_oracle, minimize_beta2
 from .models import (GaussianRegressionPair, LogisticGlmPair, ModelPair, ParamBox,
                      PolynomialPair, SyntheticFamily, glm_fisher_information,
-                     glm_is_regular, kl_average, kl_pointwise, monomial_basis,
+                     glm_is_regular, kl_average, monomial_basis,
                      reparametrize_under_affine)
 from .verify import (CERTIFIED, REJECTED, SINGULAR, EquivalenceReport,
                      InvarianceReport, equivalence_check, invariance_check)
@@ -44,7 +44,7 @@ __all__ = [
     "default_reference_design", "efficiency_bound",
     "equivalence_check", "glm_fisher_information", "glm_is_regular",
     "invariance_check", "iterations_to_csv", "kl_average",
-    "kl_pointwise", "least_squares_oracle", "line_search_alpha", "minimize_beta2",
+    "least_squares_oracle", "line_search_alpha", "minimize_beta2",
     "mix_design", "monomial_basis", "prune_support",
     "reparametrize_under_affine", "run_first_order", "run_regularized",
     "transform_design", "validate_design", "wasserstein_distance",

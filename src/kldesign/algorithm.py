@@ -6,7 +6,7 @@ One iteration, given the current design xi_n:
    warm-started from the previous iterate's solution);
 2. best-point search: x_n maximizing psi over the domain, read off
    `psi_scan`, the scan the certificate uses (exact for Gaussian pairs);
-3. stopping check: the efficiency bound U = [1 + psi_max / value]^{-1},
+3. stopping check: the efficiency bound U = value / (value + psi_max),
    a lower bound on value / optimum, is evaluated here, after the
    best-point search and before any further work. A rival that attains
    the true model stops the run first, a singular inner solve the plain
@@ -14,15 +14,18 @@ One iteration, given the current design xi_n:
 4. step size: exact line search of the criterion along the segment
    (1-a) xi_n + a delta_{x_n}. The criterion is concave along the segment,
    and each inner solve's minimizer gives its supergradient in a (Danskin),
-   so the step is the root of that slope, bracketed by its signs at 0 and 1;
+   so the step is the root of that slope, bracketed by its signs at 0 and 1.
+   The search starts from step 1's solution, so a = 0 is not solved again,
+   and it returns the solution on the mixture it steps to;
 5. housekeeping on a fixed schedule:
    support points near x_n are collapsed to a barycenter whose radius
    shrinks like 0.05 * diameter * n^-0.65 while the anchor's barycenter
    weight grows like n^0.8, then points with weight below 0.1 times the
-   mean weight of the other points are pruned. A guard
-   re-solves the cleaned design and falls back to the raw mixture if
-   cleanup would break the monotone-ascent guarantee of the exact line
-   search.
+   mean weight of the other points are pruned. When neither changes the
+   mixture, the next iteration starts from the line search's solution;
+   otherwise the cleaned design is solved once, and a guard falls back to
+   the raw mixture and its solution if cleanup would break the
+   monotone-ascent guarantee of the exact line search.
 
 Singular problems (non-unique inner minimizer) make the directional
 derivative meaningless, so the plain loop stops with reason
@@ -179,17 +182,19 @@ def iterations_to_csv(history) -> str:
 
 
 def efficiency_bound(value: float, psi_max: float) -> float:
-    """Lower bound U = [1 + psi_max / value]^{-1} on the design's efficiency.
+    """Lower bound U = value / (value + psi_max) on the design's efficiency.
 
     The criterion is concave, so optimum <= value + psi_max and hence
-    value / optimum >= U. Whenever psi_max >= 0 this is a number in (0, 1];
-    it is the stopping certificate of the loop.
+    value / optimum >= U. Whenever psi_max >= 0 this is a number in [0, 1]
+    (0 for a zero value with a positive gap, a true if weak bound); it is
+    the stopping certificate of the loop.
     """
-    if value <= 0.0:
+    total = value + psi_max
+    if total <= 0.0:
         raise UndefinedEfficiencyError(
-            "criterion value is not positive; the rival model attains the true "
-            "model and no efficiency bound exists")
-    return 1.0 / (1.0 + psi_max / value)
+            "no divergence on the domain is positive; the rival model attains "
+            "the true model and no efficiency bound exists")
+    return value / total
 
 
 def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
@@ -218,10 +223,9 @@ def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
     return points[i].copy(), float(psi[i])
 
 
-def line_search_alpha(pair: ModelPair, design: Design, x_new,
+def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSolution,
                       inner_config: InnerConfig = InnerConfig(), *,
-                      reg: RegularizationConfig | None = None,
-                      warm_start=None):
+                      reg: RegularizationConfig | None = None):
     """Exact step size: maximize g(a) = criterion((1-a) design + a delta_x).
 
     g is the minimum over beta2 of functions linear in a, so it is concave,
@@ -231,38 +235,45 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new,
     wherever b_a is unique. For a concave g the sign of any supergradient
     tells on which side of a the maximum lies: slope(0) <= 0 means no ascent
     step, slope(1) >= 0 means the full step, and otherwise the step is the
-    sign change of slope on (0, 1), found with `brentq`. Each inner solve is
-    warm-started from the previous one's minimizer, and each a is solved
-    once. Returns (alpha, g(alpha)); alpha = 0.0 signals that no ascent step
-    exists.
+    sign change of slope on (0, 1), found with `brentq`.
+
+    `start` is the inner solution on the design itself (blended with the
+    reference when regularizing), so g(0) and b_0 are read off it and a = 0
+    is never solved. Every other a is solved once, warm-started from the
+    previous solve's minimizer. Returns (alpha, the inner solution at
+    alpha); (0.0, start) signals that no ascent step exists.
     """
     points = np.append(design.points[:, 0], x_new)  # the support, then x_new
     scale = 1.0 - (reg.gamma if reg is not None else 0.0)
-    warm = {"beta": warm_start}
-    solved: dict[float, tuple[float, float]] = {}
 
-    def solve(a: float) -> tuple[float, float]:
+    def with_slope(sol: InnerSolution) -> tuple[InnerSolution, float]:
+        row = pair.divergence(points, sol.beta2_hat)
+        return sol, scale * (row[-1] - design.weights @ row[:-1])
+
+    solved = {0.0: with_slope(start)}
+    warm = start.beta2_hat
+
+    def solve(a: float) -> tuple[InnerSolution, float]:
+        nonlocal warm
         if a not in solved:
             mixed = mix_design(design, x_new, a)
             if reg is not None:
                 mixed = blend_designs(mixed, reg.xi_tilde, reg.gamma)
-            sol = minimize_beta2(pair, mixed, inner_config, warm_start=warm["beta"])
-            warm["beta"] = sol.beta2_hat
-            row = pair.divergence(points, sol.beta2_hat)
-            solved[a] = sol.value, scale * (row[-1] - design.weights @ row[:-1])
+            solved[a] = with_slope(minimize_beta2(pair, mixed, inner_config,
+                                                  warm_start=warm))
+            warm = solved[a][0].beta2_hat
         return solved[a]
 
-    g0, slope0 = solve(0.0)
-    if slope0 <= 0.0:
-        return 0.0, g0
+    if solved[0.0][1] <= 0.0:
+        return 0.0, start
     if solve(1.0)[1] >= 0.0:
         alpha = 1.0
     else:
         alpha = brentq(lambda a: solve(a)[1], 0.0, 1.0, xtol=_STEP_XTOL)
-    value = solve(alpha)[0]
-    if value - g0 <= _LS_IMPROVEMENT_TOL * max(1.0, abs(g0)):
-        return 0.0, g0
-    return alpha, value
+    sol = solve(alpha)[0]
+    if sol.value - start.value <= _LS_IMPROVEMENT_TOL * max(1.0, abs(start.value)):
+        return 0.0, start
+    return alpha, sol
 
 
 def default_reference_design(pair: ModelPair, space: DesignSpace) -> Design:
@@ -348,8 +359,8 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
             stop = EFFICIENCY_REACHED
 
         if stop is None:
-            alpha, _ = line_search_alpha(pair, design, x_n, inner_cfg, reg=reg,
-                                         warm_start=inner.beta2_hat)
+            alpha, step_inner = line_search_alpha(pair, design, x_n, inner,
+                                                  inner_cfg, reg=reg)
             if alpha == 0.0:
                 if not regularizing and psi_max > _STALL_PSI_TOL * max(1.0, value):
                     stop = STALLED_REGULARIZED
@@ -380,12 +391,14 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
         radius = r0 * n ** (-_COLLAPSE_RADIUS_EXPONENT)
         cleaned = collapse_support(mixed, x_n, radius, n ** _ANCHOR_WEIGHT_EXPONENT)
         cleaned = prune_support(cleaned, rel_threshold=_PRUNE_REL)
-        next_inner = solve_on(cleaned, inner.beta2_hat)
-        if cleaned is not mixed and next_inner.value < value - 1e-13 * max(1.0, abs(value)):
-            # Housekeeping moved the support too far; keep the raw mixture.
-            alt_inner = solve_on(mixed, inner.beta2_hat)
-            if alt_inner.value > next_inner.value:
-                cleaned, next_inner = mixed, alt_inner
+        if cleaned is mixed:
+            next_inner = step_inner  # the line search solved this very mixture
+        else:
+            next_inner = solve_on(cleaned, inner.beta2_hat)
+            if (next_inner.value < value - 1e-13 * max(1.0, abs(value))
+                    and step_inner.value > next_inner.value):
+                # Housekeeping moved the support too far; keep the raw mixture.
+                cleaned, next_inner = mixed, step_inner
         design, inner = cleaned, next_inner
 
     last = history[-1]

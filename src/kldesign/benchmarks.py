@@ -11,9 +11,6 @@ Two problem fixtures are shipped:
   it exercises the regularized path. The true-model coefficients (1, 1, 1)
   are a documented implementation choice; the singular geometry holds for
   any nonzero intercept.
-
-Every check accepts a `tolerance_scale` that multiplies its acceptance
-tolerances; scaling them down is the documented hook for forcing failures.
 """
 
 import shutil
@@ -175,20 +172,20 @@ class BenchmarkContext:
 # Acceptance checks
 
 
-def check_benchmark_optimum(ctx: BenchmarkContext, scale: float = 1.0) -> CheckResult:
+def check_benchmark_optimum(ctx: BenchmarkContext) -> CheckResult:
     """First-order run on the cubic-vs-quadratic pair reaches the known optimum."""
     t0 = time.perf_counter()
     run = ctx.benchmark_run()
     dt = time.perf_counter() - t0
     dist = wasserstein_distance(run.final_design, cubic_quadratic_optimum())
     beta_err = float(np.max(np.abs(run.history[-1].beta2_hat - OPTIMUM_BETA2)))
-    lo = OPTIMUM_VALUE * (1.0 - 0.02 * scale)
-    hi = OPTIMUM_VALUE * (1.0 + 0.001 * scale)
+    lo = OPTIMUM_VALUE * (1.0 - 0.02)
+    hi = OPTIMUM_VALUE * (1.0 + 0.001)
     iterations = len(run.history)
     passed = (run.termination_reason == EFFICIENCY_REACHED
-              and dist <= 0.02 * scale
+              and dist <= 0.02
               and lo <= run.final_value <= hi
-              and beta_err <= 1e-3 * scale
+              and beta_err <= 1e-3
               and iterations <= 500
               and dt <= 60.0)
     return CheckResult(
@@ -198,7 +195,7 @@ def check_benchmark_optimum(ctx: BenchmarkContext, scale: float = 1.0) -> CheckR
          "beta2_err": f"{beta_err:.2e}"})
 
 
-def check_optimum_certificate(ctx: BenchmarkContext, scale: float = 1.0) -> CheckResult:
+def check_optimum_certificate(ctx: BenchmarkContext) -> CheckResult:
     """Equivalence check certifies the analytic optimum; derivative vanishes
     exactly on the support and is strictly negative off it."""
     t0 = time.perf_counter()
@@ -212,7 +209,7 @@ def check_optimum_certificate(ctx: BenchmarkContext, scale: float = 1.0) -> Chec
     off_psi = report.grid_psi[nearest]
     dt = time.perf_counter() - t0
     passed = (report.verdict == CERTIFIED
-              and support_err <= 1e-8 * scale
+              and support_err <= 1e-8
               and bool(np.all(off_psi < 0.0)))
     return CheckResult(
         "equivalence certificate at the analytic optimum", passed, dt,
@@ -220,7 +217,7 @@ def check_optimum_certificate(ctx: BenchmarkContext, scale: float = 1.0) -> Chec
          "offset_psi_max": f"{float(off_psi.max()):.4e}"})
 
 
-def check_affine_invariance(ctx: BenchmarkContext, scale: float = 1.0) -> CheckResult:
+def check_affine_invariance(ctx: BenchmarkContext) -> CheckResult:
     """Run on the rescaled domain reaches the mapped optimum; criterion values
     agree across the transform."""
     from .designs import AffineMap, transform_design
@@ -237,9 +234,9 @@ def check_affine_invariance(ctx: BenchmarkContext, scale: float = 1.0) -> CheckR
     inv_final = invariance_check(pair, pulled_back, amap, verify_inner_config())
     dt = time.perf_counter() - t0
     passed = (run.termination_reason == EFFICIENCY_REACHED
-              and dist <= 0.08 * scale
-              and inv_opt.difference <= 1e-8 * scale
-              and inv_final.difference <= 1e-8 * scale)
+              and dist <= 0.08
+              and inv_opt.difference <= 1e-8
+              and inv_final.difference <= 1e-8)
     return CheckResult(
         "affine invariance on [-2, 6] (delta=0.95)", passed, dt,
         {"reason": run.termination_reason, "wasserstein": f"{dist:.5f}",
@@ -247,7 +244,7 @@ def check_affine_invariance(ctx: BenchmarkContext, scale: float = 1.0) -> CheckR
          "value_gap_final": f"{inv_final.difference:.2e}"})
 
 
-def check_singular_logistic(ctx: BenchmarkContext, scale: float = 1.0,
+def check_singular_logistic(ctx: BenchmarkContext,
                             output_dir: Path | None = None) -> CheckResult:
     """Plain run hands off on the singular logistic problem; the regularized
     run concentrates the mass at zero with a nonpositive scaled derivative."""
@@ -267,8 +264,8 @@ def check_singular_logistic(ctx: BenchmarkContext, scale: float = 1.0,
     passed = (plain.termination_reason == STALLED_REGULARIZED
               and reg_run.termination_reason == EFFICIENCY_REACHED
               and len(reg_run.history) <= 10
-              and mass_at_zero >= 1.0 - 0.05 * scale
-              and report.psi_max <= 1e-6 * scale)
+              and mass_at_zero >= 1.0 - 0.05
+              and report.psi_max <= 1e-6)
     return CheckResult(
         "singular logistic problem (gamma=0.05)", passed, dt,
         {"plain_reason": plain.termination_reason,
@@ -278,7 +275,7 @@ def check_singular_logistic(ctx: BenchmarkContext, scale: float = 1.0,
          "psi_gamma_max": f"{report.psi_max:.2e}"})
 
 
-def check_discontinuity_gap(ctx: BenchmarkContext, scale: float = 1.0) -> CheckResult:
+def check_discontinuity_gap(ctx: BenchmarkContext) -> CheckResult:
     """Closed-form averages of the synthetic family match quadrature, and the
     truncated-uniform criterion stays far below the uniform-limit value."""
     t0 = time.perf_counter()
@@ -300,7 +297,7 @@ def check_discontinuity_gap(ctx: BenchmarkContext, scale: float = 1.0) -> CheckR
     gap = abs(fam.truncated_uniform_criterion(100, box) - fam.uniform_criterion(box))
     dt = time.perf_counter() - t0
     passed = (formula_err == 0.0 and uniform_err == 0.0
-              and quad_err <= 1e-9 and gap >= 0.9 * scale)
+              and quad_err <= 1e-9 and gap >= 0.9)
     return CheckResult(
         "criterion discontinuity on the synthetic family", passed, dt,
         {"formula_err": f"{formula_err:.1e}", "quadrature_err": f"{quad_err:.1e}",
@@ -322,7 +319,7 @@ def _random_gaussian_instance(rng: np.random.Generator):
     return pair, design
 
 
-def check_oracle_suite(ctx: BenchmarkContext, scale: float = 1.0) -> CheckResult:
+def check_oracle_suite(ctx: BenchmarkContext) -> CheckResult:
     """Property suite: solver vs least-squares oracle, derivative centering,
     ascent monotonicity of logged runs, the two Wasserstein routes, and the
     proportionality of the regularized derivative."""
@@ -363,11 +360,11 @@ def check_oracle_suite(ctx: BenchmarkContext, scale: float = 1.0) -> CheckResult
     prop_err = _psi_gamma_proportionality_error(rng)
 
     dt = time.perf_counter() - t0
-    passed = (oracle_err <= 1e-8 * scale
-              and centering_err <= 1e-10 * scale
-              and ascent_drop <= 1e-10 * scale
-              and w_err <= 1e-9 * scale
-              and prop_err <= 1e-10 * scale)
+    passed = (oracle_err <= 1e-8
+              and centering_err <= 1e-10
+              and ascent_drop <= 1e-10
+              and w_err <= 1e-9
+              and prop_err <= 1e-10)
     return CheckResult(
         "oracle and property suite", passed, dt,
         {"wls_oracle_err": f"{oracle_err:.2e}",
@@ -416,7 +413,7 @@ def _psi_gamma_proportionality_error(rng: np.random.Generator) -> float:
     return worst
 
 
-def check_glm_regularity(ctx: BenchmarkContext, scale: float = 1.0) -> CheckResult:
+def check_glm_regularity(ctx: BenchmarkContext) -> CheckResult:
     """Rank test, information-matrix eigenvalue test and the regularity flag
     agree on 200 random logistic design matrices."""
     t0 = time.perf_counter()
@@ -457,7 +454,7 @@ def check_glm_regularity(ctx: BenchmarkContext, scale: float = 1.0) -> CheckResu
         {"disagreements": disagreements})
 
 
-def check_cli_determinism(ctx: BenchmarkContext, scale: float = 1.0) -> CheckResult:
+def check_cli_determinism(ctx: BenchmarkContext) -> CheckResult:
     """Two runs of one config give byte-identical iterations.csv and
     result.json apart from its timestamp line."""
     from . import cli
@@ -520,14 +517,13 @@ ALL_CHECKS = (
 )
 
 
-def run_benchmarks(names=None, tolerance_scale: float = 1.0,
-                   output_dir: Path | None = None) -> list[CheckResult]:
+def run_benchmarks(names=None, output_dir: Path | None = None) -> list[CheckResult]:
     ctx = BenchmarkContext()
     selected = [(n, f) for n, f in ALL_CHECKS if names is None or n in names]
     results = []
     for name, func in selected:
         if func is check_singular_logistic:
-            results.append(func(ctx, tolerance_scale, output_dir=output_dir))
+            results.append(func(ctx, output_dir=output_dir))
         else:
-            results.append(func(ctx, tolerance_scale))
+            results.append(func(ctx))
     return results

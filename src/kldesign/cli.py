@@ -16,7 +16,7 @@ from . import benchmarks
 from .algorithm import (EFFICIENCY_REACHED, MAX_ITERATIONS, RIVAL_ATTAINS_TRUTH,
                         STALLED, STALLED_REGULARIZED, CSV_HEADER, iteration_csv_line,
                         iterations_to_csv, run_first_order, run_regularized)
-from .config import _to_float, load_design_file, load_run_config
+from .config import _check_design, _to_float, load_design_file, load_run_config
 from .designs import AffineMap, transform_design
 from .errors import ConfigError, KLDesignError, SingularMapError
 from .verify import CERTIFIED, REJECTED, SINGULAR, equivalence_check
@@ -85,9 +85,6 @@ def _parser() -> argparse.ArgumentParser:
                          help="print fixture names without running")
     p_bench.add_argument("--only", action="append", default=None,
                          help="run only the named fixture (repeatable)")
-    p_bench.add_argument("--tolerance-scale", type=float, default=1.0,
-                         help="scale every acceptance tolerance (test hook; "
-                              "1.0 reproduces the shipped tolerances)")
     _common_flags(p_bench)
     p_bench.set_defaults(func=cmd_benchmark)
     return parser
@@ -130,7 +127,8 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     setup = load_run_config(args.config, output_dir_override=args.output_dir)
-    design = load_design_file(Path(args.design))
+    path = Path(args.design)
+    design = _check_design(load_design_file(path), setup.space, path)
     report = equivalence_check(setup.pair, design, space=setup.space,
                                inner_config=setup.inner, reg=setup.reg)
     outdir = setup.output_dir
@@ -171,8 +169,7 @@ def cmd_benchmark(args) -> int:
             raise ConfigError(f"unknown fixture(s): {sorted(unknown)}; "
                               f"available: {names}")
     outdir = Path(args.output_dir) if args.output_dir else None
-    results = benchmarks.run_benchmarks(selected, args.tolerance_scale,
-                                        output_dir=outdir)
+    results = benchmarks.run_benchmarks(selected, output_dir=outdir)
     for res in results:
         print(res.summary())
     failed = [r for r in results if not r.passed]

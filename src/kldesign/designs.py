@@ -165,27 +165,15 @@ def validate_design(design: Design, space: DesignSpace | None = None) -> Validat
 def mix_design(design: Design, new_point, alpha: float) -> Design:
     """Mixture (1-alpha)*design + alpha*delta_{new_point}.
 
-    Merges the new point into an existing support point when they coincide
-    within the duplicate tolerance. alpha=0 returns the design unchanged.
+    This is `blend_designs` with a point mass, so the new point merges into a
+    support point it coincides with. alpha=0 returns the design unchanged.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     x = _as_point(new_point)
     if not design.space.contains(x)[0]:
         raise DomainError(f"point {x.tolist()} outside the design space")
-    if alpha == 0.0:
-        return design
-    w = design.weights * (1.0 - alpha)
-    match = np.abs(design.points[:, 0] - x[0]) <= DUPLICATE_TOL
-    if match.any():
-        w = w.copy()
-        w[np.argmax(match)] += alpha
-        pts = design.points
-    else:
-        pts = np.vstack([design.points, x])
-        w = np.append(w, alpha)
-    keep = w > 0.0  # alpha=1 zeroes every old weight
-    return Design(design.space, pts[keep], w[keep])
+    return blend_designs(design, Design(design.space, x, [1.0]), alpha)
 
 
 def blend_designs(first: Design, second: Design, alpha: float) -> Design:

@@ -306,12 +306,6 @@ class SyntheticFamily:
 ModelPair = Union[GaussianRegressionPair, LogisticGlmPair]
 
 
-def kl_pointwise(pair: ModelPair, x, beta2) -> float:
-    """Pointwise divergence I(x, beta2) at a single experimental condition."""
-    pt = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    return float(pair.divergence(pt, beta2)[0])
-
-
 def kl_average(pair: ModelPair, design: Design, beta2) -> float:
     """Design-weighted average of the pointwise divergence."""
     return float(design.weights @ pair.divergence(design.points, beta2))

@@ -135,9 +135,13 @@ class TestEfficiencyBound:
     def test_open_interval(self):
         assert efficiency_bound(0.05, 0.0125) == pytest.approx(0.8, abs=1e-15)
 
-    def test_nonpositive_value_raises(self):
+    def test_zero_value_with_a_positive_gap_is_zero(self):
+        # a rank-deficient start can have value 0; U = 0 is still a true bound
+        assert efficiency_bound(0.0, 0.1) == 0.0
+
+    def test_no_positive_divergence_raises(self):
         with pytest.raises(UndefinedEfficiencyError):
-            efficiency_bound(0.0, 0.1)
+            efficiency_bound(0.0, 0.0)
 
 
 class TestLineSearch:
@@ -145,10 +149,18 @@ class TestLineSearch:
         pair = cubic_quadratic_pair()
         opt = cubic_quadratic_optimum()
         sol = minimize_beta2(pair, opt, TIGHT)
-        alpha, value = line_search_alpha(pair, opt, [0.3], TIGHT,
-                                         warm_start=sol.beta2_hat)
+        solves = []
+
+        def spy(*args, **kwargs):
+            solves.append(args)
+            return minimize_beta2(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algorithm, "minimize_beta2", spy)
+            alpha, step = line_search_alpha(pair, opt, [0.3], sol, TIGHT)
         assert alpha == 0.0
-        assert value == sol.value
+        assert step is sol
+        assert solves == []  # g(0) and its slope are read off the start
 
     def test_segment_through_an_interpolatable_mixture_has_no_ascent(self):
         # two support points are always fit exactly by the quadratic rival,
@@ -157,10 +169,9 @@ class TestLineSearch:
         start = Design(cubic_quadratic_space(), [[-1.0]], [1.0])
         sol = minimize_beta2(pair, start, TIGHT)
         assert sol.value <= 1e-12
-        alpha, value = line_search_alpha(pair, start, [1.0], TIGHT,
-                                         warm_start=sol.beta2_hat)
+        alpha, step = line_search_alpha(pair, start, [1.0], sol, TIGHT)
         assert alpha == 0.0
-        assert value <= 1e-12
+        assert step.value <= 1e-12
 
     def test_matches_grid_scan(self):
         pair = cubic_quadratic_pair()
@@ -169,8 +180,8 @@ class TestLineSearch:
         x_new, psi = best_support_candidate(pair, start, sol.beta2_hat,
                                             cubic_quadratic_space())
         assert psi > 0.0
-        alpha, value = line_search_alpha(pair, start, x_new, TIGHT,
-                                         warm_start=sol.beta2_hat)
+        alpha, step = line_search_alpha(pair, start, x_new, sol, TIGHT)
+        value = step.value
         assert alpha > 0.0
         assert value > sol.value
         scan = [minimize_beta2(pair, mix_design(start, x_new, a), TIGHT).value
@@ -182,10 +193,9 @@ class TestLineSearch:
         pair = cubic_quadratic_pair()
         d = cubic_quadratic_start()
         sol = minimize_beta2(pair, d, TIGHT)
-        alpha, value = line_search_alpha(pair, d, d.points[0], TIGHT,
-                                         warm_start=sol.beta2_hat)
+        alpha, step = line_search_alpha(pair, d, d.points[0], sol, TIGHT)
         if alpha == 0.0:
-            assert value == pytest.approx(sol.value, abs=1e-10)
+            assert step.value == pytest.approx(sol.value, abs=1e-10)
 
     def test_concavity_along_segments(self):
         rng = np.random.default_rng(83)
@@ -259,7 +269,9 @@ class TestLineSearchProperties:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(algorithm, "brentq", spy)
-            alpha, value = line_search_alpha(pair, design, x_new, TIGHT, reg=reg)
+            alpha, step = line_search_alpha(pair, design, x_new, solve(0.0), TIGHT,
+                                            reg=reg)
+        value = step.value
         assert value == pytest.approx(solve(alpha).value, abs=1e-9)
         scan, warm = [], None
         for t in np.linspace(0.0, 1.0, 1001):
@@ -303,6 +315,37 @@ class TestRuns:
             assert a.value == b.value
             assert a.alpha == b.alpha
             np.testing.assert_array_equal(a.design.points, b.design.points)
+
+    def test_each_design_is_solved_once(self):
+        # the line search starts from the loop's solution and hands back the
+        # one at its step; one-point designs may recur when x_n does
+        solved = []
+
+        def spy(pair, design, *args, **kwargs):
+            if design.size >= 2:
+                solved.append((design.points.tobytes(), design.weights.tobytes()))
+            return minimize_beta2(pair, design, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algorithm, "minimize_beta2", spy)
+            run = run_first_order(cubic_quadratic_pair(), cubic_quadratic_start(),
+                                  cubic_quadratic_space(),
+                                  AlgoConfig(max_iterations=10),
+                                  benchmark_inner_config())
+        assert len(run.history) == 10
+        assert len(solved) > 10
+        assert len(set(solved)) == len(solved)
+
+    def test_one_point_start_hands_off(self):
+        # value 0 with psi_max > 0 gives U = 0, not an undefined bound
+        space = cubic_quadratic_space()
+        with pytest.warns(UserWarning, match="rank deficient"):
+            run = run_first_order(cubic_quadratic_pair(), Design(space, [[0.0]], [1.0]),
+                                  space, AlgoConfig(), FAST)
+        assert run.termination_reason == STALLED_REGULARIZED
+        assert run.history[0].value == 0.0
+        assert run.history[0].psi_max > 0.0
+        assert run.history[0].efficiency == 0.0
 
     def test_logistic_plain_run_hands_off(self, ctx):
         run = ctx.logistic_plain_run()

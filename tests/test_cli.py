@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kldesign import cli
-from kldesign.benchmarks import (cubic_quadratic_optimum, logistic_space,
+from kldesign import benchmarks, cli
+from kldesign.benchmarks import (CheckResult, cubic_quadratic_optimum, logistic_space,
                                  verify_inner_config)
 from kldesign.config import load_run_config
 from kldesign.designs import Design, DesignSpace
@@ -229,6 +229,18 @@ class TestRun:
         rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"), "--quiet"])
         assert rc == 3
 
+    def test_one_point_start_stalls_and_exits_3(self, tmp_path):
+        # value 0 with a positive gap: U = 0 is a bound, not a rival attaining truth
+        start = START_DESIGN.replace("[[-1.0], [-0.6], [0.1], [0.8]]", "[[0.0]]")
+        start = start.replace("[0.25, 0.25, 0.25, 0.25]", "[1.0]")
+        cfg = write(tmp_path / "run.yaml", BASE_MODEL + start)
+        with pytest.warns(UserWarning, match="rank deficient"):
+            rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"),
+                           "--quiet"])
+        assert rc == 3
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert result["termination_reason"] == "stalled-regularized"
+
     def test_logistic_with_regularization_succeeds(self, tmp_path):
         cfg = write(tmp_path / "run.yaml", LOGISTIC_MODEL + REGULARIZATION +
                     "algorithm:\n  delta: 0.995\n  max_iterations: 10\n")
@@ -285,6 +297,19 @@ class TestVerify:
         rc = cli.main(["verify", cfg, dpath, "--output-dir", str(tmp_path / "out"),
                        "--quiet"])
         assert rc == 4
+
+    def test_design_outside_the_configured_domain_exits_1(self, tmp_path, capsys):
+        # valid on its own [-2, 2], but the config's domain is [-1, 1]
+        wide = Design(DesignSpace([-2.0], [2.0]), [[-2.0], [-1.0], [1.0], [2.0]],
+                      [1 / 6, 1 / 3, 1 / 3, 1 / 6])
+        dpath = design_file(tmp_path, wide)
+        cfg = write(tmp_path / "cfg.yaml", BASE_MODEL)
+        rc = cli.main(["verify", cfg, dpath, "--output-dir", str(tmp_path / "out"),
+                       "--quiet"])
+        assert rc == 1
+        assert f"config error: {dpath}: point 0 = [-2.0] outside box" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_singular_design_without_gamma_exits_5(self, tmp_path):
         cfg = write(tmp_path / "cfg.yaml", LOGISTIC_MODEL)
@@ -419,11 +444,13 @@ class TestBenchmarkCommand:
         assert "benchmark-optimum" in out
         assert "cli-determinism" in out
 
-    def test_corrupted_tolerance_fails(self):
-        # the discontinuity gap cannot reach 0.9e9
-        rc = cli.main(["benchmark", "--only", "discontinuity-gap",
-                       "--tolerance-scale", "1e9", "--quiet"])
-        assert rc != 0
+    def test_failing_check_exits_1(self, monkeypatch, capsys):
+        def failing(ctx):
+            return CheckResult("always fails", False, 0.0)
+
+        monkeypatch.setattr(benchmarks, "ALL_CHECKS", (("failing", failing),))
+        assert cli.main(["benchmark", "--quiet"]) == 1
+        assert "0/1 checks passed" in capsys.readouterr().out
 
     def test_cheap_fixture_passes(self):
         rc = cli.main(["benchmark", "--only", "discontinuity-gap", "--quiet"])

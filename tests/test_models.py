@@ -8,7 +8,7 @@ from kldesign.designs import AffineMap, Design, DesignSpace, mix_design, transfo
 from kldesign.errors import UnsupportedModelError
 from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
                              PolynomialPair, SyntheticFamily, glm_fisher_information,
-                             glm_is_regular, kl_average, kl_pointwise,
+                             glm_is_regular, kl_average,
                              reparametrize_under_affine)
 
 BOX3 = ParamBox([-5.0] * 3, [5.0] * 3)
@@ -31,7 +31,7 @@ def chebyshev_design() -> Design:
 class TestPointwiseDivergence:
     def test_gaussian_benchmark_point(self):
         # (1 - 3/4)^2 with sigma2 = 1/2
-        assert kl_pointwise(cubic_pair(), 1.0, [0.0, 0.75, 0.0]) == pytest.approx(
+        assert cubic_pair().divergence(1.0, [0.0, 0.75, 0.0])[0] == pytest.approx(
             0.0625, abs=1e-15)
 
     def test_logistic_zero_when_predictors_match(self):
@@ -39,14 +39,14 @@ class TestPointwiseDivergence:
         # eta2(x) = x + x^2 equals eta1(x) - 1 nowhere, so build a matching pair
         match = LogisticGlmPair.from_exponents([0.0, 2.0, -1.0], [1, 2],
                                                ParamBox([-10, -10], [10, 10]))
-        assert kl_pointwise(match, 0.7, [2.0, -1.0]) == pytest.approx(0.0, abs=1e-15)
+        assert match.divergence(0.7, [2.0, -1.0])[0] == pytest.approx(0.0, abs=1e-15)
         # and at any x where eta1 = eta2 by construction
-        assert kl_pointwise(pair, 0.0, [3.0, -2.0]) == pytest.approx(
-            kl_pointwise(pair, 0.0, [0.0, 0.0]), abs=1e-15)
+        assert pair.divergence(0.0, [3.0, -2.0])[0] == pytest.approx(
+            pair.divergence(0.0, [0.0, 0.0])[0], abs=1e-15)
 
     def test_synthetic_upper_branch(self):
         fam = SyntheticFamily()
-        assert kl_pointwise(fam, 0.5, [2.0]) == pytest.approx(0.75, abs=1e-15)
+        assert fam.divergence(0.5, [2.0])[0] == pytest.approx(0.75, abs=1e-15)
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(17)
@@ -58,20 +58,20 @@ class TestPointwiseDivergence:
                     else rng.uniform(0.0, 1.0)
                 b = pair.theta2.lower + rng.uniform(0, 1, d2) * (
                     pair.theta2.upper - pair.theta2.lower)
-                assert kl_pointwise(pair, x, b) >= 0.0
+                assert pair.divergence(x, b)[0] >= 0.0
 
     def test_gaussian_zero_where_means_match(self):
         pair = cubic_pair()
         # x^3 - 0.25 x vanishes at 0 and +-1/2, so the divergence does too
         b = np.array([0.0, 0.25, 0.0])
         for x in (0.0, 0.5, -0.5):
-            assert kl_pointwise(pair, x, b) == pytest.approx(0.0, abs=1e-15)
-        assert kl_pointwise(pair, 1.0, b) > 0.0
+            assert pair.divergence(x, b)[0] == pytest.approx(0.0, abs=1e-15)
+        assert pair.divergence(1.0, b)[0] > 0.0
 
     def test_logistic_stable_for_large_predictors(self):
         pair = LogisticGlmPair.from_exponents([0.0, 700.0], [1, 2],
                                               ParamBox([-700, -700], [700, 700]))
-        val = kl_pointwise(pair, 1.0, [-700.0, 0.0])
+        val = pair.divergence(1.0, [-700.0, 0.0])[0]
         assert np.isfinite(val) and val > 0
 
 
@@ -111,7 +111,7 @@ class TestAverageDivergence:
         pair = cubic_pair()
         d = Design(DesignSpace([-1.0], [1.0]), [[0.3]], [1.0])
         assert kl_average(pair, d, [0.1, 0.2, 0.3]) == pytest.approx(
-            kl_pointwise(pair, 0.3, [0.1, 0.2, 0.3]), abs=1e-16)
+            pair.divergence(0.3, [0.1, 0.2, 0.3])[0], abs=1e-16)
 
     def test_chebyshev_average_at_optimum_parameters(self):
         # |x^3 - 0.75 x| = 1/4 at all four support points
@@ -129,7 +129,7 @@ class TestAverageDivergence:
             a = float(rng.uniform(0, 1))
             b = rng.uniform(-2, 2, 3)
             mixed = mix_design(d, x, a)
-            expected = (1 - a) * kl_average(pair, d, b) + a * kl_pointwise(pair, x, b)
+            expected = (1 - a) * kl_average(pair, d, b) + a * pair.divergence(x, b)[0]
             assert kl_average(pair, mixed, b) == pytest.approx(expected, abs=1e-12)
 
 
