@@ -4,14 +4,17 @@
 
 Runs `perfbench/run.py` on every workload RUNS times untraced, one round of
 all workloads after another with seeds SEED, SEED+1, ..., then once traced at
-SEED, and times one Tier-1 run; a Tier-1 run that does not pass writes no
-file. The file records the median and every run's value of each end-to-end
-metric, the failed and attempted operations, the traced per-layer metrics,
-the Tier-1 wall time and count, the `src/` line count of the work tree and
-of HEAD, the fields of the loop and inner configs, and the machine's CPU
-count. `src_tree` and `perfbench_tree` are the git tree hashes of the
-measured `src/` and `perfbench/`: `git rev-parse <commit>:src` names every
-commit that holds the same code.
+SEED, times one Tier-1 run and runs the acceptance checks of
+`kl-design benchmark` once; a Tier-1 run that does not pass writes no file.
+The file records the median and every run's value of each end-to-end metric,
+the failed and attempted operations, the traced per-layer metrics, the
+Tier-1 wall time and count, each acceptance check's name, pass flag and
+printed values (without its duration, so snapshots of the same code agree),
+the `src/` line count of the work tree and of HEAD, the fields of the loop
+and inner configs, and the machine's CPU count. `src_tree` and
+`perfbench_tree` are the git tree hashes of the measured `src/` and
+`perfbench/`: `git rev-parse <commit>:src` names every commit that holds the
+same code.
 """
 
 import argparse
@@ -60,6 +63,14 @@ def tier1() -> dict:
         sys.exit(f"Tier-1 did not pass (exit {out.returncode}): {summary}")
     passed = re.search(r"(\d+) passed", summary)
     return {"wall_s": round(wall, 2), "passed": int(passed.group(1)), "summary": summary}
+
+
+def acceptance() -> list[dict]:
+    """Outcome and printed values of each `kl-design benchmark` check."""
+    from kldesign.benchmarks import run_benchmarks
+    return [{"name": r.name, "passed": r.passed,
+             "values": ", ".join(f"{k}={v}" for k, v in r.details.items())}
+            for r in run_benchmarks()]
 
 
 def git(*args: str, env=None) -> str:
@@ -127,6 +138,7 @@ def main(argv=None) -> int:
                     "python": platform.python_version(), "platform": platform.platform()},
         "workloads": workloads,
         "tier1": tier1(),
+        "acceptance": acceptance(),
         "src_lines": src_lines(),
         "head_src_lines": src_lines("HEAD"),
         "config_fields": config_fields(),

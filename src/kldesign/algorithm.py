@@ -16,7 +16,9 @@ One iteration, given the current design xi_n:
    and each inner solve's minimizer gives its supergradient in a (Danskin),
    so the step is the root of that slope, bracketed by its signs at 0 and 1.
    The search starts from step 1's solution, so a = 0 is not solved again,
-   and it returns the solution on the mixture it steps to;
+   and it returns the solution on the mixture it steps to. Every trial
+   a in (0, 1) weights the same points, so their rival matrix, divergence
+   closures and rank test are prepared once per search (`inner.Support`);
 5. housekeeping on a fixed schedule:
    support points near x_n are collapsed to a barycenter whose radius
    shrinks like 0.05 * diameter * n^-0.65 while the anchor's barycenter
@@ -46,9 +48,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .designs import (Design, DesignSpace, blend_designs, collapse_support,
-                      mix_design, prune_support, validate_design)
+                      mix_design, mixture_segment, prune_support, validate_design)
 from .errors import DomainError, UndefinedEfficiencyError, UnsupportedModelError
-from .inner import InnerConfig, InnerSolution, minimize_beta2
+from .inner import InnerConfig, InnerSolution, minimize_beta2, prepare_support
 from .models import GaussianRegressionPair, ModelPair, PolynomialPair, glm_is_regular
 
 EFFICIENCY_REACHED = "efficiency-reached"
@@ -198,27 +200,37 @@ def efficiency_bound(value: float, psi_max: float) -> float:
 
 
 def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
-             grid_size: int = PSI_GRID_SIZE):
+             grid_size: int = PSI_GRID_SIZE, grid_divergence=None):
     """psi(x) at the candidate maximizers: the grid, the support points and,
     for a Gaussian pair, the roots of r' inside the domain, where r^2 peaks.
 
     The Gaussian maximum is thus exact; for other pairs it falls short by at
-    most h^2/8 * max|psi''|, h the grid spacing. Returns (points, psi); the
-    support rows start at grid_size.
+    most h^2/8 * max|psi''|, h the grid spacing. A caller that scans the
+    same grid again and again passes `grid_divergence`, the grid's
+    `pair.divergence_evaluator`; the values are the same floats either way.
+    Returns (points, psi); the support rows start at grid_size.
     """
-    parts = [space.grid(grid_size), design.points]
+    grid = space.grid(grid_size)
+    parts = [design.points]
     if isinstance(pair, GaussianRegressionPair):
         parts.append(pair.residual_critical_points(beta2_hat, space.lower[0], space.upper[0]))
-    points = np.vstack(parts)
-    values = pair.divergence(points, beta2_hat)
+    if grid_divergence is None:
+        points = np.vstack([grid, *parts])
+        values = pair.divergence(points, beta2_hat)
+    else:
+        candidates = np.vstack(parts)
+        points = np.vstack([grid, candidates])
+        values = np.concatenate([grid_divergence(np.asarray(beta2_hat, dtype=float)),
+                                 pair.divergence(candidates, beta2_hat)])
     average = design.weights @ values[grid_size:grid_size + design.size]
     return points, values - average
 
 
 def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
-                           space: DesignSpace):
+                           space: DesignSpace, grid_divergence=None):
     """(x, psi) at the top of `psi_scan`; x is copied so records keep no scan."""
-    points, psi = psi_scan(pair, design, beta2_hat, space)
+    points, psi = psi_scan(pair, design, beta2_hat, space,
+                           grid_divergence=grid_divergence)
     i = int(np.argmax(psi))
     return points[i].copy(), float(psi[i])
 
@@ -240,15 +252,33 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
     `start` is the inner solution on the design itself (blended with the
     reference when regularizing), so g(0) and b_0 are read off it and a = 0
     is never solved. Every other a is solved once, warm-started from the
-    previous solve's minimizer. Returns (alpha, the inner solution at
-    alpha); (0.0, start) signals that no ascent step exists.
+    previous solve's minimizer. Every a in (0, 1) weights the same points
+    (the support and x_new, merged where they coincide, and the reference's
+    when regularizing), so those solves share one prepared `Support`; a = 1
+    is the point mass. Returns (alpha, the inner solution at alpha);
+    (0.0, start) signals that no ascent step exists.
     """
-    points = np.append(design.points[:, 0], x_new)  # the support, then x_new
+    divergence = pair.divergence_evaluator(np.append(design.points[:, 0], x_new))
     scale = 1.0 - (reg.gamma if reg is not None else 0.0)
 
     def with_slope(sol: InnerSolution) -> tuple[InnerSolution, float]:
-        row = pair.divergence(points, sol.beta2_hat)
+        row = divergence(sol.beta2_hat)  # the support, then x_new
         return sol, scale * (row[-1] - design.weights @ row[:-1])
+
+    points, w0, w1 = mixture_segment(design, x_new)
+    interior = None  # the Support of every a in (0, 1), prepared at the first
+
+    def solve_at(a: float) -> InnerSolution:
+        nonlocal interior
+        point_mass = a == 1.0
+        mixed = (mix_design(design, x_new, a) if point_mass
+                 else Design(design.space, points, (1.0 - a) * w0 + a * w1))
+        if reg is not None:
+            mixed = blend_designs(mixed, reg.xi_tilde, reg.gamma)
+        if not point_mass and interior is None:
+            interior = prepare_support(pair, mixed.points)
+        return minimize_beta2(pair, mixed, inner_config, warm_start=warm,
+                              support=None if point_mass else interior)
 
     solved = {0.0: with_slope(start)}
     warm = start.beta2_hat
@@ -256,11 +286,7 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
     def solve(a: float) -> tuple[InnerSolution, float]:
         nonlocal warm
         if a not in solved:
-            mixed = mix_design(design, x_new, a)
-            if reg is not None:
-                mixed = blend_designs(mixed, reg.xi_tilde, reg.gamma)
-            solved[a] = with_slope(minimize_beta2(pair, mixed, inner_config,
-                                                  warm_start=warm))
+            solved[a] = with_slope(solve_at(a))
             warm = solved[a][0].beta2_hat
         return solved[a]
 
@@ -323,8 +349,8 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
 
     design = initial_design
     inner = solve_on(design, None)
-    null_scale = float(np.max(pair.divergence(space.grid(PSI_GRID_SIZE),
-                                              np.zeros(pair.dimension))))
+    grid_divergence = pair.divergence_evaluator(space.grid(PSI_GRID_SIZE))
+    null_scale = float(np.max(grid_divergence(np.zeros(pair.dimension))))
     if not regularizing and inner.singular_flag:
         warnings.warn("initial design matrix is rank deficient; the plain loop "
                       "will hand off to the regularized criterion", stacklevel=2)
@@ -340,7 +366,8 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
                           stacklevel=2)
             boundary_warned = True
 
-        x_n, psi_raw = best_support_candidate(pair, design, inner.beta2_hat, space)
+        x_n, psi_raw = best_support_candidate(pair, design, inner.beta2_hat, space,
+                                              grid_divergence)
         psi_max = (1.0 - gamma) * psi_raw
         # value + psi_max is the largest divergence over the domain (mixed with
         # the reference's average when regularizing)

@@ -163,17 +163,40 @@ def validate_design(design: Design, space: DesignSpace | None = None) -> Validat
 
 
 def mix_design(design: Design, new_point, alpha: float) -> Design:
-    """Mixture (1-alpha)*design + alpha*delta_{new_point}.
-
-    This is `blend_designs` with a point mass, so the new point merges into a
-    support point it coincides with. alpha=0 returns the design unchanged.
+    """Mixture (1-alpha)*design + alpha*delta_{new_point}, on the support of
+    `mixture_segment`: the new point merges into a support point it
+    coincides with, as in `blend_designs`. alpha=0 returns the design
+    unchanged.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    points, w0, w1 = mixture_segment(design, new_point)
+    if alpha == 0.0:
+        return design
+    if alpha == 1.0:
+        return Design(design.space, _as_point(new_point), [1.0])
+    return Design(design.space, points, (1.0 - alpha) * w0 + alpha * w1)
+
+
+def mixture_segment(design: Design, new_point):
+    """The segment a -> mix_design(design, new_point, a) on its common support.
+
+    Returns (points, w0, w1): the design's points with new_point appended
+    unless it coincides with one of them, the design's weights and the point
+    mass on that support, so that the mixture at 0 < a < 1 has the weights
+    (1-a) w0 + a w1, the same floats `blend_designs` gives.
+    """
     x = _as_point(new_point)
     if not design.space.contains(x)[0]:
         raise DomainError(f"point {x.tolist()} outside the design space")
-    return blend_designs(design, Design(design.space, x, [1.0]), alpha)
+    near = np.abs(design.points[:, 0] - x[0])
+    j = int(np.argmin(near))  # the merge rule of blend_designs
+    points, w0 = design.points, design.weights
+    if near[j] > DUPLICATE_TOL:
+        points, w0, j = np.vstack([points, x]), np.append(w0, 0.0), design.size
+    w1 = np.zeros(w0.size)
+    w1[j] = 1.0
+    return points, w0, w1
 
 
 def blend_designs(first: Design, second: Design, alpha: float) -> Design:

@@ -7,20 +7,25 @@ Gaussian pairs give weighted least squares, logistic pairs the convex KL
 divergence of two Bernoulli laws. The solve is therefore bounded Newton:
 each step minimizes the box-constrained quadratic model with
 `scipy.optimize.lsq_linear(method="bvls")`, and a backtracking step follows
-it. One step is exact for Gaussian pairs. A convex pair's minimizer is
-unique if and only if X has full column rank on the support, so the
-singularity flag is that rank test. Only these polynomial-predictor pairs
-are solved; the synthetic family, a discontinuity example with closed-form
-criterion values, is refused.
+it. A Gaussian pair's curvature is constant, so its quadratic model is the
+objective and the solve stops after the first accepted full step. A convex
+pair's minimizer is unique if and only if X has full column rank on the
+support, so the singularity flag is that rank test. Everything that depends
+on the points and not on the weights (X, the divergence and derivative
+closures, the rank test per positive-weight pattern) is a `Support`, built
+once and reusable across solves on the same points. Only these
+polynomial-predictor pairs are solved; the synthetic family, a discontinuity
+example with closed-form criterion values, is refused.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import lsq_linear
 
 from .designs import Design
-from .errors import DomainError, UnsupportedModelError
+from .errors import UnsupportedModelError
 from .models import (GaussianRegressionPair, ModelPair, PolynomialPair,
                      glm_is_regular)
 
@@ -53,23 +58,61 @@ class InnerSolution:
     at_boundary: bool
 
 
-def _newton(pair: ModelPair, design: Design, rows: np.ndarray, objective,
-            start: np.ndarray, config: InnerConfig) -> np.ndarray:
-    """Bounded Newton descent in beta2 for a pair convex in eta2 = rows @ beta2.
+@dataclass(frozen=True)
+class Support:
+    """The weight-free part of the inner problem on fixed points: the rival
+    matrix, the pointwise divergence and derivative closures, and the rank
+    test, memoized per positive-weight pattern. Build it with
+    `prepare_support`; any design on the same points can be solved on it."""
+
+    points: np.ndarray
+    rows: np.ndarray
+    pointwise: Callable
+    derivatives: Callable
+    _regular: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def is_regular(self, weights: np.ndarray) -> bool:
+        """The rank test on the rows of positive weight."""
+        positive = weights > 0.0
+        key = positive.tobytes()
+        if key not in self._regular:
+            self._regular[key] = glm_is_regular(self.rows[positive])
+        return self._regular[key]
+
+
+def prepare_support(pair: ModelPair, points) -> Support:
+    """The `Support` of `pair` at `points`; only polynomial-predictor pairs
+    have one (`UnsupportedModelError` otherwise)."""
+    if not isinstance(pair, PolynomialPair):
+        raise UnsupportedModelError("the inner solve applies to polynomial-predictor "
+                                    "pairs only")
+    return Support(points, pair.rival_matrix(points), pair.divergence_evaluator(points),
+                   pair.divergence_derivatives(points))
+
+
+def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
+            start: np.ndarray, config: InnerConfig) -> tuple[np.ndarray, float]:
+    """Bounded Newton descent in beta2 for a pair convex in eta2 = rows @ beta2;
+    returns the last iterate and its objective sum_i w_i I(x_i, beta2).
 
     The quadratic model of the objective at eta is
     sum_i w_i h_i (eta2_i - eta_i + g_i / h_i)^2 / 2 with g, h the first and
     second derivatives of the pointwise divergence, so its box-constrained
-    minimizer is a bounded weighted least-squares solution.
+    minimizer is a bounded weighted least-squares solution. For a Gaussian
+    pair the model is the objective, so an accepted full step is exact.
     """
     box = pair.theta2
-    weights = design.weights
-    derivatives = pair.divergence_derivatives(design.points)
+    rows, pointwise = support.rows, support.pointwise
+    exact = isinstance(pair, GaussianRegressionPair)
+
+    def objective(b: np.ndarray) -> float:
+        return float(weights @ pointwise(b))
+
     beta = start
     value = objective(beta)
     for _ in range(_MAX_NEWTON_STEPS):
         eta = rows @ beta
-        g, h = derivatives(eta)
+        g, h = support.derivatives(eta)
         scale = np.sqrt(weights * h)
         rhs = np.sqrt(weights / h) * (h * eta - g)
         target = lsq_linear(scale[:, None] * rows, rhs, bounds=(box.lower, box.upper),
@@ -90,45 +133,38 @@ def _newton(pair: ModelPair, design: Design, rows: np.ndarray, objective,
         else:
             break  # no decrease left above rounding
         beta, value = trial, trial_value
-        if t * size <= config.local_tolerance:
-            break  # the objective is flat to rounding along the step
-    return beta
+        if (exact and t == 1.0) or t * size <= config.local_tolerance:
+            break  # the minimizer, or the objective is flat to rounding along the step
+    return beta, value
 
 
 def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerConfig(),
-                   warm_start=None) -> InnerSolution:
+                   warm_start=None, *, support: Support | None = None) -> InnerSolution:
     """Minimize the design-averaged divergence over the rival parameter box.
 
     Bounded Newton steps from `warm_start` (clipped into the box; the box
     midpoint when None), so the result is a pure function of the inputs.
+    `support` is `prepare_support(pair, design.points)`, built here when
+    None; a support on other points raises `ValueError`.
     `singular_flag` is set exactly when the rival matrix on the
     positive-weight support is rank deficient, i.e. when the minimizer is
     not unique. A pair that is not a `PolynomialPair` raises
     `UnsupportedModelError`.
     """
-    if not isinstance(pair, PolynomialPair):
-        raise UnsupportedModelError("the inner solve applies to polynomial-predictor "
-                                    "pairs only")
-    if design.size < 1:
-        raise DomainError("design has no support points")
+    if support is None:
+        support = prepare_support(pair, design.points)
+    elif not np.array_equal(support.points, design.points):
+        raise ValueError("the support was prepared on other points than the design's")
     box = pair.theta2
-    weights = design.weights
-    pointwise = pair.divergence_evaluator(design.points)
-
-    def objective(b: np.ndarray) -> float:
-        return float(weights @ pointwise(b))
-
-    rows = pair.rival_matrix(design.points)
     start = box.midpoint if warm_start is None else box.clip(warm_start)
-    beta2_hat = _newton(pair, design, rows, objective, start, config)
-    singular = not glm_is_regular(rows[weights > 0.0])
+    beta2_hat, value = _newton(pair, support, design.weights, start, config)
     edge = 1e-9 * (box.upper - box.lower)
     at_boundary = bool(np.any(beta2_hat <= box.lower + edge)
                        or np.any(beta2_hat >= box.upper - edge))
     return InnerSolution(
         beta2_hat=beta2_hat,
-        value=objective(beta2_hat),
-        singular_flag=singular,
+        value=value,
+        singular_flag=not support.is_regular(design.weights),
         at_boundary=at_boundary,
     )
 

@@ -57,6 +57,25 @@ class TestDirectionalDerivative:
             assert abs(float(d.weights @ psi[2:2 + m])) <= 1e-10
 
 
+    @pytest.mark.parametrize("family", ["gaussian", "logistic"])
+    def test_a_held_grid_evaluator_gives_the_same_scan(self, family):
+        if family == "gaussian":
+            pair, design, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
+                                   cubic_quadratic_space())
+            beta = np.array([0.1, 0.6, -0.2])
+        else:
+            pair, design, space = logistic_pair(), LOGISTIC_SEGMENT_START, logistic_space()
+            beta = np.array([1.5, -0.5])
+        size = algorithm.PSI_GRID_SIZE
+        grid = pair.divergence_evaluator(space.grid(size))
+        points, psi = psi_scan(pair, design, beta, space, grid_divergence=grid)
+        # float for float the scan in one divergence call over all candidates
+        values = pair.divergence(points, beta)
+        average = design.weights @ values[size:size + design.size]
+        np.testing.assert_array_equal(psi, values - average)
+        np.testing.assert_array_equal(psi_scan(pair, design, beta, space)[1], psi)
+
+
 class TestBestSupportCandidate:
     def test_matches_brute_force_grid(self):
         # residual is symmetric for the delta_0 fit, maximizer at an endpoint
@@ -209,6 +228,77 @@ class TestLineSearch:
             g = [minimize_beta2(pair, mix_design(d, x, t), TIGHT).value
                  for t in (a, (a + b) / 2, b)]
             assert g[1] >= (g[0] + g[2]) / 2 - 1e-8
+
+
+LOGISTIC_SEGMENT_START = Design(logistic_space(), [[0.2], [0.6], [0.9]], [0.3, 0.3, 0.4])
+
+
+def segment_case(family: str, regularized: bool, where: str):
+    """A line search whose root find runs: pair, design, x_new and the
+    regularization, with x_new new to the design, on one of its support
+    points, or on a point of the reference design."""
+    if family == "gaussian":
+        pair, design = cubic_quadratic_pair(), cubic_quadratic_start()
+        reference = default_reference_design(pair, cubic_quadratic_space())
+        reg = RegularizationConfig(gamma=0.2, xi_tilde=reference) if regularized else None
+        x_new = {"new": [0.5], "support": design.points[2],
+                 "reference": reference.points[1]}[where]
+    else:
+        pair, design = logistic_pair(), LOGISTIC_SEGMENT_START
+        reference = logistic_reference_design()
+        reg = RegularizationConfig(gamma=0.05, xi_tilde=reference) if regularized else None
+        x_new = {"new": [0.45], "support": design.points[0],
+                 "reference": reference.points[2]}[where]
+    return pair, design, np.asarray(x_new, dtype=float), reg
+
+
+class TestLineSearchSupport:
+    """Every interior trial of one search is solved on one prepared support,
+    with the same result, float for float, as a fresh solve of the mixture."""
+
+    @pytest.mark.parametrize("family,regularized,where", [
+        ("gaussian", False, "new"), ("gaussian", False, "support"),
+        ("gaussian", True, "new"), ("gaussian", True, "reference"),
+        ("logistic", False, "support"), ("logistic", True, "new"),
+        ("logistic", True, "support"), ("logistic", True, "reference")])
+    def test_trials_match_fresh_solves(self, family, regularized, where):
+        pair, design, x_new, reg = segment_case(family, regularized, where)
+        start = design if reg is None else blend_designs(design, reg.xi_tilde, reg.gamma)
+        trials, steps = [], []
+
+        def spy(pair, design, config, warm_start=None, **kwargs):
+            sol = minimize_beta2(pair, design, config, warm_start, **kwargs)
+            trials.append((design, warm_start, kwargs.get("support"), sol))
+            return sol
+
+        def root(f, *args, **kwargs):
+            def recorded(a):
+                if 0.0 < a < 1.0 and a not in steps:
+                    steps.append(a)
+                return f(a)
+            return brentq(recorded, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algorithm, "minimize_beta2", spy)
+            patch.setattr(algorithm, "brentq", root)
+            line_search_alpha(pair, design, x_new, minimize_beta2(pair, start, TIGHT),
+                              TIGHT, reg=reg)
+        point_mass, *interior = trials
+        assert point_mass[2] is None  # a = 1 is solved on its own points
+        assert len(interior) == len(steps) >= 3
+        support = interior[0][2]
+        assert support is not None
+        assert all(t[2] is support for t in interior)
+        for a, (trial, warm, _, sol) in zip(steps, interior):
+            expected = mix_design(design, x_new, a)
+            if reg is not None:
+                expected = blend_designs(expected, reg.xi_tilde, reg.gamma)
+            np.testing.assert_array_equal(trial.points, expected.points)
+            np.testing.assert_array_equal(trial.weights, expected.weights)
+            fresh = minimize_beta2(pair, expected, TIGHT, warm_start=warm)
+            np.testing.assert_array_equal(sol.beta2_hat, fresh.beta2_hat)
+            assert (sol.value, sol.singular_flag, sol.at_boundary) == (
+                fresh.value, fresh.singular_flag, fresh.at_boundary)
 
 
 SEGMENT_REFERENCE = Design(DesignSpace([-1.0], [1.0]), np.linspace(0.2, 1.0, 6)[:, None],

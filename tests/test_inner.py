@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from kldesign.designs import Design, DesignSpace, blend_designs, mix_design
-from kldesign.inner import InnerConfig, least_squares_oracle, minimize_beta2
+from kldesign import inner
+from kldesign.inner import (InnerConfig, least_squares_oracle, minimize_beta2,
+                            prepare_support)
 from kldesign.errors import UnsupportedModelError
 from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
                              SyntheticFamily, kl_average)
@@ -238,6 +240,58 @@ class TestNewtonStop:
         sol = minimize_beta2(pair, blend_designs(design, reference, 0.05), TIGHT)
         assert not sol.singular_flag
         assert len(calls) < 200
+
+
+class TestPreparedSupport:
+    def test_gaussian_solve_stops_after_its_exact_step(self, monkeypatch):
+        # the quadratic model is the Gaussian objective: one BVLS step is exact
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lsq_linear(*args, **kwargs)
+
+        lsq_linear = inner.lsq_linear
+        monkeypatch.setattr(inner, "lsq_linear", counting)
+        sol = minimize_beta2(cubic_pair(), chebyshev_design(), TIGHT)
+        assert len(calls) == 1
+        np.testing.assert_allclose(sol.beta2_hat, [0.0, 0.75, 0.0], atol=1e-12)
+        calls.clear()
+        pair = LogisticGlmPair.from_exponents([1.0, 1.0, 1.0], [1, 2],
+                                              ParamBox([-10, -10], [10, 10]))
+        minimize_beta2(pair, Design(DesignSpace([0.0], [1.0]), [[0.2], [0.6], [0.9]],
+                                    [0.3, 0.3, 0.4]), TIGHT)
+        assert len(calls) > 2  # a logistic solve still iterates
+
+    def test_support_on_other_points_raises(self):
+        design = chebyshev_design()
+        support = prepare_support(cubic_pair(), design.points[:3])
+        with pytest.raises(ValueError, match="other points"):
+            minimize_beta2(cubic_pair(), design, TIGHT, support=support)
+
+    def test_solve_on_a_prepared_support_is_the_plain_solve(self):
+        pair, design = cubic_pair(), chebyshev_design()
+        support = prepare_support(pair, design.points)
+        for warm in (None, [1.0, -2.0, 0.5]):
+            a = minimize_beta2(pair, design, TIGHT, warm, support=support)
+            b = minimize_beta2(pair, design, TIGHT, warm)
+            np.testing.assert_array_equal(a.beta2_hat, b.beta2_hat)
+            assert (a.value, a.singular_flag, a.at_boundary) == (
+                b.value, b.singular_flag, b.at_boundary)
+
+    def test_zero_weight_point_keeps_the_flag(self):
+        # three points give the quadratic rival full rank, two do not; the
+        # rank test on one support follows each design's positive weights
+        pair = cubic_pair()
+        space = DesignSpace([-1.0], [1.0])
+        points = [[-1.0], [1.0], [0.5]]
+        support = prepare_support(pair, np.asarray(points))
+        for weights, singular in (([0.5, 0.5, 0.0], True), ([0.4, 0.4, 0.2], False),
+                                  ([0.5, 0.0, 0.5], True), ([0.5, 0.5, 0.0], True)):
+            design = Design(space, points, weights)
+            assert minimize_beta2(pair, design, TIGHT, support=support).singular_flag \
+                == singular
+            assert minimize_beta2(pair, design, TIGHT).singular_flag == singular
 
 
 class TestMultistartContract:
