@@ -15,6 +15,10 @@ One iteration, given the current design xi_n:
    (1-a) xi_n + a delta_{x_n}. The criterion is concave along the segment,
    and each inner solve's minimizer gives its supergradient in a (Danskin),
    so the step is the root of that slope, bracketed by its signs at 0 and 1.
+   A plain Gaussian step from a regular start inside the parameter box is
+   that root in closed form (a rank-one update of weighted least squares),
+   kept after one solve shows the box does not bind there and the slope
+   vanishes.
    The search starts from step 1's solution, so a = 0 is not solved again,
    and it returns the solution on the mixture it steps to. Every trial
    a in (0, 1) weights the same points, so their rival matrix, divergence
@@ -73,6 +77,9 @@ _LS_IMPROVEMENT_TOL = 1e-13
 _ATTAIN_TOL = 1e-12
 # Bracket width at which the root find of the line-search slope stops.
 _STEP_XTOL = 1e-6
+# The closed-form Gaussian step is kept when the slope there is at most this
+# share of the slope at 0 (rounding leaves about 1e-13).
+_GAUSSIAN_STEP_SLOPE_TOL = 1e-9
 # Housekeeping schedule, step 5 of the module docstring.
 _COLLAPSE_RADIUS_SHARE = 0.05
 _COLLAPSE_RADIUS_EXPONENT = 0.65
@@ -249,6 +256,23 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
     step, slope(1) >= 0 means the full step, and otherwise the step is the
     sign change of slope on (0, 1), found with `brentq`.
 
+    A plain Gaussian search (no `reg`) from a regular start inside the box
+    first takes the step in closed form. The criterion is then T-optimality
+    over 2 sigma2 (Atkinson and Fedorov 1975), and moving mass a to x_new
+    is a rank-one update of weighted least squares: with p = I(x_new, b_0),
+    q = avg_design I(., b_0) and h = u' A0^-1 u the leverage of x_new's
+    rival row u under A0 = X' diag(w0) X, the unconstrained criterion along
+    the segment is
+    (1-a) q + a (1-a) p / (1 - k a), k = 1 - h, whose slope
+    p (1 - 2a + k a^2) / (1 - k a)^2 - q vanishes at
+    alpha = (p - q) / ((p - q k) (1 + sqrt(p h / (p - q k)))).
+    The one solve at alpha settles it. If the solution there is regular and
+    inside the box, the box does not bind at alpha, so slope(alpha) is the
+    derivative of g itself; once it is zero to 1e-9 of slope(0), alpha is
+    where the concave g peaks. Otherwise (alpha outside (0, 1), a singular or
+    boundary solution, or a slope left over) the root find above runs, and
+    the solve at alpha stays among its trials.
+
     `start` is the inner solution on the design itself (blended with the
     reference when regularizing), so g(0) and b_0 are read off it and a = 0
     is never solved. Every other a is solved once, warm-started from the
@@ -261,9 +285,13 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
     divergence = pair.divergence_evaluator(np.append(design.points[:, 0], x_new))
     scale = 1.0 - (reg.gamma if reg is not None else 0.0)
 
+    def gap(beta2) -> tuple[float, float]:
+        row = divergence(beta2)  # the support, then x_new
+        return row[-1], design.weights @ row[:-1]
+
     def with_slope(sol: InnerSolution) -> tuple[InnerSolution, float]:
-        row = divergence(sol.beta2_hat)  # the support, then x_new
-        return sol, scale * (row[-1] - design.weights @ row[:-1])
+        p, q = gap(sol.beta2_hat)
+        return sol, scale * (p - q)
 
     points, w0, w1 = mixture_segment(design, x_new)
     interior = None  # the Support of every a in (0, 1), prepared at the first
@@ -280,7 +308,9 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
         return minimize_beta2(pair, mixed, inner_config, warm_start=warm,
                               support=None if point_mass else interior)
 
-    solved = {0.0: with_slope(start)}
+    p0, q0 = gap(start.beta2_hat)
+    slope0 = scale * (p0 - q0)
+    solved = {0.0: (start, slope0)}
     warm = start.beta2_hat
 
     def solve(a: float) -> tuple[InnerSolution, float]:
@@ -290,16 +320,48 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
             warm = solved[a][0].beta2_hat
         return solved[a]
 
-    if solved[0.0][1] <= 0.0:
+    if slope0 <= 0.0:
         return 0.0, start
-    if solve(1.0)[1] >= 0.0:
-        alpha = 1.0
-    else:
-        alpha = brentq(lambda a: solve(a)[1], 0.0, 1.0, xtol=_STEP_XTOL)
+    alpha = None
+    if (isinstance(pair, GaussianRegressionPair) and reg is None
+            and not (start.singular_flag or start.at_boundary)):
+        interior = prepare_support(pair, points)
+        trial = _gaussian_step(interior.rows, w0, w1, p0, q0)
+        if 0.0 < trial < 1.0:
+            sol, slope = solve(trial)
+            if (not (sol.singular_flag or sol.at_boundary)
+                    and abs(slope) <= _GAUSSIAN_STEP_SLOPE_TOL * slope0):
+                alpha = trial
+    if alpha is None:
+        if solve(1.0)[1] >= 0.0:
+            alpha = 1.0
+        else:
+            alpha = brentq(lambda a: solve(a)[1], 0.0, 1.0, xtol=_STEP_XTOL)
     sol = solve(alpha)[0]
     if sol.value - start.value <= _LS_IMPROVEMENT_TOL * max(1.0, abs(start.value)):
         return 0.0, start
     return alpha, sol
+
+
+def _gaussian_step(rows: np.ndarray, w0: np.ndarray, w1: np.ndarray,
+                   p: float, q: float) -> float:
+    """The root in a of the Gaussian line-search slope
+    p (1 - 2a + k a^2) / (1 - k a)^2 - q, k = 1 - h (see `line_search_alpha`):
+    p = I(x_new, b_0) exceeds q, the w0-average of I(., b_0), and h is
+    the leverage u' A0^-1 u of x_new's row u (the one w1 weights), with
+    A0 = X' diag(w0) X and X = `rows`.
+
+    h is the squared norm of the minimum-norm solution y of (sqrt(w0) X)' y = u,
+    a least-squares solve on the matrix the inner solve factors. A rank test
+    passed by rows of rounding size can overflow h; the step is then NaN,
+    which no range check accepts.
+    """
+    u = rows[np.argmax(w1)]
+    y = np.linalg.lstsq((np.sqrt(w0)[:, None] * rows).T, u, rcond=None)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = y @ y
+        d = p - q * (1.0 - h)
+        return float((p - q) / (d * (1.0 + np.sqrt(p * h / d))))
 
 
 def default_reference_design(pair: ModelPair, space: DesignSpace) -> Design:

@@ -94,8 +94,9 @@ def _build_pair(section: dict) -> ModelPair:
     box = _param_box(_section(section, "beta2_box", "model"), "model.beta2_box")
     beta1 = _float_list(section.get("beta1"), "model.beta1")
     exponents = section.get("rival_exponents")
-    if exponents is None:
-        raise ConfigError("model.rival_exponents: missing (list of monomial exponents)")
+    if not isinstance(exponents, (list, tuple)) or not exponents:
+        raise ConfigError("model.rival_exponents: expected a non-empty list of "
+                          f"monomial exponents, got {exponents!r}")
     exponents = [_to_int(e, f"model.rival_exponents[{i}]") for i, e in enumerate(exponents)]
     try:
         if kind == "gaussian-regression":

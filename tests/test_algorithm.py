@@ -216,6 +216,42 @@ class TestLineSearch:
         if alpha == 0.0:
             assert step.value == pytest.approx(sol.value, abs=1e-10)
 
+    @pytest.mark.parametrize("case", ["box-binds-at-step", "rank-deficient-start",
+                                      "step-misses-the-root"])
+    def test_gaussian_fallback_runs_the_root_find(self, case):
+        exact = closed_form = algorithm._gaussian_step
+        if case == "box-binds-at-step":
+            # the start's minimizer is interior, the step's has beta2[1] = 0.7
+            pair, design = cubic_quadratic_pair(0.7), cubic_quadratic_start()
+        elif case == "step-misses-the-root":
+            # half the closed-form step: a regular interior solve, slope far from 0
+            pair, design = cubic_quadratic_pair(), cubic_quadratic_start()
+            closed_form = lambda *args: exact(*args) / 2  # noqa: E731
+        else:
+            # the even rival {1, x^2} cannot tell -0.5 from 0.5
+            pair = GaussianRegressionPair.from_exponents(
+                [0.0, 0.0, 0.0, 1.0], [0, 2], ParamBox([-5.0] * 2, [5.0] * 2), 0.5)
+            design = Design(cubic_quadratic_space(), [[-0.5], [0.5]], [0.5, 0.5])
+        x_new = np.array([1.0])
+        start = minimize_beta2(pair, design, TIGHT)
+        assert not start.at_boundary
+        assert start.singular_flag == (case == "rank-deficient-start")
+        roots = []
+
+        def root(*args, **kwargs):
+            roots.append(args)
+            return brentq(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algorithm, "brentq", root)
+            patch.setattr(algorithm, "_gaussian_step", closed_form)
+            alpha, step = line_search_alpha(pair, design, x_new, start, TIGHT)
+        assert len(roots) == 1
+        assert step.at_boundary == (case == "box-binds-at-step")
+        scan = [minimize_beta2(pair, mix_design(design, x_new, a), TIGHT).value
+                for a in np.linspace(0, 1, 1001)]
+        assert step.value >= max(scan) - 1e-9
+
     def test_concavity_along_segments(self):
         rng = np.random.default_rng(83)
         pair = cubic_quadratic_pair()
@@ -236,9 +272,12 @@ LOGISTIC_SEGMENT_START = Design(logistic_space(), [[0.2], [0.6], [0.9]], [0.3, 0
 def segment_case(family: str, regularized: bool, where: str):
     """A line search whose root find runs: pair, design, x_new and the
     regularization, with x_new new to the design, on one of its support
-    points, or on a point of the reference design."""
+    points, or on a point of the reference design. The plain Gaussian box
+    binds (beta2[1] <= 0.6), since an interior plain Gaussian step is taken
+    in closed form."""
     if family == "gaussian":
-        pair, design = cubic_quadratic_pair(), cubic_quadratic_start()
+        pair = cubic_quadratic_pair(5.0 if regularized else 0.6)
+        design = cubic_quadratic_start()
         reference = default_reference_design(pair, cubic_quadratic_space())
         reg = RegularizationConfig(gamma=0.2, xi_tilde=reference) if regularized else None
         x_new = {"new": [0.5], "support": design.points[2],
@@ -373,6 +412,36 @@ class TestLineSearchProperties:
             h = 1e-5
             derivative = (solve(a + h).value - solve(a - h).value) / (2 * h)
             assert slopes[0](a) == pytest.approx(derivative, rel=1e-6, abs=1e-10)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(data=st.data())
+    def test_interior_gaussian_step_is_one_solve_at_the_root(self, data):
+        pair, design, _, _ = data.draw(segments("gaussian", False))
+        start = minimize_beta2(pair, design, TIGHT)
+        x_new, _ = best_support_candidate(pair, design, start.beta2_hat, design.space)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return minimize_beta2(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algorithm, "minimize_beta2", spy)
+            alpha, step = line_search_alpha(pair, design, x_new, start, TIGHT)
+        # The closed form needs a regular interior start, and it is the step
+        # only where the step is interior too: not 0, not the full step (x_new
+        # has a zero row) and not where the box binds.
+        if (start.singular_flag or start.at_boundary or not 0.0 < alpha < 1.0
+                or step.singular_flag or step.at_boundary):
+            return
+        assert len(calls) == 1
+
+        def slope(a):  # of a fresh solve; the support, then x_new
+            sol = minimize_beta2(pair, mix_design(design, x_new, a), TIGHT)
+            row = pair.divergence(np.vstack([design.points, x_new]), sol.beta2_hat)
+            return row[-1] - design.weights @ row[:-1]
+
+        assert alpha == pytest.approx(brentq(slope, 0.0, 1.0, xtol=1e-12), abs=1e-8)
 
 
 class TestRuns:

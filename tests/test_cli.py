@@ -208,6 +208,19 @@ class TestRun:
             load_run_config(write(tmp_path / "run.yaml", BASE_MODEL +
                                   "initial_design: start.json\n"))
 
+    @pytest.mark.parametrize("exponents", ["3", "true", "[]", "null"])
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_rival_exponents_not_a_list_exits_1(self, tmp_path, capsys, command,
+                                                 exponents):
+        model = BASE_MODEL.replace("rival_exponents: [0, 1, 2]",
+                                   f"rival_exponents: {exponents}")
+        cfg = write(tmp_path / "run.yaml", model + START_DESIGN)
+        args = [cfg] if command == "run" else [
+            cfg, design_file(tmp_path, cubic_quadratic_optimum())]
+        rc = cli.main([command, *args, "--output-dir", str(tmp_path / "out"), "--quiet"])
+        assert rc == 1
+        assert "model.rival_exponents: expected a non-empty list" in capsys.readouterr().err
+
     def test_synthetic_family_kind_exits_1(self, tmp_path, capsys):
         # a discontinuity example with closed forms, not a design problem
         cfg = write(tmp_path / "run.yaml", "model:\n  kind: synthetic-family\n"
