@@ -12,13 +12,12 @@ and affine-invariance transforms, plus a `kl-design` CLI.
 from .algorithm import (EFFICIENCY_REACHED, MAX_ITERATIONS, RIVAL_ATTAINS_TRUTH,
                         STALLED, STALLED_REGULARIZED, AlgoConfig, IterationRecord,
                         RegularizationConfig, RunResult, best_support_candidate,
-                        default_reference_design, efficiency_bound,
-                        iterations_to_csv, line_search_alpha, run_first_order,
-                        run_regularized)
+                        corrective_step, default_reference_design, efficiency_bound,
+                        iterations_to_csv, line_search_alpha, restricted_dual,
+                        run_first_order, run_regularized)
 from .designs import (AffineMap, Design, DesignSpace, ValidationReport,
-                      blend_designs, collapse_support, mix_design, prune_support,
-                      transform_design, validate_design, wasserstein_distance,
-                      wasserstein_distance_lp)
+                      blend_designs, transform_design, validate_design,
+                      wasserstein_distance, wasserstein_distance_lp)
 from .errors import (ConfigError, DomainError, KLDesignError, SingularMapError,
                      UndefinedEfficiencyError, UnsupportedModelError)
 from .inner import InnerConfig, InnerSolution, least_squares_oracle, minimize_beta2
@@ -40,13 +39,13 @@ __all__ = [
     "RegularizationConfig", "RunResult", "SINGULAR", "STALLED",
     "STALLED_REGULARIZED", "SingularMapError", "SyntheticFamily",
     "UndefinedEfficiencyError", "UnsupportedModelError", "ValidationReport",
-    "best_support_candidate", "blend_designs", "collapse_support",
+    "best_support_candidate", "blend_designs", "corrective_step",
     "default_reference_design", "efficiency_bound",
     "equivalence_check", "glm_fisher_information", "glm_is_regular",
     "invariance_check", "iterations_to_csv", "kl_average",
     "least_squares_oracle", "line_search_alpha", "minimize_beta2",
-    "mix_design", "monomial_basis", "prune_support",
-    "reparametrize_under_affine", "run_first_order", "run_regularized",
+    "monomial_basis", "reparametrize_under_affine", "restricted_dual",
+    "run_first_order", "run_regularized",
     "transform_design", "validate_design", "wasserstein_distance",
     "wasserstein_distance_lp",
 ]

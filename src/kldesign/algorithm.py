@@ -3,7 +3,7 @@
 One iteration, given the current design xi_n:
 
 1. inner solve: beta2_n minimizing the averaged divergence (bounded Newton,
-   warm-started from the previous iterate's solution);
+   made by the step that produced xi_n, from that step's beta2);
 2. best-point search: x_n maximizing psi over the domain, read off
    `psi_scan`, the scan the certificate uses (exact for Gaussian pairs);
 3. stopping check: the efficiency bound U = value / (value + psi_max),
@@ -11,27 +11,25 @@ One iteration, given the current design xi_n:
    best-point search and before any further work. A rival that attains
    the true model stops the run first, a singular inner solve the plain
    loop next; otherwise the run stops once U exceeds the target delta;
-4. step size: exact line search of the criterion along the segment
-   (1-a) xi_n + a delta_{x_n}. The criterion is concave along the segment,
-   and each inner solve's minimizer gives its supergradient in a (Danskin),
-   so the step is the root of that slope, bracketed by its signs at 0 and 1.
-   A plain Gaussian step from a regular start inside the parameter box is
-   that root in closed form (a rank-one update of weighted least squares),
-   kept after one solve shows the box does not bind there and the slope
-   vanishes.
-   The search starts from step 1's solution, so a = 0 is not solved again,
-   and it returns the solution on the mixture it steps to. Every trial
-   a in (0, 1) weights the same points, so their rival matrix, divergence
-   closures and rank test are prepared once per search (`inner.Support`);
-5. housekeeping on a fixed schedule:
-   support points near x_n are collapsed to a barycenter whose radius
-   shrinks like 0.05 * diameter * n^-0.65 while the anchor's barycenter
-   weight grows like n^0.8, then points with weight below 0.1 times the
-   mean weight of the other points are pruned. When neither changes the
-   mixture, the next iteration starts from the line search's solution;
-   otherwise the cleaned design is solved once, and a guard falls back to
-   the raw mixture and its solution if cleanup would break the
-   monotone-ascent guarantee of the exact line search.
+4. step, chosen by the pair's family:
+   - a Gaussian pair re-solves the weights (`corrective_step`): the best
+     design on the support, x_n and the other candidates of step 2 where
+     psi > 0 comes from the minimax dual restricted to those points
+     (`restricted_dual`), whose multipliers are the weights; a point of zero
+     weight leaves. Each step is fully corrective (simplicial decomposition,
+     von Hohenbalken 1977), at least as good as the exact line search
+     below, and the new design is solved once, from the dual's beta2;
+   - a logistic pair takes the exact line search of the criterion along the
+     segment (1-a) xi_n + a delta_{x_n} (`line_search_alpha`). The criterion
+     is concave along the segment, and each inner solve's minimizer gives
+     its supergradient in a (Danskin), so the step is the root of that
+     slope, bracketed by its signs at 0 and 1. The search starts from step
+     1's solution, so a = 0 is not solved again, and it returns the mixture
+     it steps to with its solution. Every trial a in (0, 1) weights the same
+     points, so their rival matrix, divergence closures and rank test are
+     prepared once per search (`inner.Support`).
+   Either way the next iteration starts from the step's design and
+   solution, and a step that does not raise the criterion is a zero step.
 
 Singular problems (non-unique inner minimizer) make the directional
 derivative meaningless, so the plain loop stops with reason
@@ -49,10 +47,10 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
-from .designs import (Design, DesignSpace, blend_designs, collapse_support,
-                      mix_design, mixture_segment, prune_support, validate_design)
+from .designs import (DUPLICATE_TOL, Design, DesignSpace, blend_designs,
+                      mixture_segment, validate_design)
 from .errors import DomainError, UndefinedEfficiencyError, UnsupportedModelError
 from .inner import InnerConfig, InnerSolution, minimize_beta2, prepare_support
 from .models import GaussianRegressionPair, ModelPair, PolynomialPair, glm_is_regular
@@ -64,27 +62,21 @@ STALLED = "stalled"
 RIVAL_ATTAINS_TRUTH = "rival-attains-truth"
 PSI_GRID_SIZE = 2001  # grid nodes of the psi scan
 
-# A zero line-search step only signals a singular loop when the divergence
-# gap is clearly positive at this scale.
+# A zero step only signals a singular loop when the divergence gap is clearly
+# positive at this scale.
 _STALL_PSI_TOL = 1e-9
 # Ascent bookkeeping: drops beyond the first bound raise, beyond the second warn.
 _ASCENT_HARD = 1e-8
 _ASCENT_SOFT = 1e-10
-# Line-search improvements below this are treated as a zero step.
-_LS_IMPROVEMENT_TOL = 1e-13
+# Step improvements below this share of the value are treated as a zero step.
+_IMPROVEMENT_TOL = 1e-13
 # The rival attains the true model when no divergence on the domain exceeds this
 # share of the all-zero rival's (rounding leaves 1e-31 Gaussian, 1e-15 logistic).
 _ATTAIN_TOL = 1e-12
 # Bracket width at which the root find of the line-search slope stops.
 _STEP_XTOL = 1e-6
-# The closed-form Gaussian step is kept when the slope there is at most this
-# share of the slope at 0 (rounding leaves about 1e-13).
-_GAUSSIAN_STEP_SLOPE_TOL = 1e-9
-# Housekeeping schedule, step 5 of the module docstring.
-_COLLAPSE_RADIUS_SHARE = 0.05
-_COLLAPSE_RADIUS_EXPONENT = 0.65
-_ANCHOR_WEIGHT_EXPONENT = 0.8
-_PRUNE_REL = 0.1
+# Requested accuracy of the SLSQP solve in `restricted_dual`: rounding level.
+_DUAL_FTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,12 @@ class RegularizationConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """State of one outer iteration, taken before the design update."""
+    """State of one outer iteration, taken before the design update.
+
+    `alpha` is the step's size for a logistic pair and, for a Gaussian pair,
+    the weight the new weights put on `best_point`; it is 0.0 when the
+    iteration takes no step.
+    """
 
     n: int
     design: Design
@@ -256,112 +253,146 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
     step, slope(1) >= 0 means the full step, and otherwise the step is the
     sign change of slope on (0, 1), found with `brentq`.
 
-    A plain Gaussian search (no `reg`) from a regular start inside the box
-    first takes the step in closed form. The criterion is then T-optimality
-    over 2 sigma2 (Atkinson and Fedorov 1975), and moving mass a to x_new
-    is a rank-one update of weighted least squares: with p = I(x_new, b_0),
-    q = avg_design I(., b_0) and h = u' A0^-1 u the leverage of x_new's
-    rival row u under A0 = X' diag(w0) X, the unconstrained criterion along
-    the segment is
-    (1-a) q + a (1-a) p / (1 - k a), k = 1 - h, whose slope
-    p (1 - 2a + k a^2) / (1 - k a)^2 - q vanishes at
-    alpha = (p - q) / ((p - q k) (1 + sqrt(p h / (p - q k)))).
-    The one solve at alpha settles it. If the solution there is regular and
-    inside the box, the box does not bind at alpha, so slope(alpha) is the
-    derivative of g itself; once it is zero to 1e-9 of slope(0), alpha is
-    where the concave g peaks. Otherwise (alpha outside (0, 1), a singular or
-    boundary solution, or a slope left over) the root find above runs, and
-    the solve at alpha stays among its trials.
-
     `start` is the inner solution on the design itself (blended with the
     reference when regularizing), so g(0) and b_0 are read off it and a = 0
     is never solved. Every other a is solved once, warm-started from the
     previous solve's minimizer. Every a in (0, 1) weights the same points
     (the support and x_new, merged where they coincide, and the reference's
     when regularizing), so those solves share one prepared `Support`; a = 1
-    is the point mass. Returns (alpha, the inner solution at alpha);
-    (0.0, start) signals that no ascent step exists.
+    is the point mass. Returns (alpha, the mixture at alpha, the inner
+    solution there); (0.0, design, start) signals that no ascent step exists.
     """
     divergence = pair.divergence_evaluator(np.append(design.points[:, 0], x_new))
     scale = 1.0 - (reg.gamma if reg is not None else 0.0)
 
-    def gap(beta2) -> tuple[float, float]:
-        row = divergence(beta2)  # the support, then x_new
-        return row[-1], design.weights @ row[:-1]
-
-    def with_slope(sol: InnerSolution) -> tuple[InnerSolution, float]:
-        p, q = gap(sol.beta2_hat)
-        return sol, scale * (p - q)
+    def slope(sol: InnerSolution) -> float:
+        row = divergence(sol.beta2_hat)  # the support, then x_new
+        return scale * (row[-1] - design.weights @ row[:-1])
 
     points, w0, w1 = mixture_segment(design, x_new)
     interior = None  # the Support of every a in (0, 1), prepared at the first
-
-    def solve_at(a: float) -> InnerSolution:
-        nonlocal interior
-        point_mass = a == 1.0
-        mixed = (mix_design(design, x_new, a) if point_mass
-                 else Design(design.space, points, (1.0 - a) * w0 + a * w1))
-        if reg is not None:
-            mixed = blend_designs(mixed, reg.xi_tilde, reg.gamma)
-        if not point_mass and interior is None:
-            interior = prepare_support(pair, mixed.points)
-        return minimize_beta2(pair, mixed, inner_config, warm_start=warm,
-                              support=None if point_mass else interior)
-
-    p0, q0 = gap(start.beta2_hat)
-    slope0 = scale * (p0 - q0)
-    solved = {0.0: (start, slope0)}
     warm = start.beta2_hat
+    slope0 = slope(start)
+    solved = {0.0: (design, start, slope0)}
 
-    def solve(a: float) -> tuple[InnerSolution, float]:
-        nonlocal warm
+    def solve(a: float) -> tuple[Design, InnerSolution, float]:
+        nonlocal interior, warm
         if a not in solved:
-            solved[a] = with_slope(solve_at(a))
-            warm = solved[a][0].beta2_hat
+            point_mass = a == 1.0
+            mixed = (Design(design.space, x_new, [1.0]) if point_mass
+                     else Design(design.space, points, (1.0 - a) * w0 + a * w1))
+            target = mixed if reg is None else blend_designs(mixed, reg.xi_tilde,
+                                                             reg.gamma)
+            if not point_mass and interior is None:
+                interior = prepare_support(pair, target.points)
+            sol = minimize_beta2(pair, target, inner_config, warm_start=warm,
+                                 support=None if point_mass else interior)
+            solved[a] = (mixed, sol, slope(sol))
+            warm = sol.beta2_hat
         return solved[a]
 
     if slope0 <= 0.0:
-        return 0.0, start
-    alpha = None
-    if (isinstance(pair, GaussianRegressionPair) and reg is None
-            and not (start.singular_flag or start.at_boundary)):
-        interior = prepare_support(pair, points)
-        trial = _gaussian_step(interior.rows, w0, w1, p0, q0)
-        if 0.0 < trial < 1.0:
-            sol, slope = solve(trial)
-            if (not (sol.singular_flag or sol.at_boundary)
-                    and abs(slope) <= _GAUSSIAN_STEP_SLOPE_TOL * slope0):
-                alpha = trial
-    if alpha is None:
-        if solve(1.0)[1] >= 0.0:
-            alpha = 1.0
-        else:
-            alpha = brentq(lambda a: solve(a)[1], 0.0, 1.0, xtol=_STEP_XTOL)
-    sol = solve(alpha)[0]
-    if sol.value - start.value <= _LS_IMPROVEMENT_TOL * max(1.0, abs(start.value)):
-        return 0.0, start
-    return alpha, sol
+        return 0.0, design, start
+    if solve(1.0)[2] >= 0.0:
+        alpha = 1.0
+    else:
+        alpha = brentq(lambda a: solve(a)[2], 0.0, 1.0, xtol=_STEP_XTOL)
+    mixed, sol, _ = solve(alpha)
+    if not _improves(sol, start):
+        return 0.0, design, start
+    return alpha, mixed, sol
 
 
-def _gaussian_step(rows: np.ndarray, w0: np.ndarray, w1: np.ndarray,
-                   p: float, q: float) -> float:
-    """The root in a of the Gaussian line-search slope
-    p (1 - 2a + k a^2) / (1 - k a)^2 - q, k = 1 - h (see `line_search_alpha`):
-    p = I(x_new, b_0) exceeds q, the w0-average of I(., b_0), and h is
-    the leverage u' A0^-1 u of x_new's row u (the one w1 weights), with
-    A0 = X' diag(w0) X and X = `rows`.
+def _improves(sol: InnerSolution, start: InnerSolution) -> bool:
+    """Whether a step's solution improves on the start's beyond rounding."""
+    return sol.value - start.value > _IMPROVEMENT_TOL * max(1.0, abs(start.value))
 
-    h is the squared norm of the minimum-norm solution y of (sqrt(w0) X)' y = u,
-    a least-squares solve on the matrix the inner solve factors. A rank test
-    passed by rows of rounding size can overflow h; the step is then NaN,
-    which no range check accepts.
+
+def restricted_dual(pair: ModelPair, points, warm_start=None, *,
+                    reg: RegularizationConfig | None = None):
+    """The best design on fixed points, from the minimax dual restricted to them.
+
+    The averaged divergence is linear in the weights and convex in beta2, so
+    the largest criterion over designs on `points` is the minimum over
+    (beta2 in the box, t) of (1-gamma) t + gamma avg_ref I(., beta2) subject to
+    I(x_j, beta2) <= t for every point x_j (gamma and the reference design
+    from `reg`, gamma = 0 without). At its solution the constraint
+    multipliers sum to 1 - gamma, stationarity in beta2 is the inner
+    first-order condition of the design they weight, and complementary
+    slackness leaves a zero weight where I(x_j, beta2) < t. For a nested
+    Gaussian pair the weights are those of the discrete Chebyshev
+    approximation of the true mean by the rival span (Atkinson and Fedorov
+    1975). SLSQP solves it from
+    `warm_start` (clipped into the box; the box midpoint when None), with
+    derivatives from the prepared `Support`s.
+
+    Returns (multipliers, beta2, value), one multiplier per point; dividing
+    the multipliers by their sum gives the weights.
     """
-    u = rows[np.argmax(w1)]
-    y = np.linalg.lstsq((np.sqrt(w0)[:, None] * rows).T, u, rcond=None)[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = y @ y
-        d = p - q * (1.0 - h)
-        return float((p - q) / (d * (1.0 + np.sqrt(p * h / d))))
+    support = prepare_support(pair, points)
+    gamma = 0.0 if reg is None else reg.gamma
+    box = pair.theta2
+    if reg is not None:
+        reference = prepare_support(pair, reg.xi_tilde.points)
+        reference_weights = reg.xi_tilde.weights
+
+    def objective(z):
+        value, grad = (1.0 - gamma) * z[-1], np.zeros(z.size)
+        grad[-1] = 1.0 - gamma
+        if reg is not None:
+            beta = z[:-1]
+            g = reference.derivatives(reference.rows @ beta)[0]
+            value += gamma * (reference_weights @ reference.pointwise(beta))
+            grad[:-1] = gamma * (reference_weights * g) @ reference.rows
+        return value, grad
+
+    def slack_jacobian(z):
+        g = support.derivatives(support.rows @ z[:-1])[0]
+        return np.column_stack([-g[:, None] * support.rows, np.ones(g.size)])
+
+    beta = box.midpoint if warm_start is None else box.clip(warm_start)
+    res = minimize(objective, np.append(beta, np.max(support.pointwise(beta))),
+                   jac=True, method="SLSQP",
+                   bounds=[*zip(box.lower, box.upper), (None, None)],
+                   constraints={"type": "ineq", "jac": slack_jacobian,
+                                "fun": lambda z: z[-1] - support.pointwise(z[:-1])},
+                   options={"ftol": _DUAL_FTOL})
+    return res.multipliers, res.x[:-1], float(res.fun)
+
+
+def corrective_step(pair: ModelPair, design: Design, x_new, start: InnerSolution,
+                    space: DesignSpace, inner_config: InnerConfig = InnerConfig(), *,
+                    reg: RegularizationConfig | None = None):
+    """The step of a Gaussian pair: the best weights on the support and x_new.
+
+    The points are the support, x_new, and every root of r' and end of the
+    domain where psi > 0 at the start's minimizer (the candidates of
+    `psi_scan`, which hold the maximum of psi). `restricted_dual` gives their
+    weights, and a point of zero weight leaves. The segment a line search
+    explores lies among these designs, so the step is at least as good as
+    the exact line search's. The new design is solved once, warm-started at
+    the dual's beta2, so U and the singular flag are read off the inner
+    solve as at every iterate. Returns (the new weight at x_new, the new
+    design, its inner solution); (0.0, design, start) signals that no ascent
+    step exists: the multipliers have no positive sum, or the value does not
+    rise.
+    """
+    candidates, psi = psi_scan(pair, design, start.beta2_hat, space, grid_size=2)
+    points = design.points
+    for x in [np.asarray(x_new, dtype=float), *candidates[psi > 0.0]]:
+        if np.min(np.abs(points[:, 0] - x[0])) > DUPLICATE_TOL:
+            points = np.vstack([points, x])
+    multipliers, beta, _ = restricted_dual(pair, points, start.beta2_hat, reg=reg)
+    keep = multipliers > 0.0
+    total = float(np.sum(multipliers[keep]))
+    if not (np.isfinite(total) and total > 0.0):
+        return 0.0, design, start
+    new = Design(design.space, points[keep], multipliers[keep] / total)
+    target = new if reg is None else blend_designs(new, reg.xi_tilde, reg.gamma)
+    sol = minimize_beta2(pair, target, inner_config, warm_start=beta)
+    if not _improves(sol, start):
+        return 0.0, design, start
+    return new.weight_at(x_new), new, sol
 
 
 def default_reference_design(pair: ModelPair, space: DesignSpace) -> Design:
@@ -395,22 +426,15 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
     if not report.ok:
         raise DomainError("invalid initial design: " + "; ".join(report.violations))
 
+    design = initial_design
     regularizing = reg is not None
     if regularizing:
-        xi_tilde = _resolve_reference(pair, space, reg)
-        reg = replace(reg, xi_tilde=xi_tilde)
+        reg = replace(reg, xi_tilde=_resolve_reference(pair, space, reg))
         gamma = reg.gamma
+        inner = minimize_beta2(pair, blend_designs(design, reg.xi_tilde, gamma), inner_cfg)
     else:
         gamma = 0.0
-
-    r0 = _COLLAPSE_RADIUS_SHARE * space.diameter
-
-    def solve_on(d: Design, warm) -> InnerSolution:
-        target = blend_designs(d, reg.xi_tilde, gamma) if regularizing else d
-        return minimize_beta2(pair, target, inner_cfg, warm_start=warm)
-
-    design = initial_design
-    inner = solve_on(design, None)
+        inner = minimize_beta2(pair, design, inner_cfg)
     grid_divergence = pair.divergence_evaluator(space.grid(PSI_GRID_SIZE))
     null_scale = float(np.max(grid_divergence(np.zeros(pair.dimension))))
     if not regularizing and inner.singular_flag:
@@ -448,9 +472,13 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
             stop = EFFICIENCY_REACHED
 
         if stop is None:
-            alpha, step_inner = line_search_alpha(pair, design, x_n, inner,
-                                                  inner_cfg, reg=reg)
-            if alpha == 0.0:
+            if isinstance(pair, GaussianRegressionPair):
+                alpha, step_design, step_inner = corrective_step(
+                    pair, design, x_n, inner, space, inner_cfg, reg=reg)
+            else:
+                alpha, step_design, step_inner = line_search_alpha(
+                    pair, design, x_n, inner, inner_cfg, reg=reg)
+            if step_inner is inner:
                 if not regularizing and psi_max > _STALL_PSI_TOL * max(1.0, value):
                     stop = STALLED_REGULARIZED
                 else:
@@ -468,7 +496,7 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
             if drop > _ASCENT_HARD:
                 raise RuntimeError(
                     f"criterion decreased by {drop:.3e} at iteration {n}; "
-                    "the exact line search guarantees ascent")
+                    "every step raises the criterion")
             if drop > _ASCENT_SOFT:
                 warnings.warn(f"criterion dipped by {drop:.3e} at iteration {n}",
                               stacklevel=2)
@@ -476,19 +504,7 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
             reason = stop
             break
 
-        mixed = mix_design(design, x_n, alpha)
-        radius = r0 * n ** (-_COLLAPSE_RADIUS_EXPONENT)
-        cleaned = collapse_support(mixed, x_n, radius, n ** _ANCHOR_WEIGHT_EXPONENT)
-        cleaned = prune_support(cleaned, rel_threshold=_PRUNE_REL)
-        if cleaned is mixed:
-            next_inner = step_inner  # the line search solved this very mixture
-        else:
-            next_inner = solve_on(cleaned, inner.beta2_hat)
-            if (next_inner.value < value - 1e-13 * max(1.0, abs(value))
-                    and step_inner.value > next_inner.value):
-                # Housekeeping moved the support too far; keep the raw mixture.
-                cleaned, next_inner = mixed, step_inner
-        design, inner = cleaned, next_inner
+        design, inner = step_design, step_inner
 
     last = history[-1]
     return RunResult(

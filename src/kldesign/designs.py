@@ -3,8 +3,8 @@
 A design is a probability measure with finitely many support points on an
 interval [lower, upper] of one experimental variable. This module holds the
 measure-level toolbox the exchange algorithm is built on: validation,
-mixing a design with a point mass, collapsing/pruning support, exact
-Kantorovich-Wasserstein (order-1) distances, and affine images of designs.
+mixtures of designs, exact Kantorovich-Wasserstein (order-1) distances, and
+affine images of designs.
 Designs are immutable values and every operation here is a pure function.
 """
 
@@ -162,29 +162,15 @@ def validate_design(design: Design, space: DesignSpace | None = None) -> Validat
     return ValidationReport(len(bad) == 0, tuple(bad))
 
 
-def mix_design(design: Design, new_point, alpha: float) -> Design:
-    """Mixture (1-alpha)*design + alpha*delta_{new_point}, on the support of
-    `mixture_segment`: the new point merges into a support point it
-    coincides with, as in `blend_designs`. alpha=0 returns the design
-    unchanged.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    points, w0, w1 = mixture_segment(design, new_point)
-    if alpha == 0.0:
-        return design
-    if alpha == 1.0:
-        return Design(design.space, _as_point(new_point), [1.0])
-    return Design(design.space, points, (1.0 - alpha) * w0 + alpha * w1)
-
-
 def mixture_segment(design: Design, new_point):
-    """The segment a -> mix_design(design, new_point, a) on its common support.
+    """The segment from the design to the point mass at new_point, on its
+    common support.
 
     Returns (points, w0, w1): the design's points with new_point appended
     unless it coincides with one of them, the design's weights and the point
     mass on that support, so that the mixture at 0 < a < 1 has the weights
-    (1-a) w0 + a w1, the same floats `blend_designs` gives.
+    (1-a) w0 + a w1, the same floats `blend_designs` gives with the point
+    mass. A new_point outside the design space raises `DomainError`.
     """
     x = _as_point(new_point)
     if not design.space.contains(x)[0]:
@@ -221,73 +207,6 @@ def blend_designs(first: Design, second: Design, alpha: float) -> Design:
         return Design(first.space, np.vstack([first.points, np.asarray(extra_pts)]),
                       np.concatenate([base_w, np.asarray(extra_w)]))
     return Design(first.space, first.points, base_w)
-
-
-def collapse_support(design: Design, anchor, radius: float,
-                     anchor_weight_factor: float = 1.0) -> Design:
-    """Merge all support points within `radius` of `anchor`.
-
-    The merged points are replaced by their weighted barycenter; the anchor's
-    own weight is multiplied by `anchor_weight_factor` in the barycenter
-    computation only. The merged weight is the plain sum of the merged
-    weights. The barycenter is clipped to the design-space interval.
-    """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if anchor_weight_factor < 1.0:
-        raise ValueError("anchor_weight_factor must be >= 1")
-    x = _as_point(anchor, "anchor")
-    dist = np.abs(design.points[:, 0] - x[0])
-    mask = dist <= radius
-    if not mask.any():
-        return design
-    pts_in = design.points[mask]
-    w_in = design.weights[mask]
-    bary_w = w_in.copy()
-    exact = np.abs(pts_in[:, 0] - x[0]) <= DUPLICATE_TOL
-    if exact.any():
-        bary_w[np.argmax(exact)] *= anchor_weight_factor
-    bary = design.space.clip(bary_w @ pts_in / bary_w.sum())[0]
-    if mask.sum() == 1 and abs(pts_in[0, 0] - bary[0]) <= DUPLICATE_TOL:
-        return design
-    keep_pts = design.points[~mask]
-    keep_w = design.weights[~mask]
-    merged_w = float(w_in.sum())
-    if keep_pts.shape[0]:
-        near = np.abs(keep_pts[:, 0] - bary[0]) <= DUPLICATE_TOL
-        if near.any():
-            keep_w = keep_w.copy()
-            keep_w[np.argmax(near)] += merged_w
-            return Design(design.space, keep_pts, keep_w)
-        return Design(design.space, np.vstack([keep_pts, bary]),
-                      np.append(keep_w, merged_w))
-    return Design(design.space, bary[None, :], np.array([merged_w]))
-
-
-def prune_support(design: Design, abs_threshold: float = 0.0,
-                  rel_threshold: float = 0.0) -> Design:
-    """Drop low-weight support points and renormalize.
-
-    A point is dropped when its weight is below `abs_threshold`, or below
-    `rel_threshold` times the mean weight of the other points. The last
-    remaining point is never dropped.
-    """
-    if abs_threshold < 0.0 or rel_threshold < 0.0:
-        raise ValueError("thresholds must be >= 0")
-    n = design.size
-    if n == 1:
-        return design
-    w = design.weights
-    mean_others = (w.sum() - w) / (n - 1)
-    drop = (w < abs_threshold) | (w < rel_threshold * mean_others)
-    if not drop.any():
-        return design
-    keep = ~drop
-    if not keep.any():
-        keep = np.zeros(n, dtype=bool)
-        keep[int(np.argmax(w))] = True
-    w_kept = w[keep]
-    return Design(design.space, design.points[keep], w_kept / w_kept.sum())
 
 
 def wasserstein_distance_lp(d1: Design, d2: Design) -> float:

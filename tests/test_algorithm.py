@@ -1,4 +1,4 @@
-"""Outer exchange loop: derivative, best-point search, line search, runs."""
+"""Outer exchange loop: derivative, best-point search, steps, runs."""
 
 import numpy as np
 import pytest
@@ -9,23 +9,30 @@ from scipy.optimize import brentq
 from kldesign import algorithm
 from kldesign.algorithm import (EFFICIENCY_REACHED, STALLED_REGULARIZED,
                                 AlgoConfig, RegularizationConfig,
-                                best_support_candidate, default_reference_design,
-                                efficiency_bound, line_search_alpha, psi_scan,
+                                best_support_candidate, corrective_step,
+                                default_reference_design, efficiency_bound,
+                                line_search_alpha, psi_scan, restricted_dual,
                                 run_first_order, run_regularized)
 from kldesign.benchmarks import (benchmark_inner_config, cubic_quadratic_optimum,
                                  cubic_quadratic_pair, cubic_quadratic_space,
                                  cubic_quadratic_start, logistic_pair,
                                  logistic_reference_design, logistic_space,
                                  logistic_start_design)
-from kldesign.designs import Design, DesignSpace, blend_designs, mix_design
-from kldesign.errors import UndefinedEfficiencyError, UnsupportedModelError
+from kldesign.designs import (AffineMap, Design, DesignSpace, blend_designs,
+                              transform_design, validate_design, wasserstein_distance)
+from kldesign.errors import DomainError, UndefinedEfficiencyError, UnsupportedModelError
 from kldesign.inner import InnerConfig, minimize_beta2
 from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
-                             SyntheticFamily, kl_average)
+                             SyntheticFamily, kl_average, reparametrize_under_affine)
 
 TIGHT = InnerConfig(local_tolerance=1e-10)
 FAST = InnerConfig(local_tolerance=1e-9)
 OPT_BETA = np.array([0.0, 0.75, 0.0])
+
+
+def mixture(design: Design, x, alpha: float) -> Design:
+    """(1 - alpha) design + alpha delta_x, the blend with a point mass."""
+    return blend_designs(design, Design(design.space, x, [1.0]), alpha)
 
 
 class TestDirectionalDerivative:
@@ -176,9 +183,9 @@ class TestLineSearch:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(algorithm, "minimize_beta2", spy)
-            alpha, step = line_search_alpha(pair, opt, [0.3], sol, TIGHT)
+            alpha, mixed, step = line_search_alpha(pair, opt, [0.3], sol, TIGHT)
         assert alpha == 0.0
-        assert step is sol
+        assert mixed is opt and step is sol
         assert solves == []  # g(0) and its slope are read off the start
 
     def test_segment_through_an_interpolatable_mixture_has_no_ascent(self):
@@ -188,7 +195,7 @@ class TestLineSearch:
         start = Design(cubic_quadratic_space(), [[-1.0]], [1.0])
         sol = minimize_beta2(pair, start, TIGHT)
         assert sol.value <= 1e-12
-        alpha, step = line_search_alpha(pair, start, [1.0], sol, TIGHT)
+        alpha, _, step = line_search_alpha(pair, start, [1.0], sol, TIGHT)
         assert alpha == 0.0
         assert step.value <= 1e-12
 
@@ -199,11 +206,16 @@ class TestLineSearch:
         x_new, psi = best_support_candidate(pair, start, sol.beta2_hat,
                                             cubic_quadratic_space())
         assert psi > 0.0
-        alpha, step = line_search_alpha(pair, start, x_new, sol, TIGHT)
+        alpha, mixed, step = line_search_alpha(pair, start, x_new, sol, TIGHT)
         value = step.value
         assert alpha > 0.0
         assert value > sol.value
-        scan = [minimize_beta2(pair, mix_design(start, x_new, a), TIGHT).value
+        # the mixture it steps to is the one its solution is of, float for float
+        expected = mixture(start, x_new, alpha)
+        np.testing.assert_array_equal(mixed.points, expected.points)
+        np.testing.assert_array_equal(mixed.weights, expected.weights)
+        assert minimize_beta2(pair, mixed, TIGHT).value == pytest.approx(value, abs=1e-12)
+        scan = [minimize_beta2(pair, mixture(start, x_new, a), TIGHT).value
                 for a in np.linspace(0, 1, 1001)]
         assert value == pytest.approx(max(scan), abs=1e-6)
         assert abs(alpha - np.linspace(0, 1, 1001)[int(np.argmax(scan))]) <= 2e-3
@@ -212,45 +224,14 @@ class TestLineSearch:
         pair = cubic_quadratic_pair()
         d = cubic_quadratic_start()
         sol = minimize_beta2(pair, d, TIGHT)
-        alpha, step = line_search_alpha(pair, d, d.points[0], sol, TIGHT)
+        alpha, _, step = line_search_alpha(pair, d, d.points[0], sol, TIGHT)
         if alpha == 0.0:
             assert step.value == pytest.approx(sol.value, abs=1e-10)
 
-    @pytest.mark.parametrize("case", ["box-binds-at-step", "rank-deficient-start",
-                                      "step-misses-the-root"])
-    def test_gaussian_fallback_runs_the_root_find(self, case):
-        exact = closed_form = algorithm._gaussian_step
-        if case == "box-binds-at-step":
-            # the start's minimizer is interior, the step's has beta2[1] = 0.7
-            pair, design = cubic_quadratic_pair(0.7), cubic_quadratic_start()
-        elif case == "step-misses-the-root":
-            # half the closed-form step: a regular interior solve, slope far from 0
-            pair, design = cubic_quadratic_pair(), cubic_quadratic_start()
-            closed_form = lambda *args: exact(*args) / 2  # noqa: E731
-        else:
-            # the even rival {1, x^2} cannot tell -0.5 from 0.5
-            pair = GaussianRegressionPair.from_exponents(
-                [0.0, 0.0, 0.0, 1.0], [0, 2], ParamBox([-5.0] * 2, [5.0] * 2), 0.5)
-            design = Design(cubic_quadratic_space(), [[-0.5], [0.5]], [0.5, 0.5])
-        x_new = np.array([1.0])
-        start = minimize_beta2(pair, design, TIGHT)
-        assert not start.at_boundary
-        assert start.singular_flag == (case == "rank-deficient-start")
-        roots = []
-
-        def root(*args, **kwargs):
-            roots.append(args)
-            return brentq(*args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(algorithm, "brentq", root)
-            patch.setattr(algorithm, "_gaussian_step", closed_form)
-            alpha, step = line_search_alpha(pair, design, x_new, start, TIGHT)
-        assert len(roots) == 1
-        assert step.at_boundary == (case == "box-binds-at-step")
-        scan = [minimize_beta2(pair, mix_design(design, x_new, a), TIGHT).value
-                for a in np.linspace(0, 1, 1001)]
-        assert step.value >= max(scan) - 1e-9
+    def test_point_outside_space_raises(self):
+        pair, start = cubic_quadratic_pair(), cubic_quadratic_start()
+        with pytest.raises(DomainError):
+            line_search_alpha(pair, start, [2.0], minimize_beta2(pair, start, TIGHT), TIGHT)
 
     def test_concavity_along_segments(self):
         rng = np.random.default_rng(83)
@@ -261,7 +242,7 @@ class TestLineSearch:
             d = Design(space, rng.uniform(-1, 1, (m, 1)), rng.dirichlet(np.ones(m)))
             x = rng.uniform(-1, 1, 1)
             a, b = sorted(rng.uniform(0, 1, 2))
-            g = [minimize_beta2(pair, mix_design(d, x, t), TIGHT).value
+            g = [minimize_beta2(pair, mixture(d, x, t), TIGHT).value
                  for t in (a, (a + b) / 2, b)]
             assert g[1] >= (g[0] + g[2]) / 2 - 1e-8
 
@@ -273,8 +254,7 @@ def segment_case(family: str, regularized: bool, where: str):
     """A line search whose root find runs: pair, design, x_new and the
     regularization, with x_new new to the design, on one of its support
     points, or on a point of the reference design. The plain Gaussian box
-    binds (beta2[1] <= 0.6), since an interior plain Gaussian step is taken
-    in closed form."""
+    binds (beta2[1] <= 0.6)."""
     if family == "gaussian":
         pair = cubic_quadratic_pair(5.0 if regularized else 0.6)
         design = cubic_quadratic_start()
@@ -329,7 +309,7 @@ class TestLineSearchSupport:
         assert support is not None
         assert all(t[2] is support for t in interior)
         for a, (trial, warm, _, sol) in zip(steps, interior):
-            expected = mix_design(design, x_new, a)
+            expected = mixture(design, x_new, a)
             if reg is not None:
                 expected = blend_designs(expected, reg.xi_tilde, reg.gamma)
             np.testing.assert_array_equal(trial.points, expected.points)
@@ -380,7 +360,7 @@ class TestLineSearchProperties:
         pair, design, reg, a = data.draw(segments(family, regularized))
 
         def solve(t, warm=None):
-            target = mix_design(design, x_new, t) if t > 0.0 else design
+            target = mixture(design, x_new, t) if t > 0.0 else design
             if reg is not None:
                 target = blend_designs(target, reg.xi_tilde, reg.gamma)
             return minimize_beta2(pair, target, TIGHT, warm_start=warm)
@@ -398,8 +378,8 @@ class TestLineSearchProperties:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(algorithm, "brentq", spy)
-            alpha, step = line_search_alpha(pair, design, x_new, solve(0.0), TIGHT,
-                                            reg=reg)
+            alpha, _, step = line_search_alpha(pair, design, x_new, solve(0.0), TIGHT,
+                                               reg=reg)
         value = step.value
         assert value == pytest.approx(solve(alpha).value, abs=1e-9)
         scan, warm = [], None
@@ -413,35 +393,108 @@ class TestLineSearchProperties:
             derivative = (solve(a + h).value - solve(a - h).value) / (2 * h)
             assert slopes[0](a) == pytest.approx(derivative, rel=1e-6, abs=1e-10)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
-    @given(data=st.data())
-    def test_interior_gaussian_step_is_one_solve_at_the_root(self, data):
-        pair, design, _, _ = data.draw(segments("gaussian", False))
+
+class TestRestrictedDual:
+    """The best weights on fixed points; for a nested Gaussian pair they are
+    the multipliers of the discrete Chebyshev approximation."""
+
+    def test_cubic_on_the_chebyshev_extrema(self):
+        points = cubic_quadratic_optimum().points
+        multipliers, beta, value = restricted_dual(cubic_quadratic_pair(), points)
+        np.testing.assert_allclose(multipliers / multipliers.sum(),
+                                   [1 / 6, 1 / 3, 1 / 3, 1 / 6], atol=1e-12)
+        assert value == pytest.approx(1 / 16, abs=1e-12)
+        np.testing.assert_allclose(beta, OPT_BETA, atol=1e-12)
+
+    def test_quartic_on_the_chebyshev_extrema(self):
+        # x^4 - T4 / 8 is the best cubic, with error 1/8 and value (1/8)^2
+        pair = GaussianRegressionPair.from_exponents(
+            [0.0, 0.0, 0.0, 0.0, 1.0], [0, 1, 2, 3], ParamBox([-5.0] * 4, [5.0] * 4), 0.5)
+        points = np.array([-1.0, -np.sqrt(0.5), 0.0, np.sqrt(0.5), 1.0])[:, None]
+        multipliers, _, value = restricted_dual(pair, points)
+        np.testing.assert_allclose(multipliers / multipliers.sum(),
+                                   [1 / 8, 1 / 4, 1 / 4, 1 / 4, 1 / 8], atol=1e-12)
+        assert value == pytest.approx(1 / 64, abs=1e-12)
+
+    def test_extra_points_get_zero_weight(self):
+        points = np.array([-1.0, -0.5, 0.0, 0.5, 0.8, 1.0])[:, None]
+        multipliers, _, value = restricted_dual(cubic_quadratic_pair(), points,
+                                                [0.3, 0.2, -0.4])
+        assert multipliers[2] == 0.0 and multipliers[4] == 0.0
+        np.testing.assert_allclose(multipliers[[0, 1, 3, 5]] / multipliers.sum(),
+                                   [1 / 6, 1 / 3, 1 / 3, 1 / 6], atol=1e-12)
+        assert value == pytest.approx(1 / 16, abs=1e-12)
+
+    def test_logistic_value_is_the_criterion_of_its_design(self):
+        # nothing in the dual is Gaussian: a regular logistic pair on a grid
+        pair = LogisticGlmPair.from_exponents([1.0, -2.0, 1.5], [0, 1],
+                                              ParamBox([-10.0] * 2, [10.0] * 2))
+        space = DesignSpace([0.0], [1.0])
+        points = space.grid(41)
+        multipliers, beta, value = restricted_dual(pair, points)
+        keep = multipliers > 0.0
+        design = Design(space, points[keep], multipliers[keep] / multipliers[keep].sum())
+        sol = minimize_beta2(pair, design, TIGHT, warm_start=beta)
+        assert sol.value == pytest.approx(value, abs=1e-10)
+        assert np.max(pair.divergence(points, beta)) == pytest.approx(value, abs=1e-10)
+
+    def test_regularized_value_is_the_criterion_of_its_design(self):
+        # the multipliers sum to 1 - gamma, and the design they weight,
+        # blended with the reference, has the dual value as its criterion
+        pair, space = cubic_quadratic_pair(), cubic_quadratic_space()
+        reg = RegularizationConfig(gamma=0.2,
+                                   xi_tilde=default_reference_design(pair, space))
+        points = np.array([-1.0, -0.6, 0.1, 0.8, 1.0])[:, None]
+        multipliers, _, value = restricted_dual(pair, points, reg=reg)
+        assert multipliers.sum() == pytest.approx(0.8, abs=1e-9)
+        design = Design(space, points, multipliers / multipliers.sum())
+        blended = blend_designs(design, reg.xi_tilde, reg.gamma)
+        assert minimize_beta2(pair, blended, TIGHT).value == pytest.approx(value, abs=1e-10)
+
+
+class TestCorrectiveStep:
+    def test_no_step_at_the_optimum(self):
+        pair, opt = cubic_quadratic_pair(), cubic_quadratic_optimum()
+        sol = minimize_beta2(pair, opt, TIGHT)
+        alpha, design, step = corrective_step(pair, opt, [0.3], sol,
+                                              cubic_quadratic_space(), TIGHT)
+        assert (alpha, design, step) == (0.0, opt, sol)
+
+    def test_new_support_lies_among_the_candidates(self):
+        # the support, x_new, and the roots of r' and ends of the domain
+        # where psi > 0
+        pair, design, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
+                               cubic_quadratic_space())
         start = minimize_beta2(pair, design, TIGHT)
+        x_new, _ = best_support_candidate(pair, design, start.beta2_hat, space)
+        _, new, _ = corrective_step(pair, design, x_new, start, space, TIGHT)
+        candidates, psi = psi_scan(pair, design, start.beta2_hat, space, grid_size=2)
+        allowed = np.concatenate([design.points[:, 0], x_new, candidates[psi > 0.0, 0]])
+        for x in new.points[:, 0]:
+            assert np.min(np.abs(allowed - x)) == 0.0
+        assert new.size < allowed.size  # points of zero weight left
+
+    @pytest.mark.parametrize("regularized", [False, True], ids=["plain", "regularized"])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=15)
+    @given(data=st.data())
+    def test_at_least_the_line_search_step(self, regularized, data):
+        pair, design, reg, _ = data.draw(segments("gaussian", regularized))
+        target = design if reg is None else blend_designs(design, reg.xi_tilde, reg.gamma)
+        start = minimize_beta2(pair, target, TIGHT)
         x_new, _ = best_support_candidate(pair, design, start.beta2_hat, design.space)
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return minimize_beta2(*args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(algorithm, "minimize_beta2", spy)
-            alpha, step = line_search_alpha(pair, design, x_new, start, TIGHT)
-        # The closed form needs a regular interior start, and it is the step
-        # only where the step is interior too: not 0, not the full step (x_new
-        # has a zero row) and not where the box binds.
-        if (start.singular_flag or start.at_boundary or not 0.0 < alpha < 1.0
-                or step.singular_flag or step.at_boundary):
+        alpha, new, step = corrective_step(pair, design, x_new, start, design.space,
+                                           TIGHT, reg=reg)
+        searched = line_search_alpha(pair, design, x_new, start, TIGHT, reg=reg)[2]
+        assert step.value >= searched.value - 1e-9 * max(1.0, searched.value)
+        if step is start:
+            assert (alpha, new) == (0.0, design)
             return
-        assert len(calls) == 1
-
-        def slope(a):  # of a fresh solve; the support, then x_new
-            sol = minimize_beta2(pair, mix_design(design, x_new, a), TIGHT)
-            row = pair.divergence(np.vstack([design.points, x_new]), sol.beta2_hat)
-            return row[-1] - design.weights @ row[:-1]
-
-        assert alpha == pytest.approx(brentq(slope, 0.0, 1.0, xtol=1e-12), abs=1e-8)
+        assert validate_design(new).ok
+        assert alpha == new.weight_at(x_new)
+        assert step.value > start.value
+        fresh = new if reg is None else blend_designs(new, reg.xi_tilde, reg.gamma)
+        assert minimize_beta2(pair, fresh, TIGHT).value == pytest.approx(step.value,
+                                                                         abs=1e-9)
 
 
 class TestRuns:
@@ -459,7 +512,7 @@ class TestRuns:
 
     def test_psi_centering_along_the_run(self, ctx):
         pair = cubic_quadratic_pair()
-        for rec in ctx.benchmark_run().history[::10]:
+        for rec in ctx.benchmark_run().history:
             psis = pair.divergence(rec.design.points, rec.beta2_hat) - kl_average(
                 pair, rec.design, rec.beta2_hat)
             assert abs(float(rec.design.weights @ psis)) <= 1e-10
@@ -476,24 +529,85 @@ class TestRuns:
             np.testing.assert_array_equal(a.design.points, b.design.points)
 
     def test_each_design_is_solved_once(self):
-        # the line search starts from the loop's solution and hands back the
-        # one at its step; one-point designs may recur when x_n does
-        solved = []
+        # the loop solves the start, then each iteration that steps solves its
+        # new design once; the stopping iteration solves nothing
+        solved, solved_by = [], []
 
         def spy(pair, design, *args, **kwargs):
-            if design.size >= 2:
-                solved.append((design.points.tobytes(), design.weights.tobytes()))
+            solved.append((design.points.tobytes(), design.weights.tobytes()))
             return minimize_beta2(pair, design, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(algorithm, "minimize_beta2", spy)
             run = run_first_order(cubic_quadratic_pair(), cubic_quadratic_start(),
                                   cubic_quadratic_space(),
-                                  AlgoConfig(max_iterations=10),
-                                  benchmark_inner_config())
-        assert len(run.history) == 10
-        assert len(solved) > 10
+                                  AlgoConfig(delta=1.0 - 1e-12, max_iterations=10),
+                                  benchmark_inner_config(),
+                                  on_iteration=lambda r: solved_by.append(len(solved)))
+        assert run.termination_reason == EFFICIENCY_REACHED
+        assert len(run.history) >= 4
+        assert np.diff([1] + solved_by).tolist() == [1] * (len(run.history) - 1) + [0]
         assert len(set(solved)) == len(solved)
+
+    def test_random_nested_gaussian_instances_reach_delta(self):
+        # Truth of degree d, the rival every lower monomial, four random start
+        # points: a regular problem each. Support collapsing and pruning used
+        # to undo steps on some and leave others singular.
+        rng = np.random.default_rng(7)
+        space = DesignSpace([-1.0], [1.0])
+        reasons = []
+        for _ in range(25):
+            d = int(rng.integers(2, 5))
+            pair = GaussianRegressionPair.from_exponents(
+                rng.normal(size=d + 1), list(range(d)),
+                ParamBox([-50.0] * d, [50.0] * d), 0.5)
+            start = Design(space, rng.uniform(-1.0, 1.0, 4)[:, None],
+                           rng.dirichlet(np.ones(4)))
+            run = run_first_order(pair, start, space,
+                                  AlgoConfig(delta=0.99, max_iterations=300),
+                                  benchmark_inner_config())
+            reasons.append(run.termination_reason)
+        assert reasons == [EFFICIENCY_REACHED] * 25
+
+    def test_affine_image_takes_the_same_steps(self):
+        # the step is equivariant under z = 2 + 4x: the same values, and the
+        # image of each design
+        amap = AffineMap([2.0], [[4.0]])
+        algo = AlgoConfig(delta=1.0 - 1e-9, max_iterations=10)
+        pair, start, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
+                              cubic_quadratic_space())
+        run = run_first_order(pair, start, space, algo, FAST)
+        image = run_first_order(reparametrize_under_affine(pair, amap),
+                                transform_design(start, amap), amap.image_box(space),
+                                algo, FAST)
+        assert len(image.history) == len(run.history) >= 4
+        for a, b in zip(run.history, image.history):
+            assert b.value == pytest.approx(a.value, abs=1e-10)
+            mapped = transform_design(a.design, amap)
+            assert wasserstein_distance(mapped, b.design) <= 1e-6
+
+    def test_regularized_gaussian_run_from_a_one_point_start(self):
+        # the plain loop hands a one-point start off; the regularized loop
+        # takes the corrective step from it
+        pair, space = cubic_quadratic_pair(), cubic_quadratic_space()
+        run = run_regularized(pair, Design(space, [[0.0]], [1.0]), space,
+                              AlgoConfig(delta=0.99, max_iterations=50), FAST,
+                              RegularizationConfig(gamma=0.05))
+        assert run.termination_reason == EFFICIENCY_REACHED
+        values = [r.value for r in run.history]
+        assert np.all(np.diff(values) > 0.0)
+
+    def test_logistic_loop_steps_to_the_raw_mixture(self, ctx):
+        # no support is merged or dropped: each iterate is the blend of the
+        # last with a point mass at its best point, float for float
+        steps = 0
+        for run in (ctx.logistic_plain_run(), ctx.logistic_regularized_run()):
+            for rec, following in zip(run.history, run.history[1:]):
+                expected = mixture(rec.design, rec.best_point, rec.alpha)
+                np.testing.assert_array_equal(following.design.points, expected.points)
+                np.testing.assert_array_equal(following.design.weights, expected.weights)
+                steps += 1
+        assert steps >= 2
 
     def test_one_point_start_hands_off(self):
         # value 0 with psi_max > 0 gives U = 0, not an undefined bound

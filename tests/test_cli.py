@@ -112,7 +112,7 @@ class TestRun:
 
     def test_budget_exhaustion_exits_2(self, tmp_path):
         cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN +
-                    "algorithm:\n  delta: 0.999999\n  max_iterations: 5\n")
+                    "algorithm:\n  delta: 0.999999\n  max_iterations: 1\n")
         rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"), "--quiet"])
         assert rc == 2
 

@@ -8,8 +8,7 @@ import scipy.stats
 from scipy.optimize import linprog
 
 from kldesign.designs import (AffineMap, Design, DesignSpace, blend_designs,
-                              collapse_support, mix_design, mixture_segment,
-                              prune_support, transform_design, validate_design,
+                              mixture_segment, transform_design, validate_design,
                               wasserstein_distance, wasserstein_distance_lp)
 from kldesign.errors import DomainError, SingularMapError
 
@@ -81,34 +80,35 @@ class TestValidation:
         assert any("coincide" in v for v in report.violations)
 
 
+def mix(design: Design, x, alpha: float) -> Design:
+    """(1 - alpha) design + alpha delta_x, the blend with a point mass."""
+    return blend_designs(design, Design(design.space, x, [1.0]), alpha)
+
+
 class TestMixDesign:
     def test_two_point_mixture(self):
         d0 = Design(DesignSpace([-1.0], [1.0]), [[0.0]], [1.0])
-        mixed = mix_design(d0, [1.0], 0.5)
+        mixed = mix(d0, [1.0], 0.5)
         assert mixed.points.ravel().tolist() == [0.0, 1.0]
         np.testing.assert_allclose(mixed.weights, [0.5, 0.5])
 
     def test_alpha_zero_is_identity(self):
         d = chebyshev_design()
-        assert mix_design(d, [0.3], 0.0) is d
+        assert mix(d, [0.3], 0.0) is d
 
     def test_merge_into_existing_point(self):
         # weight at 1 becomes 0.6 * (1/6) + 0.4 = 0.5; the rest scale by 0.6
         d = chebyshev_design()
-        mixed = mix_design(d, [1.0], 0.4)
+        mixed = mix(d, [1.0], 0.4)
         assert mixed.size == 4
         assert mixed.weight_at([1.0]) == pytest.approx(0.6 / 6 + 0.4, abs=1e-15)
         assert mixed.weight_at([-0.5]) == pytest.approx(0.6 / 3, abs=1e-15)
 
     def test_alpha_one_keeps_only_new_point(self):
         d = chebyshev_design()
-        mixed = mix_design(d, [0.25], 1.0)
+        mixed = mix(d, [0.25], 1.0)
         assert mixed.size == 1
         assert mixed.weights[0] == 1.0
-
-    def test_point_outside_space_raises(self):
-        with pytest.raises(DomainError):
-            mix_design(chebyshev_design(), [2.0], 0.5)
 
     def test_mixture_stays_valid_and_close(self):
         # d_w(mix(xi, x, a), xi) <= a * diam(X)
@@ -118,7 +118,7 @@ class TestMixDesign:
             d = random_design(rng, space)
             x = rng.uniform(-1.0, 1.0, size=1)
             a = float(rng.uniform(0.0, 1.0))
-            mixed = mix_design(d, x, a)
+            mixed = mix(d, x, a)
             assert validate_design(mixed).ok
             assert wasserstein_distance(mixed, d) <= a * space.diameter + 1e-12
 
@@ -137,78 +137,12 @@ class TestMixtureSegment:
             assert points.shape[0] == d.size + (where == "new")
             for a in rng.uniform(0.0, 1.0, size=5):
                 blend = blend_designs(d, Design(space, x, [1.0]), a)
-                for mixed in (blend, mix_design(d, x, a)):
-                    np.testing.assert_array_equal(points, mixed.points)
-                    np.testing.assert_array_equal((1.0 - a) * w0 + a * w1,
-                                                  mixed.weights)
+                np.testing.assert_array_equal(points, blend.points)
+                np.testing.assert_array_equal((1.0 - a) * w0 + a * w1, blend.weights)
 
     def test_point_outside_space_raises(self):
         with pytest.raises(DomainError):
             mixture_segment(chebyshev_design(), [2.0])
-
-
-class TestCollapseSupport:
-    def test_symmetric_barycenter(self):
-        d = Design(DesignSpace([0.0], [1.0]), [[0.0], [0.01]], [0.5, 0.5])
-        out = collapse_support(d, [0.01], 0.02, 1.0)
-        assert out.size == 1
-        assert out.points[0, 0] == pytest.approx(0.005, abs=1e-15)
-        assert out.weights[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_anchor_weight_factor(self):
-        # barycenter (0.5*0 + 3*0.5*0.01) / (0.5 + 1.5) = 0.0075
-        d = Design(DesignSpace([0.0], [1.0]), [[0.0], [0.01]], [0.5, 0.5])
-        out = collapse_support(d, [0.01], 0.02, 3.0)
-        assert out.points[0, 0] == pytest.approx(0.0075, abs=1e-15)
-        assert out.weights[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_empty_ball_is_identity(self):
-        d = chebyshev_design()
-        assert collapse_support(d, [0.0], 0.01, 2.0) is d
-
-    def test_weights_still_sum_to_one(self):
-        rng = np.random.default_rng(11)
-        space = DesignSpace([-1.0], [1.0])
-        for _ in range(50):
-            d = random_design(rng, space)
-            anchor = d.points[rng.integers(0, d.size)]
-            out = collapse_support(d, anchor, float(rng.uniform(0.01, 1.0)),
-                                   float(rng.uniform(1.0, 10.0)))
-            assert abs(out.weights.sum() - 1.0) <= 1e-12
-            assert validate_design(out).ok
-
-
-class TestPruneSupport:
-    def test_absolute_threshold(self):
-        d = Design(DesignSpace([0.0], [1.0]), [[0.1], [0.9]], [0.998, 0.002])
-        out = prune_support(d, abs_threshold=0.01)
-        assert out.size == 1
-        assert out.weights[0] == 1.0
-
-    def test_uniform_weights_unchanged(self):
-        d = Design(DesignSpace([0.0], [1.0]), [[0.1], [0.3], [0.6], [0.9]],
-                   [0.25] * 4)
-        assert prune_support(d, 0.01, 0.1) is d
-
-    def test_relative_threshold(self):
-        # mean of the others is 0.49 and 0.02 < 0.1 * 0.49
-        d = Design(DesignSpace([0.0], [1.0]), [[0.1], [0.5], [0.9]],
-                   [0.49, 0.49, 0.02])
-        out = prune_support(d, 0.0, 0.1)
-        assert out.size == 2
-        np.testing.assert_allclose(out.weights, [0.5, 0.5])
-
-    def test_never_removes_last_point(self):
-        d = Design(DesignSpace([0.0], [1.0]), [[0.5]], [1.0])
-        assert prune_support(d, 0.99, 0.0) is d
-
-    def test_weights_renormalized(self):
-        rng = np.random.default_rng(5)
-        space = DesignSpace([0.0], [1.0])
-        for _ in range(50):
-            d = random_design(rng, space)
-            out = prune_support(d, 0.05, 0.2)
-            assert abs(out.weights.sum() - 1.0) <= 1e-12
 
 
 class TestWasserstein:

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from kldesign.designs import Design, DesignSpace, blend_designs, mix_design
+from kldesign.designs import Design, DesignSpace, blend_designs
 from kldesign import inner
 from kldesign.inner import (InnerConfig, least_squares_oracle, minimize_beta2,
                             prepare_support)
@@ -319,7 +319,7 @@ class TestMultistartContract:
         bound = max(float(np.max(pair.divergence(
             np.linspace(-1, 1, 101), base.beta2_hat))), base.value)
         for alpha in (1e-3, 1e-2):
-            mixed = mix_design(design, [0.2], alpha)
+            mixed = blend_designs(design, Design(design.space, [0.2], [1.0]), alpha)
             sol = minimize_beta2(pair, mixed, TIGHT, warm_start=base.beta2_hat)
             assert abs(sol.value - base.value) <= 2.0 * bound * alpha
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kldesign.designs import AffineMap, Design, DesignSpace, mix_design, transform_design
+from kldesign.designs import (AffineMap, Design, DesignSpace, blend_designs,
+                              transform_design)
 from kldesign.errors import UnsupportedModelError
 from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
                              PolynomialPair, SyntheticFamily, glm_fisher_information,
@@ -128,7 +129,7 @@ class TestAverageDivergence:
             x = rng.uniform(-1, 1, 1)
             a = float(rng.uniform(0, 1))
             b = rng.uniform(-2, 2, 3)
-            mixed = mix_design(d, x, a)
+            mixed = blend_designs(d, Design(space, x, [1.0]), a)
             expected = (1 - a) * kl_average(pair, d, b) + a * pair.divergence(x, b)[0]
             assert kl_average(pair, mixed, b) == pytest.approx(expected, abs=1e-12)
 
