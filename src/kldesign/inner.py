@@ -5,17 +5,19 @@ divergence depends on beta2 only through the rival predictor
 eta2 = X beta2 (X the rival matrix at the support) and is convex in eta2:
 Gaussian pairs give weighted least squares, logistic pairs the convex KL
 divergence of two Bernoulli laws. The solve is therefore bounded Newton:
-each step minimizes the box-constrained quadratic model with
-`scipy.optimize.lsq_linear(method="bvls")`, and a backtracking step follows
-it. A Gaussian pair's curvature is constant, so its quadratic model is the
-objective and the solve stops after the first accepted full step. A convex
-pair's minimizer is unique if and only if X has full column rank on the
-support, so the singularity flag is that rank test. Everything that depends
-on the points and not on the weights (X, the divergence and derivative
-closures, the rank test per positive-weight pattern) is a `Support`, built
-once and reusable across solves on the same points. Only these
-polynomial-predictor pairs are solved; the synthetic family, a discontinuity
-example with closed-form criterion values, is refused.
+each step minimizes the box-constrained quadratic model, a bounded weighted
+least-squares problem, by `numpy.linalg.lstsq`, with
+`scipy.optimize.lsq_linear(method="bvls")` only where the box binds, and a
+backtracking step follows it. A Gaussian pair's curvature is constant, so its
+quadratic model is the objective and the solve stops after the first accepted
+full step. A convex pair's minimizer is unique if and only if X has full
+column rank on the support, so the singularity flag is that rank test.
+Everything that depends on the points and not on the weights (X, the
+divergence and derivative closures, the rank test per positive-weight
+pattern) is a `Support`, built once and reusable across solves on the same
+points. Only these polynomial-predictor pairs are solved; the synthetic
+family, a discontinuity example with closed-form criterion values, is
+refused.
 """
 
 from dataclasses import dataclass, field
@@ -26,8 +28,8 @@ from scipy.optimize import lsq_linear
 
 from .designs import Design
 from .errors import UnsupportedModelError
-from .models import (GaussianRegressionPair, ModelPair, PolynomialPair,
-                     glm_is_regular)
+from .models import (GaussianRegressionPair, ModelPair, ParamBox, PolynomialPair,
+                     _scalar_inputs, glm_is_regular)
 
 # Sufficient-decrease fraction and halving budget of the backtracking step.
 _ARMIJO = 1e-4
@@ -86,8 +88,22 @@ def prepare_support(pair: ModelPair, points) -> Support:
     if not isinstance(pair, PolynomialPair):
         raise UnsupportedModelError("the inner solve applies to polynomial-predictor "
                                     "pairs only")
-    return Support(points, pair.rival_matrix(points), pair.divergence_evaluator(points),
-                   pair.divergence_derivatives(points))
+    x = _scalar_inputs(points)
+    eta1 = pair.true_predictor(x)
+    rows = pair.rival_matrix(x)
+    kernel = pair.kernel(eta1)
+    return Support(points, rows, lambda beta2: kernel(rows @ beta2),
+                   pair.kernel_derivatives(eta1))
+
+
+def _bounded_lstsq(a: np.ndarray, rhs: np.ndarray, box: ParamBox) -> np.ndarray:
+    """argmin over the box of |a x - rhs|, as `lsq_linear(method="bvls")` finds
+    it: its first step is this unconstrained `lstsq` solution, kept when it
+    lies in the box, where it is also the constrained minimizer."""
+    x = np.linalg.lstsq(a, rhs, rcond=-1)[0]
+    if np.all((x >= box.lower) & (x <= box.upper)):
+        return x
+    return lsq_linear(a, rhs, bounds=(box.lower, box.upper), method="bvls").x
 
 
 def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
@@ -98,8 +114,10 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
     The quadratic model of the objective at eta is
     sum_i w_i h_i (eta2_i - eta_i + g_i / h_i)^2 / 2 with g, h the first and
     second derivatives of the pointwise divergence, so its box-constrained
-    minimizer is a bounded weighted least-squares solution. For a Gaussian
-    pair the model is the objective, so an accepted full step is exact.
+    minimizer is a bounded weighted least-squares solution: the `lstsq`
+    solution when that lies in the box, BVLS's only when the box binds. For a
+    Gaussian pair the model is the objective, so an accepted full step is
+    exact.
     """
     box = pair.theta2
     rows, pointwise = support.rows, support.pointwise
@@ -115,8 +133,7 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
         g, h = support.derivatives(eta)
         scale = np.sqrt(weights * h)
         rhs = np.sqrt(weights / h) * (h * eta - g)
-        target = lsq_linear(scale[:, None] * rows, rhs, bounds=(box.lower, box.upper),
-                            method="bvls").x
+        target = _bounded_lstsq(scale[:, None] * rows, rhs, box)
         step = target - beta
         moved = rows @ step
         size = float(np.max(np.abs(moved)))

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from scipy.special import expit
 
 from .designs import Design, AffineMap, _freeze
@@ -102,8 +101,21 @@ def _scalar_inputs(points) -> np.ndarray:
     return np.atleast_1d(pts)
 
 
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # numpy's polyval step for step: c[-1] + x*0, then c + out*x per degree.
+    # The columns of a 2-d `coef` against x[:, None] are one polyval each.
+    out = coef[-1] + x * 0
+    for c in coef[-2::-1]:
+        out = c + out * x
+    return out
+
+
 def _poly_matrix(basis: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.polynomial.polynomial.polyval(x, c) for c in basis])
+    # Zero padding on top leaves each column's floats those of its own polyval.
+    coef = np.zeros((max(c.size for c in basis), len(basis)))
+    for j, c in enumerate(basis):
+        coef[:c.size, j] = c
+    return _horner(coef, x[:, None])
 
 
 def _check_basis(basis: tuple[np.ndarray, ...], box: ParamBox):
@@ -152,7 +164,7 @@ class PolynomialPair:
         return self.theta2.dimension
 
     def true_predictor(self, points) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(_scalar_inputs(points), self.beta1)
+        return _horner(self.beta1, _scalar_inputs(points))
 
     def rival_matrix(self, points) -> np.ndarray:
         return _poly_matrix(self.rival_basis, _scalar_inputs(points))
@@ -168,11 +180,6 @@ class PolynomialPair:
         kernel = self.kernel(self.true_predictor(x))
         basis = self.rival_matrix(x)
         return lambda beta2: kernel(basis @ beta2)
-
-    def divergence_derivatives(self, points):
-        """First and second derivatives of the pointwise divergence in the
-        rival predictor eta2, as a closure over fixed points."""
-        return self.kernel_derivatives(self.true_predictor(points))
 
 
 @dataclass(frozen=True)
@@ -335,14 +342,16 @@ def glm_is_regular(rows) -> bool:
 
 
 def _compose_affine(coeffs: np.ndarray, a: float, b: float) -> np.ndarray:
-    # Exact expansion of p((z - a) / b) in ascending monomial coefficients.
-    p = Polynomial(np.asarray(coeffs, dtype=float))
-    inner = Polynomial([-a / b, 1.0 / b])
-    comp = p(inner)
-    out = np.zeros(len(coeffs))
-    c = np.atleast_1d(comp.coef if isinstance(comp, Polynomial) else comp)
-    out[:c.size] = c
-    return out
+    # Exact expansion of p((z - a) / b) in ascending monomial coefficients by
+    # Horner's rule on coefficient arrays, with the floats of numpy's
+    # Polynomial composition: its x*0 and products are dot products summed
+    # from +0.0, so zeros come out unsigned and its trimming changes none.
+    inner = np.array([-a / b, 1.0 / b])
+    comp = coeffs[-1:] + 0.0
+    for c in coeffs[-2::-1]:
+        comp = np.convolve(comp, inner)
+        comp[0] += c
+    return comp
 
 
 def reparametrize_under_affine(pair: ModelPair, amap: AffineMap) -> ModelPair:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import lsq_linear
 from scipy.special import expit
 
 from kldesign.designs import Design, DesignSpace, blend_designs
@@ -217,18 +218,19 @@ class TestNewtonStop:
         # in eta, above the tolerance, where the objective no longer changes
         # in floating point. The solve must stop there, not spend its budget.
         calls = []
-        evaluator = LogisticGlmPair.divergence_evaluator
+        kernel = LogisticGlmPair.kernel
 
-        def counting(pair, points):
-            values = evaluator(pair, points)
+        def counting(pair, eta1):
+            values = kernel(pair, eta1)
 
-            def counted(beta2):
-                calls.append(beta2)
-                return values(beta2)
+            def counted(eta2):
+                calls.append(eta2)
+                return values(eta2)
 
             return counted
 
-        monkeypatch.setattr(LogisticGlmPair, "divergence_evaluator", counting)
+        # the Support's objective closure evaluates the kernel once per call
+        monkeypatch.setattr(LogisticGlmPair, "kernel", counting)
         pair = LogisticGlmPair.from_exponents([1.0, 1.0, 1.0], [1, 2],
                                               ParamBox([-10, -10], [10, 10]))
         space = DesignSpace([0.0], [1.0])
@@ -242,17 +244,37 @@ class TestNewtonStop:
         assert len(calls) < 200
 
 
+class TestBoundedStep:
+    @pytest.mark.parametrize("half_width, binds", [(1e3, False), (0.2, True)],
+                             ids=["interior", "binding"])
+    @EXAMPLES
+    @given(data=st.data())
+    def test_is_the_bvls_solution(self, half_width, binds, data):
+        # the same floats as lsq_linear(method="bvls"), whether the
+        # unconstrained solution lies in the box or the box binds
+        m, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+        entries = st.lists(st.floats(-3.0, 3.0), min_size=m * (d + 1),
+                           max_size=m * (d + 1))
+        a, rhs = np.split(np.array(data.draw(entries)).reshape(m, d + 1), [d], axis=1)
+        rhs = rhs[:, 0]
+        box = ParamBox([-half_width] * d, [half_width] * d)
+        assume(box.contains(np.linalg.lstsq(a, rhs, rcond=-1)[0]) != binds)
+        expected = lsq_linear(a, rhs, bounds=(box.lower, box.upper), method="bvls").x
+        np.testing.assert_array_equal(inner._bounded_lstsq(a, rhs, box), expected)
+
+
 class TestPreparedSupport:
     def test_gaussian_solve_stops_after_its_exact_step(self, monkeypatch):
-        # the quadratic model is the Gaussian objective: one BVLS step is exact
+        # the quadratic model is the Gaussian objective: one bounded
+        # least-squares step is exact
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return lsq_linear(*args, **kwargs)
+            return bounded_lstsq(*args, **kwargs)
 
-        lsq_linear = inner.lsq_linear
-        monkeypatch.setattr(inner, "lsq_linear", counting)
+        bounded_lstsq = inner._bounded_lstsq
+        monkeypatch.setattr(inner, "_bounded_lstsq", counting)
         sol = minimize_beta2(cubic_pair(), chebyshev_design(), TIGHT)
         assert len(calls) == 1
         np.testing.assert_allclose(sol.beta2_hat, [0.0, 0.75, 0.0], atol=1e-12)

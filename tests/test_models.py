@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 
 from kldesign.designs import (AffineMap, Design, DesignSpace, blend_designs,
                               transform_design)
+from kldesign import models
 from kldesign.errors import UnsupportedModelError
 from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
                              PolynomialPair, SyntheticFamily, glm_fisher_information,
@@ -13,6 +18,27 @@ from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
                              reparametrize_under_affine)
 
 BOX3 = ParamBox([-5.0] * 3, [5.0] * 3)
+# Fixed example sequence, so the suite stays deterministic.
+EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+# Coefficient vectors of degree 0 to 6, exact and signed zeros included.
+COEFFICIENTS = st.lists(st.one_of(st.floats(-10.0, 10.0),
+                                  st.sampled_from([0.0, -0.0, 1.0])),
+                        min_size=1, max_size=7).map(np.array)
+POINTS = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=9).map(np.array)
+
+
+def assert_same_floats(actual, expected):
+    # equal values and equal signs of zero
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def polynomial_composition(coeffs, a, b) -> np.ndarray:
+    # p((z - a) / b) through numpy's Polynomial, zero-padded to the input length
+    comp = Polynomial(coeffs)(Polynomial([-a / b, 1.0 / b]))
+    out = np.zeros(len(coeffs))
+    out[:comp.coef.size] = comp.coef
+    return out
 
 
 def cubic_pair(sigma2=0.5) -> GaussianRegressionPair:
@@ -79,8 +105,8 @@ class TestPointwiseDivergence:
 class TestPolynomialPair:
     def test_families_state_only_their_kernel(self):
         # the shared methods live on the base class alone, once
-        shared = {"divergence", "divergence_evaluator", "divergence_derivatives",
-                  "rival_matrix", "from_exponents", "true_predictor"}
+        shared = {"divergence", "divergence_evaluator", "rival_matrix",
+                  "from_exponents", "true_predictor"}
         for cls in (GaussianRegressionPair, LogisticGlmPair):
             assert issubclass(cls, PolynomialPair)
             assert not shared & set(vars(cls))
@@ -105,6 +131,37 @@ class TestPolynomialPair:
         beta2 = np.linspace(-0.8, 0.6, pair.dimension)
         np.testing.assert_array_equal(pair.divergence_evaluator(xs)(beta2),
                                       pair.divergence(xs, beta2))
+
+
+class TestPolynomialKernels:
+    """The array Horner kernels return the floats of the numpy routines they
+    replace."""
+
+    @EXAMPLES
+    @given(st.lists(COEFFICIENTS, min_size=1, max_size=4), POINTS)
+    def test_poly_matrix_is_polyval_per_column(self, basis, x):
+        assert_same_floats(models._poly_matrix(tuple(basis), x),
+                           np.column_stack([polyval(x, c) for c in basis]))
+
+    @EXAMPLES
+    @given(COEFFICIENTS, POINTS)
+    def test_true_predictor_is_polyval(self, beta1, x):
+        pair = GaussianRegressionPair(beta1, (np.ones(1),), ParamBox([-1.0], [1.0]))
+        assert_same_floats(pair.true_predictor(x), polyval(x, beta1))
+
+    @EXAMPLES
+    @given(COEFFICIENTS, st.floats(-10.0, 10.0),
+           st.one_of(st.floats(0.01, 100.0), st.floats(-100.0, -0.01)))
+    def test_compose_affine_is_the_polynomial_composition(self, coeffs, a, b):
+        assert_same_floats(models._compose_affine(coeffs, a, b),
+                           polynomial_composition(coeffs, a, b))
+
+    @EXAMPLES
+    @given(COEFFICIENTS)
+    def test_compose_affine_under_the_benchmark_map(self, coeffs):
+        amap = AffineMap([2.0], [[4.0]])
+        assert_same_floats(models._compose_affine(coeffs, amap.offset, amap.scale),
+                           polynomial_composition(coeffs, amap.offset, amap.scale))
 
 
 class TestAverageDivergence:
