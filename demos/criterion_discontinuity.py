@@ -11,7 +11,8 @@ gap visible without any numerical optimization.
 
 import numpy as np
 
-from kldesign import ParamBox, SyntheticFamily
+from kldesign import ParamBox
+from kldesign.benchmarks import SyntheticFamily
 
 fam = SyntheticFamily()
 box = ParamBox([1e-6], [1000.0])

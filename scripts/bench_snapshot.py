@@ -10,11 +10,11 @@ The file records the median and every run's value of each end-to-end metric,
 the failed and attempted operations, the traced per-layer metrics, the
 Tier-1 wall time and count, each acceptance check's name, pass flag and
 printed values (without its duration, so snapshots of the same code agree),
-the `src/` line count of the work tree and of HEAD, the fields of the loop
-and inner configs, and the machine's CPU count. `src_tree` and
-`perfbench_tree` are the git tree hashes of the measured `src/` and
-`perfbench/`: `git rev-parse <commit>:src` names every commit that holds the
-same code.
+the `src/` line count of the work tree and of HEAD, the number of public
+names (`kldesign.__all__`), the fields of the loop and inner configs, and the
+machine's CPU count. `src_tree` and `perfbench_tree` are the git tree hashes
+of the measured `src/` and `perfbench/`: `git rev-parse <commit>:src` names
+every commit that holds the same code.
 """
 
 import argparse
@@ -97,6 +97,11 @@ def src_lines(rev: str | None = None) -> int:
                if name.endswith(".py"))
 
 
+def public_names() -> int:
+    import kldesign
+    return len(kldesign.__all__)
+
+
 def config_fields() -> dict:
     from kldesign.algorithm import AlgoConfig
     from kldesign.inner import InnerConfig
@@ -141,6 +146,7 @@ def main(argv=None) -> int:
         "acceptance": acceptance(),
         "src_lines": src_lines(),
         "head_src_lines": src_lines("HEAD"),
+        "public_names": public_names(),
         "config_fields": config_fields(),
     }
     path = ROOT / f"BENCH_{args.label}.json"

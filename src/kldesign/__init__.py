@@ -11,10 +11,9 @@ and affine-invariance transforms, plus a `kl-design` CLI.
 
 from .algorithm import (EFFICIENCY_REACHED, MAX_ITERATIONS, RIVAL_ATTAINS_TRUTH,
                         STALLED, STALLED_REGULARIZED, AlgoConfig, IterationRecord,
-                        RegularizationConfig, RunResult, best_support_candidate,
-                        corrective_step, default_reference_design, efficiency_bound,
-                        iterations_to_csv, line_search_alpha, restricted_dual,
-                        run_first_order, run_regularized)
+                        RegularizationConfig, RunResult, default_reference_design,
+                        efficiency_bound, iterations_to_csv, run_first_order,
+                        run_regularized)
 from .designs import (AffineMap, Design, DesignSpace, ValidationReport,
                       blend_designs, transform_design, validate_design,
                       wasserstein_distance, wasserstein_distance_lp)
@@ -22,8 +21,7 @@ from .errors import (ConfigError, DomainError, KLDesignError, SingularMapError,
                      UndefinedEfficiencyError, UnsupportedModelError)
 from .inner import InnerConfig, InnerSolution, least_squares_oracle, minimize_beta2
 from .models import (GaussianRegressionPair, LogisticGlmPair, ModelPair, ParamBox,
-                     PolynomialPair, SyntheticFamily, glm_fisher_information,
-                     glm_is_regular, kl_average, monomial_basis,
+                     PolynomialPair, glm_is_regular, monomial_basis,
                      reparametrize_under_affine)
 from .verify import (CERTIFIED, REJECTED, SINGULAR, EquivalenceReport,
                      InvarianceReport, equivalence_check, invariance_check)
@@ -37,15 +35,12 @@ __all__ = [
     "IterationRecord", "KLDesignError", "LogisticGlmPair", "MAX_ITERATIONS",
     "ModelPair", "ParamBox", "PolynomialPair", "REJECTED", "RIVAL_ATTAINS_TRUTH",
     "RegularizationConfig", "RunResult", "SINGULAR", "STALLED",
-    "STALLED_REGULARIZED", "SingularMapError", "SyntheticFamily",
-    "UndefinedEfficiencyError", "UnsupportedModelError", "ValidationReport",
-    "best_support_candidate", "blend_designs", "corrective_step",
-    "default_reference_design", "efficiency_bound",
-    "equivalence_check", "glm_fisher_information", "glm_is_regular",
-    "invariance_check", "iterations_to_csv", "kl_average",
-    "least_squares_oracle", "line_search_alpha", "minimize_beta2",
-    "monomial_basis", "reparametrize_under_affine", "restricted_dual",
-    "run_first_order", "run_regularized",
+    "STALLED_REGULARIZED", "SingularMapError", "UndefinedEfficiencyError",
+    "UnsupportedModelError", "ValidationReport", "blend_designs",
+    "default_reference_design", "efficiency_bound", "equivalence_check",
+    "glm_is_regular", "invariance_check", "iterations_to_csv",
+    "least_squares_oracle", "minimize_beta2", "monomial_basis",
+    "reparametrize_under_affine", "run_first_order", "run_regularized",
     "transform_design", "validate_design", "wasserstein_distance",
     "wasserstein_distance_lp",
 ]

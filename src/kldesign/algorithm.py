@@ -131,15 +131,28 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Final certified design plus the full iteration history."""
+    """The iteration history and why it ended; the final design, value and
+    efficiency are those of its last record."""
 
-    final_design: Design
-    final_value: float
-    final_efficiency: float
     history: tuple[IterationRecord, ...]
     termination_reason: str
-    regularized: bool = False
-    gamma: float | None = None
+    gamma: float | None = None  # the regularized run's mixing weight
+
+    @property
+    def final_design(self) -> Design:
+        return self.history[-1].design
+
+    @property
+    def final_value(self) -> float:
+        return self.history[-1].value
+
+    @property
+    def final_efficiency(self) -> float:
+        return self.history[-1].efficiency
+
+    @property
+    def regularized(self) -> bool:
+        return self.gamma is not None
 
     def to_dict(self) -> dict:
         return {
@@ -210,8 +223,8 @@ def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
 
     The Gaussian maximum is thus exact; for other pairs it falls short by at
     most h^2/8 * max|psi''|, h the grid spacing. A caller that scans the
-    same grid again and again passes `grid_divergence`, the grid's
-    `pair.divergence_evaluator`; the values are the same floats either way.
+    same grid again and again passes `grid_divergence`, the `pointwise` of
+    the grid's `inner.Support`; the values are the same floats either way.
     Returns (points, psi); the support rows start at grid_size.
     """
     grid = space.grid(grid_size)
@@ -262,7 +275,7 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
     is the point mass. Returns (alpha, the mixture at alpha, the inner
     solution there); (0.0, design, start) signals that no ascent step exists.
     """
-    divergence = pair.divergence_evaluator(np.append(design.points[:, 0], x_new))
+    divergence = prepare_support(pair, np.append(design.points[:, 0], x_new)).pointwise
     scale = 1.0 - (reg.gamma if reg is not None else 0.0)
 
     def slope(sol: InnerSolution) -> float:
@@ -435,7 +448,7 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
     else:
         gamma = 0.0
         inner = minimize_beta2(pair, design, inner_cfg)
-    grid_divergence = pair.divergence_evaluator(space.grid(PSI_GRID_SIZE))
+    grid_divergence = prepare_support(pair, space.grid(PSI_GRID_SIZE)).pointwise
     null_scale = float(np.max(grid_divergence(np.zeros(pair.dimension))))
     if not regularizing and inner.singular_flag:
         warnings.warn("initial design matrix is rank deficient; the plain loop "
@@ -506,16 +519,7 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
 
         design, inner = step_design, step_inner
 
-    last = history[-1]
-    return RunResult(
-        final_design=last.design,
-        final_value=last.value,
-        final_efficiency=last.efficiency,
-        history=tuple(history),
-        termination_reason=reason,
-        regularized=regularizing,
-        gamma=reg.gamma if regularizing else None,
-    )
+    return RunResult(tuple(history), reason, reg.gamma if regularizing else None)
 
 
 def run_first_order(pair: ModelPair, initial_design: Design, space: DesignSpace,

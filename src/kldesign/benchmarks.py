@@ -11,6 +11,9 @@ Two problem fixtures are shipped:
   it exercises the regularized path. The true-model coefficients (1, 1, 1)
   are a documented implementation choice; the singular geometry holds for
   any nonzero intercept.
+
+Beside them, `SyntheticFamily` is a fixed divergence family whose closed-form
+averages show that the criterion is not continuous in the design.
 """
 
 import shutil
@@ -29,9 +32,8 @@ from .algorithm import (EFFICIENCY_REACHED, STALLED_REGULARIZED, AlgoConfig,
 from .designs import (Design, DesignSpace, blend_designs, wasserstein_distance,
                       wasserstein_distance_lp)
 from .inner import InnerConfig, least_squares_oracle, minimize_beta2
-from .models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
-                     SyntheticFamily, glm_fisher_information, glm_is_regular,
-                     kl_average)
+from .models import (GaussianRegressionPair, LogisticGlmPair, ModelPair, ParamBox,
+                     _scalar_inputs, glm_is_regular)
 from .verify import CERTIFIED, equivalence_check
 
 BENCHMARK_SEED = 20240817
@@ -275,6 +277,64 @@ def check_singular_logistic(ctx: BenchmarkContext,
          "psi_gamma_max": f"{report.psi_max:.2e}"})
 
 
+@dataclass(frozen=True)
+class SyntheticFamily:
+    """Fixed piecewise divergence family on [0, 1] with a scalar parameter.
+
+        I(x, b) = 2((2b - 1)x + (1 - b))   for b <= 1
+        I(x, b) = (b + 1) x^b              for b > 1
+
+    Both branches equal 2x at b = 1. Every one-point design has criterion
+    value 0, yet the average under the uniform measure on [0, 1] is
+    identically 1; the closed-form averages below expose that gap without
+    needing continuous-support designs. It is not a `ModelPair`: the inner
+    solve and the loop refuse it.
+    """
+
+    theta2: ParamBox = field(default_factory=lambda: ParamBox([1e-6], [1000.0]))
+
+    def __post_init__(self):
+        if self.theta2.dimension != 1:
+            raise ValueError("synthetic family has a single scalar parameter")
+
+    def divergence(self, points, beta2) -> np.ndarray:
+        x = _scalar_inputs(points)
+        b = float(np.asarray(beta2, dtype=float).ravel()[0])
+        if b <= 1.0:
+            val = 2.0 * ((2.0 * b - 1.0) * x + (1.0 - b))
+        else:
+            val = (b + 1.0) * np.power(x, b)
+        return np.maximum(val, 0.0)
+
+    # Closed-form averages for the continuous fixtures.
+
+    def truncated_uniform_average(self, beta2: float, n: int) -> float:
+        """Average divergence under the uniform measure on [0, 1 - 1/n]."""
+        if n < 2:
+            raise ValueError("n must be >= 2")
+        b = float(beta2)
+        if b <= 1.0:
+            return 1.0 - (2.0 * b - 1.0) / n
+        return float((1.0 - 1.0 / n) ** b)
+
+    def uniform_average(self, beta2: float) -> float:
+        """Average divergence under the uniform measure on [0, 1]; equals 1."""
+        return 1.0
+
+    def truncated_uniform_criterion(self, n: int, box: ParamBox | None = None) -> float:
+        """Infimum over the box of the truncated-uniform average (closed form).
+
+        Both branches decrease in the parameter and agree at 1, so the average
+        is decreasing over the whole box and the infimum sits at its upper end.
+        """
+        box = box or self.theta2
+        return self.truncated_uniform_average(float(box.upper[0]), n)
+
+    def uniform_criterion(self, box: ParamBox | None = None) -> float:
+        """Infimum over the box of the uniform-[0,1] average; identically 1."""
+        return 1.0
+
+
 def check_discontinuity_gap(ctx: BenchmarkContext) -> CheckResult:
     """Closed-form averages of the synthetic family match quadrature, and the
     truncated-uniform criterion stays far below the uniform-limit value."""
@@ -302,6 +362,19 @@ def check_discontinuity_gap(ctx: BenchmarkContext) -> CheckResult:
         "criterion discontinuity on the synthetic family", passed, dt,
         {"formula_err": f"{formula_err:.1e}", "quadrature_err": f"{quad_err:.1e}",
          "criterion_gap": f"{gap:.6f}"})
+
+
+def _kl_average(pair: ModelPair, design: Design, beta2) -> float:
+    """Design-weighted average of the pointwise divergence."""
+    return float(design.weights @ pair.divergence(design.points, beta2))
+
+
+def _glm_fisher_information(rows, weights) -> np.ndarray:
+    """Fisher information J = X^T W X of the rival GLM: `rows` is X, `weights`
+    the diagonal of W, i.e. the divergence's second derivative in eta2."""
+    x = np.atleast_2d(np.asarray(rows, dtype=float))
+    j = x.T @ (np.asarray(weights, dtype=float)[:, None] * x)
+    return 0.5 * (j + j.T)
 
 
 def _random_gaussian_instance(rng: np.random.Generator):
@@ -339,7 +412,7 @@ def check_oracle_suite(ctx: BenchmarkContext) -> CheckResult:
         sol = minimize_beta2(pair, design, inner_cfg)
         oracle_err = max(oracle_err, abs(sol.value - value_ls))
         psi_support = (pair.divergence(design.points, sol.beta2_hat)
-                       - kl_average(pair, design, sol.beta2_hat))
+                       - _kl_average(pair, design, sol.beta2_hat))
         centering_err = max(centering_err, abs(float(design.weights @ psi_support)))
 
     ascent_drop = 0.0
@@ -401,8 +474,8 @@ def _psi_gamma_proportionality_error(rng: np.random.Generator) -> float:
             for x in rng.uniform(-1.0, 1.0, size=3):
                 point = np.array([x])
                 value_at = float(pair.divergence(point, beta)[0])
-                avg_design = kl_average(pair, design, beta)
-                avg_blend = kl_average(pair, blended, beta)
+                avg_design = _kl_average(pair, design, beta)
+                avg_blend = _kl_average(pair, blended, beta)
                 route_b = (1.0 - gamma) * (value_at - avg_design)
                 # direction measure (1-gamma) delta_x + gamma xi_tilde, centered on the blend
                 psi_blend_x = value_at - avg_blend
@@ -441,7 +514,7 @@ def check_glm_regularity(ctx: BenchmarkContext) -> CheckResult:
         s = np.linalg.svd(rows, compute_uv=False)
         by_rank = int(np.sum(s > max(n, d2) * (s[0] if s.size else 0.0) * 1e-12)) == d2
         p = expit(rows @ beta2)  # the logistic GLM weight p(1 - p)
-        info = glm_fisher_information(rows, p * (1.0 - p))
+        info = _glm_fisher_information(rows, p * (1.0 - p))
         eigs = np.linalg.eigvalsh(info)
         # linear-in-max_eig threshold: stays above the eigensolver noise floor
         eig_threshold = max(n, d2) * float(eigs.max()) * 1e-12

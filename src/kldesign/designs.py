@@ -66,14 +66,10 @@ class DesignSpace:
         object.__setattr__(self, "lower", _freeze(lo))
         object.__setattr__(self, "upper", _freeze(hi))
 
-    @property
-    def diameter(self) -> float:
-        """Length of the interval."""
-        return float(self.upper[0] - self.lower[0])
-
-    def contains(self, points, slack: float = BOX_SLACK) -> np.ndarray:
+    def contains(self, points) -> np.ndarray:
+        """Interval membership of each point, with BOX_SLACK on either end."""
         x = _as_column(points)[:, 0]
-        return (x >= self.lower[0] - slack) & (x <= self.upper[0] + slack)
+        return (x >= self.lower[0] - BOX_SLACK) & (x <= self.upper[0] + BOX_SLACK)
 
     def clip(self, points) -> np.ndarray:
         return np.clip(_as_column(points), self.lower, self.upper)
@@ -108,10 +104,10 @@ class Design:
         """Number of support points."""
         return self.points.shape[0]
 
-    def weight_at(self, x, tol: float = DUPLICATE_TOL) -> float:
-        """Total weight on support points equal to x (within the duplicate tolerance)."""
+    def weight_at(self, x) -> float:
+        """Total weight on support points equal to x (within DUPLICATE_TOL)."""
         x = _as_point(x)
-        match = np.abs(self.points[:, 0] - x[0]) <= tol
+        match = np.abs(self.points[:, 0] - x[0]) <= DUPLICATE_TOL
         return float(self.weights[match].sum())
 
     def as_dict(self) -> dict:

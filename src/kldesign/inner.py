@@ -11,15 +11,17 @@ least-squares problem, by `numpy.linalg.lstsq`, with
 backtracking step follows it. A Gaussian pair's curvature is constant, so its
 quadratic model is the objective and the solve stops after the first accepted
 full step. A convex pair's minimizer is unique if and only if X has full
-column rank on the support, so the singularity flag is that rank test.
+column rank on the support, so the singularity flag is that rank test, taken
+on the scale the Newton stop sees: a direction of the box along which X
+moves eta2 by no more than the stopping tolerance counts as a null direction.
 Everything that depends on the points and not on the weights (X, the
 divergence and derivative closures, the rank test per positive-weight
 pattern) is a `Support`, built once and reusable across solves on the same
-points. Only these polynomial-predictor pairs are solved; the synthetic
-family, a discontinuity example with closed-form criterion values, is
+points. Only these polynomial-predictor pairs are solved; any other pair is
 refused.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,7 +31,7 @@ from scipy.optimize import lsq_linear
 from .designs import Design
 from .errors import UnsupportedModelError
 from .models import (GaussianRegressionPair, ModelPair, ParamBox, PolynomialPair,
-                     _scalar_inputs, glm_is_regular)
+                     _scalar_inputs)
 
 # Sufficient-decrease fraction and halving budget of the backtracking step.
 _ARMIJO = 1e-4
@@ -71,15 +73,20 @@ class Support:
     rows: np.ndarray
     pointwise: Callable
     derivatives: Callable
-    _regular: dict = field(default_factory=dict, repr=False, compare=False)
+    _least_singular: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def is_regular(self, weights: np.ndarray) -> bool:
-        """The rank test on the rows of positive weight."""
+    def least_singular_value(self, weights: np.ndarray) -> float:
+        """The smallest singular value of the rows of positive weight, or 0.0
+        where `models.glm_is_regular`'s rank test finds them rank deficient
+        (the same test, on this one singular value decomposition)."""
         positive = weights > 0.0
         key = positive.tobytes()
-        if key not in self._regular:
-            self._regular[key] = glm_is_regular(self.rows[positive])
-        return self._regular[key]
+        if key not in self._least_singular:
+            rows = self.rows[positive]
+            s = np.linalg.svd(rows, compute_uv=False)
+            full = s.size == rows.shape[1] and s[-1] > max(rows.shape) * s[0] * 1e-12
+            self._least_singular[key] = float(s[-1]) if full else 0.0
+        return self._least_singular[key]
 
 
 def prepare_support(pair: ModelPair, points) -> Support:
@@ -163,10 +170,13 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
     midpoint when None), so the result is a pure function of the inputs.
     `support` is `prepare_support(pair, design.points)`, built here when
     None; a support on other points raises `ValueError`.
-    `singular_flag` is set exactly when the rival matrix on the
+    `singular_flag` is set exactly when the rival matrix X on the
     positive-weight support is rank deficient, i.e. when the minimizer is
-    not unique. A pair that is not a `PolynomialPair` raises
-    `UnsupportedModelError`.
+    not unique, or when a unit direction v has |X v| * |upper - lower| at
+    most `local_tolerance`: then any two points of the box that differ along
+    v have predictors no further apart than the Newton stop resolves, and the
+    solve cannot tell them apart. A pair that is not a `PolynomialPair`
+    raises `UnsupportedModelError`.
     """
     if support is None:
         support = prepare_support(pair, design.points)
@@ -181,7 +191,8 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
     return InnerSolution(
         beta2_hat=beta2_hat,
         value=value,
-        singular_flag=not support.is_regular(design.weights),
+        singular_flag=(support.least_singular_value(design.weights)
+                       * math.dist(box.upper, box.lower) <= config.local_tolerance),
         at_boundary=at_boundary,
     )
 

@@ -16,19 +16,15 @@ Built-in kinds:
   polynomial means; kernel (eta1 - eta2)^2 / (2 sigma2).
 * :class:`LogisticGlmPair` -- Bernoulli responses with logistic link; kernel
   (eta1 - eta2) expit(eta1) + softplus(eta2) - softplus(eta1).
-* :class:`SyntheticFamily` -- a fixed piecewise divergence family on [0, 1]
-  whose design averages under (truncated) uniform measures have closed
-  forms; useful for probing discontinuity of the min-divergence criterion.
-  It is not a `ModelPair`: the inner solve and the loop refuse it.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 from scipy.special import expit
 
-from .designs import Design, AffineMap, _freeze
+from .designs import AffineMap, _freeze
 from .errors import DomainError, UnsupportedModelError
 
 
@@ -57,9 +53,9 @@ class ParamBox:
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
-    def contains(self, beta2, slack: float = 0.0) -> bool:
+    def contains(self, beta2) -> bool:
         b = np.asarray(beta2, dtype=float).ravel()
-        return bool(np.all(b >= self.lower - slack) and np.all(b <= self.upper + slack))
+        return bool(np.all(b >= self.lower) and np.all(b <= self.upper))
 
     def clip(self, beta2) -> np.ndarray:
         return np.clip(np.asarray(beta2, dtype=float).ravel(), self.lower, self.upper)
@@ -174,13 +170,6 @@ class PolynomialPair:
         kernel = self.kernel(self.true_predictor(x))
         return kernel(self.rival_matrix(x) @ np.asarray(beta2, dtype=float))
 
-    def divergence_evaluator(self, points):
-        """Closure over fixed points for repeated beta2 evaluation (hot path)."""
-        x = _scalar_inputs(points)
-        kernel = self.kernel(self.true_predictor(x))
-        basis = self.rival_matrix(x)
-        return lambda beta2: kernel(basis @ beta2)
-
 
 @dataclass(frozen=True)
 class GaussianRegressionPair(PolynomialPair):
@@ -249,81 +238,7 @@ class LogisticGlmPair(PolynomialPair):
         return lambda eta2: (expit(eta2) - mean1, expit(eta2) * expit(-eta2))
 
 
-def _default_synthetic_box() -> ParamBox:
-    return ParamBox([1e-6], [1000.0])
-
-
-@dataclass(frozen=True)
-class SyntheticFamily:
-    """Fixed piecewise divergence family on [0, 1] with a scalar parameter.
-
-        I(x, b) = 2((2b - 1)x + (1 - b))   for b <= 1
-        I(x, b) = (b + 1) x^b              for b > 1
-
-    Both branches equal 2x at b = 1. Every one-point design has criterion
-    value 0, yet the average under the uniform measure on [0, 1] is
-    identically 1; the closed-form averages below expose that gap without
-    needing continuous-support designs.
-    """
-
-    theta2: ParamBox = field(default_factory=_default_synthetic_box)
-
-    def __post_init__(self):
-        if self.theta2.dimension != 1:
-            raise ValueError("synthetic family has a single scalar parameter")
-
-    def divergence(self, points, beta2) -> np.ndarray:
-        x = _scalar_inputs(points)
-        b = float(np.asarray(beta2, dtype=float).ravel()[0])
-        if b <= 1.0:
-            val = 2.0 * ((2.0 * b - 1.0) * x + (1.0 - b))
-        else:
-            val = (b + 1.0) * np.power(x, b)
-        return np.maximum(val, 0.0)
-
-    # Closed-form averages for the continuous fixtures.
-
-    def truncated_uniform_average(self, beta2: float, n: int) -> float:
-        """Average divergence under the uniform measure on [0, 1 - 1/n]."""
-        if n < 2:
-            raise ValueError("n must be >= 2")
-        b = float(beta2)
-        if b <= 1.0:
-            return 1.0 - (2.0 * b - 1.0) / n
-        return float((1.0 - 1.0 / n) ** b)
-
-    def uniform_average(self, beta2: float) -> float:
-        """Average divergence under the uniform measure on [0, 1]; equals 1."""
-        return 1.0
-
-    def truncated_uniform_criterion(self, n: int, box: ParamBox | None = None) -> float:
-        """Infimum over the box of the truncated-uniform average (closed form).
-
-        Both branches decrease in the parameter and agree at 1, so the average
-        is decreasing over the whole box and the infimum sits at its upper end.
-        """
-        box = box or self.theta2
-        return self.truncated_uniform_average(float(box.upper[0]), n)
-
-    def uniform_criterion(self, box: ParamBox | None = None) -> float:
-        """Infimum over the box of the uniform-[0,1] average; identically 1."""
-        return 1.0
-
-
 ModelPair = Union[GaussianRegressionPair, LogisticGlmPair]
-
-
-def kl_average(pair: ModelPair, design: Design, beta2) -> float:
-    """Design-weighted average of the pointwise divergence."""
-    return float(design.weights @ pair.divergence(design.points, beta2))
-
-
-def glm_fisher_information(rows, weights) -> np.ndarray:
-    """Fisher information J = X^T W X of the rival GLM: `rows` is X, `weights`
-    the diagonal of W, i.e. the divergence's second derivative in eta2."""
-    x = np.atleast_2d(np.asarray(rows, dtype=float))
-    j = x.T @ (np.asarray(weights, dtype=float)[:, None] * x)
-    return 0.5 * (j + j.T)
 
 
 def glm_is_regular(rows) -> bool:
@@ -364,7 +279,7 @@ def reparametrize_under_affine(pair: ModelPair, amap: AffineMap) -> ModelPair:
     the identity in this representation).
     """
     if not isinstance(pair, PolynomialPair):
-        raise UnsupportedModelError("synthetic family has no polynomial predictor")
+        raise UnsupportedModelError("only polynomial-predictor pairs can be reparametrized")
     a, b = amap.offset, amap.scale
     return replace(pair, beta1=_compose_affine(pair.beta1, a, b),
                    rival_basis=tuple(_compose_affine(c, a, b) for c in pair.rival_basis))

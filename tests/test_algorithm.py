@@ -13,7 +13,8 @@ from kldesign.algorithm import (EFFICIENCY_REACHED, STALLED_REGULARIZED,
                                 default_reference_design, efficiency_bound,
                                 line_search_alpha, psi_scan, restricted_dual,
                                 run_first_order, run_regularized)
-from kldesign.benchmarks import (benchmark_inner_config, cubic_quadratic_optimum,
+from kldesign.benchmarks import (SyntheticFamily, _kl_average as kl_average,
+                                 benchmark_inner_config, cubic_quadratic_optimum,
                                  cubic_quadratic_pair, cubic_quadratic_space,
                                  cubic_quadratic_start, logistic_pair,
                                  logistic_reference_design, logistic_space,
@@ -21,9 +22,9 @@ from kldesign.benchmarks import (benchmark_inner_config, cubic_quadratic_optimum
 from kldesign.designs import (AffineMap, Design, DesignSpace, blend_designs,
                               transform_design, validate_design, wasserstein_distance)
 from kldesign.errors import DomainError, UndefinedEfficiencyError, UnsupportedModelError
-from kldesign.inner import InnerConfig, minimize_beta2
+from kldesign.inner import InnerConfig, minimize_beta2, prepare_support
 from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
-                             SyntheticFamily, kl_average, reparametrize_under_affine)
+                             reparametrize_under_affine)
 
 TIGHT = InnerConfig(local_tolerance=1e-10)
 FAST = InnerConfig(local_tolerance=1e-9)
@@ -74,7 +75,7 @@ class TestDirectionalDerivative:
             pair, design, space = logistic_pair(), LOGISTIC_SEGMENT_START, logistic_space()
             beta = np.array([1.5, -0.5])
         size = algorithm.PSI_GRID_SIZE
-        grid = pair.divergence_evaluator(space.grid(size))
+        grid = prepare_support(pair, space.grid(size)).pointwise
         points, psi = psi_scan(pair, design, beta, space, grid_divergence=grid)
         # float for float the scan in one divergence call over all candidates
         values = pair.divergence(points, beta)

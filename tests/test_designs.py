@@ -120,7 +120,7 @@ class TestMixDesign:
             a = float(rng.uniform(0.0, 1.0))
             mixed = mix(d, x, a)
             assert validate_design(mixed).ok
-            assert wasserstein_distance(mixed, d) <= a * space.diameter + 1e-12
+            assert wasserstein_distance(mixed, d) <= a * 2.0 + 1e-12
 
 
 class TestMixtureSegment:

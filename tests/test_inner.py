@@ -12,8 +12,9 @@ from kldesign import inner
 from kldesign.inner import (InnerConfig, least_squares_oracle, minimize_beta2,
                             prepare_support)
 from kldesign.errors import UnsupportedModelError
+from kldesign.benchmarks import SyntheticFamily, _kl_average as kl_average
 from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
-                             SyntheticFamily, kl_average)
+                             glm_is_regular)
 
 BOX3 = ParamBox([-5.0] * 3, [5.0] * 3)
 TIGHT = InnerConfig(local_tolerance=1e-10)
@@ -137,13 +138,12 @@ def multistart_simplex_value(pair, design, starts) -> float:
     """Best value of box-clipped Nelder-Mead descents from the given starts:
     an oracle that knows nothing of convexity."""
     box = pair.theta2
-    pointwise = pair.divergence_evaluator(design.points)
     best = np.inf
     for start in starts:
-        _, value = nelder_mead_box(lambda b: float(design.weights @ pointwise(b)),
-                                   box.clip(start), box.lower, box.upper,
-                                   xatol=1e-10, fatol=1e-14, max_iter=2000,
-                                   initial_step=0.05 * (box.upper - box.lower))
+        _, value = nelder_mead_box(
+            lambda b: float(design.weights @ pair.divergence(design.points, b)),
+            box.clip(start), box.lower, box.upper, xatol=1e-10, fatol=1e-14,
+            max_iter=2000, initial_step=0.05 * (box.upper - box.lower))
         best = min(best, value)
     return best
 
@@ -190,6 +190,31 @@ class TestSingularDiagnostics:
 
     def test_regular_design_is_not_singular(self):
         assert not minimize_beta2(cubic_pair(), chebyshev_design(), TIGHT).singular_flag
+
+    def test_least_singular_value_is_zero_where_the_rank_test_fails(self):
+        # the Support repeats glm_is_regular's threshold on its own SVD
+        rng = np.random.default_rng(7)
+        for k in range(200):
+            n, d2 = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            rows = rng.normal(size=(n, d2)) * 10.0 ** rng.uniform(-8.0, 8.0)
+            if k % 3 == 1:  # rank d2 - 1 plus noise on either side of the threshold
+                low = rng.normal(size=(n, d2 - 1)) @ rng.normal(size=(d2 - 1, d2))
+                rows = (low + rng.normal(size=(n, d2)) * 10.0 ** rng.uniform(-16.0, -8.0)
+                        ) * 10.0 ** rng.uniform(-8.0, 8.0)
+            elif k % 3 == 2:
+                rows[:, rng.integers(0, d2)] = 0.0
+            support = inner.Support(np.zeros(n), rows, None, None)
+            least = support.least_singular_value(np.full(n, 1.0 / n))
+            assert (least > 0.0) == glm_is_regular(rows)
+
+    @pytest.mark.parametrize("family", [GaussianRegressionPair, LogisticGlmPair])
+    def test_a_row_below_the_newton_stop_is_singular(self, family):
+        # X = [[1.7e-131]] has full rank, yet no beta2 in the box moves eta2
+        # by more than 1.7e-130, far below the stopping tolerance: the solve
+        # cannot tell any two points of the box apart.
+        pair = family.from_exponents([1.0], [1], ParamBox([-5.0], [5.0]))
+        design = Design(DesignSpace([-1.0], [1.0]), [[1.7e-131]], [1.0])
+        assert minimize_beta2(pair, design).singular_flag
 
     @EXAMPLES
     @given(st.data())

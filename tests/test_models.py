@@ -11,11 +11,12 @@ from scipy.integrate import quad
 from kldesign.designs import (AffineMap, Design, DesignSpace, blend_designs,
                               transform_design)
 from kldesign import models
+from kldesign.benchmarks import (SyntheticFamily, _glm_fisher_information as
+                                 glm_fisher_information, _kl_average as kl_average)
 from kldesign.errors import UnsupportedModelError
+from kldesign.inner import prepare_support
 from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
-                             PolynomialPair, SyntheticFamily, glm_fisher_information,
-                             glm_is_regular, kl_average,
-                             reparametrize_under_affine)
+                             PolynomialPair, glm_is_regular, reparametrize_under_affine)
 
 BOX3 = ParamBox([-5.0] * 3, [5.0] * 3)
 # Fixed example sequence, so the suite stays deterministic.
@@ -105,8 +106,7 @@ class TestPointwiseDivergence:
 class TestPolynomialPair:
     def test_families_state_only_their_kernel(self):
         # the shared methods live on the base class alone, once
-        shared = {"divergence", "divergence_evaluator", "rival_matrix",
-                  "from_exponents", "true_predictor"}
+        shared = {"divergence", "rival_matrix", "from_exponents", "true_predictor"}
         for cls in (GaussianRegressionPair, LogisticGlmPair):
             assert issubclass(cls, PolynomialPair)
             assert not shared & set(vars(cls))
@@ -127,9 +127,10 @@ class TestPolynomialPair:
     @pytest.mark.parametrize("pair", [cubic_pair(sigma2=0.7), logistic_pair()],
                              ids=["gaussian", "logistic"])
     def test_evaluator_equals_divergence(self, pair):
+        # a Support's closure over fixed points gives the floats of divergence
         xs = np.linspace(-1.0, 1.0, 9)
         beta2 = np.linspace(-0.8, 0.6, pair.dimension)
-        np.testing.assert_array_equal(pair.divergence_evaluator(xs)(beta2),
+        np.testing.assert_array_equal(prepare_support(pair, xs).pointwise(beta2),
                                       pair.divergence(xs, beta2))
 
 

@@ -5,14 +5,14 @@ import pytest
 
 from kldesign.algorithm import (AlgoConfig, RegularizationConfig,
                                 best_support_candidate, run_first_order)
-from kldesign.benchmarks import (cubic_quadratic_optimum, cubic_quadratic_pair,
-                                 cubic_quadratic_space, cubic_quadratic_start,
-                                 logistic_pair, logistic_reference_design,
-                                 logistic_space, verify_inner_config)
+from kldesign.benchmarks import (SyntheticFamily, cubic_quadratic_optimum,
+                                 cubic_quadratic_pair, cubic_quadratic_space,
+                                 cubic_quadratic_start, logistic_pair,
+                                 logistic_reference_design, logistic_space,
+                                 verify_inner_config)
 from kldesign.designs import AffineMap, Design, DesignSpace
 from kldesign.errors import DomainError, UnsupportedModelError
 from kldesign.inner import InnerConfig, least_squares_oracle
-from kldesign.models import SyntheticFamily
 from kldesign.verify import (CERTIFIED, REJECTED, SINGULAR, equivalence_check,
                              invariance_check)
 
