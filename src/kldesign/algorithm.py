@@ -131,28 +131,15 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunResult:
-    """The iteration history and why it ended; the final design, value and
-    efficiency are those of its last record."""
+    """Final certified design plus the full iteration history."""
 
+    final_design: Design
+    final_value: float
+    final_efficiency: float
     history: tuple[IterationRecord, ...]
     termination_reason: str
-    gamma: float | None = None  # the regularized run's mixing weight
-
-    @property
-    def final_design(self) -> Design:
-        return self.history[-1].design
-
-    @property
-    def final_value(self) -> float:
-        return self.history[-1].value
-
-    @property
-    def final_efficiency(self) -> float:
-        return self.history[-1].efficiency
-
-    @property
-    def regularized(self) -> bool:
-        return self.gamma is not None
+    regularized: bool = False
+    gamma: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -519,7 +506,16 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
 
         design, inner = step_design, step_inner
 
-    return RunResult(tuple(history), reason, reg.gamma if regularizing else None)
+    last = history[-1]
+    return RunResult(
+        final_design=last.design,
+        final_value=last.value,
+        final_efficiency=last.efficiency,
+        history=tuple(history),
+        termination_reason=reason,
+        regularized=regularizing,
+        gamma=reg.gamma if regularizing else None,
+    )
 
 
 def run_first_order(pair: ModelPair, initial_design: Design, space: DesignSpace,

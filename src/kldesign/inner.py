@@ -31,7 +31,7 @@ from scipy.optimize import lsq_linear
 from .designs import Design
 from .errors import UnsupportedModelError
 from .models import (GaussianRegressionPair, ModelPair, ParamBox, PolynomialPair,
-                     _scalar_inputs)
+                     _least_singular_value, _scalar_inputs)
 
 # Sufficient-decrease fraction and halving budget of the backtracking step.
 _ARMIJO = 1e-4
@@ -76,16 +76,11 @@ class Support:
     _least_singular: dict = field(default_factory=dict, repr=False, compare=False)
 
     def least_singular_value(self, weights: np.ndarray) -> float:
-        """The smallest singular value of the rows of positive weight, or 0.0
-        where `models.glm_is_regular`'s rank test finds them rank deficient
-        (the same test, on this one singular value decomposition)."""
+        """`models._least_singular_value` of the rows of positive weight."""
         positive = weights > 0.0
         key = positive.tobytes()
         if key not in self._least_singular:
-            rows = self.rows[positive]
-            s = np.linalg.svd(rows, compute_uv=False)
-            full = s.size == rows.shape[1] and s[-1] > max(rows.shape) * s[0] * 1e-12
-            self._least_singular[key] = float(s[-1]) if full else 0.0
+            self._least_singular[key] = _least_singular_value(self.rows[positive])
         return self._least_singular[key]
 
 

@@ -241,19 +241,23 @@ class LogisticGlmPair(PolynomialPair):
 ModelPair = Union[GaussianRegressionPair, LogisticGlmPair]
 
 
-def glm_is_regular(rows) -> bool:
-    """True iff the rival matrix X (n, d2) has rank d2, i.e. the Fisher
-    information is nonsingular.
+def _least_singular_value(rows) -> float:
+    """The smallest singular value of the rival matrix X (n, d2), or 0.0 where
+    X has rank below d2.
 
     Rank is decided from singular values with the threshold
     max(n, d2) * sigma_max * 1e-12.
     """
     x = np.atleast_2d(np.asarray(rows, dtype=float))
     s = np.linalg.svd(x, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return False
-    threshold = max(x.shape) * s[0] * 1e-12
-    return int(np.sum(s > threshold)) == x.shape[1]
+    full = s.size == x.shape[1] > 0 and s[-1] > max(x.shape) * s[0] * 1e-12
+    return float(s[-1]) if full else 0.0
+
+
+def glm_is_regular(rows) -> bool:
+    """True iff the rival matrix X (n, d2) has rank d2, i.e. the Fisher
+    information is nonsingular (`_least_singular_value` decides the rank)."""
+    return _least_singular_value(rows) > 0.0
 
 
 def _compose_affine(coeffs: np.ndarray, a: float, b: float) -> np.ndarray:

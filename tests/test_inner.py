@@ -13,8 +13,7 @@ from kldesign.inner import (InnerConfig, least_squares_oracle, minimize_beta2,
                             prepare_support)
 from kldesign.errors import UnsupportedModelError
 from kldesign.benchmarks import SyntheticFamily, _kl_average as kl_average
-from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
-                             glm_is_regular)
+from kldesign.models import GaussianRegressionPair, LogisticGlmPair, ParamBox
 
 BOX3 = ParamBox([-5.0] * 3, [5.0] * 3)
 TIGHT = InnerConfig(local_tolerance=1e-10)
@@ -190,22 +189,6 @@ class TestSingularDiagnostics:
 
     def test_regular_design_is_not_singular(self):
         assert not minimize_beta2(cubic_pair(), chebyshev_design(), TIGHT).singular_flag
-
-    def test_least_singular_value_is_zero_where_the_rank_test_fails(self):
-        # the Support repeats glm_is_regular's threshold on its own SVD
-        rng = np.random.default_rng(7)
-        for k in range(200):
-            n, d2 = int(rng.integers(1, 9)), int(rng.integers(1, 5))
-            rows = rng.normal(size=(n, d2)) * 10.0 ** rng.uniform(-8.0, 8.0)
-            if k % 3 == 1:  # rank d2 - 1 plus noise on either side of the threshold
-                low = rng.normal(size=(n, d2 - 1)) @ rng.normal(size=(d2 - 1, d2))
-                rows = (low + rng.normal(size=(n, d2)) * 10.0 ** rng.uniform(-16.0, -8.0)
-                        ) * 10.0 ** rng.uniform(-8.0, 8.0)
-            elif k % 3 == 2:
-                rows[:, rng.integers(0, d2)] = 0.0
-            support = inner.Support(np.zeros(n), rows, None, None)
-            least = support.least_singular_value(np.full(n, 1.0 / n))
-            assert (least > 0.0) == glm_is_regular(rows)
 
     @pytest.mark.parametrize("family", [GaussianRegressionPair, LogisticGlmPair])
     def test_a_row_below_the_newton_stop_is_singular(self, family):
