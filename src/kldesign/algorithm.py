@@ -15,7 +15,8 @@ One iteration, given the current design xi_n:
    - a Gaussian pair re-solves the weights (`corrective_step`): the best
      design on the support, x_n and the other candidates of step 2 where
      psi > 0 comes from the minimax dual restricted to those points
-     (`restricted_dual`), whose multipliers are the weights; a point of zero
+     (`restricted_dual`), stated in residual units, where its constraints
+     are linear; its multipliers are the weights, and a point of zero
      weight leaves. Each step is fully corrective (simplicial decomposition,
      von Hohenbalken 1977), at least as good as the exact line search
      below, and the new design is solved once, from the dual's beta2;
@@ -76,6 +77,7 @@ _ATTAIN_TOL = 1e-12
 # Bracket width at which the root find of the line-search slope stops.
 _STEP_XTOL = 1e-6
 # Requested accuracy of the SLSQP solve in `restricted_dual`: rounding level.
+# A Gaussian dual measures it in residual^2 units, independent of sigma2.
 _DUAL_FTOL = 1e-15
 
 
@@ -322,42 +324,78 @@ def restricted_dual(pair: ModelPair, points, warm_start=None, *,
     slackness leaves a zero weight where I(x_j, beta2) < t. For a nested
     Gaussian pair the weights are those of the discrete Chebyshev
     approximation of the true mean by the rival span (Atkinson and Fedorov
-    1975). SLSQP solves it from
-    `warm_start` (clipped into the box; the box midpoint when None), with
-    derivatives from the prepared `Support`s.
+    1975).
+
+    A Gaussian pair has I(x_j, beta2) = r_j^2 / (2 sigma2), r_j =
+    eta1_j - X_j beta2 the residual, so its dual is solved in residual units:
+    over (beta2 in the box, s >= 0) minimize (1-gamma) s^2 / 2 +
+    gamma sigma2 avg_ref I(., beta2), which is sigma2 times the objective
+    above at t = s^2 / (2 sigma2), subject to the linear constraints
+    -s <= r_j <= s. A point's multiplier is the sum of its two constraints'
+    multipliers, rescaled to sum to 1 - gamma (unscaled they sum to
+    (1-gamma) s, so all are zero where s = 0), and the value is the objective
+    divided by sigma2. Neither the constraints nor the objective depend on
+    sigma2 or on where the domain lies. A logistic pair keeps the constraints
+    I(x_j, beta2) <= t, with derivatives from the prepared `Support`. SLSQP
+    solves either form from `warm_start` (clipped into the box; the box
+    midpoint when None).
 
     Returns (multipliers, beta2, value), one multiplier per point; dividing
     the multipliers by their sum gives the weights.
     """
-    support = prepare_support(pair, points)
     gamma = 0.0 if reg is None else reg.gamma
     box = pair.theta2
+    gaussian = isinstance(pair, GaussianRegressionPair)
+    scale = pair.sigma2 if gaussian else 1.0  # the objective is the value times this
     if reg is not None:
         reference = prepare_support(pair, reg.xi_tilde.points)
-        reference_weights = reg.xi_tilde.weights
+        reference_weights = gamma * scale * reg.xi_tilde.weights
 
     def objective(z):
-        value, grad = (1.0 - gamma) * z[-1], np.zeros(z.size)
-        grad[-1] = 1.0 - gamma
+        # (1-gamma) s^2 / 2 in residual units, (1-gamma) t otherwise
+        grad = np.zeros(z.size)
+        grad[-1] = (1.0 - gamma) * (z[-1] if gaussian else 1.0)
+        value = grad[-1] * z[-1] * (0.5 if gaussian else 1.0)
         if reg is not None:
             beta = z[:-1]
             g = reference.derivatives(reference.rows @ beta)[0]
-            value += gamma * (reference_weights @ reference.pointwise(beta))
-            grad[:-1] = gamma * (reference_weights * g) @ reference.rows
+            value += reference_weights @ reference.pointwise(beta)
+            grad[:-1] = (reference_weights * g) @ reference.rows
         return value, grad
 
-    def slack_jacobian(z):
-        g = support.derivatives(support.rows @ z[:-1])[0]
-        return np.column_stack([-g[:, None] * support.rows, np.ones(g.size)])
-
     beta = box.midpoint if warm_start is None else box.clip(warm_start)
-    res = minimize(objective, np.append(beta, np.max(support.pointwise(beta))),
-                   jac=True, method="SLSQP",
-                   bounds=[*zip(box.lower, box.upper), (None, None)],
-                   constraints={"type": "ineq", "jac": slack_jacobian,
-                                "fun": lambda z: z[-1] - support.pointwise(z[:-1])},
-                   options={"ftol": _DUAL_FTOL})
-    return res.multipliers, res.x[:-1], float(res.fun)
+    if gaussian:
+        rows, eta1 = pair.rival_matrix(points), pair.true_predictor(points)
+        jacobian = np.column_stack([np.vstack([rows, -rows]), np.ones(2 * eta1.size)])
+
+        def slack(z):  # s - r, then s + r
+            residual = eta1 - rows @ z[:-1]
+            return np.concatenate([z[-1] - residual, z[-1] + residual])
+
+        constraints = {"type": "ineq", "fun": slack, "jac": lambda z: jacobian}
+        start, floor = np.max(np.abs(eta1 - rows @ beta)), 0.0
+    else:
+        support = prepare_support(pair, points)
+
+        def slack(z):
+            return z[-1] - support.pointwise(z[:-1])
+
+        def slack_jacobian(z):
+            g = support.derivatives(support.rows @ z[:-1])[0]
+            return np.column_stack([-g[:, None] * support.rows, np.ones(g.size)])
+
+        constraints = {"type": "ineq", "fun": slack, "jac": slack_jacobian}
+        start, floor = np.max(support.pointwise(beta)), None
+    res = minimize(objective, np.append(beta, start), jac=True, method="SLSQP",
+                   bounds=[*zip(box.lower, box.upper), (floor, None)],
+                   constraints=constraints, options={"ftol": _DUAL_FTOL})
+    if not gaussian:
+        return res.multipliers, res.x[:-1], float(res.fun)
+    multipliers = res.multipliers[:eta1.size] + res.multipliers[eta1.size:]
+    total = float(np.sum(multipliers))
+    if total > 0.0:
+        multipliers = multipliers * ((1.0 - gamma) / total)
+    return multipliers, res.x[:-1], float(res.fun) / scale
 
 
 def corrective_step(pair: ModelPair, design: Design, x_new, start: InnerSolution,

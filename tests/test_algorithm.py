@@ -1,10 +1,12 @@
 """Outer exchange loop: derivative, best-point search, steps, runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 from kldesign import algorithm
 from kldesign.algorithm import (EFFICIENCY_REACHED, STALLED_REGULARIZED,
@@ -452,6 +454,39 @@ class TestRestrictedDual:
         blended = blend_designs(design, reg.xi_tilde, reg.gamma)
         assert minimize_beta2(pair, blended, TIGHT).value == pytest.approx(value, abs=1e-10)
 
+    @pytest.mark.parametrize("regularized", [False, True], ids=["plain", "regularized"])
+    def test_a_binding_box(self, regularized):
+        # with the box at +-0.5 the slope 0.75 of the best quadratic is out of
+        # reach: beta2[1] stops at the bound, and the dual value is still the
+        # criterion of the design its multipliers weight
+        pair, space = cubic_quadratic_pair(bound=0.5), cubic_quadratic_space()
+        reg = (RegularizationConfig(gamma=0.2,
+                                    xi_tilde=default_reference_design(pair, space))
+               if regularized else None)
+        gamma = reg.gamma if regularized else 0.0
+        points = np.array([-1.0, -0.6, 0.1, 0.8, 1.0])[:, None]
+        multipliers, beta, value = restricted_dual(pair, points, reg=reg)
+        assert multipliers.sum() == pytest.approx(1.0 - gamma, abs=1e-12)
+        assert beta[1] == pytest.approx(0.5, abs=1e-12)
+        keep = multipliers > 0.0
+        design = Design(space, points[keep], multipliers[keep] / multipliers.sum())
+        target = design if reg is None else blend_designs(design, reg.xi_tilde, gamma)
+        assert minimize_beta2(pair, target, TIGHT).value == pytest.approx(value, abs=1e-10)
+
+
+def counting_slsqp(patch) -> list:
+    """Patch the SLSQP call of `restricted_dual`; the returned list collects
+    (evaluations, status) of every solve."""
+    solves = []
+
+    def spy(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        solves.append((res.nfev, res.status))
+        return res
+
+    patch.setattr(algorithm, "minimize", spy)
+    return solves
+
 
 class TestCorrectiveStep:
     def test_no_step_at_the_optimum(self):
@@ -553,22 +588,51 @@ class TestRuns:
     def test_random_nested_gaussian_instances_reach_delta(self):
         # Truth of degree d, the rival every lower monomial, four random start
         # points: a regular problem each. Support collapsing and pruning used
-        # to undo steps on some and leave others singular.
+        # to undo steps on some and leave others singular. Every dual ends
+        # with SLSQP's status 0, not 8 (a line search that cannot descend).
         rng = np.random.default_rng(7)
         space = DesignSpace([-1.0], [1.0])
         reasons = []
-        for _ in range(25):
-            d = int(rng.integers(2, 5))
-            pair = GaussianRegressionPair.from_exponents(
-                rng.normal(size=d + 1), list(range(d)),
-                ParamBox([-50.0] * d, [50.0] * d), 0.5)
-            start = Design(space, rng.uniform(-1.0, 1.0, 4)[:, None],
-                           rng.dirichlet(np.ones(4)))
-            run = run_first_order(pair, start, space,
-                                  AlgoConfig(delta=0.99, max_iterations=300),
-                                  benchmark_inner_config())
-            reasons.append(run.termination_reason)
+        with pytest.MonkeyPatch.context() as patch:
+            solves = counting_slsqp(patch)
+            for _ in range(25):
+                d = int(rng.integers(2, 5))
+                pair = GaussianRegressionPair.from_exponents(
+                    rng.normal(size=d + 1), list(range(d)),
+                    ParamBox([-50.0] * d, [50.0] * d), 0.5)
+                start = Design(space, rng.uniform(-1.0, 1.0, 4)[:, None],
+                               rng.dirichlet(np.ones(4)))
+                run = run_first_order(pair, start, space,
+                                      AlgoConfig(delta=0.99, max_iterations=300),
+                                      benchmark_inner_config())
+                reasons.append(run.termination_reason)
         assert reasons == [EFFICIENCY_REACHED] * 25
+        assert len(solves) >= 25
+        assert [status for _, status in solves] == [0] * len(solves)
+
+    def test_dual_work_is_invariant_under_scale_and_position(self):
+        # The dual is solved in residual units, so neither sigma2 nor the
+        # affine image z = 2 + 4x changes the SLSQP work of any step (a few
+        # evaluations each), and every run ends at the image of the same design.
+        amap = AffineMap([2.0], [[4.0]])
+        space, start = cubic_quadratic_space(), cubic_quadratic_start()
+        counts, finals = [], []
+        for sigma2 in [0.5, 0.05, 0.005, 0.0005]:
+            pair = replace(cubic_quadratic_pair(), sigma2=sigma2)
+            for problem in [(pair, start, space),
+                            (reparametrize_under_affine(pair, amap),
+                             transform_design(start, amap), amap.image_box(space))]:
+                with pytest.MonkeyPatch.context() as patch:
+                    solves = counting_slsqp(patch)
+                    run = run_first_order(*problem, AlgoConfig(delta=0.99),
+                                          benchmark_inner_config())
+                assert run.termination_reason == EFFICIENCY_REACHED
+                counts.append([evaluations for evaluations, _ in solves])
+                finals.append(run.final_design)
+        assert len(counts[0]) >= 2 and max(counts[0]) <= 4
+        assert counts == [counts[0]] * len(counts)
+        finals[0::2] = [transform_design(d, amap) for d in finals[0::2]]
+        assert max(wasserstein_distance(finals[0], d) for d in finals) <= 1e-12
 
     def test_affine_image_takes_the_same_steps(self):
         # the step is equivariant under z = 2 + 4x: the same values, and the
