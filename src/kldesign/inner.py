@@ -103,7 +103,7 @@ def _bounded_lstsq(a: np.ndarray, rhs: np.ndarray, box: ParamBox) -> np.ndarray:
     it: its first step is this unconstrained `lstsq` solution, kept when it
     lies in the box, where it is also the constrained minimizer."""
     x = np.linalg.lstsq(a, rhs, rcond=-1)[0]
-    if np.all((x >= box.lower) & (x <= box.upper)):
+    if ((x >= box.lower) & (x <= box.upper)).all():
         return x
     return lsq_linear(a, rhs, bounds=(box.lower, box.upper), method="bvls").x
 
@@ -122,6 +122,7 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
     exact.
     """
     box = pair.theta2
+    lower, upper = box.lower, box.upper
     rows, pointwise = support.rows, support.pointwise
     exact = isinstance(pair, GaussianRegressionPair)
 
@@ -138,13 +139,13 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
         target = _bounded_lstsq(scale[:, None] * rows, rhs, box)
         step = target - beta
         moved = rows @ step
-        size = float(np.max(np.abs(moved)))
+        size = float(np.abs(moved).max())
         if size <= config.local_tolerance:
             break
         slope = float((weights * g) @ moved)
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            trial = box.clip(beta + t * step)
+            trial = np.minimum(np.maximum(beta + t * step, lower), upper)
             trial_value = objective(trial)
             if trial_value <= value + _ARMIJO * t * slope:
                 break
@@ -181,8 +182,8 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
     start = box.midpoint if warm_start is None else box.clip(warm_start)
     beta2_hat, value = _newton(pair, support, design.weights, start, config)
     edge = 1e-9 * (box.upper - box.lower)
-    at_boundary = bool(np.any(beta2_hat <= box.lower + edge)
-                       or np.any(beta2_hat >= box.upper - edge))
+    at_boundary = bool((beta2_hat <= box.lower + edge).any()
+                       or (beta2_hat >= box.upper - edge).any())
     return InnerSolution(
         beta2_hat=beta2_hat,
         value=value,

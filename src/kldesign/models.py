@@ -235,7 +235,12 @@ class LogisticGlmPair(PolynomialPair):
 
     def kernel_derivatives(self, eta1):
         mean1 = expit(eta1)
-        return lambda eta2: (expit(eta2) - mean1, expit(eta2) * expit(-eta2))
+
+        def derivatives(eta2):
+            mean2 = expit(eta2)
+            return mean2 - mean1, mean2 * expit(-eta2)
+
+        return derivatives
 
 
 ModelPair = Union[GaussianRegressionPair, LogisticGlmPair]
