@@ -8,9 +8,16 @@ divergence of two Bernoulli laws. The solve is therefore bounded Newton:
 each step minimizes the box-constrained quadratic model, a bounded weighted
 least-squares problem, by `numpy.linalg.lstsq`, with
 `scipy.optimize.lsq_linear(method="bvls")` only where the box binds, and a
-backtracking step follows it. A Gaussian pair's curvature is constant, so its
-quadratic model is the objective and the solve stops after the first accepted
-full step. A convex pair's minimizer is unique if and only if X has full
+backtracking step follows it. A cold solve (no warm start) starts from the
+minimizer of the model taken at eta2 = eta1, where the gradient is 0 and the
+curvature is the Fisher weight: the Fisher-scoring (IRLS) start, which does
+not depend on the box unless the box binds. A Gaussian pair's curvature is
+constant, so its quadratic model is the objective: that start is the exact
+minimizer, a cold Gaussian solve is one least-squares fit and one
+evaluation, and a warm one stops after the first accepted full step. Where
+the model at a warm start is not finite (the logistic curvature underflows
+to 0 far from eta1), the solve restarts once from the model start. A convex
+pair's minimizer is unique if and only if X has full
 column rank on the support, so the singularity flag is that rank test, taken
 on the scale the Newton stop sees: a direction of the box along which X
 moves eta2 by no more than the stopping tolerance counts as a null direction.
@@ -43,7 +50,9 @@ _MAX_NEWTON_STEPS = 800
 @dataclass(frozen=True)
 class InnerConfig:
     """Stopping rule of the inner solve: Newton steps stop once the step moves
-    the rival predictor by at most `local_tolerance`."""
+    the rival predictor by at most `local_tolerance`. The start is not a
+    setting: the warm start when given, otherwise the model start
+    (`Support.model_start`)."""
 
     local_tolerance: float = 1e-9
 
@@ -65,12 +74,14 @@ class InnerSolution:
 @dataclass(frozen=True)
 class Support:
     """The weight-free part of the inner problem on fixed points: the rival
-    matrix, the pointwise divergence and derivative closures, and the rank
-    test, memoized per positive-weight pattern. Build it with
-    `prepare_support`; any design on the same points can be solved on it."""
+    matrix, the true predictor eta1, the pointwise divergence and derivative
+    closures, and the rank test, memoized per positive-weight pattern. Build
+    it with `prepare_support`; any design on the same points can be solved
+    on it."""
 
     points: np.ndarray
     rows: np.ndarray
+    eta1: np.ndarray
     pointwise: Callable
     derivatives: Callable
     _least_singular: dict = field(default_factory=dict, repr=False, compare=False)
@@ -83,6 +94,23 @@ class Support:
             self._least_singular[key] = _least_singular_value(self.rows[positive])
         return self._least_singular[key]
 
+    def model(self, weights: np.ndarray, eta: np.ndarray):
+        """The quadratic model of the objective at the predictor eta:
+        sum_i w_i h_i (eta2_i - eta_i + g_i / h_i)^2 / 2 with g, h the first
+        and second derivatives of the pointwise divergence, returned as g and
+        the least-squares row scale sqrt(w h) and right-hand side
+        sqrt(w / h) (h eta - g)."""
+        g, h = self.derivatives(eta)
+        return g, np.sqrt(weights * h), np.sqrt(weights / h) * (h * eta - g)
+
+    def model_start(self, weights: np.ndarray, box: ParamBox) -> np.ndarray:
+        """Minimizer over the box of the quadratic model taken at eta2 = eta1.
+        There g is 0 and h is the Fisher weight, so this is the weighted
+        least-squares fit of eta1 with weights w h, the Fisher-scoring start;
+        for a Gaussian pair it is the exact minimizer."""
+        _, scale, rhs = self.model(weights, self.eta1)
+        return _bounded_lstsq(scale[:, None] * self.rows, rhs, box)
+
 
 def prepare_support(pair: ModelPair, points) -> Support:
     """The `Support` of `pair` at `points`; only polynomial-predictor pairs
@@ -94,7 +122,7 @@ def prepare_support(pair: ModelPair, points) -> Support:
     eta1 = pair.true_predictor(x)
     rows = pair.rival_matrix(x)
     kernel = pair.kernel(eta1)
-    return Support(points, rows, lambda beta2: kernel(rows @ beta2),
+    return Support(points, rows, eta1, lambda beta2: kernel(rows @ beta2),
                    pair.kernel_derivatives(eta1))
 
 
@@ -109,17 +137,16 @@ def _bounded_lstsq(a: np.ndarray, rhs: np.ndarray, box: ParamBox) -> np.ndarray:
 
 
 def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
-            start: np.ndarray, config: InnerConfig) -> tuple[np.ndarray, float]:
+            start: np.ndarray, config: InnerConfig) -> tuple[np.ndarray, float] | None:
     """Bounded Newton descent in beta2 for a pair convex in eta2 = rows @ beta2;
-    returns the last iterate and its objective sum_i w_i I(x_i, beta2).
+    returns the last iterate and its objective sum_i w_i I(x_i, beta2), or
+    None when the model at `start` is not finite: where the logistic
+    curvature expit'(eta2) underflows to 0, g / h is infinite.
 
-    The quadratic model of the objective at eta is
-    sum_i w_i h_i (eta2_i - eta_i + g_i / h_i)^2 / 2 with g, h the first and
-    second derivatives of the pointwise divergence, so its box-constrained
-    minimizer is a bounded weighted least-squares solution: the `lstsq`
-    solution when that lies in the box, BVLS's only when the box binds. For a
-    Gaussian pair the model is the objective, so an accepted full step is
-    exact.
+    Each step moves toward the box-constrained minimizer of `Support.model`,
+    a bounded weighted least-squares solution: the `lstsq` solution when that
+    lies in the box, BVLS's only when the box binds. For a Gaussian pair the
+    model is the objective, so an accepted full step is exact.
     """
     box = pair.theta2
     lower, upper = box.lower, box.upper
@@ -131,11 +158,10 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
 
     beta = start
     value = objective(beta)
-    for _ in range(_MAX_NEWTON_STEPS):
-        eta = rows @ beta
-        g, h = support.derivatives(eta)
-        scale = np.sqrt(weights * h)
-        rhs = np.sqrt(weights / h) * (h * eta - g)
+    for steps in range(_MAX_NEWTON_STEPS):
+        g, scale, rhs = support.model(weights, rows @ beta)
+        if not steps and not np.isfinite(rhs).all():
+            return None
         target = _bounded_lstsq(scale[:, None] * rows, rhs, box)
         step = target - beta
         moved = rows @ step
@@ -162,8 +188,12 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
                    warm_start=None, *, support: Support | None = None) -> InnerSolution:
     """Minimize the design-averaged divergence over the rival parameter box.
 
-    Bounded Newton steps from `warm_start` (clipped into the box; the box
-    midpoint when None), so the result is a pure function of the inputs.
+    Bounded Newton steps from `warm_start` (clipped into the box) or, when
+    None, from `Support.model_start`: the minimizer of the quadratic model
+    at eta2 = eta1, the Fisher-scoring start, which for a Gaussian pair is
+    the exact minimizer and is returned after one evaluation. A warm start
+    whose model is not finite restarts once from the model start. The
+    result is a pure function of the inputs.
     `support` is `prepare_support(pair, design.points)`, built here when
     None; a support on other points raises `ValueError`.
     `singular_flag` is set exactly when the rival matrix X on the
@@ -178,16 +208,24 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
         support = prepare_support(pair, design.points)
     elif not np.array_equal(support.points, design.points):
         raise ValueError("the support was prepared on other points than the design's")
-    box = pair.theta2
-    start = box.midpoint if warm_start is None else box.clip(warm_start)
-    beta2_hat, value = _newton(pair, support, design.weights, start, config)
+    box, weights = pair.theta2, design.weights
+    solved = None
+    if warm_start is not None:
+        solved = _newton(pair, support, weights, box.clip(warm_start), config)
+    if solved is None:  # a cold solve, or the warm start's model is not finite
+        start = support.model_start(weights, box)
+        if not isinstance(pair, GaussianRegressionPair):
+            solved = _newton(pair, support, weights, start, config)
+        if solved is None:  # the exact minimizer, or no finite model to descend on
+            solved = start, float(weights @ support.pointwise(start))
+    beta2_hat, value = solved
     edge = 1e-9 * (box.upper - box.lower)
     at_boundary = bool((beta2_hat <= box.lower + edge).any()
                        or (beta2_hat >= box.upper - edge).any())
     return InnerSolution(
         beta2_hat=beta2_hat,
         value=value,
-        singular_flag=(support.least_singular_value(design.weights)
+        singular_flag=(support.least_singular_value(weights)
                        * math.dist(box.upper, box.lower) <= config.local_tolerance),
         at_boundary=at_boundary,
     )

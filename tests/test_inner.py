@@ -147,6 +147,33 @@ def multistart_simplex_value(pair, design, starts) -> float:
     return best
 
 
+def fixture_logistic_pair(lower, upper) -> LogisticGlmPair:
+    # the logistic fixture's truth 1 + x + x^2 against the rival {x, x^2}
+    return LogisticGlmPair.from_exponents([1.0, 1.0, 1.0], [1, 2], ParamBox(lower, upper))
+
+
+def fixture_start() -> Design:
+    return Design(DesignSpace([0.0], [1.0]), [[0.0], [1 / 3], [2 / 3], [1.0]], [0.25] * 4)
+
+
+def count_bounded_lstsq(monkeypatch) -> list:
+    """Record every call of `inner._bounded_lstsq`, one per Newton model."""
+    calls = []
+    bounded_lstsq = inner._bounded_lstsq
+
+    def counting(*args):
+        calls.append(args)
+        return bounded_lstsq(*args)
+
+    monkeypatch.setattr(inner, "_bounded_lstsq", counting)
+    return calls
+
+
+# The fixture's inner minimum at its 4-point start.
+FIXTURE_MIN_BETA2 = [4.5834, -1.7013]
+FIXTURE_MIN_VALUE = 0.028444
+
+
 class TestBenchmarkSolve:
     def test_recovers_the_analytic_minimizer(self):
         sol = minimize_beta2(cubic_pair(), chebyshev_design(), TIGHT)
@@ -273,24 +300,29 @@ class TestBoundedStep:
 
 class TestPreparedSupport:
     def test_gaussian_solve_stops_after_its_exact_step(self, monkeypatch):
-        # the quadratic model is the Gaussian objective: one bounded
-        # least-squares step is exact
-        calls = []
+        # the quadratic model is the Gaussian objective: a cold solve is one
+        # bounded least-squares fit and one evaluation of the objective
+        evaluations = []
+        kernel = GaussianRegressionPair.kernel
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return bounded_lstsq(*args, **kwargs)
+        def counting(pair, eta1):
+            values = kernel(pair, eta1)
 
-        bounded_lstsq = inner._bounded_lstsq
-        monkeypatch.setattr(inner, "_bounded_lstsq", counting)
+            def counted(eta2):
+                evaluations.append(eta2)
+                return values(eta2)
+
+            return counted
+
+        monkeypatch.setattr(GaussianRegressionPair, "kernel", counting)
+        calls = count_bounded_lstsq(monkeypatch)
         sol = minimize_beta2(cubic_pair(), chebyshev_design(), TIGHT)
-        assert len(calls) == 1
+        assert (len(calls), len(evaluations)) == (1, 1)
         np.testing.assert_allclose(sol.beta2_hat, [0.0, 0.75, 0.0], atol=1e-12)
         calls.clear()
-        pair = LogisticGlmPair.from_exponents([1.0, 1.0, 1.0], [1, 2],
-                                              ParamBox([-10, -10], [10, 10]))
-        minimize_beta2(pair, Design(DesignSpace([0.0], [1.0]), [[0.2], [0.6], [0.9]],
-                                    [0.3, 0.3, 0.4]), TIGHT)
+        minimize_beta2(fixture_logistic_pair((-10, -10), (10, 10)),
+                       Design(DesignSpace([0.0], [1.0]), [[0.2], [0.6], [0.9]],
+                              [0.3, 0.3, 0.4]), TIGHT)
         assert len(calls) > 2  # a logistic solve still iterates
 
     def test_support_on_other_points_raises(self):
@@ -322,6 +354,68 @@ class TestPreparedSupport:
             assert minimize_beta2(pair, design, TIGHT, support=support).singular_flag \
                 == singular
             assert minimize_beta2(pair, design, TIGHT).singular_flag == singular
+
+
+class TestColdStart:
+    """A cold solve starts from the minimizer of the model taken at eta2 = eta1."""
+
+    BOXES = [((-10, -10), (10, 10)), ((-50, -50), (50, 50)),
+             ((-10, -10), (1000, 1000)), ((-1000, -1000), (10, 10))]
+
+    def test_does_not_depend_on_the_box(self, monkeypatch):
+        calls = count_bounded_lstsq(monkeypatch)
+        solutions, counts = [], []
+        for lower, upper in self.BOXES:
+            calls.clear()
+            solutions.append(minimize_beta2(fixture_logistic_pair(lower, upper),
+                                            fixture_start()))
+            counts.append(len(calls))
+        for sol in solutions:
+            np.testing.assert_array_equal(sol.beta2_hat, solutions[0].beta2_hat)
+            assert sol.value == solutions[0].value
+        assert counts == [counts[0]] * len(self.BOXES)
+
+    def test_takes_at_most_four_models(self, monkeypatch):
+        # the start's model and at most three Newton models (seven from the
+        # box midpoint)
+        calls = count_bounded_lstsq(monkeypatch)
+        minimize_beta2(fixture_logistic_pair((-10, -10), (10, 10)), fixture_start())
+        assert len(calls) <= 4
+
+    def test_midpoint_where_expit_prime_underflows(self):
+        # From the midpoint (495, 495), expit'(990) is 0 at x = 1, so the
+        # model there is not finite; the start no longer depends on it.
+        sol = minimize_beta2(fixture_logistic_pair((-10, -10), (1000, 1000)),
+                             fixture_start())
+        np.testing.assert_allclose(sol.beta2_hat, FIXTURE_MIN_BETA2, atol=1e-4)
+        assert sol.value == pytest.approx(FIXTURE_MIN_VALUE, abs=1e-6)
+        assert not sol.at_boundary
+
+    def test_warm_start_with_a_model_that_is_not_finite_restarts(self):
+        # the solve restarts once from the model start
+        pair = fixture_logistic_pair((-10, -10), (1000, 1000))
+        sol = minimize_beta2(pair, fixture_start(), warm_start=[495.0, 495.0])
+        np.testing.assert_allclose(sol.beta2_hat, FIXTURE_MIN_BETA2, atol=1e-4)
+        assert sol.value == pytest.approx(FIXTURE_MIN_VALUE, abs=1e-6)
+        cold = minimize_beta2(pair, fixture_start())
+        np.testing.assert_array_equal(sol.beta2_hat, cold.beta2_hat)
+
+    @EXAMPLES
+    @given(logistic_instances())
+    def test_agrees_with_the_midpoint_start(self, instance):
+        # Values agree to the rounding of the softplus-form objective. The
+        # predictors agree to 1e-6, not to the stopping tolerance: either
+        # solve may end on the flat-to-rounding stop when its last Newton
+        # step, some 1e-8 in eta, promises less decrease than that rounding.
+        pair, design = instance
+        rows = pair.rival_matrix(design.points)
+        assume(np.linalg.matrix_rank(rows) == pair.dimension)
+        cold = minimize_beta2(pair, design, TIGHT)
+        midpoint = minimize_beta2(pair, design, TIGHT, warm_start=pair.theta2.midpoint)
+        assert not cold.singular_flag
+        assert cold.value == pytest.approx(midpoint.value, rel=1e-12, abs=1e-14)
+        np.testing.assert_allclose(rows @ cold.beta2_hat, rows @ midpoint.beta2_hat,
+                                   rtol=0.0, atol=1e-6)
 
 
 class TestMultistartContract:
@@ -361,8 +455,12 @@ class TestOracle:
         pair, design = instance
         beta_ls, value_ls = least_squares_oracle(pair, design)
         assume(np.max(np.abs(beta_ls)) <= 40.0)  # the oracle ignores the box
+        # a cold Gaussian solve is the least-squares fit itself
         sol = minimize_beta2(pair, design, InnerConfig(local_tolerance=1e-9))
-        assert sol.value == pytest.approx(value_ls, abs=1e-8)
+        assert sol.value == pytest.approx(value_ls, rel=1e-12, abs=1e-15)
+        rows = pair.rival_matrix(design.points)
+        np.testing.assert_allclose(rows @ sol.beta2_hat, rows @ beta_ls,
+                                   rtol=0.0, atol=1e-8)
 
     @EXAMPLES
     @given(logistic_instances(), st.lists(st.floats(-10.0, 10.0), min_size=3,
