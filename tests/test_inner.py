@@ -376,15 +376,14 @@ class TestColdStart:
         assert counts == [counts[0]] * len(self.BOXES)
 
     def test_takes_at_most_four_models(self, monkeypatch):
-        # the start's model and at most three Newton models (seven from the
-        # box midpoint)
+        # the start's model and at most three Newton models
         calls = count_bounded_lstsq(monkeypatch)
         minimize_beta2(fixture_logistic_pair((-10, -10), (10, 10)), fixture_start())
         assert len(calls) <= 4
 
     def test_midpoint_where_expit_prime_underflows(self):
-        # From the midpoint (495, 495), expit'(990) is 0 at x = 1, so the
-        # model there is not finite; the start no longer depends on it.
+        # At the box midpoint (495, 495), expit'(990) is 0 at x = 1 and the
+        # Newton model is not finite; a cold solve does not start there.
         sol = minimize_beta2(fixture_logistic_pair((-10, -10), (1000, 1000)),
                              fixture_start())
         np.testing.assert_allclose(sol.beta2_hat, FIXTURE_MIN_BETA2, atol=1e-4)
