@@ -1,13 +1,11 @@
 #!/usr/bin/env python3
 """Optimal designs are invariant under scale-position transforms.
 
-If the experimental condition is rescaled to z = a + B x, the optimal design
+If the experimental condition is rescaled to z = a + bx, the optimal design
 on the new domain is the pushforward of the optimal design on the old one,
 and the criterion values coincide. The practical payoff: solve the problem
 wherever it is numerically easiest, then map the design back.
 """
-
-import numpy as np
 
 from kldesign import (AffineMap, AlgoConfig, Design, DesignSpace, InnerConfig,
                       GaussianRegressionPair, ParamBox, invariance_check,
@@ -23,7 +21,9 @@ amap = AffineMap([2.0], [[4.0]])          # z = 2 + 4x maps [-1, 1] onto [-2, 6]
 image_pair = reparametrize_under_affine(pair, amap)
 image_space = amap.image_box(space)
 print(f"rescaled domain: [{image_space.lower[0]:g}, {image_space.upper[0]:g}]")
-print(f"true-mean coefficients on z: {np.round(image_pair.beta1, 6).tolist()}")
+# the image keeps the coefficients in x and evaluates at x = (z - offset) / scale
+print(f"frame of the image pair: offset {image_pair.frame.offset:g}, "
+      f"scale {image_pair.frame.scale:g}")
 
 # the pushforward of the known optimum is the optimum on the new domain
 target = transform_design(optimum, amap)

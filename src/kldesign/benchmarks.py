@@ -29,12 +29,12 @@ from scipy.special import expit
 from .algorithm import (EFFICIENCY_REACHED, STALLED_REGULARIZED, AlgoConfig,
                         RegularizationConfig, RunResult, run_first_order,
                         run_regularized)
-from .designs import (Design, DesignSpace, blend_designs, wasserstein_distance,
-                      wasserstein_distance_lp)
+from .designs import (AffineMap, Design, DesignSpace, blend_designs, transform_design,
+                      wasserstein_distance, wasserstein_distance_lp)
 from .inner import InnerConfig, least_squares_oracle, minimize_beta2
 from .models import (GaussianRegressionPair, LogisticGlmPair, ModelPair, ParamBox,
-                     _scalar_inputs, glm_is_regular)
-from .verify import CERTIFIED, equivalence_check
+                     _scalar_inputs, glm_is_regular, reparametrize_under_affine)
+from .verify import CERTIFIED, equivalence_check, invariance_check
 
 BENCHMARK_SEED = 20240817
 
@@ -146,8 +146,6 @@ class BenchmarkContext:
         return self._get("transformed", self._make_transformed)
 
     def _make_transformed(self) -> RunResult:
-        from .designs import AffineMap, transform_design
-        from .models import reparametrize_under_affine
         amap = AffineMap([2.0], [[4.0]])
         pair_z = reparametrize_under_affine(cubic_quadratic_pair(), amap)
         space_z = amap.image_box(cubic_quadratic_space())
@@ -222,8 +220,6 @@ def check_optimum_certificate(ctx: BenchmarkContext) -> CheckResult:
 def check_affine_invariance(ctx: BenchmarkContext) -> CheckResult:
     """Run on the rescaled domain reaches the mapped optimum; criterion values
     agree across the transform."""
-    from .designs import AffineMap, transform_design
-    from .verify import invariance_check
     t0 = time.perf_counter()
     amap = AffineMap([2.0], [[4.0]])
     run = ctx.transformed_run()

@@ -67,7 +67,7 @@ def _parser() -> argparse.ArgumentParser:
     _common_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_tr = sub.add_parser("transform", help="apply z = offset + matrix * x to "
+    p_tr = sub.add_parser("transform", help="apply z = offset + scale * x to "
                                             "a design file")
     p_tr.add_argument("design", help="design JSON file")
     p_tr.add_argument("--offset", required=True,

@@ -10,7 +10,7 @@ class DomainError(KLDesignError, ValueError):
 
 
 class SingularMapError(KLDesignError, ValueError):
-    """Affine map matrix is singular (or numerically indistinguishable from it)."""
+    """Affine map has scale exactly 0."""
 
 
 class UnsupportedModelError(KLDesignError, TypeError):

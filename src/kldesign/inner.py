@@ -45,6 +45,8 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
 # Newton step budget: a safety cap, far above the dozen steps a solve takes.
 _MAX_NEWTON_STEPS = 800
+# w / h is finite where h > w / max_float (to one rounding).
+_INV_MAX = 1.0 / np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -94,22 +96,21 @@ class Support:
             self._least_singular[key] = _least_singular_value(self.rows[positive])
         return self._least_singular[key]
 
-    def model(self, weights: np.ndarray, eta: np.ndarray):
-        """The quadratic model of the objective at the predictor eta:
-        sum_i w_i h_i (eta2_i - eta_i + g_i / h_i)^2 / 2 with g, h the first
-        and second derivatives of the pointwise divergence, returned as g and
-        the least-squares row scale sqrt(w h) and right-hand side
-        sqrt(w / h) (h eta - g)."""
-        g, h = self.derivatives(eta)
-        return g, np.sqrt(weights * h), np.sqrt(weights / h) * (h * eta - g)
-
     def model_start(self, weights: np.ndarray, box: ParamBox) -> np.ndarray:
         """Minimizer over the box of the quadratic model taken at eta2 = eta1.
         There g is 0 and h is the Fisher weight, so this is the weighted
         least-squares fit of eta1 with weights w h, the Fisher-scoring start;
         for a Gaussian pair it is the exact minimizer."""
-        _, scale, rhs = self.model(weights, self.eta1)
+        scale, rhs = _model(weights, self.eta1, *self.derivatives(self.eta1))
         return _bounded_lstsq(scale[:, None] * self.rows, rhs, box)
+
+
+def _model(weights: np.ndarray, eta: np.ndarray, g: np.ndarray, h: np.ndarray):
+    """The quadratic model of the objective at the predictor eta:
+    sum_i w_i h_i (eta2_i - eta_i + g_i / h_i)^2 / 2 with g, h the first and
+    second derivatives of the pointwise divergence there, returned as the
+    least-squares row scale sqrt(w h) and right-hand side sqrt(w / h) (h eta - g)."""
+    return np.sqrt(weights * h), np.sqrt(weights / h) * (h * eta - g)
 
 
 def prepare_support(pair: ModelPair, points) -> Support:
@@ -141,9 +142,10 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
     """Bounded Newton descent in beta2 for a pair convex in eta2 = rows @ beta2;
     returns the last iterate and its objective sum_i w_i I(x_i, beta2), or
     None when the model at `start` is not finite: where the logistic
-    curvature expit'(eta2) underflows to 0, g / h is infinite.
+    curvature h = expit'(eta2) underflows to 0, w / h is infinite (tested
+    on h, before the model divides by it).
 
-    Each step moves toward the box-constrained minimizer of `Support.model`,
+    Each step moves toward the box-constrained minimizer of `_model`,
     a bounded weighted least-squares solution: the `lstsq` solution when that
     lies in the box, BVLS's only when the box binds. For a Gaussian pair the
     model is the objective, so an accepted full step is exact.
@@ -159,9 +161,11 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
     beta = start
     value = objective(beta)
     for steps in range(_MAX_NEWTON_STEPS):
-        g, scale, rhs = support.model(weights, rows @ beta)
-        if not steps and not np.isfinite(rhs).all():
-            return None
+        eta = rows @ beta
+        g, h = support.derivatives(eta)
+        if not steps and not (h > weights * _INV_MAX).all():
+            return None  # w / h would overflow, or be 0 / 0
+        scale, rhs = _model(weights, eta, g, h)
         target = _bounded_lstsq(scale[:, None] * rows, rhs, box)
         step = target - beta
         moved = rows @ step

@@ -18,7 +18,7 @@ Built-in kinds:
   (eta1 - eta2) expit(eta1) + softplus(eta2) - softplus(eta1).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -137,11 +137,14 @@ class PolynomialPair:
     by its ascending coefficient vector. A family supplies `kernel(eta1)`,
     the map eta2 -> I, and `kernel_derivatives(eta1)`, the map
     eta2 -> (dI/deta2, d2I/deta2^2); both are closures over fixed eta1.
+    `frame`, set by `reparametrize_under_affine`, maps x, the coordinate of
+    `beta1` and the basis, to the points' z = offset + scale * x (None: z = x).
     """
 
     beta1: np.ndarray
     rival_basis: tuple[np.ndarray, ...]
     theta2: ParamBox
+    frame: AffineMap | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         object.__setattr__(self, "beta1", _freeze(_coef(self.beta1)))
@@ -159,11 +162,17 @@ class PolynomialPair:
     def dimension(self) -> int:
         return self.theta2.dimension
 
+    def _coordinates(self, points) -> np.ndarray:
+        z = _scalar_inputs(points)
+        if self.frame is None:
+            return z
+        return (z - self.frame.offset) / self.frame.scale
+
     def true_predictor(self, points) -> np.ndarray:
-        return _horner(self.beta1, _scalar_inputs(points))
+        return _horner(self.beta1, self._coordinates(points))
 
     def rival_matrix(self, points) -> np.ndarray:
-        return _poly_matrix(self.rival_basis, _scalar_inputs(points))
+        return _poly_matrix(self.rival_basis, self._coordinates(points))
 
     def divergence(self, points, beta2) -> np.ndarray:
         x = _scalar_inputs(points)
@@ -199,18 +208,23 @@ class GaussianRegressionPair(PolynomialPair):
     def residual_critical_points(self, beta2, lower: float, upper: float) -> np.ndarray:
         """Real parts of the roots of r' in (lower, upper), r = m1 - m2(., beta2), as
         a column: with the endpoints they hold the maximum of r^2 / (2 sigma2). A
-        nearly double root can come back complex, hence the real parts."""
+        nearly double root can come back complex, hence the real parts. The
+        roots are found in the frame's x and mapped back into [lower, upper]."""
+        frame, lo, hi = self.frame, lower, upper
+        if frame is not None:
+            lo, hi = sorted((end - frame.offset) / frame.scale for end in (lower, upper))
         coef = np.zeros(max(c.size for c in (self.beta1, *self.rival_basis)))
         coef[:self.beta1.size] += self.beta1
         for b, c in zip(np.asarray(beta2, dtype=float), self.rival_basis):
             coef[:c.size] -= b * c
         # r'(radius * t) with |t| <= 1 on the domain, less its terms below 1e-15
         # of the largest: rounding noise that would swamp the companion matrix.
-        radius = max(abs(lower), abs(upper))
+        radius = max(abs(lo), abs(hi))
         scaled = coef[1:] * np.arange(1.0, coef.size) * radius ** np.arange(coef.size - 1)
         scaled[np.abs(scaled) <= 1e-15 * np.max(np.abs(scaled), initial=0.0)] = 0.0
         roots = radius * np.roots(scaled[::-1]).real
-        return roots[(roots > lower) & (roots < upper), None]
+        roots = roots[(roots > lo) & (roots < hi), None]
+        return roots if frame is None else np.minimum(np.maximum(frame.apply(roots), lower), upper)
 
 
 @dataclass(frozen=True)
@@ -265,30 +279,16 @@ def glm_is_regular(rows) -> bool:
     return _least_singular_value(rows) > 0.0
 
 
-def _compose_affine(coeffs: np.ndarray, a: float, b: float) -> np.ndarray:
-    # Exact expansion of p((z - a) / b) in ascending monomial coefficients by
-    # Horner's rule on coefficient arrays, with the floats of numpy's
-    # Polynomial composition: its x*0 and products are dot products summed
-    # from +0.0, so zeros come out unsigned and its trimming changes none.
-    inner = np.array([-a / b, 1.0 / b])
-    comp = coeffs[-1:] + 0.0
-    for c in coeffs[-2::-1]:
-        comp = np.convolve(comp, inner)
-        comp[0] += c
-    return comp
-
-
 def reparametrize_under_affine(pair: ModelPair, amap: AffineMap) -> ModelPair:
     """Re-express a polynomial-predictor pair on the image domain z = a + bx.
 
-    The true-model coefficients are the exact expansion of the original
-    polynomial composed with x = (z - a) / b; each rival basis function is
-    composed the same way, so the rival span on the image domain equals the
-    original span and beta2 keeps its meaning (the induced coefficient map is
-    the identity in this representation).
+    The image keeps `beta1` and the rival basis, coefficients in the original
+    x, and composes z = a + bx after the pair's frame: at z it evaluates the
+    original's predictors at x = (z - a) / b. So beta2 keeps its meaning.
     """
     if not isinstance(pair, PolynomialPair):
         raise UnsupportedModelError("only polynomial-predictor pairs can be reparametrized")
-    a, b = amap.offset, amap.scale
-    return replace(pair, beta1=_compose_affine(pair.beta1, a, b),
-                   rival_basis=tuple(_compose_affine(c, a, b) for c in pair.rival_basis))
+    if pair.frame is not None:
+        amap = AffineMap(amap.offset + amap.scale * pair.frame.offset,
+                         amap.scale * pair.frame.scale)
+    return replace(pair, frame=amap)

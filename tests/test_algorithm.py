@@ -647,9 +647,24 @@ class TestRuns:
                                 algo, FAST)
         assert len(image.history) == len(run.history) >= 4
         for a, b in zip(run.history, image.history):
-            assert b.value == pytest.approx(a.value, abs=1e-10)
+            assert b.value == pytest.approx(a.value, abs=1e-15)
             mapped = transform_design(a.design, amap)
-            assert wasserstein_distance(mapped, b.design) <= 1e-6
+            assert wasserstein_distance(mapped, b.design) <= 1e-13
+
+    @pytest.mark.parametrize("offset, scale", [(1e3, 1.0), (1e3, -1e3), (1e3, 1e-3),
+                                               (1e6, 1.0), (1e6, -1e3), (1e6, 1e-3)])
+    def test_far_images_of_the_shipped_start_reach_delta(self, offset, scale):
+        # the image pair evaluates in its frame, so an offset far from the
+        # domain costs no digits
+        amap = AffineMap(offset, scale)
+        pair, start, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
+                              cubic_quadratic_space())
+        run = run_first_order(reparametrize_under_affine(pair, amap),
+                              transform_design(start, amap), amap.image_box(space),
+                              AlgoConfig(delta=0.99), benchmark_inner_config())
+        assert run.termination_reason == EFFICIENCY_REACHED
+        pulled_back = transform_design(run.final_design, amap.inverted())
+        assert wasserstein_distance(pulled_back, cubic_quadratic_optimum()) <= 0.02
 
     def test_regularized_gaussian_run_from_a_one_point_start(self):
         # the plain loop hands a one-point start off; the regularized loop

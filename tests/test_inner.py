@@ -1,5 +1,7 @@
 """Inner bounded Newton solve, its singularity flag and its oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -397,6 +399,16 @@ class TestColdStart:
         np.testing.assert_allclose(sol.beta2_hat, FIXTURE_MIN_BETA2, atol=1e-4)
         assert sol.value == pytest.approx(FIXTURE_MIN_VALUE, abs=1e-6)
         cold = minimize_beta2(pair, fixture_start())
+        np.testing.assert_array_equal(sol.beta2_hat, cold.beta2_hat)
+
+    def test_restart_warns_nothing(self):
+        # the curvature is tested before the model divides by it: a warning
+        # raised as an error would stop the solve before its restart
+        pair = fixture_logistic_pair((-10, -10), (1000, 1000))
+        cold = minimize_beta2(pair, fixture_start())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = minimize_beta2(pair, fixture_start(), warm_start=[495.0, 495.0])
         np.testing.assert_array_equal(sol.beta2_hat, cold.beta2_hat)
 
     @EXAMPLES

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial import Polynomial
 from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 
@@ -32,14 +31,6 @@ def assert_same_floats(actual, expected):
     # equal values and equal signs of zero
     np.testing.assert_array_equal(actual, expected)
     np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
-
-
-def polynomial_composition(coeffs, a, b) -> np.ndarray:
-    # p((z - a) / b) through numpy's Polynomial, zero-padded to the input length
-    comp = Polynomial(coeffs)(Polynomial([-a / b, 1.0 / b]))
-    out = np.zeros(len(coeffs))
-    out[:comp.coef.size] = comp.coef
-    return out
 
 
 def cubic_pair(sigma2=0.5) -> GaussianRegressionPair:
@@ -149,20 +140,6 @@ class TestPolynomialKernels:
     def test_true_predictor_is_polyval(self, beta1, x):
         pair = GaussianRegressionPair(beta1, (np.ones(1),), ParamBox([-1.0], [1.0]))
         assert_same_floats(pair.true_predictor(x), polyval(x, beta1))
-
-    @EXAMPLES
-    @given(COEFFICIENTS, st.floats(-10.0, 10.0),
-           st.one_of(st.floats(0.01, 100.0), st.floats(-100.0, -0.01)))
-    def test_compose_affine_is_the_polynomial_composition(self, coeffs, a, b):
-        assert_same_floats(models._compose_affine(coeffs, a, b),
-                           polynomial_composition(coeffs, a, b))
-
-    @EXAMPLES
-    @given(COEFFICIENTS)
-    def test_compose_affine_under_the_benchmark_map(self, coeffs):
-        amap = AffineMap([2.0], [[4.0]])
-        assert_same_floats(models._compose_affine(coeffs, amap.offset, amap.scale),
-                           polynomial_composition(coeffs, amap.offset, amap.scale))
 
 
 class TestAverageDivergence:
@@ -299,22 +276,62 @@ class TestGlmRegularity:
             assert glm_is_regular(rows) == by_eig
 
 
+# Maps z = a + bx and points x = k / 64 on [-3, 3] that round-trip exactly:
+# a + bx and (z - a) / b are exact in float64, offsets up to 1e6 included.
+EXACT_MAPS = st.tuples(st.sampled_from([0.0, 2.0, -3.0, 1e3, 1e6]),
+                       st.sampled_from([1.0, -1.0, 4.0, -2.0, 0.5]))
+DYADIC_POINTS = st.lists(st.integers(-192, 192), min_size=1, max_size=9).map(
+    lambda k: np.array(k) / 64.0)
+
+
 class TestReparametrization:
-    def test_cubic_mean_coefficients(self):
+    def test_image_keeps_coefficients_and_gains_the_frame(self):
+        pair = cubic_pair()
         amap = AffineMap([2.0], [[4.0]])
-        out = reparametrize_under_affine(cubic_pair(), amap)
-        np.testing.assert_allclose(out.beta1, [-1 / 8, 3 / 16, -3 / 32, 1 / 64],
-                                   atol=1e-15)
+        out = reparametrize_under_affine(pair, amap)
+        assert out.frame == amap and pair.frame is None
+        np.testing.assert_array_equal(out.beta1, pair.beta1)
+        for c, d in zip(out.rival_basis, pair.rival_basis, strict=True):
+            np.testing.assert_array_equal(c, d)
 
     def test_identity_map_keeps_coefficients(self):
         out = reparametrize_under_affine(cubic_pair(), AffineMap(0.0, 1.0))
         np.testing.assert_allclose(out.beta1, [0, 0, 0, 1], atol=0.0)
 
+    @EXAMPLES
+    @given(COEFFICIENTS, st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True),
+           EXACT_MAPS, DYADIC_POINTS)
+    def test_image_at_a_plus_bx_is_the_original_at_x(self, beta1, exponents, ab, x):
+        d2 = len(exponents)
+        pair = GaussianRegressionPair.from_exponents(beta1, exponents,
+                                                     ParamBox([-1.0] * d2, [1.0] * d2))
+        amap = AffineMap(*ab)
+        image = reparametrize_under_affine(pair, amap)
+        z = amap.apply(x)
+        np.testing.assert_array_equal(image.true_predictor(z), pair.true_predictor(x))
+        np.testing.assert_array_equal(image.rival_matrix(z), pair.rival_matrix(x))
+
     def test_sign_flip(self):
+        # eta1 = x on the image of z = -x is eta1 = -z
         pair = GaussianRegressionPair.from_exponents([0.0, 1.0], [0, 1],
                                                      ParamBox([-5, -5], [5, 5]))
         out = reparametrize_under_affine(pair, AffineMap([0.0], [[-1.0]]))
-        np.testing.assert_allclose(out.beta1, [0.0, -1.0], atol=1e-15)
+        z = np.array([-1.0, -0.25, 0.5, 3.0])
+        np.testing.assert_array_equal(out.true_predictor(z), -z)
+        np.testing.assert_array_equal(out.rival_matrix(z), np.column_stack([z ** 0, -z]))
+
+    @EXAMPLES
+    @given(EXACT_MAPS, EXACT_MAPS, DYADIC_POINTS)
+    def test_twice_is_once_with_the_composed_map(self, first, second, x):
+        pair = cubic_pair()
+        m1, m2 = AffineMap(*first), AffineMap(*second)
+        composed = AffineMap(m2.offset + m2.scale * m1.offset, m2.scale * m1.scale)
+        twice = reparametrize_under_affine(reparametrize_under_affine(pair, m1), m2)
+        once = reparametrize_under_affine(pair, composed)
+        z = m2.apply(m1.apply(x))
+        np.testing.assert_array_equal(twice.true_predictor(z), once.true_predictor(z))
+        np.testing.assert_array_equal(twice.rival_matrix(z), once.rival_matrix(z))
+        np.testing.assert_array_equal(twice.true_predictor(z), pair.true_predictor(x))
 
     def test_synthetic_family_unsupported(self):
         with pytest.raises(UnsupportedModelError):

@@ -10,9 +10,10 @@ from kldesign.benchmarks import (SyntheticFamily, cubic_quadratic_optimum,
                                  cubic_quadratic_start, logistic_pair,
                                  logistic_reference_design, logistic_space,
                                  verify_inner_config)
-from kldesign.designs import AffineMap, Design, DesignSpace
+from kldesign.designs import AffineMap, Design, DesignSpace, transform_design
 from kldesign.errors import DomainError, UnsupportedModelError
 from kldesign.inner import InnerConfig, least_squares_oracle
+from kldesign.models import reparametrize_under_affine
 from kldesign.verify import (CERTIFIED, REJECTED, SINGULAR, equivalence_check,
                              invariance_check)
 
@@ -27,6 +28,18 @@ class TestEquivalenceCheck:
         # zero locations cluster at the support points
         for x in (-1.0, -0.5, 0.5, 1.0):
             assert np.min(np.abs(report.zero_locations - x)) <= 2e-3
+
+    @pytest.mark.parametrize("offset", [1e2, 1e3, 1e4, 1e6])
+    def test_certifies_the_image_of_the_optimum_far_from_the_origin(self, offset):
+        # under z = offset + x the image pair evaluates at x, so the
+        # certificate reads the original's floats
+        amap = AffineMap(offset, 1.0)
+        report = equivalence_check(reparametrize_under_affine(cubic_quadratic_pair(), amap),
+                                   transform_design(cubic_quadratic_optimum(), amap),
+                                   inner_config=verify_inner_config())
+        assert report.verdict == CERTIFIED
+        assert report.criterion_value == pytest.approx(1 / 16, rel=1e-12)
+        assert report.psi_max <= 1e-12
 
     def test_rejects_uniform_weights(self):
         opt = cubic_quadratic_optimum()
