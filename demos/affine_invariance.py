@@ -12,7 +12,7 @@ from kldesign import (AffineMap, AlgoConfig, Design, DesignSpace, InnerConfig,
                       reparametrize_under_affine, run_first_order,
                       transform_design, wasserstein_distance)
 
-pair = GaussianRegressionPair.from_exponents(
+pair = GaussianRegressionPair(
     [0, 0, 0, 1], [0, 1, 2], ParamBox([-5, -5, -5], [5, 5, 5]), sigma2=0.5)
 space = DesignSpace([-1], [1])
 optimum = Design(space, [[-1.0], [-0.5], [0.5], [1.0]], [1 / 6, 1 / 3, 1 / 3, 1 / 6])

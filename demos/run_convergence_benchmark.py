@@ -14,9 +14,9 @@ from kldesign import (AlgoConfig, Design, DesignSpace, InnerConfig,
                       GaussianRegressionPair, ParamBox, equivalence_check,
                       run_first_order, wasserstein_distance)
 
-pair = GaussianRegressionPair.from_exponents(
-    beta1=[0, 0, 0, 1],            # true mean: x^3
-    exponents=[0, 1, 2],           # rival spans {1, x, x^2}
+pair = GaussianRegressionPair(
+    beta1=[0, 0, 0, 1],         # true mean: x^3
+    rival_exponents=[0, 1, 2],  # rival spans {1, x, x^2}
     theta2=ParamBox([-5, -5, -5], [5, 5, 5]),
     sigma2=0.5,
 )

@@ -18,9 +18,9 @@ from kldesign import (AlgoConfig, Design, DesignSpace, InnerConfig,
                       LogisticGlmPair, ParamBox, RegularizationConfig,
                       equivalence_check, run_first_order, run_regularized)
 
-pair = LogisticGlmPair.from_exponents(
-    beta1=[1, 1, 1],                 # eta1 = 1 + x + x^2
-    exponents=[1, 2],                # eta2 = b1 x + b2 x^2  (no intercept)
+pair = LogisticGlmPair(
+    beta1=[1, 1, 1],            # eta1 = 1 + x + x^2
+    rival_exponents=[1, 2],     # eta2 = b1 x + b2 x^2  (no intercept)
     theta2=ParamBox([-10, -10], [10, 10]),
 )
 space = DesignSpace([0], [1])

@@ -21,8 +21,7 @@ from .errors import (ConfigError, DomainError, KLDesignError, SingularMapError,
                      UndefinedEfficiencyError, UnsupportedModelError)
 from .inner import InnerConfig, InnerSolution, least_squares_oracle, minimize_beta2
 from .models import (GaussianRegressionPair, LogisticGlmPair, ModelPair, ParamBox,
-                     PolynomialPair, glm_is_regular, monomial_basis,
-                     reparametrize_under_affine)
+                     PolynomialPair, glm_is_regular, reparametrize_under_affine)
 from .verify import (CERTIFIED, REJECTED, SINGULAR, EquivalenceReport,
                      InvarianceReport, equivalence_check, invariance_check)
 
@@ -39,7 +38,7 @@ __all__ = [
     "UnsupportedModelError", "ValidationReport", "blend_designs",
     "default_reference_design", "efficiency_bound", "equivalence_check",
     "glm_is_regular", "invariance_check", "iterations_to_csv",
-    "least_squares_oracle", "minimize_beta2", "monomial_basis",
+    "least_squares_oracle", "minimize_beta2",
     "reparametrize_under_affine", "run_first_order", "run_regularized",
     "transform_design", "validate_design", "wasserstein_distance",
     "wasserstein_distance_lp",

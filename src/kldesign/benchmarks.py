@@ -46,8 +46,8 @@ BENCHMARK_SEED = 20240817
 def cubic_quadratic_pair(bound: float = 5.0) -> GaussianRegressionPair:
     """True cubic mean x^3 vs rival quadratic span {1, x, x^2}, sigma2 = 1/2."""
     box = ParamBox([-bound] * 3, [bound] * 3)
-    return GaussianRegressionPair.from_exponents([0.0, 0.0, 0.0, 1.0], [0, 1, 2],
-                                                 box, sigma2=0.5)
+    return GaussianRegressionPair([0.0, 0.0, 0.0, 1.0], [0, 1, 2],
+                                  box, sigma2=0.5)
 
 
 def cubic_quadratic_space() -> DesignSpace:
@@ -76,8 +76,8 @@ def logistic_pair() -> LogisticGlmPair:
     The rival matches the true predictor anywhere but at x = 0, so the
     optimum puts all mass at zero and is singular there.
     """
-    return LogisticGlmPair.from_exponents([1.0, 1.0, 1.0], [1, 2],
-                                          ParamBox([-10.0, -10.0], [10.0, 10.0]))
+    return LogisticGlmPair([1.0, 1.0, 1.0], [1, 2],
+                           ParamBox([-10.0, -10.0], [10.0, 10.0]))
 
 
 def logistic_space() -> DesignSpace:
@@ -380,7 +380,7 @@ def _random_gaussian_instance(rng: np.random.Generator):
     beta1 = rng.normal(0.0, 1.0, size=degree + 1)
     sigma2 = float(rng.uniform(0.2, 2.0))
     box = ParamBox([-50.0] * d2, [50.0] * d2)
-    pair = GaussianRegressionPair.from_exponents(beta1, exponents, box, sigma2)
+    pair = GaussianRegressionPair(beta1, exponents, box, sigma2)
     m = int(rng.integers(1, 9))
     pts = rng.uniform(-1.0, 1.0, size=(m, 1))
     w = rng.dirichlet(np.ones(m))

@@ -103,9 +103,9 @@ def _build_pair(section: dict) -> ModelPair:
             _check_keys(section, {"kind", "beta1", "sigma2", "rival_exponents",
                                   "beta2_box"}, "model")
             sigma2 = _to_float(section.get("sigma2", 0.5), "model.sigma2")
-            return GaussianRegressionPair.from_exponents(beta1, exponents, box, sigma2)
+            return GaussianRegressionPair(beta1, exponents, box, sigma2)
         _check_keys(section, {"kind", "beta1", "rival_exponents", "beta2_box"}, "model")
-        return LogisticGlmPair.from_exponents(beta1, exponents, box)
+        return LogisticGlmPair(beta1, exponents, box)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
 

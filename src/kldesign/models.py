@@ -73,21 +73,6 @@ def _coef(c) -> np.ndarray:
     return arr
 
 
-def monomial_basis(exponents) -> tuple[np.ndarray, ...]:
-    """Coefficient vectors (ascending) of the monomials x^e for each exponent."""
-    exps = [int(e) for e in exponents]
-    if len(set(exps)) != len(exps):
-        raise ValueError("basis exponents must be distinct")
-    basis = []
-    for e in exps:
-        if e < 0:
-            raise ValueError("exponents must be nonnegative")
-        c = np.zeros(e + 1)
-        c[e] = 1.0
-        basis.append(c)
-    return tuple(basis)
-
-
 def _scalar_inputs(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 2:
@@ -99,31 +84,24 @@ def _scalar_inputs(points) -> np.ndarray:
 
 def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     # numpy's polyval step for step: c[-1] + x*0, then c + out*x per degree.
-    # The columns of a 2-d `coef` against x[:, None] are one polyval each.
     out = coef[-1] + x * 0
     for c in coef[-2::-1]:
         out = c + out * x
     return out
 
 
-def _poly_matrix(basis: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
-    # Zero padding on top leaves each column's floats those of its own polyval.
-    coef = np.zeros((max(c.size for c in basis), len(basis)))
-    for j, c in enumerate(basis):
-        coef[:c.size, j] = c
-    return _horner(coef, x[:, None])
-
-
-def _check_basis(basis: tuple[np.ndarray, ...], box: ParamBox):
-    if len(basis) != box.dimension:
-        raise ValueError(f"{len(basis)} basis functions but parameter box of "
+def _exponents(exponents, box: ParamBox) -> tuple[int, ...]:
+    exps = tuple(exponents)
+    if len(exps) != box.dimension:
+        raise ValueError(f"{len(exps)} rival exponents but parameter box of "
                          f"dimension {box.dimension}")
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            a, b = basis[i], basis[j]
-            m = max(a.size, b.size)
-            if np.array_equal(np.pad(a, (0, m - a.size)), np.pad(b, (0, m - b.size))):
-                raise ValueError("rival basis polynomials must be distinct")
+    if any(isinstance(e, bool) or not isinstance(e, (int, np.integer)) for e in exps):
+        raise ValueError(f"rival exponents must be integers, got {list(exps)}")
+    if len(set(exps)) != len(exps):
+        raise ValueError("rival exponents must be distinct")
+    if any(e < 0 for e in exps):
+        raise ValueError("rival exponents must be nonnegative")
+    return tuple(int(e) for e in exps)
 
 
 @dataclass(frozen=True)
@@ -133,30 +111,24 @@ class PolynomialPair:
 
     `beta1` holds the ascending monomial coefficients of the known true
     predictor eta1 (intercept included); the rival predictor is
-    eta2 = sum_j beta2[j] * basis_j(x), each basis function a polynomial given
-    by its ascending coefficient vector. A family supplies `kernel(eta1)`,
-    the map eta2 -> I, and `kernel_derivatives(eta1)`, the map
+    eta2 = sum_j beta2[j] * x^rival_exponents[j], one distinct nonnegative
+    integer exponent per dimension of `theta2`. A family supplies
+    `kernel(eta1)`, the map eta2 -> I, and `kernel_derivatives(eta1)`, the map
     eta2 -> (dI/deta2, d2I/deta2^2); both are closures over fixed eta1.
     `frame`, set by `reparametrize_under_affine`, maps x, the coordinate of
-    `beta1` and the basis, to the points' z = offset + scale * x (None: z = x).
+    `beta1` and the monomials, to the points' z = offset + scale * x
+    (None: z = x).
     """
 
     beta1: np.ndarray
-    rival_basis: tuple[np.ndarray, ...]
+    rival_exponents: tuple[int, ...]
     theta2: ParamBox
     frame: AffineMap | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         object.__setattr__(self, "beta1", _freeze(_coef(self.beta1)))
-        basis = tuple(_freeze(_coef(c)) for c in self.rival_basis)
-        _check_basis(basis, self.theta2)
-        object.__setattr__(self, "rival_basis", basis)
-
-    @classmethod
-    def from_exponents(cls, beta1, exponents, theta2: ParamBox, *args, **kwargs):
-        """Rival span of the monomials x^e; further arguments are the family's
-        own fields (sigma2 for Gaussian pairs)."""
-        return cls(_coef(beta1), monomial_basis(exponents), theta2, *args, **kwargs)
+        object.__setattr__(self, "rival_exponents",
+                           _exponents(self.rival_exponents, self.theta2))
 
     @property
     def dimension(self) -> int:
@@ -172,7 +144,13 @@ class PolynomialPair:
         return _horner(self.beta1, self._coordinates(points))
 
     def rival_matrix(self, points) -> np.ndarray:
-        return _poly_matrix(self.rival_basis, self._coordinates(points))
+        # Powers by repeated multiplication; `+ 0.0` turns -0.0 into +0.0 as
+        # Horner's `0 + out*x` does, so each column is polyval's of x^e.
+        x = self._coordinates(points)[:, None]
+        powers = [x * 0 + 1.0]
+        for _ in range(max(self.rival_exponents)):
+            powers.append(powers[-1] * x + 0.0)
+        return np.concatenate([powers[e] for e in self.rival_exponents], axis=1)
 
     def divergence(self, points, beta2) -> np.ndarray:
         x = _scalar_inputs(points)
@@ -213,10 +191,10 @@ class GaussianRegressionPair(PolynomialPair):
         frame, lo, hi = self.frame, lower, upper
         if frame is not None:
             lo, hi = sorted((end - frame.offset) / frame.scale for end in (lower, upper))
-        coef = np.zeros(max(c.size for c in (self.beta1, *self.rival_basis)))
+        exponents = self.rival_exponents
+        coef = np.zeros(max(self.beta1.size, max(exponents) + 1))
         coef[:self.beta1.size] += self.beta1
-        for b, c in zip(np.asarray(beta2, dtype=float), self.rival_basis):
-            coef[:c.size] -= b * c
+        coef[list(exponents)] -= beta2
         # r'(radius * t) with |t| <= 1 on the domain, less its terms below 1e-15
         # of the largest: rounding noise that would swamp the companion matrix.
         radius = max(abs(lo), abs(hi))
@@ -282,7 +260,7 @@ def glm_is_regular(rows) -> bool:
 def reparametrize_under_affine(pair: ModelPair, amap: AffineMap) -> ModelPair:
     """Re-express a polynomial-predictor pair on the image domain z = a + bx.
 
-    The image keeps `beta1` and the rival basis, coefficients in the original
+    The image keeps `beta1` and the rival exponents, both in the original
     x, and composes z = a + bx after the pair's frame: at z it evaluates the
     original's predictors at x = (z - a) / b. So beta2 keeps its meaning.
     """

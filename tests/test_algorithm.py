@@ -128,7 +128,7 @@ class TestBestSupportCandidate:
         exponents = sorted(data.draw(st.lists(st.integers(0, 5), min_size=d2,
                                               max_size=d2, unique=True)))
         beta1 = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
-        pair = GaussianRegressionPair.from_exponents(
+        pair = GaussianRegressionPair(
             beta1, exponents, ParamBox([-5.0] * d2, [5.0] * d2),
             data.draw(st.floats(0.2, 2.0)))
         lower = data.draw(st.floats(-2.0, 1.0))
@@ -336,10 +336,10 @@ def segments(draw, family: str, regularized: bool):
                                      unique=True)))
     beta1 = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))
     if family == "logistic":
-        pair = LogisticGlmPair.from_exponents(
+        pair = LogisticGlmPair(
             beta1, exponents, ParamBox([-10.0] * d2, [10.0] * d2))
     else:
-        pair = GaussianRegressionPair.from_exponents(
+        pair = GaussianRegressionPair(
             beta1, exponents, ParamBox([-50.0] * d2, [50.0] * d2),
             draw(st.floats(0.2, 2.0)))
     m = draw(st.integers(1, 5))
@@ -411,7 +411,7 @@ class TestRestrictedDual:
 
     def test_quartic_on_the_chebyshev_extrema(self):
         # x^4 - T4 / 8 is the best cubic, with error 1/8 and value (1/8)^2
-        pair = GaussianRegressionPair.from_exponents(
+        pair = GaussianRegressionPair(
             [0.0, 0.0, 0.0, 0.0, 1.0], [0, 1, 2, 3], ParamBox([-5.0] * 4, [5.0] * 4), 0.5)
         points = np.array([-1.0, -np.sqrt(0.5), 0.0, np.sqrt(0.5), 1.0])[:, None]
         multipliers, _, value = restricted_dual(pair, points)
@@ -430,8 +430,8 @@ class TestRestrictedDual:
 
     def test_logistic_value_is_the_criterion_of_its_design(self):
         # nothing in the dual is Gaussian: a regular logistic pair on a grid
-        pair = LogisticGlmPair.from_exponents([1.0, -2.0, 1.5], [0, 1],
-                                              ParamBox([-10.0] * 2, [10.0] * 2))
+        pair = LogisticGlmPair([1.0, -2.0, 1.5], [0, 1],
+                               ParamBox([-10.0] * 2, [10.0] * 2))
         space = DesignSpace([0.0], [1.0])
         points = space.grid(41)
         multipliers, beta, value = restricted_dual(pair, points)
@@ -597,7 +597,7 @@ class TestRuns:
             solves = counting_slsqp(patch)
             for _ in range(25):
                 d = int(rng.integers(2, 5))
-                pair = GaussianRegressionPair.from_exponents(
+                pair = GaussianRegressionPair(
                     rng.normal(size=d + 1), list(range(d)),
                     ParamBox([-50.0] * d, [50.0] * d), 0.5)
                 start = Design(space, rng.uniform(-1.0, 1.0, 4)[:, None],
@@ -708,7 +708,7 @@ class TestRuns:
     def test_singular_design_is_not_certified(self):
         # The loop moves all mass to x = 0 at iteration 3, where the intercept-free
         # rival is singular and U = 1 is read off an arbitrary minimizer.
-        pair = LogisticGlmPair.from_exponents(
+        pair = LogisticGlmPair(
             [-1.3049499918010312, -0.046634605256675954, 0.3678975736484933], [1, 2],
             ParamBox([-10.0, -10.0], [10.0, 10.0]))
         space = DesignSpace([0.0], [1.0])

@@ -24,7 +24,7 @@ EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 def cubic_pair() -> GaussianRegressionPair:
-    return GaussianRegressionPair.from_exponents([0, 0, 0, 1], [0, 1, 2], BOX3, 0.5)
+    return GaussianRegressionPair([0, 0, 0, 1], [0, 1, 2], BOX3, 0.5)
 
 
 def chebyshev_design() -> Design:
@@ -36,7 +36,7 @@ def random_gaussian_instance(rng):
     d2 = int(rng.integers(1, 5))
     exponents = sorted(rng.choice(6, size=d2, replace=False).tolist())
     beta1 = rng.normal(0.0, 1.0, size=int(rng.integers(1, 7)))
-    pair = GaussianRegressionPair.from_exponents(
+    pair = GaussianRegressionPair(
         beta1, exponents, ParamBox([-50.0] * d2, [50.0] * d2),
         float(rng.uniform(0.2, 2.0)))
     m = int(rng.integers(1, 9))
@@ -57,7 +57,7 @@ def gaussian_instances(draw):
                                      unique=True)))
     beta1 = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
     sigma2 = draw(st.floats(0.2, 2.0))
-    pair = GaussianRegressionPair.from_exponents(
+    pair = GaussianRegressionPair(
         beta1, exponents, ParamBox([-50.0] * d2, [50.0] * d2), sigma2)
     m = draw(st.integers(1, 8))
     points = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
@@ -72,7 +72,7 @@ def logistic_instances(draw):
     exponents = sorted(draw(st.lists(st.integers(0, 3), min_size=d2, max_size=d2,
                                      unique=True)))
     beta1 = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
-    pair = LogisticGlmPair.from_exponents(
+    pair = LogisticGlmPair(
         beta1, exponents, ParamBox([-10.0] * d2, [10.0] * d2))
     m = draw(st.integers(1, 6))
     points = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
@@ -151,7 +151,7 @@ def multistart_simplex_value(pair, design, starts) -> float:
 
 def fixture_logistic_pair(lower, upper) -> LogisticGlmPair:
     # the logistic fixture's truth 1 + x + x^2 against the rival {x, x^2}
-    return LogisticGlmPair.from_exponents([1.0, 1.0, 1.0], [1, 2], ParamBox(lower, upper))
+    return LogisticGlmPair([1.0, 1.0, 1.0], [1, 2], ParamBox(lower, upper))
 
 
 def fixture_start() -> Design:
@@ -197,7 +197,7 @@ class TestBenchmarkSolve:
 
     def test_nested_attainable_pair_reaches_zero(self):
         # true mean x^2 lies inside the rival span {1, x, x^2}
-        pair = GaussianRegressionPair.from_exponents([0, 0, 1], [0, 1, 2], BOX3, 0.5)
+        pair = GaussianRegressionPair([0, 0, 1], [0, 1, 2], BOX3, 0.5)
         design = Design(DesignSpace([-1.0], [1.0]),
                         [[-0.9], [-0.2], [0.4], [0.8]], [0.25] * 4)
         sol = minimize_beta2(pair, design, TIGHT)
@@ -207,8 +207,8 @@ class TestBenchmarkSolve:
 
 class TestSingularDiagnostics:
     def test_logistic_point_mass_at_zero_is_singular(self):
-        pair = LogisticGlmPair.from_exponents([1.0, 1.0, 1.0], [1, 2],
-                                              ParamBox([-10, -10], [10, 10]))
+        pair = LogisticGlmPair([1.0, 1.0, 1.0], [1, 2],
+                               ParamBox([-10, -10], [10, 10]))
         d0 = Design(DesignSpace([0.0], [1.0]), [[0.0]], [1.0])
         sol = minimize_beta2(pair, d0)
         # eta2(0) = 0 for every beta2: the average is constant over the box
@@ -224,7 +224,7 @@ class TestSingularDiagnostics:
         # X = [[1.7e-131]] has full rank, yet no beta2 in the box moves eta2
         # by more than 1.7e-130, far below the stopping tolerance: the solve
         # cannot tell any two points of the box apart.
-        pair = family.from_exponents([1.0], [1], ParamBox([-5.0], [5.0]))
+        pair = family([1.0], [1], ParamBox([-5.0], [5.0]))
         design = Design(DesignSpace([-1.0], [1.0]), [[1.7e-131]], [1.0])
         assert minimize_beta2(pair, design).singular_flag
 
@@ -234,8 +234,8 @@ class TestSingularDiagnostics:
         # the logistic fixture's rival {x, x^2} on a few nodes, zero included,
         # so duplicated points and the point mass at zero come up often; a
         # zero-weight point does not count toward the rank
-        pair = LogisticGlmPair.from_exponents([1.0, 1.0, 1.0], [1, 2],
-                                              ParamBox([-10, -10], [10, 10]))
+        pair = LogisticGlmPair([1.0, 1.0, 1.0], [1, 2],
+                               ParamBox([-10, -10], [10, 10]))
         m = data.draw(st.integers(1, 5))
         points = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
                                     min_size=m, max_size=m))
@@ -268,8 +268,8 @@ class TestNewtonStop:
 
         # the Support's objective closure evaluates the kernel once per call
         monkeypatch.setattr(LogisticGlmPair, "kernel", counting)
-        pair = LogisticGlmPair.from_exponents([1.0, 1.0, 1.0], [1, 2],
-                                              ParamBox([-10, -10], [10, 10]))
+        pair = LogisticGlmPair([1.0, 1.0, 1.0], [1, 2],
+                               ParamBox([-10, -10], [10, 10]))
         space = DesignSpace([0.0], [1.0])
         design = Design(space, [[0.0], [0.4018743098334744], [0.5496760922866587],
                                 [0.3221779015061581]],

@@ -15,7 +15,7 @@ PUBLIC = [
     "UnsupportedModelError", "ValidationReport", "blend_designs",
     "default_reference_design", "efficiency_bound", "equivalence_check",
     "glm_is_regular", "invariance_check", "iterations_to_csv",
-    "least_squares_oracle", "minimize_beta2", "monomial_basis",
+    "least_squares_oracle", "minimize_beta2",
     "reparametrize_under_affine", "run_first_order", "run_regularized",
     "transform_design", "validate_design", "wasserstein_distance",
     "wasserstein_distance_lp",
