@@ -100,9 +100,13 @@ class Support:
         """Minimizer over the box of the quadratic model taken at eta2 = eta1.
         There g is 0 and h is the Fisher weight, so this is the weighted
         least-squares fit of eta1 with weights w h, the Fisher-scoring start;
-        for a Gaussian pair it is the exact minimizer."""
-        scale, rhs = _model(weights, self.eta1, *self.derivatives(self.eta1))
-        return _bounded_lstsq(scale[:, None] * self.rows, rhs, box)
+        for a Gaussian pair it is the exact minimizer. Rows whose w / h is
+        not finite (`_newton`'s test) are left out: there the curvature
+        underflowed, and the model is flat."""
+        g, h = self.derivatives(self.eta1)
+        keep = h > weights * _INV_MAX
+        scale, rhs = _model(weights[keep], self.eta1[keep], g[keep], h[keep])
+        return _bounded_lstsq(scale[:, None] * self.rows[keep], rhs, box)
 
 
 def _model(weights: np.ndarray, eta: np.ndarray, g: np.ndarray, h: np.ndarray):

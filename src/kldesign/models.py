@@ -7,11 +7,12 @@ distributions; its design average is what the inner solver minimizes.
 
 Built-in kinds:
 
-* :class:`PolynomialPair` -- the shared form of the two GLM pairs: true and
-  rival polynomial predictors eta1(x) and eta2(x) = X(x) beta2, and a
-  divergence that depends on x and beta2 only through (eta1, eta2). Each
-  family states that dependence once, as a kernel eta2 -> I over fixed eta1
-  and its first two derivatives in eta2.
+* :class:`PolynomialPair` -- the shared form of the two GLM pairs: a true
+  polynomial predictor eta1(x), a rival eta2(x) = X(x) beta2 whose columns
+  are the monomials x^e at the pair's `rival_exponents`, and a divergence
+  that depends on x and beta2 only through (eta1, eta2). Each family
+  states that dependence once, as a kernel eta2 -> I over fixed eta1 and
+  its first two derivatives in eta2.
 * :class:`GaussianRegressionPair` -- equal-variance Gaussian responses with
   polynomial means; kernel (eta1 - eta2)^2 / (2 sigma2).
 * :class:`LogisticGlmPair` -- Bernoulli responses with logistic link; kernel

@@ -411,6 +411,23 @@ class TestColdStart:
             sol = minimize_beta2(pair, fixture_start(), warm_start=[495.0, 495.0])
         np.testing.assert_array_equal(sol.beta2_hat, cold.beta2_hat)
 
+    def test_model_start_leaves_out_rows_whose_curvature_underflowed(self):
+        # expit'(800) is 0, so w / h is not finite at x = 1. At x = 0 the
+        # start is eta1 = 0; the minimizer solves expit(b) = (1/2 + 1) / 2.
+        space = DesignSpace([0.0], [1.0])
+        design = Design(space, [[0.0], [1.0]], [0.5, 0.5])
+        box = ParamBox([-1000.0], [1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = minimize_beta2(LogisticGlmPair([0.0, 800.0], (0,), box), design)
+            # eta1 = 800 at both points: no row is left, and the infimum is 0
+            flat = minimize_beta2(LogisticGlmPair([800.0], (0,), box), design)
+        assert sol.beta2_hat[0] == pytest.approx(np.log(3.0), abs=1e-9)
+        assert sol.value == pytest.approx(1.5 * np.log(2.0) - 0.75 * np.log(3.0),
+                                          rel=1e-12)
+        assert sol.value == pytest.approx(0.215761554, abs=1e-9)
+        assert box.contains(flat.beta2_hat) and flat.value == pytest.approx(0.0, abs=1e-12)
+
     @EXAMPLES
     @given(logistic_instances())
     def test_agrees_with_the_midpoint_start(self, instance):

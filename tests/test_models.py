@@ -101,6 +101,12 @@ class TestPolynomialPair:
             assert issubclass(cls, PolynomialPair)
             assert not shared & set(vars(cls))
 
+    @pytest.mark.parametrize("exponents", [[1.5, 2.9], [True, 2]])
+    def test_exponents_that_are_not_integers_are_refused(self, exponents):
+        # neither is truncated to the span {x, x^2}
+        with pytest.raises(ValueError, match="must be integers"):
+            GaussianRegressionPair([0, 0, 1], exponents, ParamBox([-5, -5], [5, 5]))
+
     @pytest.mark.parametrize("pair", [cubic_pair(sigma2=0.7), logistic_pair()],
                              ids=["gaussian", "logistic"])
     def test_derivatives_match_the_kernel(self, pair):
