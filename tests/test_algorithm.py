@@ -430,8 +430,7 @@ class TestRestrictedDual:
 
     def test_logistic_value_is_the_criterion_of_its_design(self):
         # nothing in the dual is Gaussian: a regular logistic pair on a grid
-        pair = LogisticGlmPair([1.0, -2.0, 1.5], [0, 1],
-                               ParamBox([-10.0] * 2, [10.0] * 2))
+        pair = LogisticGlmPair([1.0, -2.0, 1.5], [0, 1], ParamBox([-10.0] * 2, [10.0] * 2))
         space = DesignSpace([0.0], [1.0])
         points = space.grid(41)
         multipliers, beta, value = restricted_dual(pair, points)

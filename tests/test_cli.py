@@ -221,26 +221,18 @@ class TestRun:
         assert rc == 1
         assert "model.rival_exponents: expected a non-empty list" in capsys.readouterr().err
 
-    @staticmethod
-    def run_logistic_with_exponents(tmp_path, capsys, exponents) -> str:
+    @pytest.mark.parametrize("exponents, reason", [
+        ("[1, 1]", "distinct"), ("[-1, 2]", "nonnegative"),
+        ("[0, 1, 2]", "parameter box of dimension 2")])
+    def test_rival_exponents_the_model_refuses_exit_1(self, tmp_path, capsys,
+                                                      exponents, reason):
         # the logistic fixture's box has dimension 2
         model = LOGISTIC_MODEL.replace("rival_exponents: [1, 2]",
                                        f"rival_exponents: {exponents}")
         cfg = write(tmp_path / "run.yaml", model)
         rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"), "--quiet"])
         err = capsys.readouterr().err
-        assert rc == 1 and err.startswith("config error: model: ")
-        return err
-
-    def test_repeated_rival_exponent_exits_1(self, tmp_path, capsys):
-        assert "distinct" in self.run_logistic_with_exponents(tmp_path, capsys, "[1, 1]")
-
-    def test_negative_rival_exponent_exits_1(self, tmp_path, capsys):
-        assert "nonnegative" in self.run_logistic_with_exponents(tmp_path, capsys, "[-1, 2]")
-
-    def test_rival_exponents_longer_than_the_box_exit_1(self, tmp_path, capsys):
-        err = self.run_logistic_with_exponents(tmp_path, capsys, "[0, 1, 2]")
-        assert "parameter box of dimension 2" in err
+        assert rc == 1 and err.startswith("config error: model: ") and reason in err
 
     def test_synthetic_family_kind_exits_1(self, tmp_path, capsys):
         # a discontinuity example with closed forms, not a design problem

@@ -207,8 +207,7 @@ class TestBenchmarkSolve:
 
 class TestSingularDiagnostics:
     def test_logistic_point_mass_at_zero_is_singular(self):
-        pair = LogisticGlmPair([1.0, 1.0, 1.0], [1, 2],
-                               ParamBox([-10, -10], [10, 10]))
+        pair = LogisticGlmPair([1.0, 1.0, 1.0], [1, 2], ParamBox([-10, -10], [10, 10]))
         d0 = Design(DesignSpace([0.0], [1.0]), [[0.0]], [1.0])
         sol = minimize_beta2(pair, d0)
         # eta2(0) = 0 for every beta2: the average is constant over the box
@@ -234,8 +233,7 @@ class TestSingularDiagnostics:
         # the logistic fixture's rival {x, x^2} on a few nodes, zero included,
         # so duplicated points and the point mass at zero come up often; a
         # zero-weight point does not count toward the rank
-        pair = LogisticGlmPair([1.0, 1.0, 1.0], [1, 2],
-                               ParamBox([-10, -10], [10, 10]))
+        pair = LogisticGlmPair([1.0, 1.0, 1.0], [1, 2], ParamBox([-10, -10], [10, 10]))
         m = data.draw(st.integers(1, 5))
         points = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
                                     min_size=m, max_size=m))
@@ -268,8 +266,7 @@ class TestNewtonStop:
 
         # the Support's objective closure evaluates the kernel once per call
         monkeypatch.setattr(LogisticGlmPair, "kernel", counting)
-        pair = LogisticGlmPair([1.0, 1.0, 1.0], [1, 2],
-                               ParamBox([-10, -10], [10, 10]))
+        pair = LogisticGlmPair([1.0, 1.0, 1.0], [1, 2], ParamBox([-10, -10], [10, 10]))
         space = DesignSpace([0.0], [1.0])
         design = Design(space, [[0.0], [0.4018743098334744], [0.5496760922866587],
                                 [0.3221779015061581]],

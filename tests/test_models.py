@@ -37,8 +37,7 @@ def cubic_pair(sigma2=0.5) -> GaussianRegressionPair:
 
 
 def logistic_pair() -> LogisticGlmPair:
-    return LogisticGlmPair([1.0, 1.0, 1.0], [1, 2],
-                           ParamBox([-10, -10], [10, 10]))
+    return LogisticGlmPair([1.0, 1.0, 1.0], [1, 2], ParamBox([-10, -10], [10, 10]))
 
 
 def chebyshev_design() -> Design:
@@ -55,8 +54,7 @@ class TestPointwiseDivergence:
     def test_logistic_zero_when_predictors_match(self):
         pair = logistic_pair()
         # eta2(x) = x + x^2 equals eta1(x) - 1 nowhere, so build a matching pair
-        match = LogisticGlmPair([0.0, 2.0, -1.0], [1, 2],
-                                ParamBox([-10, -10], [10, 10]))
+        match = LogisticGlmPair([0.0, 2.0, -1.0], [1, 2], ParamBox([-10, -10], [10, 10]))
         assert match.divergence(0.7, [2.0, -1.0])[0] == pytest.approx(0.0, abs=1e-15)
         # and at any x where eta1 = eta2 by construction
         assert pair.divergence(0.0, [3.0, -2.0])[0] == pytest.approx(
@@ -87,8 +85,7 @@ class TestPointwiseDivergence:
         assert pair.divergence(1.0, b)[0] > 0.0
 
     def test_logistic_stable_for_large_predictors(self):
-        pair = LogisticGlmPair([0.0, 700.0], [1, 2],
-                               ParamBox([-700, -700], [700, 700]))
+        pair = LogisticGlmPair([0.0, 700.0], [1, 2], ParamBox([-700, -700], [700, 700]))
         val = pair.divergence(1.0, [-700.0, 0.0])[0]
         assert np.isfinite(val) and val > 0
 
@@ -309,8 +306,7 @@ class TestReparametrization:
            EXACT_MAPS, DYADIC_POINTS)
     def test_image_at_a_plus_bx_is_the_original_at_x(self, beta1, exponents, ab, x):
         d2 = len(exponents)
-        pair = GaussianRegressionPair(beta1, exponents,
-                                      ParamBox([-1.0] * d2, [1.0] * d2))
+        pair = GaussianRegressionPair(beta1, exponents, ParamBox([-1.0] * d2, [1.0] * d2))
         amap = AffineMap(*ab)
         image = reparametrize_under_affine(pair, amap)
         z = amap.apply(x)
@@ -319,8 +315,7 @@ class TestReparametrization:
 
     def test_sign_flip(self):
         # eta1 = x on the image of z = -x is eta1 = -z
-        pair = GaussianRegressionPair([0.0, 1.0], [0, 1],
-                                      ParamBox([-5, -5], [5, 5]))
+        pair = GaussianRegressionPair([0.0, 1.0], [0, 1], ParamBox([-5, -5], [5, 5]))
         out = reparametrize_under_affine(pair, AffineMap([0.0], [[-1.0]]))
         z = np.array([-1.0, -0.25, 0.5, 3.0])
         np.testing.assert_array_equal(out.true_predictor(z), -z)
