@@ -14,12 +14,14 @@ One iteration, given the current design xi_n:
 4. step, chosen by the pair's family:
    - a Gaussian pair re-solves the weights (`corrective_step`): the best
      design on the support, x_n and the other candidates of step 2 where
-     psi > 0 comes from the minimax dual restricted to those points
-     (`restricted_dual`), stated in residual units, where its constraints
-     are linear; its multipliers are the weights, and a point of zero
-     weight leaves. Each step is fully corrective (simplicial decomposition,
-     von Hohenbalken 1977), at least as good as the exact line search
-     below, and the new design is solved once, from the dual's beta2;
+     psi > 0 (read off step 2's scan) comes from the minimax dual
+     restricted to those points (`restricted_dual`), stated in residual
+     units, where it is a quadratic program with linear constraints, solved
+     exactly by a small active-set method; its multipliers are the weights,
+     and a point of zero weight leaves. Each step is fully corrective
+     (simplicial decomposition, von Hohenbalken 1977), at least as good as
+     the exact line search below, and the new design is solved once, from
+     the dual's beta2;
    - a logistic pair takes the exact line search of the criterion along the
      segment (1-a) xi_n + a delta_{x_n} (`line_search_alpha`). The criterion
      is concave along the segment, and each inner solve's minimizer gives
@@ -48,6 +50,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import brentq, minimize
 
 from .designs import (DUPLICATE_TOL, Design, DesignSpace, blend_designs,
@@ -76,9 +79,15 @@ _IMPROVEMENT_TOL = 1e-13
 _ATTAIN_TOL = 1e-12
 # Bracket width at which the root find of the line-search slope stops.
 _STEP_XTOL = 1e-6
-# Requested accuracy of the SLSQP solve in `restricted_dual`: rounding level.
-# A Gaussian dual measures it in residual^2 units, independent of sigma2.
+# Requested accuracy of the SLSQP solve of a logistic pair's `restricted_dual`:
+# rounding level, absolute, in units of the divergence.
 _DUAL_FTOL = 1e-15
+# The active-set solve treats a multiplier, a step, or a step's approach to a
+# row below this share of the largest of its kind as rounding; its step budget
+# is a safety cap far above the few steps a dual takes.
+_EPS = np.finfo(float).eps
+_QP_ROUNDING = 64 * _EPS
+_QP_MAX_STEPS = 500
 
 
 @dataclass(frozen=True)
@@ -234,11 +243,16 @@ def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
 
 def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
                            space: DesignSpace, grid_divergence=None):
-    """(x, psi) at the top of `psi_scan`; x is copied so records keep no scan."""
+    """(x, psi, candidates) at the top of `psi_scan`; x is copied so records
+    keep no scan. `candidates` is (points, psi) of the scan's rows other than
+    the inner grid nodes: the ends of the domain, the support and, for a
+    Gaussian pair, the roots of r', the rows `psi_scan(..., grid_size=2)`
+    gives, with the same floats. `corrective_step` adds points from them."""
     points, psi = psi_scan(pair, design, beta2_hat, space,
                            grid_divergence=grid_divergence)
     i = int(np.argmax(psi))
-    return points[i].copy(), float(psi[i])
+    rows = np.r_[0, PSI_GRID_SIZE - 1:psi.size]
+    return points[i].copy(), float(psi[i]), (points[rows], psi[rows])
 
 
 def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSolution,
@@ -310,6 +324,109 @@ def _improves(sol: InnerSolution, start: InnerSolution) -> bool:
     return sol.value - start.value > _IMPROVEMENT_TOL * max(1.0, abs(start.value))
 
 
+def _svd(matrix: np.ndarray, full: bool = False):
+    """`numpy.linalg.svd` through LAPACK's dgesdd, at less call overhead."""
+    left, values, right, info = lapack.dgesdd(matrix, full_matrices=int(full))
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return left, values, right
+
+
+def _kkt_solve(active: np.ndarray, factor: np.ndarray, target: np.ndarray,
+               z: np.ndarray, correction: np.ndarray, flat: float):
+    """The minimum-norm solution (p, lambda) of a working set's KKT system for
+    the objective |F z - y|^2 / 2 (F = `factor`, y = `target`): p minimizes
+    |F (z + p) - y| subject to A p = `correction` (A = `active`), and lambda
+    solves A' lambda = F' (F (z + p) - y), the gradient there. Returns
+    (p, lambda, the rank of A).
+
+    It is solved in factored form, so that no condition number is squared:
+    the SVD of A splits p into its row-space part, fixed by the correction,
+    and a null-space part Z u, where u is the minimum-norm least-squares
+    solution of (F Z) u = y - F (z + p). A singular value of A below
+    size * eps of the largest counts as zero, as in `numpy.linalg.lstsq`,
+    so rows that depend on the others to rounding share their multiplier;
+    one of F Z below `flat` is a flat direction, along which p does not move.
+    """
+    n = z.size
+    if len(active):
+        left, values, right = _svd(active, full=True)
+        rank = np.count_nonzero(values > _EPS * max(active.shape) * values[0])
+    else:
+        left, values, right, rank = np.zeros((0, 0)), np.zeros(0), np.eye(n), 0
+    inverse = left[:, :rank] / values[:rank]  # A = left diag(values) right, to rank
+    step = right[:rank].T @ (inverse.T @ correction)
+    null = right[rank:].T
+    if rank < n:
+        reduced_left, reduced, reduced_right = _svd(factor @ null)
+        keep = reduced > flat
+        misfit = target - factor @ (z + step)
+        step = step + null @ (reduced_right[keep].T @ (
+            (reduced_left[:, keep].T @ misfit) / reduced[keep]))
+    gradient = factor.T @ (factor @ (z + step) - target)
+    return step, inverse @ (right[:rank] @ gradient), rank
+
+
+def _active_set_qp(factor, target, rows, bounds, z, working):
+    """Minimize |F z - y|^2 / 2 (F = `factor`, y = `target`) subject to
+    rows @ z >= bounds, by the primal active-set method (Nocedal and Wright,
+    Algorithm 16.3) from the feasible z with the working set `working`
+    (indices of rows active at z).
+
+    Each step is the minimum-norm solution of the working set's KKT system
+    (`_kkt_solve`); its second block asks A_W p = b_W - A_W z, 0 but for
+    rounding, so every step also puts z back on the working rows. The system
+    stays consistent where F has fewer rows than z has entries: the
+    gradient F'(F z - y) has no component along the flat directions, and
+    the minimum norm moves z along none of them. A ratio test stops the step
+    at the first row it would cross (a row the step runs parallel to, to
+    rounding, never blocks), and that row joins the working set. Where the
+    step is zero (after a full step, with working rows of full rank, or
+    below rounding) lambda are the multipliers: z is optimal when none is
+    negative beyond rounding, and otherwise the most negative row leaves. A
+    working set met again at a zero step means that the multipliers it
+    dropped were rounding, so z is returned there. Returns z and one
+    multiplier per row, zero off the final working set.
+    """
+    n = z.size
+    norms = np.abs(rows).max(axis=1)
+    flat = _EPS * max(factor.shape) * np.linalg.norm(factor)
+    working = list(working)
+    minimal = False  # whether z minimizes the objective on the working set
+    met = set()  # the working sets at zero steps
+    for _ in range(_QP_MAX_STEPS):
+        slack = rows @ z - bounds
+        step, multipliers, rank = _kkt_solve(rows[working], factor, target, z,
+                                             -slack[working], flat)
+        size = np.abs(step).max()
+        if minimal or rank == n or size <= _QP_ROUNDING * np.abs(z).max():
+            z = z + step
+            i = int(np.argmin(multipliers)) if working else 0
+            key = frozenset(working)
+            if (not working or key in met
+                    or multipliers[i] >= -_QP_ROUNDING * np.abs(multipliers).max()):
+                out = np.zeros(len(rows))
+                out[working] = np.maximum(multipliers, 0.0)
+                return z, out
+            met.add(key)
+            del working[i]
+            minimal = False
+            continue
+        toward = rows @ step
+        blocking = toward < (-_QP_ROUNDING * size) * norms
+        blocking[working] = False
+        candidates = np.flatnonzero(blocking)
+        ratios = np.maximum(slack[candidates], 0.0) / -toward[candidates]
+        j = int(np.argmin(ratios)) if ratios.size else -1
+        if j >= 0 and ratios[j] < 1.0:
+            z = z + ratios[j] * step
+            working.append(int(candidates[j]))
+        else:
+            z = z + step
+            minimal = True
+    raise RuntimeError("the active-set solve did not reach an optimal working set")
+
+
 def restricted_dual(pair: ModelPair, points, warm_start=None, *,
                     reg: RegularizationConfig | None = None):
     """The best design on fixed points, from the minimax dual restricted to them.
@@ -331,82 +448,100 @@ def restricted_dual(pair: ModelPair, points, warm_start=None, *,
     over (beta2 in the box, s >= 0) minimize (1-gamma) s^2 / 2 +
     gamma sigma2 avg_ref I(., beta2), which is sigma2 times the objective
     above at t = s^2 / (2 sigma2), subject to the linear constraints
-    -s <= r_j <= s. A point's multiplier is the sum of its two constraints'
-    multipliers, rescaled to sum to 1 - gamma (unscaled they sum to
-    (1-gamma) s, so all are zero where s = 0), and the value is the objective
-    divided by sigma2. Neither the constraints nor the objective depend on
-    sigma2 or on where the domain lies. A logistic pair keeps the constraints
-    I(x_j, beta2) <= t, with derivatives from the prepared `Support`. SLSQP
-    solves either form from `warm_start` (clipped into the box; the box
-    midpoint when None).
+    -s <= r_j <= s. That is a quadratic program, solved exactly by
+    `_active_set_qp` from the feasible point (`warm_start` clipped into the
+    box, the box midpoint when None; s the largest |r_j| there) with the
+    row of that largest residual as the working set. A point's multiplier is
+    the sum of its two rows' multipliers, rescaled to sum to 1 - gamma
+    (unscaled they sum to (1-gamma) s, so all are zero where s = 0), and the
+    value is the objective divided by sigma2. Neither the constraints nor
+    the objective depend on sigma2 or on where the domain lies, and scaling
+    the true mean and the box scales the solution. A logistic pair keeps the
+    constraints I(x_j, beta2) <= t, with derivatives from the prepared
+    `Support`, and SLSQP solves them from the same start.
 
     Returns (multipliers, beta2, value), one multiplier per point; dividing
     the multipliers by their sum gives the weights.
     """
     gamma = 0.0 if reg is None else reg.gamma
     box = pair.theta2
-    gaussian = isinstance(pair, GaussianRegressionPair)
-    scale = pair.sigma2 if gaussian else 1.0  # the objective is the value times this
+    beta = box.midpoint if warm_start is None else box.clip(warm_start)
     if reg is not None:
         reference = prepare_support(pair, reg.xi_tilde.points)
-        reference_weights = gamma * scale * reg.xi_tilde.weights
-
-    def objective(z):
-        # (1-gamma) s^2 / 2 in residual units, (1-gamma) t otherwise
-        grad = np.zeros(z.size)
-        grad[-1] = (1.0 - gamma) * (z[-1] if gaussian else 1.0)
-        value = grad[-1] * z[-1] * (0.5 if gaussian else 1.0)
+    if isinstance(pair, GaussianRegressionPair):
+        rows, eta1 = pair.rival_matrix(points), pair.true_predictor(points)
+        m, d = rows.shape
+        # the objective |F z - y|^2 / 2 of z = (beta2, s): (1-gamma) s^2 / 2,
+        # plus gamma avg_ref r^2 / 2 when regularizing
+        factor, target = np.eye(1, d + 1, d) * math.sqrt(1.0 - gamma), np.zeros(1)
         if reg is not None:
-            beta = z[:-1]
-            g = reference.derivatives(reference.rows @ beta)[0]
-            value += reference_weights @ reference.pointwise(beta)
-            grad[:-1] = (reference_weights * g) @ reference.rows
+            root = np.sqrt(gamma * reg.xi_tilde.weights)
+            factor = np.vstack([np.hstack([root[:, None] * reference.rows,
+                                           np.zeros((root.size, 1))]), factor])
+            target = np.append(root * reference.eta1, 0.0)
+        ones, unit = np.ones((m, 1)), np.eye(d, d + 1)
+        # s - r_j >= 0, s + r_j >= 0, the box, s >= 0
+        constraints = np.vstack([np.hstack([rows, ones]), np.hstack([-rows, ones]),
+                                 unit, -unit, np.eye(1, d + 1, d)])
+        bounds = np.concatenate([eta1, -eta1, box.lower, -box.upper, [0.0]])
+        residual = eta1 - rows @ beta
+        j = int(np.argmax(np.abs(residual)))
+        z, multipliers = _active_set_qp(factor, target, constraints, bounds,
+                                        np.append(beta, abs(residual[j])),
+                                        [j if residual[j] >= 0.0 else m + j])
+        # the box rows hold to rounding; those that bind hold exactly
+        at_lower = multipliers[2 * m:2 * m + d] > 0.0
+        at_upper = multipliers[2 * m + d:-1] > 0.0
+        beta = np.where(at_lower, box.lower,
+                        np.where(at_upper, box.upper, box.clip(z[:-1])))
+        s = z[-1]
+        multipliers = multipliers[:m] + multipliers[m:2 * m]
+        total = float(np.sum(multipliers))
+        if total > 0.0:
+            multipliers = multipliers * ((1.0 - gamma) / total)
+        value = (1.0 - gamma) * s * s * 0.5 / pair.sigma2
+        if reg is not None:
+            value += gamma * reg.xi_tilde.weights @ reference.pointwise(beta)
+        return multipliers, beta, float(value)
+
+    support = prepare_support(pair, points)
+
+    def objective(z):  # (1-gamma) t + gamma avg_ref I
+        grad = np.zeros(z.size)
+        grad[-1] = 1.0 - gamma
+        value = grad[-1] * z[-1]
+        if reg is not None:
+            weights = gamma * reg.xi_tilde.weights
+            value += weights @ reference.pointwise(z[:-1])
+            g = reference.derivatives(reference.rows @ z[:-1])[0]
+            grad[:-1] = (weights * g) @ reference.rows
         return value, grad
 
-    beta = box.midpoint if warm_start is None else box.clip(warm_start)
-    if gaussian:
-        rows, eta1 = pair.rival_matrix(points), pair.true_predictor(points)
-        jacobian = np.column_stack([np.vstack([rows, -rows]), np.ones(2 * eta1.size)])
+    def slack(z):
+        return z[-1] - support.pointwise(z[:-1])
 
-        def slack(z):  # s - r, then s + r
-            residual = eta1 - rows @ z[:-1]
-            return np.concatenate([z[-1] - residual, z[-1] + residual])
+    def slack_jacobian(z):
+        g = support.derivatives(support.rows @ z[:-1])[0]
+        return np.column_stack([-g[:, None] * support.rows, np.ones(g.size)])
 
-        constraints = {"type": "ineq", "fun": slack, "jac": lambda z: jacobian}
-        start, floor = np.max(np.abs(eta1 - rows @ beta)), 0.0
-    else:
-        support = prepare_support(pair, points)
-
-        def slack(z):
-            return z[-1] - support.pointwise(z[:-1])
-
-        def slack_jacobian(z):
-            g = support.derivatives(support.rows @ z[:-1])[0]
-            return np.column_stack([-g[:, None] * support.rows, np.ones(g.size)])
-
-        constraints = {"type": "ineq", "fun": slack, "jac": slack_jacobian}
-        start, floor = np.max(support.pointwise(beta)), None
-    res = minimize(objective, np.append(beta, start), jac=True, method="SLSQP",
-                   bounds=[*zip(box.lower, box.upper), (floor, None)],
-                   constraints=constraints, options={"ftol": _DUAL_FTOL})
-    if not gaussian:
-        return res.multipliers, res.x[:-1], float(res.fun)
-    multipliers = res.multipliers[:eta1.size] + res.multipliers[eta1.size:]
-    total = float(np.sum(multipliers))
-    if total > 0.0:
-        multipliers = multipliers * ((1.0 - gamma) / total)
-    return multipliers, res.x[:-1], float(res.fun) / scale
+    res = minimize(objective, np.append(beta, np.max(support.pointwise(beta))),
+                   jac=True, method="SLSQP",
+                   bounds=[*zip(box.lower, box.upper), (None, None)],
+                   constraints={"type": "ineq", "fun": slack, "jac": slack_jacobian},
+                   options={"ftol": _DUAL_FTOL})
+    return res.multipliers, res.x[:-1], float(res.fun)
 
 
 def corrective_step(pair: ModelPair, design: Design, x_new, start: InnerSolution,
-                    space: DesignSpace, inner_config: InnerConfig = InnerConfig(), *,
+                    candidates, inner_config: InnerConfig = InnerConfig(), *,
                     reg: RegularizationConfig | None = None):
     """The step of a Gaussian pair: the best weights on the support and x_new.
 
     The points are the support, x_new, and every root of r' and end of the
-    domain where psi > 0 at the start's minimizer (the candidates of
-    `psi_scan`, which hold the maximum of psi). `restricted_dual` gives their
-    weights, and a point of zero weight leaves. The segment a line search
+    domain where psi > 0 at the start's minimizer: `candidates` is (points,
+    psi) of those rows of the iteration's scan, as `best_support_candidate`
+    returns them, and they hold the maximum of psi. `restricted_dual` gives
+    their weights, and a point of zero weight leaves. The segment a line search
     explores lies among these designs, so the step is at least as good as
     the exact line search's. The new design is solved once, warm-started at
     the dual's beta2, so U and the singular flag are read off the inner
@@ -415,9 +550,9 @@ def corrective_step(pair: ModelPair, design: Design, x_new, start: InnerSolution
     step exists: the multipliers have no positive sum, or the value does not
     rise.
     """
-    candidates, psi = psi_scan(pair, design, start.beta2_hat, space, grid_size=2)
+    scanned, psi = candidates
     points = design.points
-    for x in [np.asarray(x_new, dtype=float), *candidates[psi > 0.0]]:
+    for x in [np.asarray(x_new, dtype=float), *scanned[psi > 0.0]]:
         if np.min(np.abs(points[:, 0] - x[0])) > DUPLICATE_TOL:
             points = np.vstack([points, x])
     multipliers, beta, _ = restricted_dual(pair, points, start.beta2_hat, reg=reg)
@@ -490,8 +625,8 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
                           stacklevel=2)
             boundary_warned = True
 
-        x_n, psi_raw = best_support_candidate(pair, design, inner.beta2_hat, space,
-                                              grid_divergence)
+        x_n, psi_raw, candidates = best_support_candidate(
+            pair, design, inner.beta2_hat, space, grid_divergence)
         psi_max = (1.0 - gamma) * psi_raw
         # value + psi_max is the largest divergence over the domain (mixed with
         # the reference's average when regularizing)
@@ -512,7 +647,7 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
         if stop is None:
             if isinstance(pair, GaussianRegressionPair):
                 alpha, step_design, step_inner = corrective_step(
-                    pair, design, x_n, inner, space, inner_cfg, reg=reg)
+                    pair, design, x_n, inner, candidates, inner_cfg, reg=reg)
             else:
                 alpha, step_design, step_inner = line_search_alpha(
                     pair, design, x_n, inner, inner_cfg, reg=reg)

@@ -47,6 +47,9 @@ _MAX_HALVINGS = 40
 _MAX_NEWTON_STEPS = 800
 # w / h is finite where h > w / max_float (to one rounding).
 _INV_MAX = 1.0 / np.finfo(float).max
+# A step whose predicted decrease is below this share of the objective's
+# rounding magnitude (`Support.rounding`) cannot be judged by its values.
+_ROUNDING = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -76,16 +79,18 @@ class InnerSolution:
 @dataclass(frozen=True)
 class Support:
     """The weight-free part of the inner problem on fixed points: the rival
-    matrix, the true predictor eta1, the pointwise divergence and derivative
-    closures, and the rank test, memoized per positive-weight pattern. Build
-    it with `prepare_support`; any design on the same points can be solved
-    on it."""
+    matrix, the true predictor eta1, the pointwise divergence, derivative and
+    rounding closures (the family's `kernel`, `kernel_derivatives` and
+    `kernel_rounding`), and the rank test, memoized per positive-weight
+    pattern. Build it with `prepare_support`; any design on the same points
+    can be solved on it."""
 
     points: np.ndarray
     rows: np.ndarray
     eta1: np.ndarray
     pointwise: Callable
     derivatives: Callable
+    rounding: Callable
     _least_singular: dict = field(default_factory=dict, repr=False, compare=False)
 
     def least_singular_value(self, weights: np.ndarray) -> float:
@@ -128,7 +133,7 @@ def prepare_support(pair: ModelPair, points) -> Support:
     rows = pair.rival_matrix(x)
     kernel = pair.kernel(eta1)
     return Support(points, rows, eta1, lambda beta2: kernel(rows @ beta2),
-                   pair.kernel_derivatives(eta1))
+                   pair.kernel_derivatives(eta1), pair.kernel_rounding(eta1))
 
 
 def _bounded_lstsq(a: np.ndarray, rhs: np.ndarray, box: ParamBox) -> np.ndarray:
@@ -152,7 +157,14 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
     Each step moves toward the box-constrained minimizer of `_model`,
     a bounded weighted least-squares solution: the `lstsq` solution when that
     lies in the box, BVLS's only when the box binds. For a Gaussian pair the
-    model is the objective, so an accepted full step is exact.
+    model is the objective, so an accepted full step is exact. The step
+    backtracks until Armijo's sufficient decrease holds, except where the
+    decrease the model predicts, -slope, is below the objective's rounding
+    (`_ROUNDING` times the family's `kernel_rounding`): there the values
+    cannot tell a better point from a worse one, and the full model step is
+    taken unless its value is worse beyond that rounding (an approximate
+    Armijo test, as in Hager and Zhang 2005). Backtracking on such a step
+    would accept some tiny t and stop short of the minimizer.
     """
     box = pair.theta2
     lower, upper = box.lower, box.upper
@@ -177,12 +189,16 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
         if size <= config.local_tolerance:
             break
         slope = float((weights * g) @ moved)
-        t = 1.0
+        t, rounding = 1.0, None
         for _ in range(_MAX_HALVINGS):
             trial = np.minimum(np.maximum(beta + t * step, lower), upper)
             trial_value = objective(trial)
             if trial_value <= value + _ARMIJO * t * slope:
                 break
+            if rounding is None:  # taken once, where the full step fails
+                rounding = _ROUNDING * float(weights @ support.rounding(eta))
+            if -slope <= rounding and trial_value <= value + rounding:
+                break  # the values cannot judge the step: they agree to rounding
             t *= 0.5
         else:
             break  # no decrease left above rounding

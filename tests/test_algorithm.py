@@ -1,12 +1,13 @@
 """Outer exchange loop: derivative, best-point search, steps, runs."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 
 from kldesign import algorithm
 from kldesign.algorithm import (EFFICIENCY_REACHED, STALLED_REGULARIZED,
@@ -93,19 +94,37 @@ class TestBestSupportCandidate:
         space = cubic_quadratic_space()
         d0 = Design(space, [[0.0]], [1.0])
         sol = minimize_beta2(pair, d0, TIGHT)
-        x, psi = best_support_candidate(pair, d0, sol.beta2_hat, space)
+        x, psi, _ = best_support_candidate(pair, d0, sol.beta2_hat, space)
         grid = np.linspace(-1, 1, 10000)
         brute = grid[np.argmax(pair.divergence(grid, sol.beta2_hat))]
         assert abs(abs(x[0]) - 1.0) <= 1e-6
         assert abs(abs(brute) - 1.0) <= 1e-3
         assert psi >= 0.0
 
+    @pytest.mark.parametrize("family", ["gaussian", "logistic"])
+    def test_candidates_are_the_scan_on_the_domain_ends(self, family):
+        # the rows the corrective step adds points from, float for float those
+        # of a two-node scan, with the loop's held grid evaluator or without
+        if family == "gaussian":
+            pair, design, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
+                                   cubic_quadratic_space())
+            beta = np.array([0.1, 0.6, -0.2])
+        else:
+            pair, design, space = logistic_pair(), LOGISTIC_SEGMENT_START, logistic_space()
+            beta = np.array([1.5, -0.5])
+        two_node = psi_scan(pair, design, beta, space, grid_size=2)
+        grid = prepare_support(pair, space.grid(algorithm.PSI_GRID_SIZE)).pointwise
+        for held in (None, grid):
+            _, _, candidates = best_support_candidate(pair, design, beta, space, held)
+            for got, expected in zip(candidates, two_node):
+                np.testing.assert_array_equal(got, expected)
+
     def test_zero_gap_at_the_optimum(self):
         pair = cubic_quadratic_pair()
         opt = cubic_quadratic_optimum()
         sol = minimize_beta2(pair, opt, TIGHT)
-        _, psi = best_support_candidate(pair, opt, sol.beta2_hat,
-                                        cubic_quadratic_space())
+        _, psi, _ = best_support_candidate(pair, opt, sol.beta2_hat,
+                                           cubic_quadratic_space())
         assert abs(psi) <= 1e-8
 
     def test_constant_divergence(self):
@@ -114,7 +133,7 @@ class TestBestSupportCandidate:
         # with this beta2 the divergence is largest at 0 and the design sits there
         sol = minimize_beta2(pair, blend_designs(d0, logistic_reference_design(),
                                                  0.05), TIGHT)
-        x, psi = best_support_candidate(pair, d0, sol.beta2_hat, logistic_space())
+        x, psi, _ = best_support_candidate(pair, d0, sol.beta2_hat, logistic_space())
         assert x[0] == pytest.approx(0.0, abs=1e-9)
         assert psi == pytest.approx(0.0, abs=1e-9)
 
@@ -206,8 +225,8 @@ class TestLineSearch:
         pair = cubic_quadratic_pair()
         start = cubic_quadratic_start()
         sol = minimize_beta2(pair, start, TIGHT)
-        x_new, psi = best_support_candidate(pair, start, sol.beta2_hat,
-                                            cubic_quadratic_space())
+        x_new, psi, _ = best_support_candidate(pair, start, sol.beta2_hat,
+                                               cubic_quadratic_space())
         assert psi > 0.0
         alpha, mixed, step = line_search_alpha(pair, start, x_new, sol, TIGHT)
         value = step.value
@@ -353,6 +372,45 @@ def segments(draw, family: str, regularized: bool):
     return pair, design, reg, draw(st.floats(0.05, 0.95))
 
 
+def assert_step_is_the_maximum_and_the_slope_is_the_derivative(pair, design, reg, a):
+    """The line search's step is the best on its segment (a 1,001-step scan),
+    and the slope it hands to its root find is the derivative at a."""
+
+    def solve(t, warm=None):
+        target = mixture(design, x_new, t) if t > 0.0 else design
+        if reg is not None:
+            target = blend_designs(target, reg.xi_tilde, reg.gamma)
+        return minimize_beta2(pair, target, TIGHT, warm_start=warm)
+
+    # the segment the loop takes: toward the top of the psi scan
+    x_new, _, _ = best_support_candidate(pair, design, solve(0.0).beta2_hat,
+                                         design.space)
+
+    # the slope line_search_alpha hands to its root find, if it gets there
+    slopes = []
+
+    def spy(f, *args, **kwargs):
+        slopes.append(f)
+        return brentq(f, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algorithm, "brentq", spy)
+        alpha, _, step = line_search_alpha(pair, design, x_new, solve(0.0), TIGHT,
+                                           reg=reg)
+    value = step.value
+    assert value == pytest.approx(solve(alpha).value, abs=1e-9)
+    scan, warm = [], None
+    for t in np.linspace(0.0, 1.0, 1001):
+        sol = solve(t, warm)
+        scan.append(sol.value)
+        warm = sol.beta2_hat
+    assert value >= max(scan) - 1e-9
+    if slopes and not solve(a).singular_flag:
+        h = 1e-5
+        derivative = (solve(a + h).value - solve(a - h).value) / (2 * h)
+        assert slopes[0](a) == pytest.approx(derivative, rel=1e-6, abs=1e-10)
+
+
 class TestLineSearchProperties:
     @pytest.mark.parametrize("regularized", [False, True], ids=["plain", "regularized"])
     @pytest.mark.parametrize("family", ["gaussian", "logistic"])
@@ -360,41 +418,21 @@ class TestLineSearchProperties:
     @given(data=st.data())
     def test_step_is_the_maximum_and_the_slope_is_the_derivative(self, family,
                                                                  regularized, data):
-        pair, design, reg, a = data.draw(segments(family, regularized))
+        assert_step_is_the_maximum_and_the_slope_is_the_derivative(
+            *data.draw(segments(family, regularized)))
 
-        def solve(t, warm=None):
-            target = mixture(design, x_new, t) if t > 0.0 else design
-            if reg is not None:
-                target = blend_designs(target, reg.xi_tilde, reg.gamma)
-            return minimize_beta2(pair, target, TIGHT, warm_start=warm)
-
-        # the segment the loop takes: toward the top of the psi scan
-        x_new, _ = best_support_candidate(pair, design, solve(0.0).beta2_hat,
-                                          design.space)
-
-        # the slope line_search_alpha hands to its root find, if it gets there
-        slopes = []
-
-        def spy(f, *args, **kwargs):
-            slopes.append(f)
-            return brentq(f, *args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(algorithm, "brentq", spy)
-            alpha, _, step = line_search_alpha(pair, design, x_new, solve(0.0), TIGHT,
-                                               reg=reg)
-        value = step.value
-        assert value == pytest.approx(solve(alpha).value, abs=1e-9)
-        scan, warm = [], None
-        for t in np.linspace(0.0, 1.0, 1001):
-            sol = solve(t, warm)
-            scan.append(sol.value)
-            warm = sol.beta2_hat
-        assert value >= max(scan) - 1e-9
-        if slopes and not solve(a).singular_flag:
-            h = 1e-5
-            derivative = (solve(a + h).value - solve(a - h).value) / (2 * h)
-            assert slopes[0](a) == pytest.approx(derivative, rel=1e-6, abs=1e-10)
+    def test_slope_where_a_warm_solve_ends_flat_to_rounding(self):
+        # The warm solve at a = 0.8 used to stop 1.4e-8 short in beta2: its
+        # last Newton step promised less decrease than the objective's
+        # rounding, Armijo accepted only a tiny t, and the slope read off it
+        # was 1.2e-5 off the derivative.
+        pair = LogisticGlmPair([0.8048906951598931, 0.4, -0.6], [1],
+                               ParamBox([-10.0], [10.0]))
+        design = Design(SEGMENT_REFERENCE.space,
+                        [[0.99], [-0.5050500874129561], [0.1608533523348401]],
+                        [0.369837934883209, 0.1812616680396219, 0.44890039707716917])
+        reg = RegularizationConfig(gamma=0.2, xi_tilde=SEGMENT_REFERENCE)
+        assert_step_is_the_maximum_and_the_slope_is_the_derivative(pair, design, reg, 0.8)
 
 
 class TestRestrictedDual:
@@ -403,7 +441,9 @@ class TestRestrictedDual:
 
     def test_cubic_on_the_chebyshev_extrema(self):
         points = cubic_quadratic_optimum().points
-        multipliers, beta, value = restricted_dual(cubic_quadratic_pair(), points)
+        result = restricted_dual(cubic_quadratic_pair(), points)
+        assert_gaussian_dual_is_a_kkt_point(cubic_quadratic_pair(), points, None, result)
+        multipliers, beta, value = result
         np.testing.assert_allclose(multipliers / multipliers.sum(),
                                    [1 / 6, 1 / 3, 1 / 3, 1 / 6], atol=1e-12)
         assert value == pytest.approx(1 / 16, abs=1e-12)
@@ -421,8 +461,9 @@ class TestRestrictedDual:
 
     def test_extra_points_get_zero_weight(self):
         points = np.array([-1.0, -0.5, 0.0, 0.5, 0.8, 1.0])[:, None]
-        multipliers, _, value = restricted_dual(cubic_quadratic_pair(), points,
-                                                [0.3, 0.2, -0.4])
+        result = restricted_dual(cubic_quadratic_pair(), points, [0.3, 0.2, -0.4])
+        assert_gaussian_dual_is_a_kkt_point(cubic_quadratic_pair(), points, None, result)
+        multipliers, _, value = result
         assert multipliers[2] == 0.0 and multipliers[4] == 0.0
         np.testing.assert_allclose(multipliers[[0, 1, 3, 5]] / multipliers.sum(),
                                    [1 / 6, 1 / 3, 1 / 3, 1 / 6], atol=1e-12)
@@ -447,7 +488,9 @@ class TestRestrictedDual:
         reg = RegularizationConfig(gamma=0.2,
                                    xi_tilde=default_reference_design(pair, space))
         points = np.array([-1.0, -0.6, 0.1, 0.8, 1.0])[:, None]
-        multipliers, _, value = restricted_dual(pair, points, reg=reg)
+        result = restricted_dual(pair, points, reg=reg)
+        assert_gaussian_dual_is_a_kkt_point(pair, points, reg, result)
+        multipliers, _, value = result
         assert multipliers.sum() == pytest.approx(0.8, abs=1e-9)
         design = Design(space, points, multipliers / multipliers.sum())
         blended = blend_designs(design, reg.xi_tilde, reg.gamma)
@@ -464,35 +507,77 @@ class TestRestrictedDual:
                if regularized else None)
         gamma = reg.gamma if regularized else 0.0
         points = np.array([-1.0, -0.6, 0.1, 0.8, 1.0])[:, None]
-        multipliers, beta, value = restricted_dual(pair, points, reg=reg)
+        result = restricted_dual(pair, points, reg=reg)
+        assert_gaussian_dual_is_a_kkt_point(pair, points, reg, result)
+        multipliers, beta, value = result
         assert multipliers.sum() == pytest.approx(1.0 - gamma, abs=1e-12)
-        assert beta[1] == pytest.approx(0.5, abs=1e-12)
+        assert beta[1] == 0.5
         keep = multipliers > 0.0
         design = Design(space, points[keep], multipliers[keep] / multipliers.sum())
         target = design if reg is None else blend_designs(design, reg.xi_tilde, gamma)
         assert minimize_beta2(pair, target, TIGHT).value == pytest.approx(value, abs=1e-10)
 
 
-def counting_slsqp(patch) -> list:
-    """Patch the SLSQP call of `restricted_dual`; the returned list collects
-    (evaluations, status) of every solve."""
-    solves = []
+def recording_duals(patch) -> list:
+    """Patch `restricted_dual` and its KKT solves; the returned list collects
+    one dict per dual: its pair, points, reg, result, and KKT solves."""
+    duals = []
+    dual, kkt_solve = algorithm.restricted_dual, algorithm._kkt_solve
 
-    def spy(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        solves.append((res.nfev, res.status))
-        return res
+    def counted(*args):
+        duals[-1]["solves"] += 1
+        return kkt_solve(*args)
 
-    patch.setattr(algorithm, "minimize", spy)
-    return solves
+    def recorded(pair, points, warm_start=None, *, reg=None):
+        duals.append({"pair": pair, "points": points, "reg": reg, "solves": 0})
+        duals[-1]["result"] = dual(pair, points, warm_start, reg=reg)
+        return duals[-1]["result"]
+
+    patch.setattr(algorithm, "_kkt_solve", counted)
+    patch.setattr(algorithm, "restricted_dual", recorded)
+    return duals
+
+
+def assert_gaussian_dual_is_a_kkt_point(pair, points, reg, result):
+    """Optimality of the residual-unit dual at rounding, judged from its
+    result alone: beta2 in the box; multipliers >= 0 summing to 1 - gamma;
+    the value that of s = max |r_j|, so the returned s is feasible and no
+    larger; a positive multiplier only where |r_j| = s; and stationarity in
+    beta2, the inner first-order condition of the design the multipliers
+    weight (blended with the reference), signed where the box binds.
+    Rounding is measured against the terms of r = eta1 - X beta2."""
+    multipliers, beta, value = result
+    gamma = 0.0 if reg is None else reg.gamma
+    box, rows, eta1 = pair.theta2, pair.rival_matrix(points), pair.true_predictor(points)
+    residual = eta1 - rows @ beta
+    s = float(np.max(np.abs(residual)))
+    tol = 5e-15 * (np.max(np.abs(eta1)) + np.max(np.abs(rows) @ np.abs(beta)))
+    edge = 1e-15 * (box.upper - box.lower)
+    assert np.all(beta >= box.lower - edge) and np.all(beta <= box.upper + edge)
+    assert np.all(multipliers >= 0.0)
+    assert multipliers.sum() == pytest.approx(1.0 - gamma, abs=1e-15)
+    gradient = rows.T @ (multipliers * residual)  # minus the inner gradient
+    expected = (1.0 - gamma) * s * s / (2.0 * pair.sigma2)
+    if reg is not None:
+        reference = prepare_support(pair, reg.xi_tilde.points)
+        gradient += gamma * reference.rows.T @ (
+            reg.xi_tilde.weights * (reference.eta1 - reference.rows @ beta))
+        expected += gamma * reg.xi_tilde.weights @ reference.pointwise(beta)
+    assert abs(value - expected) <= s * tol / pair.sigma2
+    assert np.all(np.abs(residual[multipliers > 0.0]) >= s - tol)
+    tol *= np.max(np.abs(rows))
+    at_lower, at_upper = beta <= box.lower + edge, beta >= box.upper - edge
+    assert np.all(np.where(at_lower, gradient <= tol,
+                           np.where(at_upper, gradient >= -tol, np.abs(gradient) <= tol)))
 
 
 class TestCorrectiveStep:
     def test_no_step_at_the_optimum(self):
         pair, opt = cubic_quadratic_pair(), cubic_quadratic_optimum()
         sol = minimize_beta2(pair, opt, TIGHT)
-        alpha, design, step = corrective_step(pair, opt, [0.3], sol,
-                                              cubic_quadratic_space(), TIGHT)
+        candidates = best_support_candidate(pair, opt, sol.beta2_hat,
+                                            cubic_quadratic_space())[2]
+        alpha, design, step = corrective_step(pair, opt, [0.3], sol, candidates, TIGHT)
         assert (alpha, design, step) == (0.0, opt, sol)
 
     def test_new_support_lies_among_the_candidates(self):
@@ -501,8 +586,8 @@ class TestCorrectiveStep:
         pair, design, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
                                cubic_quadratic_space())
         start = minimize_beta2(pair, design, TIGHT)
-        x_new, _ = best_support_candidate(pair, design, start.beta2_hat, space)
-        _, new, _ = corrective_step(pair, design, x_new, start, space, TIGHT)
+        x_new, _, scanned = best_support_candidate(pair, design, start.beta2_hat, space)
+        _, new, _ = corrective_step(pair, design, x_new, start, scanned, TIGHT)
         candidates, psi = psi_scan(pair, design, start.beta2_hat, space, grid_size=2)
         allowed = np.concatenate([design.points[:, 0], x_new, candidates[psi > 0.0, 0]])
         for x in new.points[:, 0]:
@@ -516,8 +601,9 @@ class TestCorrectiveStep:
         pair, design, reg, _ = data.draw(segments("gaussian", regularized))
         target = design if reg is None else blend_designs(design, reg.xi_tilde, reg.gamma)
         start = minimize_beta2(pair, target, TIGHT)
-        x_new, _ = best_support_candidate(pair, design, start.beta2_hat, design.space)
-        alpha, new, step = corrective_step(pair, design, x_new, start, design.space,
+        x_new, _, candidates = best_support_candidate(pair, design, start.beta2_hat,
+                                                      design.space)
+        alpha, new, step = corrective_step(pair, design, x_new, start, candidates,
                                            TIGHT, reg=reg)
         searched = line_search_alpha(pair, design, x_new, start, TIGHT, reg=reg)[2]
         assert step.value >= searched.value - 1e-9 * max(1.0, searched.value)
@@ -584,53 +670,82 @@ class TestRuns:
         assert np.diff([1] + solved_by).tolist() == [1] * (len(run.history) - 1) + [0]
         assert len(set(solved)) == len(solved)
 
-    def test_random_nested_gaussian_instances_reach_delta(self):
-        # Truth of degree d, the rival every lower monomial, four random start
-        # points: a regular problem each. Support collapsing and pruning used
-        # to undo steps on some and leave others singular. Every dual ends
-        # with SLSQP's status 0, not 8 (a line search that cannot descend).
+    @staticmethod
+    def nested_gaussian_suite(scale: float, top: int, delta: float):
+        """Runs on 25 seed-7 instances: truth of degree d (d from 2 to top - 1)
+        with coefficients scaled by `scale`, the rival every lower monomial in
+        a box of half-width 50 scale, four random start points. Returns the
+        (d, termination reason) of every run and every dual's record."""
         rng = np.random.default_rng(7)
         space = DesignSpace([-1.0], [1.0])
-        reasons = []
+        runs = []
         with pytest.MonkeyPatch.context() as patch:
-            solves = counting_slsqp(patch)
+            duals = recording_duals(patch)
             for _ in range(25):
-                d = int(rng.integers(2, 5))
+                d = int(rng.integers(2, top))
                 pair = GaussianRegressionPair(
-                    rng.normal(size=d + 1), list(range(d)),
-                    ParamBox([-50.0] * d, [50.0] * d), 0.5)
+                    scale * rng.normal(size=d + 1), list(range(d)),
+                    ParamBox([-50.0 * scale] * d, [50.0 * scale] * d), 0.5)
                 start = Design(space, rng.uniform(-1.0, 1.0, 4)[:, None],
                                rng.dirichlet(np.ones(4)))
-                run = run_first_order(pair, start, space,
-                                      AlgoConfig(delta=0.99, max_iterations=300),
-                                      benchmark_inner_config())
-                reasons.append(run.termination_reason)
-        assert reasons == [EFFICIENCY_REACHED] * 25
-        assert len(solves) >= 25
-        assert [status for _, status in solves] == [0] * len(solves)
+                with warnings.catch_warnings(record=True):  # d = 4 points hands off
+                    warnings.simplefilter("always")
+                    run = run_first_order(pair, start, space,
+                                          AlgoConfig(delta=delta, max_iterations=300),
+                                          benchmark_inner_config())
+                runs.append((d, run.termination_reason))
+        for dual in duals:
+            assert_gaussian_dual_is_a_kkt_point(dual["pair"], dual["points"], dual["reg"],
+                                                dual["result"])
+        return runs, duals
+
+    def test_random_nested_gaussian_instances_reach_delta(self):
+        # A regular problem each. Support collapsing and pruning used to undo
+        # steps on some and leave others singular. Every dual ends at a KKT
+        # point of its quadratic program.
+        runs, duals = self.nested_gaussian_suite(1.0, 5, 0.99)
+        assert [reason for _, reason in runs] == [EFFICIENCY_REACHED] * 25
+        assert len(duals) >= 25
+
+    def test_random_nested_gaussian_instances_scaled_by_ten(self):
+        # The truth and the box times 10, and a tighter delta: every dual still
+        # ends at a KKT point (an SLSQP solve with an absolute tolerance left 5
+        # of them at a line search that could not descend). With d = 5 the
+        # four start points are singular, and the plain loop hands off.
+        runs, duals = self.nested_gaussian_suite(10.0, 6, 0.999)
+        assert len(duals) == 52
+        assert [reason for d, reason in runs if d < 5] == [EFFICIENCY_REACHED] * 20
+        assert [reason for d, reason in runs if d == 5] == [STALLED_REGULARIZED] * 5
 
     def test_dual_work_is_invariant_under_scale_and_position(self):
         # The dual is solved in residual units, so neither sigma2 nor the
-        # affine image z = 2 + 4x changes the SLSQP work of any step (a few
-        # evaluations each), and every run ends at the image of the same design.
+        # affine image z = 2 + 4x changes the active-set work of any step (a
+        # few KKT solves each), and every run ends at the image of the same
+        # design. The truth and the box times 10 scale the whole solve, so
+        # that rung takes the same solves to the same design.
         amap = AffineMap([2.0], [[4.0]])
         space, start = cubic_quadratic_space(), cubic_quadratic_start()
-        counts, finals = [], []
+        base = cubic_quadratic_pair()
+        scaled = replace(base, beta1=10.0 * base.beta1,
+                         theta2=ParamBox(10.0 * base.theta2.lower, 10.0 * base.theta2.upper))
+        problems = [(scaled, start, space, False)]
         for sigma2 in [0.5, 0.05, 0.005, 0.0005]:
-            pair = replace(cubic_quadratic_pair(), sigma2=sigma2)
-            for problem in [(pair, start, space),
-                            (reparametrize_under_affine(pair, amap),
-                             transform_design(start, amap), amap.image_box(space))]:
-                with pytest.MonkeyPatch.context() as patch:
-                    solves = counting_slsqp(patch)
-                    run = run_first_order(*problem, AlgoConfig(delta=0.99),
-                                          benchmark_inner_config())
-                assert run.termination_reason == EFFICIENCY_REACHED
-                counts.append([evaluations for evaluations, _ in solves])
-                finals.append(run.final_design)
+            pair = replace(base, sigma2=sigma2)
+            problems += [(pair, start, space, False),
+                         (reparametrize_under_affine(pair, amap),
+                          transform_design(start, amap), amap.image_box(space), True)]
+        counts, finals = [], []
+        for pair, initial, domain, image in problems:
+            with pytest.MonkeyPatch.context() as patch:
+                duals = recording_duals(patch)
+                run = run_first_order(pair, initial, domain, AlgoConfig(delta=0.99),
+                                      benchmark_inner_config())
+            assert run.termination_reason == EFFICIENCY_REACHED
+            counts.append([dual["solves"] for dual in duals])
+            finals.append(run.final_design if image
+                          else transform_design(run.final_design, amap))
         assert len(counts[0]) >= 2 and max(counts[0]) <= 4
         assert counts == [counts[0]] * len(counts)
-        finals[0::2] = [transform_design(d, amap) for d in finals[0::2]]
         assert max(wasserstein_distance(finals[0], d) for d in finals) <= 1e-12
 
     def test_affine_image_takes_the_same_steps(self):

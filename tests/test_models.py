@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
+from scipy.special import expit
 
 from kldesign.designs import (AffineMap, Design, DesignSpace, blend_designs,
                               transform_design)
@@ -116,6 +117,25 @@ class TestPolynomialPair:
         g_plus, _ = pair.kernel_derivatives(eta1)(eta2 + step)
         g_minus, _ = pair.kernel_derivatives(eta1)(eta2 - step)
         np.testing.assert_allclose(h, (g_plus - g_minus) / (2 * step), atol=1e-8)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="the reference values need extended precision")
+    @pytest.mark.parametrize("pair", [cubic_pair(sigma2=0.7), logistic_pair()],
+                             ids=["gaussian", "logistic"])
+    def test_rounding_bounds_the_kernel_error(self, pair):
+        # eps times kernel_rounding bounds the kernel's float64 error to a few
+        # units, with predictors from 1e-3 to 1e2 apart by 1e-12 to 10
+        rng = np.random.default_rng(43)
+        eta1 = rng.normal(0.0, 1.0, 2000) * 10.0 ** rng.uniform(-3, 2, 2000)
+        eta2 = eta1 + rng.normal(0.0, 1.0, 2000) * 10.0 ** rng.uniform(-12, 1, 2000)
+        one, two = eta1.astype(np.longdouble), eta2.astype(np.longdouble)
+        if isinstance(pair, GaussianRegressionPair):
+            exact = (one - two) ** 2 / (2 * np.longdouble(pair.sigma2))
+        else:
+            exact = ((one - two) * expit(one) + np.logaddexp(np.longdouble(0), two)
+                     - np.logaddexp(np.longdouble(0), one))
+        error = np.abs(pair.kernel(eta1)(eta2) - exact)
+        assert np.all(error <= 4 * np.finfo(float).eps * pair.kernel_rounding(eta1)(eta2))
 
     @pytest.mark.parametrize("pair", [cubic_pair(sigma2=0.7), logistic_pair()],
                              ids=["gaussian", "logistic"])
