@@ -251,7 +251,8 @@ def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
     points, psi = psi_scan(pair, design, beta2_hat, space,
                            grid_divergence=grid_divergence)
     i = int(np.argmax(psi))
-    rows = np.r_[0, PSI_GRID_SIZE - 1:psi.size]
+    rows = np.arange(PSI_GRID_SIZE - 2, psi.size)
+    rows[0] = 0  # the lower end, then the upper end and what follows the grid
     return points[i].copy(), float(psi[i]), (points[rows], psi[rows])
 
 

@@ -244,11 +244,10 @@ class LogisticGlmPair(PolynomialPair):
         return derivatives
 
     def kernel_rounding(self, eta1):
-        # the terms of the softplus form, the difference eta1 - eta2 at its inputs
-        mean1 = expit(eta1)
-        soft1 = softplus(eta1)
-        return lambda eta2: ((np.abs(eta1) + np.abs(eta2)) * mean1
-                             + softplus(eta2) + soft1)
+        # the terms of the softplus form, the difference eta1 - eta2 at its
+        # inputs; evaluated at call time, as a solve seldom asks
+        return lambda eta2: ((np.abs(eta1) + np.abs(eta2)) * expit(eta1)
+                             + softplus(eta2) + softplus(eta1))
 
 
 ModelPair = Union[GaussianRegressionPair, LogisticGlmPair]
