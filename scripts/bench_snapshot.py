@@ -10,7 +10,9 @@ The file records the median and every run's value of each end-to-end metric,
 the failed and attempted operations, the traced per-layer metrics, the
 Tier-1 wall time and count, each acceptance check's name, pass flag and
 printed values (without its duration, so snapshots of the same code agree),
-the `src/` line count of the work tree and of HEAD, the number of public
+the digests of the task outputs at the run seeds (`output_digest.py`; two
+snapshots with the same `output_digest` computed the same floats), the
+`src/` line count of the work tree and of HEAD, the number of public
 names (`kldesign.__all__`), the fields of the loop and inner configs, and the
 machine's CPU count. `src_tree` and `perfbench_tree` are the git tree hashes
 of the measured `src/` and `perfbench/`: `git rev-parse <commit>:src` names
@@ -36,6 +38,7 @@ TIER1_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from run import WORKLOADS  # noqa: E402
+from output_digest import output_digest  # noqa: E402
 
 RUNS = 3
 SEED = 201
@@ -144,6 +147,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "tier1": tier1(),
         "acceptance": acceptance(),
+        "output_digest": output_digest([SEED + i for i in range(RUNS)]),
         "src_lines": src_lines(),
         "head_src_lines": src_lines("HEAD"),
         "public_names": public_names(),

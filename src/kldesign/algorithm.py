@@ -50,9 +50,9 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lapack
 from scipy.optimize import brentq, minimize
 
+from ._lapack import svd
 from .designs import (DUPLICATE_TOL, Design, DesignSpace, blend_designs,
                       mixture_segment, validate_design)
 from .errors import DomainError, UndefinedEfficiencyError, UnsupportedModelError
@@ -325,14 +325,6 @@ def _improves(sol: InnerSolution, start: InnerSolution) -> bool:
     return sol.value - start.value > _IMPROVEMENT_TOL * max(1.0, abs(start.value))
 
 
-def _svd(matrix: np.ndarray, full: bool = False):
-    """`numpy.linalg.svd` through LAPACK's dgesdd, at less call overhead."""
-    left, values, right, info = lapack.dgesdd(matrix, full_matrices=int(full))
-    if info:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    return left, values, right
-
-
 def _kkt_solve(active: np.ndarray, factor: np.ndarray, target: np.ndarray,
                z: np.ndarray, correction: np.ndarray, flat: float):
     """The minimum-norm solution (p, lambda) of a working set's KKT system for
@@ -351,7 +343,7 @@ def _kkt_solve(active: np.ndarray, factor: np.ndarray, target: np.ndarray,
     """
     n = z.size
     if len(active):
-        left, values, right = _svd(active, full=True)
+        left, values, right = svd(active, full=True)
         rank = np.count_nonzero(values > _EPS * max(active.shape) * values[0])
     else:
         left, values, right, rank = np.zeros((0, 0)), np.zeros(0), np.eye(n), 0
@@ -359,7 +351,7 @@ def _kkt_solve(active: np.ndarray, factor: np.ndarray, target: np.ndarray,
     step = right[:rank].T @ (inverse.T @ correction)
     null = right[rank:].T
     if rank < n:
-        reduced_left, reduced, reduced_right = _svd(factor @ null)
+        reduced_left, reduced, reduced_right = svd(factor @ null)
         keep = reduced > flat
         misfit = target - factor @ (z + step)
         step = step + null @ (reduced_right[keep].T @ (

@@ -1,28 +1,28 @@
 """Inner minimization of the averaged divergence over the rival parameters.
 
 Solves min_{beta2 in box} sum_i w_i I(x_i, beta2). For the GLM pairs the
-divergence depends on beta2 only through the rival predictor
-eta2 = X beta2 (X the rival matrix at the support) and is convex in eta2:
-Gaussian pairs give weighted least squares, logistic pairs the convex KL
-divergence of two Bernoulli laws. The solve is therefore bounded Newton:
-each step minimizes the box-constrained quadratic model, a bounded weighted
-least-squares problem, by `numpy.linalg.lstsq`, with
-`scipy.optimize.lsq_linear(method="bvls")` only where the box binds, and a
-backtracking step follows it. A cold solve (no warm start) starts from the
-minimizer of the model taken at eta2 = eta1, where the gradient is 0 and the
-curvature is the Fisher weight: the Fisher-scoring (IRLS) start, which does
-not depend on the box unless the box binds. A Gaussian pair's curvature is
-constant, so its quadratic model is the objective: that start is the exact
-minimizer, a cold Gaussian solve is one least-squares fit and one
-evaluation, and a warm one stops after the first accepted full step. Where
-the model at a warm start is not finite (the logistic curvature underflows
-to 0 far from eta1), the solve restarts once from the model start. A convex
-pair's minimizer is unique if and only if X has full
-column rank on the support, so the singularity flag is that rank test, taken
-on the scale the Newton stop sees: a direction of the box along which X
-moves eta2 by no more than the stopping tolerance counts as a null direction.
-Everything that depends on the points and not on the weights (X, the
-divergence and derivative closures, the rank test per positive-weight
+divergence depends on beta2 only through the rival predictor eta2 = X beta2
+(X the rival matrix at the support) and is convex in eta2: Gaussian pairs
+give weighted least squares, logistic pairs the convex KL divergence of two
+Bernoulli laws. The solve is therefore bounded Newton: each step minimizes
+the box-constrained quadratic model, a bounded weighted least-squares
+problem, by LAPACK's dgelsd (`numpy.linalg.lstsq`'s floats at less call
+overhead), with `scipy.optimize.lsq_linear(method="bvls")` only where the
+box binds, and a backtracking step follows it. A cold solve (no warm start)
+starts from the minimizer of the model taken at eta2 = eta1, where the
+gradient is 0 and the curvature is the Fisher weight: the Fisher-scoring
+(IRLS) start, which does not depend on the box unless the box binds. A
+Gaussian pair's curvature is constant, so its quadratic model is the
+objective: that start is the exact minimizer, a cold Gaussian solve is one
+least-squares fit and one evaluation, and a warm one stops after the first
+accepted full step. Where the model at a warm start is not finite (the
+logistic curvature underflows to 0 far from eta1), the solve restarts once
+from the model start. A convex pair's minimizer is unique if and only if X
+has full column rank on the support, so the singularity flag is that rank
+test, taken on the scale the Newton stop sees: a direction of the box along
+which X moves eta2 by no more than the stopping tolerance counts as a null
+direction. Everything that depends on the points and not on the weights (X,
+the divergence and derivative closures, the rank test per positive-weight
 pattern) is a `Support`, built once and reusable across solves on the same
 points. Only these polynomial-predictor pairs are solved; any other pair is
 refused.
@@ -35,6 +35,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import lsq_linear
 
+from ._lapack import lstsq
 from .designs import Design
 from .errors import UnsupportedModelError
 from .models import (GaussianRegressionPair, ModelPair, ParamBox, PolynomialPair,
@@ -138,9 +139,10 @@ def prepare_support(pair: ModelPair, points) -> Support:
 
 def _bounded_lstsq(a: np.ndarray, rhs: np.ndarray, box: ParamBox) -> np.ndarray:
     """argmin over the box of |a x - rhs|, as `lsq_linear(method="bvls")` finds
-    it: its first step is this unconstrained `lstsq` solution, kept when it
-    lies in the box, where it is also the constrained minimizer."""
-    x = np.linalg.lstsq(a, rhs, rcond=-1)[0]
+    it: its first step is the unconstrained minimum-norm solution of
+    `numpy.linalg.lstsq`, here taken by dgelsd directly (`_lapack.lstsq`),
+    kept when it lies in the box, where it is also the constrained minimizer."""
+    x = lstsq(a, rhs)
     if ((x >= box.lower) & (x <= box.upper)).all():
         return x
     return lsq_linear(a, rhs, bounds=(box.lower, box.upper), method="bvls").x
@@ -259,8 +261,10 @@ def least_squares_oracle(pair: GaussianRegressionPair, design: Design):
     """Closed-form weighted least-squares solution of the Gaussian inner problem.
 
     For Gaussian pairs the inner problem is linear least squares in beta2;
-    this independent route (normal equations via lstsq, box ignored) is used
-    to cross-check the numeric solver.
+    this independent route (the SVD least-squares solve of
+    `numpy.linalg.lstsq` on the weighted rows, box ignored) is used to
+    cross-check the numeric solver. It stays on numpy.linalg on purpose, so
+    that it shares no code with the solver's `_lapack` helpers.
     """
     if not isinstance(pair, GaussianRegressionPair):
         raise UnsupportedModelError("least-squares oracle applies to Gaussian pairs only")

@@ -25,6 +25,7 @@ from typing import Union
 import numpy as np
 from scipy.special import expit
 
+from ._lapack import root_real_parts, singular_values
 from .designs import AffineMap, _freeze
 from .errors import DomainError, UnsupportedModelError
 
@@ -196,7 +197,9 @@ class GaussianRegressionPair(PolynomialPair):
         """Real parts of the roots of r' in (lower, upper), r = m1 - m2(., beta2), as
         a column: with the endpoints they hold the maximum of r^2 / (2 sigma2). A
         nearly double root can come back complex, hence the real parts. The
-        roots are found in the frame's x and mapped back into [lower, upper]."""
+        roots are the eigenvalues of the companion matrix, as `numpy.roots`
+        finds them, taken by dgeev directly (`_lapack.root_real_parts`). They
+        are found in the frame's x and mapped back into [lower, upper]."""
         frame, lo, hi = self.frame, lower, upper
         if frame is not None:
             lo, hi = sorted((end - frame.offset) / frame.scale for end in (lower, upper))
@@ -209,7 +212,7 @@ class GaussianRegressionPair(PolynomialPair):
         radius = max(abs(lo), abs(hi))
         scaled = coef[1:] * np.arange(1.0, coef.size) * radius ** np.arange(coef.size - 1)
         scaled[np.abs(scaled) <= 1e-15 * np.max(np.abs(scaled), initial=0.0)] = 0.0
-        roots = radius * np.roots(scaled[::-1]).real
+        roots = radius * root_real_parts(scaled[::-1])
         roots = roots[(roots > lo) & (roots < hi), None]
         return roots if frame is None else np.minimum(np.maximum(frame.apply(roots), lower), upper)
 
@@ -257,11 +260,11 @@ def _least_singular_value(rows) -> float:
     """The smallest singular value of the rival matrix X (n, d2), or 0.0 where
     X has rank below d2.
 
-    Rank is decided from singular values with the threshold
-    max(n, d2) * sigma_max * 1e-12.
+    Rank is decided from singular values (dgesdd's, `_lapack.singular_values`)
+    with the threshold max(n, d2) * sigma_max * 1e-12.
     """
     x = np.atleast_2d(np.asarray(rows, dtype=float))
-    s = np.linalg.svd(x, compute_uv=False)
+    s = singular_values(x)
     full = s.size == x.shape[1] > 0 and s[-1] > max(x.shape) * s[0] * 1e-12
     return float(s[-1]) if full else 0.0
 

@@ -1,0 +1,111 @@
+"""The LAPACK helpers give numpy.linalg's floats bit for bit, and numpy's
+answers on empty and non-finite input."""
+
+import numpy as np
+import pytest
+
+from kldesign._lapack import lstsq, root_real_parts, singular_values, svd
+from kldesign.models import _least_singular_value
+
+SHAPES = [(m, n) for m in range(10) for n in range(1, 5)]
+STYLES = ("generic", "dependent-rows", "dependent-columns", "scaled-columns")
+
+
+def same_bits(actual: np.ndarray, expected: np.ndarray) -> bool:
+    return (actual.dtype == expected.dtype and actual.shape == expected.shape
+            and actual.tobytes() == expected.tobytes())
+
+
+def matrix(style: str, m: int, n: int, k: int) -> np.ndarray:
+    """A seeded m-by-n matrix of the given style."""
+    rng = np.random.default_rng([STYLES.index(style), m, n, k])
+    a = rng.normal(0.0, 1.0, size=(m, n))
+    if style == "dependent-rows" and m > 1:
+        a[-1] = rng.choice([1.0, -2.0, 0.5]) * a[0]
+    elif style == "dependent-columns" and n > 1:
+        a[:, -1] = a[:, 0] * rng.choice([0.0, 1.0, 3.0])
+    elif style == "scaled-columns":
+        a *= 10.0 ** rng.choice([-8.0, 0.0, 8.0], size=n)
+    return a
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_lstsq_matches_numpy(style):
+    for m, n in SHAPES:
+        for k in range(3):
+            a = matrix(style, m, n, k)
+            rhs = np.random.default_rng([m, n, k]).normal(0.0, 1.0, size=m)
+            expected = np.linalg.lstsq(a, rhs, rcond=-1)[0]
+            assert same_bits(lstsq(a, rhs), expected), (m, n, k)
+
+
+def test_lstsq_of_one_point_is_numpys_minimum_norm_solution():
+    a, rhs = np.array([[1.0, 0.5]]), np.array([2.0])
+    assert same_bits(lstsq(a, rhs), np.linalg.lstsq(a, rhs, rcond=-1)[0])
+
+
+def test_lstsq_without_rows_is_zero_and_silent(capfd):
+    for n in range(1, 5):
+        assert same_bits(lstsq(np.zeros((0, n)), np.zeros(0)), np.zeros(n))
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_singular_values_and_svd_match_numpy(style):
+    for m, n in SHAPES:
+        a = matrix(style, m, n, 0)
+        assert same_bits(singular_values(a), np.linalg.svd(a, compute_uv=False)), (m, n)
+        if a.size:
+            for full in (False, True):
+                for got, want in zip(svd(a, full), np.linalg.svd(a, full_matrices=full)):
+                    assert same_bits(got, want), (m, n, full)
+
+
+def test_least_singular_value_of_no_rows_is_zero_and_silent(capfd):
+    for d in range(1, 5):
+        assert _least_singular_value(np.zeros((0, d))) == 0.0
+    assert capfd.readouterr() == ("", "")
+
+
+ROOT_CASES = [
+    [0.0, 0.0, 0.0],  # all zero: no roots
+    [5.0],  # degree 0
+    [0.0, 5.0, 0.0],  # degree 0 between zeros: one zero root
+    [2.0, -1.0],  # degree 1
+    [0.0, 0.0, 1.0, -3.0, 2.0],  # leading zeros
+    [1.0, -3.0, 2.0, 0.0, 0.0],  # trailing zeros
+    [0.0, 1.0, -3.0, 2.0, 0.0],
+    [1.0, 0.0, 1.0],  # a complex pair on the imaginary axis
+    [1.0, -2.0, 5.0],  # a complex pair
+    [1.0, -1.0, 3.0, -3.0],  # (x - 1)(x^2 + 3)
+    [1.0, -2.0, 1.0],  # a double root
+    [1e-15, 1.0, -1.0],  # a root near infinity
+]
+
+
+@pytest.mark.parametrize("p", ROOT_CASES)
+def test_root_real_parts_match_numpy(p):
+    p = np.array(p)
+    assert same_bits(root_real_parts(p), np.roots(p).real)
+
+
+def test_root_real_parts_of_seeded_polynomials_match_numpy():
+    for k in range(200):
+        rng = np.random.default_rng(k)
+        p = rng.normal(0.0, 1.0, size=int(rng.integers(1, 8)))
+        p[rng.random(p.size) < 0.2] = 0.0
+        assert same_bits(root_real_parts(p), np.roots(p).real), p
+
+
+def test_nan_input_raises_like_numpy():
+    a = np.array([[1.0, np.nan], [2.0, 3.0], [1.0, 1.0]])
+    p = np.array([1.0, np.nan, 2.0])
+    for helper, numpy_call in [
+            (lambda: lstsq(a, np.ones(3)), lambda: np.linalg.lstsq(a, np.ones(3), rcond=-1)),
+            (lambda: singular_values(a), lambda: np.linalg.svd(a, compute_uv=False)),
+            (lambda: svd(a), lambda: np.linalg.svd(a)),
+            (lambda: root_real_parts(p), lambda: np.roots(p))]:
+        with pytest.raises(np.linalg.LinAlgError):
+            numpy_call()
+        with pytest.raises(np.linalg.LinAlgError):
+            helper()
