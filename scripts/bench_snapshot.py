@@ -12,7 +12,8 @@ Tier-1 wall time and count, each acceptance check's name, pass flag and
 printed values (without its duration, so snapshots of the same code agree),
 the digests of the task outputs at the run seeds (`output_digest.py`; two
 snapshots with the same `output_digest` computed the same floats), the
-`src/` line count of the work tree and of HEAD, the number of public
+`src/` line count of the work tree and of HEAD, and the count of those lines
+that hold code (not blank, comments or docstrings), the number of public
 names (`kldesign.__all__`), the fields of the loop and inner configs, and the
 machine's CPU count. `src_tree` and `perfbench_tree` are the git tree hashes
 of the measured `src/` and `perfbench/`: `git rev-parse <commit>:src` names
@@ -20,7 +21,9 @@ every commit that holds the same code.
 """
 
 import argparse
+import ast
 import dataclasses
+import io
 import json
 import os
 import platform
@@ -30,6 +33,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +47,8 @@ from output_digest import output_digest  # noqa: E402
 RUNS = 3
 SEED = 201
 RUN_TIMEOUT_S = 900
+NON_CODE_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                   tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def perfbench(workload: str, seed: int, trace: int) -> dict:
@@ -90,14 +96,40 @@ def work_tree_hash(directory: str) -> str:
         return git("write-tree", f"--prefix={directory}/", env=env)
 
 
+def src_sources(rev: str | None = None) -> list[str]:
+    """The package's Python files, in the work tree or at `rev`."""
+    if rev is None:
+        return [p.read_text() for p in (ROOT / "src").rglob("*.py")]
+    return [git("show", f"{rev}:{name}")
+            for name in git("ls-tree", "-r", "--name-only", rev, "src").split()
+            if name.endswith(".py")]
+
+
 def src_lines(rev: str | None = None) -> int:
     """Lines of the package's Python files, in the work tree or at `rev`."""
-    if rev is None:
-        return sum(len(p.read_text().splitlines())
-                   for p in (ROOT / "src").rglob("*.py"))
-    return sum(len(git("show", f"{rev}:{name}").splitlines())
-               for name in git("ls-tree", "-r", "--name-only", rev, "src").split()
-               if name.endswith(".py"))
+    return sum(len(source.splitlines()) for source in src_sources(rev))
+
+
+def code_lines(source: str) -> int:
+    """Lines of `source` that hold code: not blank, not only a comment, and
+    not part of a module, class or function docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            first = node.body[0]
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    code = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in NON_CODE_TOKENS:
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(code - docstrings)
+
+
+def src_code_lines(rev: str | None = None) -> int:
+    """`code_lines` summed over the package's Python files (`src_sources`)."""
+    return sum(code_lines(source) for source in src_sources(rev))
 
 
 def public_names() -> int:
@@ -150,6 +182,8 @@ def main(argv=None) -> int:
         "output_digest": output_digest([SEED + i for i in range(RUNS)]),
         "src_lines": src_lines(),
         "head_src_lines": src_lines("HEAD"),
+        "src_code_lines": src_code_lines(),
+        "head_src_code_lines": src_code_lines("HEAD"),
         "public_names": public_names(),
         "config_fields": config_fields(),
     }

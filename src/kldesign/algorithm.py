@@ -11,7 +11,7 @@ One iteration, given the current design xi_n:
    best-point search and before any further work. A rival that attains
    the true model stops the run first, a singular inner solve the plain
    loop next; otherwise the run stops once U exceeds the target delta;
-4. step, chosen by the pair's family:
+4. step, chosen by the pair's family, one solver each:
    - a Gaussian pair re-solves the weights (`corrective_step`): the best
      design on the support, x_n and the other candidates of step 2 where
      psi > 0 (read off step 2's scan) comes from the minimax dual
@@ -20,10 +20,12 @@ One iteration, given the current design xi_n:
      exactly by a small active-set method; its multipliers are the weights,
      and a point of zero weight leaves. Each step is fully corrective
      (simplicial decomposition, von Hohenbalken 1977), at least as good as
-     the exact line search below, and the new design is solved once, from
-     the dual's beta2;
+     the exact line search below, and the new design is solved once, by its
+     exact least-squares fit;
    - a logistic pair takes the exact line search of the criterion along the
-     segment (1-a) xi_n + a delta_{x_n} (`line_search_alpha`). The criterion
+     segment (1-a) xi_n + a delta_{x_n} (`line_search_alpha`); its dual has
+     no such exact solve, and a general-purpose one measured slower than
+     this search, so `restricted_dual` is Gaussian only. The criterion
      is concave along the segment, and each inner solve's minimizer gives
      its supergradient in a (Danskin), so the step is the root of that
      slope, bracketed by its signs at 0 and 1. The search starts from step
@@ -50,11 +52,10 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 
 from ._lapack import svd
-from .designs import (DUPLICATE_TOL, Design, DesignSpace, blend_designs,
-                      mixture_segment, validate_design)
+from .designs import DUPLICATE_TOL, Design, DesignSpace, blend_designs, validate_design
 from .errors import DomainError, UndefinedEfficiencyError, UnsupportedModelError
 from .inner import InnerConfig, InnerSolution, minimize_beta2, prepare_support
 from .models import GaussianRegressionPair, ModelPair, PolynomialPair, glm_is_regular
@@ -79,9 +80,6 @@ _IMPROVEMENT_TOL = 1e-13
 _ATTAIN_TOL = 1e-12
 # Bracket width at which the root find of the line-search slope stops.
 _STEP_XTOL = 1e-6
-# Requested accuracy of the SLSQP solve of a logistic pair's `restricted_dual`:
-# rounding level, absolute, in units of the divergence.
-_DUAL_FTOL = 1e-15
 # The active-set solve treats a multiplier, a step, or a step's approach to a
 # row below this share of the largest of its kind as rounding; its step budget
 # is a safety cap far above the few steps a dual takes.
@@ -276,9 +274,14 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
     previous solve's minimizer. Every a in (0, 1) weights the same points
     (the support and x_new, merged where they coincide, and the reference's
     when regularizing), so those solves share one prepared `Support`; a = 1
-    is the point mass. Returns (alpha, the mixture at alpha, the inner
-    solution there); (0.0, design, start) signals that no ascent step exists.
+    is the point mass. Each mixture is `blend_designs` of the design and the
+    point mass; an x_new outside the design space raises `DomainError`.
+    Returns (alpha, the mixture at alpha, the inner solution there);
+    (0.0, design, start) signals that no ascent step exists.
     """
+    mass = Design(design.space, x_new, [1.0])
+    if not design.space.contains(mass.points)[0]:
+        raise DomainError(f"point {mass.points[0].tolist()} outside the design space")
     divergence = prepare_support(pair, np.append(design.points[:, 0], x_new)).pointwise
     scale = 1.0 - (reg.gamma if reg is not None else 0.0)
 
@@ -286,7 +289,6 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
         row = divergence(sol.beta2_hat)  # the support, then x_new
         return scale * (row[-1] - design.weights @ row[:-1])
 
-    points, w0, w1 = mixture_segment(design, x_new)
     interior = None  # the Support of every a in (0, 1), prepared at the first
     warm = start.beta2_hat
     slope0 = slope(start)
@@ -296,8 +298,7 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
         nonlocal interior, warm
         if a not in solved:
             point_mass = a == 1.0
-            mixed = (Design(design.space, x_new, [1.0]) if point_mass
-                     else Design(design.space, points, (1.0 - a) * w0 + a * w1))
+            mixed = blend_designs(design, mass, a)
             target = mixed if reg is None else blend_designs(mixed, reg.xi_tilde,
                                                              reg.gamma)
             if not point_mass and interior is None:
@@ -422,7 +423,8 @@ def _active_set_qp(factor, target, rows, bounds, z, working):
 
 def restricted_dual(pair: ModelPair, points, warm_start=None, *,
                     reg: RegularizationConfig | None = None):
-    """The best design on fixed points, from the minimax dual restricted to them.
+    """The best design on fixed points for a Gaussian pair, from the minimax
+    dual restricted to them.
 
     The averaged divergence is linear in the weights and convex in beta2, so
     the largest criterion over designs on `points` is the minimum over
@@ -437,7 +439,7 @@ def restricted_dual(pair: ModelPair, points, warm_start=None, *,
     1975).
 
     A Gaussian pair has I(x_j, beta2) = r_j^2 / (2 sigma2), r_j =
-    eta1_j - X_j beta2 the residual, so its dual is solved in residual units:
+    eta1_j - X_j beta2 the residual, so the dual is solved in residual units:
     over (beta2 in the box, s >= 0) minimize (1-gamma) s^2 / 2 +
     gamma sigma2 avg_ref I(., beta2), which is sigma2 times the objective
     above at t = s^2 / (2 sigma2), subject to the linear constraints
@@ -449,80 +451,52 @@ def restricted_dual(pair: ModelPair, points, warm_start=None, *,
     (unscaled they sum to (1-gamma) s, so all are zero where s = 0), and the
     value is the objective divided by sigma2. Neither the constraints nor
     the objective depend on sigma2 or on where the domain lies, and scaling
-    the true mean and the box scales the solution. A logistic pair keeps the
-    constraints I(x_j, beta2) <= t, with derivatives from the prepared
-    `Support`, and SLSQP solves them from the same start.
+    the true mean and the box scales the solution. Any other pair raises
+    `UnsupportedModelError`: a logistic pair steps by `line_search_alpha`.
 
     Returns (multipliers, beta2, value), one multiplier per point; dividing
     the multipliers by their sum gives the weights.
     """
+    if not isinstance(pair, GaussianRegressionPair):
+        raise UnsupportedModelError("the restricted dual applies to Gaussian pairs only")
     gamma = 0.0 if reg is None else reg.gamma
     box = pair.theta2
     beta = box.midpoint if warm_start is None else box.clip(warm_start)
+    rows, eta1 = pair.rival_matrix(points), pair.true_predictor(points)
+    m, d = rows.shape
+    # the objective |F z - y|^2 / 2 of z = (beta2, s): (1-gamma) s^2 / 2,
+    # plus gamma avg_ref r^2 / 2 when regularizing
+    factor, target = np.eye(1, d + 1, d) * math.sqrt(1.0 - gamma), np.zeros(1)
     if reg is not None:
         reference = prepare_support(pair, reg.xi_tilde.points)
-    if isinstance(pair, GaussianRegressionPair):
-        rows, eta1 = pair.rival_matrix(points), pair.true_predictor(points)
-        m, d = rows.shape
-        # the objective |F z - y|^2 / 2 of z = (beta2, s): (1-gamma) s^2 / 2,
-        # plus gamma avg_ref r^2 / 2 when regularizing
-        factor, target = np.eye(1, d + 1, d) * math.sqrt(1.0 - gamma), np.zeros(1)
-        if reg is not None:
-            root = np.sqrt(gamma * reg.xi_tilde.weights)
-            factor = np.vstack([np.hstack([root[:, None] * reference.rows,
-                                           np.zeros((root.size, 1))]), factor])
-            target = np.append(root * reference.eta1, 0.0)
-        ones, unit = np.ones((m, 1)), np.eye(d, d + 1)
-        # s - r_j >= 0, s + r_j >= 0, the box, s >= 0
-        constraints = np.vstack([np.hstack([rows, ones]), np.hstack([-rows, ones]),
-                                 unit, -unit, np.eye(1, d + 1, d)])
-        bounds = np.concatenate([eta1, -eta1, box.lower, -box.upper, [0.0]])
-        residual = eta1 - rows @ beta
-        j = int(np.argmax(np.abs(residual)))
-        z, multipliers = _active_set_qp(factor, target, constraints, bounds,
-                                        np.append(beta, abs(residual[j])),
-                                        [j if residual[j] >= 0.0 else m + j])
-        # the box rows hold to rounding; those that bind hold exactly
-        at_lower = multipliers[2 * m:2 * m + d] > 0.0
-        at_upper = multipliers[2 * m + d:-1] > 0.0
-        beta = np.where(at_lower, box.lower,
-                        np.where(at_upper, box.upper, box.clip(z[:-1])))
-        s = z[-1]
-        multipliers = multipliers[:m] + multipliers[m:2 * m]
-        total = float(np.sum(multipliers))
-        if total > 0.0:
-            multipliers = multipliers * ((1.0 - gamma) / total)
-        value = (1.0 - gamma) * s * s * 0.5 / pair.sigma2
-        if reg is not None:
-            value += gamma * reg.xi_tilde.weights @ reference.pointwise(beta)
-        return multipliers, beta, float(value)
-
-    support = prepare_support(pair, points)
-
-    def objective(z):  # (1-gamma) t + gamma avg_ref I
-        grad = np.zeros(z.size)
-        grad[-1] = 1.0 - gamma
-        value = grad[-1] * z[-1]
-        if reg is not None:
-            weights = gamma * reg.xi_tilde.weights
-            value += weights @ reference.pointwise(z[:-1])
-            g = reference.derivatives(reference.rows @ z[:-1])[0]
-            grad[:-1] = (weights * g) @ reference.rows
-        return value, grad
-
-    def slack(z):
-        return z[-1] - support.pointwise(z[:-1])
-
-    def slack_jacobian(z):
-        g = support.derivatives(support.rows @ z[:-1])[0]
-        return np.column_stack([-g[:, None] * support.rows, np.ones(g.size)])
-
-    res = minimize(objective, np.append(beta, np.max(support.pointwise(beta))),
-                   jac=True, method="SLSQP",
-                   bounds=[*zip(box.lower, box.upper), (None, None)],
-                   constraints={"type": "ineq", "fun": slack, "jac": slack_jacobian},
-                   options={"ftol": _DUAL_FTOL})
-    return res.multipliers, res.x[:-1], float(res.fun)
+        root = np.sqrt(gamma * reg.xi_tilde.weights)
+        factor = np.vstack([np.hstack([root[:, None] * reference.rows,
+                                       np.zeros((root.size, 1))]), factor])
+        target = np.append(root * reference.eta1, 0.0)
+    ones, unit = np.ones((m, 1)), np.eye(d, d + 1)
+    # s - r_j >= 0, s + r_j >= 0, the box, s >= 0
+    constraints = np.vstack([np.hstack([rows, ones]), np.hstack([-rows, ones]),
+                             unit, -unit, np.eye(1, d + 1, d)])
+    bounds = np.concatenate([eta1, -eta1, box.lower, -box.upper, [0.0]])
+    residual = eta1 - rows @ beta
+    j = int(np.argmax(np.abs(residual)))
+    z, multipliers = _active_set_qp(factor, target, constraints, bounds,
+                                    np.append(beta, abs(residual[j])),
+                                    [j if residual[j] >= 0.0 else m + j])
+    # the box rows hold to rounding; those that bind hold exactly
+    at_lower = multipliers[2 * m:2 * m + d] > 0.0
+    at_upper = multipliers[2 * m + d:-1] > 0.0
+    beta = np.where(at_lower, box.lower,
+                    np.where(at_upper, box.upper, box.clip(z[:-1])))
+    s = z[-1]
+    multipliers = multipliers[:m] + multipliers[m:2 * m]
+    total = float(np.sum(multipliers))
+    if total > 0.0:
+        multipliers = multipliers * ((1.0 - gamma) / total)
+    value = (1.0 - gamma) * s * s * 0.5 / pair.sigma2
+    if reg is not None:
+        value += gamma * reg.xi_tilde.weights @ reference.pointwise(beta)
+    return multipliers, beta, float(value)
 
 
 def corrective_step(pair: ModelPair, design: Design, x_new, start: InnerSolution,
@@ -536,26 +510,27 @@ def corrective_step(pair: ModelPair, design: Design, x_new, start: InnerSolution
     returns them, and they hold the maximum of psi. `restricted_dual` gives
     their weights, and a point of zero weight leaves. The segment a line search
     explores lies among these designs, so the step is at least as good as
-    the exact line search's. The new design is solved once, warm-started at
-    the dual's beta2, so U and the singular flag are read off the inner
-    solve as at every iterate. Returns (the new weight at x_new, the new
-    design, its inner solution); (0.0, design, start) signals that no ascent
-    step exists: the multipliers have no positive sum, or the value does not
-    rise.
+    the exact line search's. The new design is solved once, by the exact
+    least-squares fit of a Gaussian inner solve, so U and the singular flag
+    are read off the inner solve as at every iterate. Returns (the new
+    weight at x_new, the new design, its inner solution); (0.0, design,
+    start) signals that no ascent step exists: the multipliers have no
+    positive sum, or the value does not rise. Any other pair raises
+    `UnsupportedModelError` (`restricted_dual`).
     """
     scanned, psi = candidates
     points = design.points
     for x in [np.asarray(x_new, dtype=float), *scanned[psi > 0.0]]:
         if np.min(np.abs(points[:, 0] - x[0])) > DUPLICATE_TOL:
             points = np.vstack([points, x])
-    multipliers, beta, _ = restricted_dual(pair, points, start.beta2_hat, reg=reg)
+    multipliers, _, _ = restricted_dual(pair, points, start.beta2_hat, reg=reg)
     keep = multipliers > 0.0
     total = float(np.sum(multipliers[keep]))
     if not (np.isfinite(total) and total > 0.0):
         return 0.0, design, start
     new = Design(design.space, points[keep], multipliers[keep] / total)
     target = new if reg is None else blend_designs(new, reg.xi_tilde, reg.gamma)
-    sol = minimize_beta2(pair, target, inner_config, warm_start=beta)
+    sol = minimize_beta2(pair, target, inner_config)
     if not _improves(sol, start):
         return 0.0, design, start
     return new.weight_at(x_new), new, sol

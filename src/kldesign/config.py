@@ -206,7 +206,10 @@ def parse_run_config(data: dict, base_dir: Path, *, output_dir_override=None) ->
         except ValueError as exc:
             raise ConfigError(f"regularization: {exc}") from None
 
-    out = Path(output_dir_override or data.get("output_dir", "kl-design-output"))
+    key = data.get("output_dir", "kl-design-output")
+    if not isinstance(key, str):
+        raise ConfigError(f"output_dir: expected a path, got {key!r}")
+    out = Path(output_dir_override or key)
     if not out.is_absolute():
         # the override is relative to the working directory, the key to the config
         out = ((Path.cwd() if output_dir_override else base_dir) / out).resolve()

@@ -158,29 +158,6 @@ def validate_design(design: Design, space: DesignSpace | None = None) -> Validat
     return ValidationReport(len(bad) == 0, tuple(bad))
 
 
-def mixture_segment(design: Design, new_point):
-    """The segment from the design to the point mass at new_point, on its
-    common support.
-
-    Returns (points, w0, w1): the design's points with new_point appended
-    unless it coincides with one of them, the design's weights and the point
-    mass on that support, so that the mixture at 0 < a < 1 has the weights
-    (1-a) w0 + a w1, the same floats `blend_designs` gives with the point
-    mass. A new_point outside the design space raises `DomainError`.
-    """
-    x = _as_point(new_point)
-    if not design.space.contains(x)[0]:
-        raise DomainError(f"point {x.tolist()} outside the design space")
-    near = np.abs(design.points[:, 0] - x[0])
-    j = int(np.argmin(near))  # the merge rule of blend_designs
-    points, w0 = design.points, design.weights
-    if near[j] > DUPLICATE_TOL:
-        points, w0, j = np.vstack([points, x]), np.append(w0, 0.0), design.size
-    w1 = np.zeros(w0.size)
-    w1[j] = 1.0
-    return points, w0, w1
-
-
 def blend_designs(first: Design, second: Design, alpha: float) -> Design:
     """Mixture (1-alpha)*first + alpha*second, merging coincident support points."""
     if not 0.0 <= alpha <= 1.0:

@@ -13,9 +13,9 @@ starts from the minimizer of the model taken at eta2 = eta1, where the
 gradient is 0 and the curvature is the Fisher weight: the Fisher-scoring
 (IRLS) start, which does not depend on the box unless the box binds. A
 Gaussian pair's curvature is constant, so its quadratic model is the
-objective: that start is the exact minimizer, a cold Gaussian solve is one
-least-squares fit and one evaluation, and a warm one stops after the first
-accepted full step. Where the model at a warm start is not finite (the
+objective: that start is the exact minimizer, and a Gaussian solve, warm or
+cold, is that one least-squares fit and one evaluation. Only logistic solves
+take Newton steps. Where the model at a warm start is not finite (the
 logistic curvature underflows to 0 far from eta1), the solve restarts once
 from the model start. A convex pair's minimizer is unique if and only if X
 has full column rank on the support, so the singularity flag is that rank
@@ -49,7 +49,7 @@ _MAX_NEWTON_STEPS = 800
 # w / h is finite where h > w / max_float (to one rounding).
 _INV_MAX = 1.0 / np.finfo(float).max
 # A step whose predicted decrease is below this share of the objective's
-# rounding magnitude (`Support.rounding`) cannot be judged by its values.
+# rounding magnitude (the pair's `kernel_rounding`) cannot be judged by its values.
 _ROUNDING = 16 * np.finfo(float).eps
 
 
@@ -57,8 +57,8 @@ _ROUNDING = 16 * np.finfo(float).eps
 class InnerConfig:
     """Stopping rule of the inner solve: Newton steps stop once the step moves
     the rival predictor by at most `local_tolerance`. The start is not a
-    setting: the warm start when given, otherwise the model start
-    (`Support.model_start`)."""
+    setting: a logistic solve's warm start when given, otherwise the model
+    start (`Support.model_start`), where a Gaussian solve ends."""
 
     local_tolerance: float = 1e-9
 
@@ -80,18 +80,16 @@ class InnerSolution:
 @dataclass(frozen=True)
 class Support:
     """The weight-free part of the inner problem on fixed points: the rival
-    matrix, the true predictor eta1, the pointwise divergence, derivative and
-    rounding closures (the family's `kernel`, `kernel_derivatives` and
-    `kernel_rounding`), and the rank test, memoized per positive-weight
-    pattern. Build it with `prepare_support`; any design on the same points
-    can be solved on it."""
+    matrix, the true predictor eta1, the pointwise divergence and derivative
+    closures (the family's `kernel` and `kernel_derivatives`), and the rank
+    test, memoized per positive-weight pattern. Build it with
+    `prepare_support`; any design on the same points can be solved on it."""
 
     points: np.ndarray
     rows: np.ndarray
     eta1: np.ndarray
     pointwise: Callable
     derivatives: Callable
-    rounding: Callable
     _least_singular: dict = field(default_factory=dict, repr=False, compare=False)
 
     def least_singular_value(self, weights: np.ndarray) -> float:
@@ -134,7 +132,7 @@ def prepare_support(pair: ModelPair, points) -> Support:
     rows = pair.rival_matrix(x)
     kernel = pair.kernel(eta1)
     return Support(points, rows, eta1, lambda beta2: kernel(rows @ beta2),
-                   pair.kernel_derivatives(eta1), pair.kernel_rounding(eta1))
+                   pair.kernel_derivatives(eta1))
 
 
 def _bounded_lstsq(a: np.ndarray, rhs: np.ndarray, box: ParamBox) -> np.ndarray:
@@ -150,28 +148,27 @@ def _bounded_lstsq(a: np.ndarray, rhs: np.ndarray, box: ParamBox) -> np.ndarray:
 
 def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
             start: np.ndarray, config: InnerConfig) -> tuple[np.ndarray, float] | None:
-    """Bounded Newton descent in beta2 for a pair convex in eta2 = rows @ beta2;
-    returns the last iterate and its objective sum_i w_i I(x_i, beta2), or
-    None when the model at `start` is not finite: where the logistic
-    curvature h = expit'(eta2) underflows to 0, w / h is infinite (tested
-    on h, before the model divides by it).
+    """Bounded Newton descent in beta2 for a logistic pair, convex in
+    eta2 = rows @ beta2 (a Gaussian solve is its model start, and never
+    enters here); returns the last iterate and its objective
+    sum_i w_i I(x_i, beta2), or None when the model at `start` is not
+    finite: where the curvature h = expit'(eta2) underflows to 0, w / h is
+    infinite (tested on h, before the model divides by it).
 
     Each step moves toward the box-constrained minimizer of `_model`,
     a bounded weighted least-squares solution: the `lstsq` solution when that
-    lies in the box, BVLS's only when the box binds. For a Gaussian pair the
-    model is the objective, so an accepted full step is exact. The step
-    backtracks until Armijo's sufficient decrease holds, except where the
-    decrease the model predicts, -slope, is below the objective's rounding
-    (`_ROUNDING` times the family's `kernel_rounding`): there the values
-    cannot tell a better point from a worse one, and the full model step is
-    taken unless its value is worse beyond that rounding (an approximate
-    Armijo test, as in Hager and Zhang 2005). Backtracking on such a step
-    would accept some tiny t and stop short of the minimizer.
+    lies in the box, BVLS's only when the box binds. The step backtracks
+    until Armijo's sufficient decrease holds, except where the decrease the
+    model predicts, -slope, is below the objective's rounding (`_ROUNDING`
+    times the pair's `kernel_rounding`, built only where a full step fails):
+    there the values cannot tell a better point from a worse one, and the
+    full model step is taken unless its value is worse beyond that rounding
+    (an approximate Armijo test, as in Hager and Zhang 2005). Backtracking on
+    such a step would accept some tiny t and stop short of the minimizer.
     """
     box = pair.theta2
     lower, upper = box.lower, box.upper
     rows, pointwise = support.rows, support.pointwise
-    exact = isinstance(pair, GaussianRegressionPair)
 
     def objective(b: np.ndarray) -> float:
         return float(weights @ pointwise(b))
@@ -198,15 +195,16 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
             if trial_value <= value + _ARMIJO * t * slope:
                 break
             if rounding is None:  # taken once, where the full step fails
-                rounding = _ROUNDING * float(weights @ support.rounding(eta))
+                magnitude = pair.kernel_rounding(support.eta1)(eta)
+                rounding = _ROUNDING * float(weights @ magnitude)
             if -slope <= rounding and trial_value <= value + rounding:
                 break  # the values cannot judge the step: they agree to rounding
             t *= 0.5
         else:
             break  # no decrease left above rounding
         beta, value = trial, trial_value
-        if (exact and t == 1.0) or t * size <= config.local_tolerance:
-            break  # the minimizer, or the objective is flat to rounding along the step
+        if t * size <= config.local_tolerance:
+            break  # the objective is flat to rounding along the step
     return beta, value
 
 
@@ -214,12 +212,14 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
                    warm_start=None, *, support: Support | None = None) -> InnerSolution:
     """Minimize the design-averaged divergence over the rival parameter box.
 
-    Bounded Newton steps from `warm_start` (clipped into the box) or, when
-    None, from `Support.model_start`: the minimizer of the quadratic model
-    at eta2 = eta1, the Fisher-scoring start, which for a Gaussian pair is
-    the exact minimizer and is returned after one evaluation. A warm start
-    whose model is not finite restarts once from the model start. The
-    result is a pure function of the inputs.
+    A Gaussian pair's solution is `Support.model_start`, the minimizer of
+    the quadratic model at eta2 = eta1, which is its objective: the exact
+    bounded least-squares fit, returned after one evaluation with or
+    without `warm_start`. A logistic pair takes bounded Newton steps from
+    `warm_start` (clipped into the box) or, when None, from the model start,
+    the Fisher-scoring start; a warm start whose model is not finite
+    restarts once from the model start. The result is a pure function of
+    the inputs.
     `support` is `prepare_support(pair, design.points)`, built here when
     None; a support on other points raises `ValueError`.
     `singular_flag` is set exactly when the rival matrix X on the
@@ -235,12 +235,13 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
     elif not np.array_equal(support.points, design.points):
         raise ValueError("the support was prepared on other points than the design's")
     box, weights = pair.theta2, design.weights
+    gaussian = isinstance(pair, GaussianRegressionPair)
     solved = None
-    if warm_start is not None:
+    if warm_start is not None and not gaussian:
         solved = _newton(pair, support, weights, box.clip(warm_start), config)
-    if solved is None:  # a cold solve, or the warm start's model is not finite
+    if solved is None:  # Gaussian, cold, or the warm start's model is not finite
         start = support.model_start(weights, box)
-        if not isinstance(pair, GaussianRegressionPair):
+        if not gaussian:
             solved = _newton(pair, support, weights, start, config)
         if solved is None:  # the exact minimizer, or no finite model to descend on
             solved = start, float(weights @ support.pointwise(start))

@@ -115,11 +115,13 @@ class PolynomialPair:
     predictor eta1 (intercept included); the rival predictor is
     eta2 = sum_j beta2[j] * x^rival_exponents[j], one distinct nonnegative
     integer exponent per dimension of `theta2`. A family supplies
-    `kernel(eta1)`, the map eta2 -> I, `kernel_derivatives(eta1)`, the map
-    eta2 -> (dI/deta2, d2I/deta2^2), and `kernel_rounding(eta1)`, the map
+    `kernel(eta1)`, the map eta2 -> I, and `kernel_derivatives(eta1)`, the
+    map eta2 -> (dI/deta2, d2I/deta2^2). A family whose inner solve takes
+    Newton steps (the logistic one; a Gaussian solve is one exact
+    least-squares fit) also supplies `kernel_rounding(eta1)`, the map
     eta2 -> the sum of the magnitudes the kernel's float operations round,
     so that machine epsilon times it bounds the rounding of I to a few
-    units; all three are closures over fixed eta1.
+    units. All are closures over fixed eta1.
     `frame`, set by `reparametrize_under_affine`, maps x, the coordinate of
     `beta1` and the monomials, to the points' z = offset + scale * x
     (None: z = x).
@@ -187,11 +189,6 @@ class GaussianRegressionPair(PolynomialPair):
     def kernel_derivatives(self, eta1):
         inv_var = 1.0 / self.sigma2
         return lambda eta2: ((eta2 - eta1) * inv_var, np.full(eta2.shape, inv_var))
-
-    def kernel_rounding(self, eta1):
-        # the residual rounds at |eta1| + |eta2|; the square scales that by |r| / sigma2
-        inv_var = 1.0 / self.sigma2
-        return lambda eta2: np.abs(eta1 - eta2) * (np.abs(eta1) + np.abs(eta2)) * inv_var
 
     def residual_critical_points(self, beta2, lower: float, upper: float) -> np.ndarray:
         """Real parts of the roots of r' in (lower, upper), r = m1 - m2(., beta2), as

@@ -469,17 +469,11 @@ class TestRestrictedDual:
                                    [1 / 6, 1 / 3, 1 / 3, 1 / 6], atol=1e-12)
         assert value == pytest.approx(1 / 16, abs=1e-12)
 
-    def test_logistic_value_is_the_criterion_of_its_design(self):
-        # nothing in the dual is Gaussian: a regular logistic pair on a grid
+    def test_logistic_pair_is_refused(self):
+        # a logistic pair steps by the line search; its dual has no solver
         pair = LogisticGlmPair([1.0, -2.0, 1.5], [0, 1], ParamBox([-10.0] * 2, [10.0] * 2))
-        space = DesignSpace([0.0], [1.0])
-        points = space.grid(41)
-        multipliers, beta, value = restricted_dual(pair, points)
-        keep = multipliers > 0.0
-        design = Design(space, points[keep], multipliers[keep] / multipliers[keep].sum())
-        sol = minimize_beta2(pair, design, TIGHT, warm_start=beta)
-        assert sol.value == pytest.approx(value, abs=1e-10)
-        assert np.max(pair.divergence(points, beta)) == pytest.approx(value, abs=1e-10)
+        with pytest.raises(UnsupportedModelError):
+            restricted_dual(pair, DesignSpace([0.0], [1.0]).grid(41))
 
     def test_regularized_value_is_the_criterion_of_its_design(self):
         # the multipliers sum to 1 - gamma, and the design they weight,

@@ -174,6 +174,14 @@ class TestRun:
         expected = tmp_path.resolve() / "configs" / "from-config"
         assert load_run_config(cfg).output_dir == expected
 
+    @pytest.mark.parametrize("value", ["5", "[out]", "null"])
+    def test_output_dir_that_is_not_a_path_exits_1(self, tmp_path, capsys, value):
+        cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN +
+                    f"output_dir: {value}\n")
+        rc = cli.main(["run", cfg, "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: output_dir: ")
+
     @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_parses(self, path):
         setup = load_run_config(path)

@@ -8,7 +8,7 @@ import scipy.stats
 from scipy.optimize import linprog
 
 from kldesign.designs import (AffineMap, Design, DesignSpace, blend_designs,
-                              mixture_segment, transform_design, validate_design,
+                              transform_design, validate_design,
                               wasserstein_distance, wasserstein_distance_lp)
 from kldesign.errors import DomainError, SingularMapError
 
@@ -121,28 +121,6 @@ class TestMixDesign:
             mixed = mix(d, x, a)
             assert validate_design(mixed).ok
             assert wasserstein_distance(mixed, d) <= a * 2.0 + 1e-12
-
-
-class TestMixtureSegment:
-    @pytest.mark.parametrize("where", ["new", "support", "near support"])
-    def test_is_the_blend_with_a_point_mass_float_for_float(self, where):
-        rng = np.random.default_rng(5)
-        space = DesignSpace([-1.0], [1.0])
-        for _ in range(20):
-            d = random_design(rng, space)
-            x = {"new": rng.uniform(-1.0, 1.0, size=1),
-                 "support": d.points[int(rng.integers(d.size))],
-                 "near support": d.points[0] + 5e-13}[where]
-            points, w0, w1 = mixture_segment(d, x)
-            assert points.shape[0] == d.size + (where == "new")
-            for a in rng.uniform(0.0, 1.0, size=5):
-                blend = blend_designs(d, Design(space, x, [1.0]), a)
-                np.testing.assert_array_equal(points, blend.points)
-                np.testing.assert_array_equal((1.0 - a) * w0 + a * w1, blend.weights)
-
-    def test_point_outside_space_raises(self):
-        with pytest.raises(DomainError):
-            mixture_segment(chebyshev_design(), [2.0])
 
 
 class TestWasserstein:

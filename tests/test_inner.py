@@ -299,8 +299,9 @@ class TestBoundedStep:
 
 class TestPreparedSupport:
     def test_gaussian_solve_stops_after_its_exact_step(self, monkeypatch):
-        # the quadratic model is the Gaussian objective: a cold solve is one
-        # bounded least-squares fit and one evaluation of the objective
+        # the quadratic model is the Gaussian objective: a solve, cold or
+        # warm, is one bounded least-squares fit and one evaluation of the
+        # objective, and a warm start does not move it
         evaluations = []
         kernel = GaussianRegressionPair.kernel
 
@@ -318,6 +319,12 @@ class TestPreparedSupport:
         sol = minimize_beta2(cubic_pair(), chebyshev_design(), TIGHT)
         assert (len(calls), len(evaluations)) == (1, 1)
         np.testing.assert_allclose(sol.beta2_hat, [0.0, 0.75, 0.0], atol=1e-12)
+        calls.clear()
+        evaluations.clear()
+        warm = minimize_beta2(cubic_pair(), chebyshev_design(), TIGHT, [1.0, -2.0, 0.5])
+        assert (len(calls), len(evaluations)) == (1, 1)
+        np.testing.assert_array_equal(warm.beta2_hat, sol.beta2_hat)
+        assert warm.value == sol.value
         calls.clear()
         minimize_beta2(fixture_logistic_pair((-10, -10), (10, 10)),
                        Design(DesignSpace([0.0], [1.0]), [[0.2], [0.6], [0.9]],

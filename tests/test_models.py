@@ -120,20 +120,17 @@ class TestPolynomialPair:
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="the reference values need extended precision")
-    @pytest.mark.parametrize("pair", [cubic_pair(sigma2=0.7), logistic_pair()],
-                             ids=["gaussian", "logistic"])
+    @pytest.mark.parametrize("pair", [logistic_pair()], ids=["logistic"])
     def test_rounding_bounds_the_kernel_error(self, pair):
         # eps times kernel_rounding bounds the kernel's float64 error to a few
-        # units, with predictors from 1e-3 to 1e2 apart by 1e-12 to 10
+        # units, with predictors from 1e-3 to 1e2 apart by 1e-12 to 10; only
+        # the logistic family, whose solve takes Newton steps, states it
         rng = np.random.default_rng(43)
         eta1 = rng.normal(0.0, 1.0, 2000) * 10.0 ** rng.uniform(-3, 2, 2000)
         eta2 = eta1 + rng.normal(0.0, 1.0, 2000) * 10.0 ** rng.uniform(-12, 1, 2000)
         one, two = eta1.astype(np.longdouble), eta2.astype(np.longdouble)
-        if isinstance(pair, GaussianRegressionPair):
-            exact = (one - two) ** 2 / (2 * np.longdouble(pair.sigma2))
-        else:
-            exact = ((one - two) * expit(one) + np.logaddexp(np.longdouble(0), two)
-                     - np.logaddexp(np.longdouble(0), one))
+        exact = ((one - two) * expit(one) + np.logaddexp(np.longdouble(0), two)
+                 - np.logaddexp(np.longdouble(0), one))
         error = np.abs(pair.kernel(eta1)(eta2) - exact)
         assert np.all(error <= 4 * np.finfo(float).eps * pair.kernel_rounding(eta1)(eta2))
 
