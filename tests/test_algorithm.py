@@ -250,6 +250,52 @@ class TestLineSearch:
         if alpha == 0.0:
             assert step.value == pytest.approx(sol.value, abs=1e-10)
 
+    @pytest.mark.parametrize("where", ["new", "support", "near_support"])
+    def test_trials_are_blends_with_the_point_mass(self, where):
+        # each mixture the search solves, and the one it returns, is the
+        # blend of the design with the point mass; an x_new within rounding
+        # of a support point merges into it, and every a in (0, 1) weights
+        # the same points, which the shared prepared support relies on
+        rng = np.random.default_rng(5)
+        pair, space = cubic_quadratic_pair(), cubic_quadratic_space()
+        interior_trials = 0
+        for _ in range(10):
+            m = int(rng.integers(4, 7))
+            d = Design(space, rng.uniform(-1.0, 1.0, (m, 1)), rng.dirichlet(np.ones(m)))
+            sol = minimize_beta2(pair, d, TIGHT)
+            top = d.points[int(np.argmax(pair.divergence(d.points, sol.beta2_hat)))]
+            x = {"new": lambda: best_support_candidate(pair, d, sol.beta2_hat, space)[0],
+                 "support": lambda: top, "near_support": lambda: top + 5e-13}[where]()
+            trials, steps = [], []
+
+            def spy(pair, design, *args, **kwargs):
+                trials.append(design)
+                return minimize_beta2(pair, design, *args, **kwargs)
+
+            def root(f, *args, **kwargs):
+                def recorded(a):
+                    if 0.0 < a < 1.0 and a not in steps:
+                        steps.append(a)
+                    return f(a)
+                return brentq(recorded, *args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(algorithm, "minimize_beta2", spy)
+                patch.setattr(algorithm, "brentq", root)
+                alpha, mixed, _ = line_search_alpha(pair, d, x, sol, TIGHT)
+            assert alpha > 0.0
+            point_mass, *interior = trials
+            assert len(interior) == len(steps)
+            for a, trial in [(1.0, point_mass), (alpha, mixed), *zip(steps, interior)]:
+                expected = mixture(d, x, a)
+                np.testing.assert_array_equal(trial.points, expected.points)
+                np.testing.assert_array_equal(trial.weights, expected.weights)
+            for trial in interior:
+                assert trial.size == m + (where == "new")
+                np.testing.assert_array_equal(trial.points, interior[0].points)
+            interior_trials += len(interior)
+        assert interior_trials > 0
+
     def test_point_outside_space_raises(self):
         pair, start = cubic_quadratic_pair(), cubic_quadratic_start()
         with pytest.raises(DomainError):
