@@ -52,7 +52,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._lapack import svd
 from .designs import DUPLICATE_TOL, Design, DesignSpace, blend_designs, validate_design
@@ -273,20 +272,22 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
     is never solved. Every other a is solved once, warm-started from the
     previous solve's minimizer. Every a in (0, 1) weights the same points
     (the support and x_new, merged where they coincide, and the reference's
-    when regularizing), so those solves share one prepared `Support`; a = 1
-    is the point mass. Each mixture is `blend_designs` of the design and the
-    point mass; an x_new outside the design space raises `DomainError`.
+    when regularizing), so those solves share one prepared `Support`: the
+    slope's own (the support, then x_new) when they weight those points, as
+    they do for a new x_new and no reference. a = 1 is the point mass. Each
+    mixture is `blend_designs` of the design and the point mass; an x_new
+    outside the design space raises `DomainError`.
     Returns (alpha, the mixture at alpha, the inner solution there);
     (0.0, design, start) signals that no ascent step exists.
     """
     mass = Design(design.space, x_new, [1.0])
     if not design.space.contains(mass.points)[0]:
         raise DomainError(f"point {mass.points[0].tolist()} outside the design space")
-    divergence = prepare_support(pair, np.append(design.points[:, 0], x_new)).pointwise
+    slope_support = prepare_support(pair, np.vstack([design.points, mass.points]))
     scale = 1.0 - (reg.gamma if reg is not None else 0.0)
 
     def slope(sol: InnerSolution) -> float:
-        row = divergence(sol.beta2_hat)  # the support, then x_new
+        row = slope_support.pointwise(sol.beta2_hat)  # the support, then x_new
         return scale * (row[-1] - design.weights @ row[:-1])
 
     interior = None  # the Support of every a in (0, 1), prepared at the first
@@ -302,7 +303,9 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
             target = mixed if reg is None else blend_designs(mixed, reg.xi_tilde,
                                                              reg.gamma)
             if not point_mass and interior is None:
-                interior = prepare_support(pair, target.points)
+                interior = (slope_support if np.array_equal(slope_support.points,
+                                                            target.points)
+                            else prepare_support(pair, target.points))
             sol = minimize_beta2(pair, target, inner_config, warm_start=warm,
                                  support=None if point_mass else interior)
             solved[a] = (mixed, sol, slope(sol))
@@ -314,6 +317,8 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
     if solve(1.0)[2] >= 0.0:
         alpha = 1.0
     else:
+        # imported here: a Gaussian run finds no root, so it never loads scipy.optimize
+        from scipy.optimize import brentq
         alpha = brentq(lambda a: solve(a)[2], 0.0, 1.0, xtol=_STEP_XTOL)
     mixed, sol, _ = solve(alpha)
     if not _improves(sol, start):

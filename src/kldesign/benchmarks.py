@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import expit
 
 from .algorithm import (EFFICIENCY_REACHED, STALLED_REGULARIZED, AlgoConfig,
@@ -334,6 +333,8 @@ class SyntheticFamily:
 def check_discontinuity_gap(ctx: BenchmarkContext) -> CheckResult:
     """Closed-form averages of the synthetic family match quadrature, and the
     truncated-uniform criterion stays far below the uniform-limit value."""
+    # imported here: no other check integrates, and scipy.integrate loads scipy.optimize
+    from scipy.integrate import quad
     t0 = time.perf_counter()
     fam = SyntheticFamily()
     quad_err = 0.0

@@ -194,6 +194,9 @@ def main(argv=None) -> int:
     except KLDesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:  # a given path cannot be read, made or written
+        print(f"config error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import yaml
-
 from .algorithm import AlgoConfig, RegularizationConfig
 from .designs import Design, DesignSpace, validate_design
 from .errors import ConfigError
@@ -218,6 +216,8 @@ def parse_run_config(data: dict, base_dir: Path, *, output_dir_override=None) ->
 
 
 def load_run_config(path, *, output_dir_override=None) -> RunSetup:
+    # imported here: `parse_run_config` on a dict needs no YAML parser
+    import yaml
     cfg_path = Path(path)
     if not cfg_path.exists():
         raise ConfigError(f"config file does not exist: {cfg_path}")

@@ -11,7 +11,6 @@ Designs are immutable values and every operation here is a pure function.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DomainError, SingularMapError
 
@@ -189,6 +188,8 @@ def wasserstein_distance_lp(d1: Design, d2: Design) -> float:
     against; supports stay small, so the (n1*n2)-variable LP is solved
     exactly, with no entropic approximation.
     """
+    # imported here: no other design operation needs scipy.optimize
+    from scipy.optimize import linprog
     n1, n2 = d1.size, d2.size
     cost = np.abs(d1.points - d2.points.T)
     a_eq = np.zeros((n1 + n2, n1 * n2))

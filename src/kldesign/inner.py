@@ -7,15 +7,15 @@ give weighted least squares, logistic pairs the convex KL divergence of two
 Bernoulli laws. The solve is therefore bounded Newton: each step minimizes
 the box-constrained quadratic model, a bounded weighted least-squares
 problem, by LAPACK's dgelsd (`numpy.linalg.lstsq`'s floats at less call
-overhead), with `scipy.optimize.lsq_linear(method="bvls")` only where the
-box binds, and a backtracking step follows it. A cold solve (no warm start)
-starts from the minimizer of the model taken at eta2 = eta1, where the
-gradient is 0 and the curvature is the Fisher weight: the Fisher-scoring
-(IRLS) start, which does not depend on the box unless the box binds. A
-Gaussian pair's curvature is constant, so its quadratic model is the
-objective: that start is the exact minimizer, and a Gaussian solve, warm or
-cold, is that one least-squares fit and one evaluation. Only logistic solves
-take Newton steps. Where the model at a warm start is not finite (the
+overhead), and a backtracking step follows; only where the box binds is
+`scipy.optimize.lsq_linear(method="bvls")` imported and called. A cold solve
+(no warm start) starts from the minimizer of the model taken at eta2 = eta1,
+where the gradient is 0 and the curvature is the Fisher weight: the
+Fisher-scoring (IRLS) start, which does not depend on the box unless the box
+binds. A Gaussian pair's curvature is constant, so its quadratic model is
+the objective: that start is the exact minimizer, and a Gaussian solve, warm
+or cold, is that one least-squares fit and one evaluation. Only logistic
+solves take Newton steps. Where the model at a warm start is not finite (the
 logistic curvature underflows to 0 far from eta1), the solve restarts once
 from the model start. A convex pair's minimizer is unique if and only if X
 has full column rank on the support, so the singularity flag is that rank
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from ._lapack import lstsq
 from .designs import Design
@@ -143,6 +142,8 @@ def _bounded_lstsq(a: np.ndarray, rhs: np.ndarray, box: ParamBox) -> np.ndarray:
     x = lstsq(a, rhs)
     if ((x >= box.lower) & (x <= box.upper)).all():
         return x
+    # imported here: only a box that binds needs scipy.optimize
+    from scipy.optimize import lsq_linear
     return lsq_linear(a, rhs, bounds=(box.lower, box.upper), method="bvls").x
 
 

@@ -281,7 +281,7 @@ class TestLineSearch:
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(algorithm, "minimize_beta2", spy)
-                patch.setattr(algorithm, "brentq", root)
+                patch.setattr("scipy.optimize.brentq", root)
                 alpha, mixed, _ = line_search_alpha(pair, d, x, sol, TIGHT)
             assert alpha > 0.0
             point_mass, *interior = trials
@@ -367,7 +367,7 @@ class TestLineSearchSupport:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(algorithm, "minimize_beta2", spy)
-            patch.setattr(algorithm, "brentq", root)
+            patch.setattr("scipy.optimize.brentq", root)
             line_search_alpha(pair, design, x_new, minimize_beta2(pair, start, TIGHT),
                               TIGHT, reg=reg)
         point_mass, *interior = trials
@@ -386,6 +386,35 @@ class TestLineSearchSupport:
             np.testing.assert_array_equal(sol.beta2_hat, fresh.beta2_hat)
             assert (sol.value, sol.singular_flag, sol.at_boundary) == (
                 fresh.value, fresh.singular_flag, fresh.at_boundary)
+
+
+    @pytest.mark.parametrize("regularized,where", [(False, "new"), (False, "support"),
+                                                   (True, "new"), (True, "reference")])
+    @pytest.mark.parametrize("family", ["gaussian", "logistic"])
+    def test_each_point_set_is_prepared_once(self, family, regularized, where):
+        # the slope's rows (the support, then x_new) are the interior trials'
+        # points when x_new is new and no reference is blended in
+        pair, design, x_new, reg = segment_case(family, regularized, where)
+        start = design if reg is None else blend_designs(design, reg.xi_tilde, reg.gamma)
+        prepared, supports = [], []
+
+        def counted(pair, points):
+            prepared.append(np.ravel(points))
+            return prepare_support(pair, points)
+
+        def spy(*args, support=None, **kwargs):
+            supports.append(support)
+            return minimize_beta2(*args, support=support, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algorithm, "prepare_support", counted)
+            patch.setattr(algorithm, "minimize_beta2", spy)
+            line_search_alpha(pair, design, x_new, minimize_beta2(pair, start, TIGHT),
+                              TIGHT, reg=reg)
+        assert supports[1:] and all(s is supports[1] for s in supports[1:])
+        assert len(prepared) == (1 if where == "new" and not regularized else 2)
+        if len(prepared) == 2:
+            assert not np.array_equal(*prepared)
 
 
 SEGMENT_REFERENCE = Design(DesignSpace([-1.0], [1.0]), np.linspace(0.2, 1.0, 6)[:, None],
@@ -440,7 +469,7 @@ def assert_step_is_the_maximum_and_the_slope_is_the_derivative(pair, design, reg
         return brentq(f, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(algorithm, "brentq", spy)
+        patch.setattr("scipy.optimize.brentq", spy)
         alpha, _, step = line_search_alpha(pair, design, x_new, solve(0.0), TIGHT,
                                            reg=reg)
     value = step.value

@@ -182,6 +182,14 @@ class TestRun:
         assert rc == 1
         assert capsys.readouterr().err.startswith("config error: output_dir: ")
 
+    def test_output_dir_under_a_file_exits_1(self, tmp_path, capsys):
+        (tmp_path / "some_file").write_text("")
+        out = tmp_path / "some_file" / "sub"
+        cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN)
+        rc = cli.main(["run", cfg, "--output-dir", str(out), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"config error: {out}: ")
+
     @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_parses(self, path):
         setup = load_run_config(path)
@@ -345,6 +353,15 @@ class TestVerify:
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_output_dir_under_a_file_exits_1(self, tmp_path, capsys):
+        (tmp_path / "some_file").write_text("")
+        out = tmp_path / "some_file" / "sub"
+        cfg = write(tmp_path / "cfg.yaml", BASE_MODEL)
+        dpath = design_file(tmp_path, cubic_quadratic_optimum())
+        rc = cli.main(["verify", cfg, dpath, "--output-dir", str(out), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"config error: {out}: ")
+
     def test_singular_design_without_gamma_exits_5(self, tmp_path):
         cfg = write(tmp_path / "cfg.yaml", LOGISTIC_MODEL)
         d0 = Design(logistic_space(), [[0.0]], [1.0])
@@ -422,6 +439,15 @@ class TestTransform:
         assert rc == 0
         assert json.loads(target.read_text())["space"]["lower"] == [-2.0]
 
+    def test_output_file_in_a_missing_directory_exits_1(self, tmp_path, capsys):
+        dpath = design_file(tmp_path, cubic_quadratic_optimum())
+        target = tmp_path / "missing" / "x.json"
+        rc = cli.main(["transform", dpath, "--offset", "2", "--matrix", "4",
+                       "--output", str(target)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"config error: {target}: ")
+        assert not (tmp_path / "missing").exists()
+
 
 class TestDesignFiles:
     @pytest.mark.parametrize("kind", NOT_DESIGNS)
@@ -489,6 +515,13 @@ class TestBenchmarkCommand:
     def test_cheap_fixture_passes(self):
         rc = cli.main(["benchmark", "--only", "discontinuity-gap", "--quiet"])
         assert rc == 0
+
+    def test_output_dir_under_a_file_exits_1(self, tmp_path, capsys):
+        (tmp_path / "some_file").write_text("")
+        out = tmp_path / "some_file" / "sub"
+        rc = cli.main(["benchmark", "--only", "singular-logistic", "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"config error: {out}: ")
 
     def test_unknown_fixture_rejected(self, capsys):
         rc = cli.main(["benchmark", "--only", "nope"])
