@@ -37,9 +37,9 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     return values
 
 
-def lstsq(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """`numpy.linalg.lstsq(a, rhs, rcond=-1)[0]` for a vector `rhs`, by
-    dgelsd with the workspace its query asks for, as numpy sizes it."""
+def lstsq(a: np.ndarray, rhs: np.ndarray, rcond: float = -1.0) -> np.ndarray:
+    """`numpy.linalg.lstsq(a, rhs, rcond)[0]` for a vector `rhs`, by dgelsd
+    with the workspace its query asks for, as numpy sizes it."""
     m, n = a.shape
     if not a.size:
         return np.zeros(n)
@@ -47,7 +47,7 @@ def lstsq(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     b[:m, 0] = rhs
     work, iwork, info = lapack.dgelsd_lwork(m, n, 1, -1.0)
     _check(info, "dgelsd")
-    x, _, _, info = lapack.dgelsd(a, b, int(work), iwork, -1.0)
+    x, _, _, info = lapack.dgelsd(a, b, int(work), iwork, rcond)
     _check(info, "dgelsd")
     return x[:n, 0]
 

@@ -28,7 +28,8 @@ One iteration, given the current design xi_n:
      this search, so `restricted_dual` is Gaussian only. The criterion
      is concave along the segment, and each inner solve's minimizer gives
      its supergradient in a (Danskin), so the step is the root of that
-     slope, bracketed by its signs at 0 and 1. The search starts from step
+     slope, bracketed by its signs at 0 and 1 and found by Brent's method,
+     a port of `scipy.optimize.brentq`. The search starts from step
      1's solution, so a = 0 is not solved again, and it returns the mixture
      it steps to with its solution. Every trial a in (0, 1) weights the same
      points, so their rival matrix, divergence closures and rank test are
@@ -54,9 +55,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._lapack import svd
-from .designs import DUPLICATE_TOL, Design, DesignSpace, blend_designs, validate_design
+from .designs import Design, DesignSpace, blend_designs, validate_design
 from .errors import DomainError, UndefinedEfficiencyError, UnsupportedModelError
-from .inner import InnerConfig, InnerSolution, minimize_beta2, prepare_support
+from .inner import InnerConfig, InnerSolution, Support, minimize_beta2, prepare_support
 from .models import GaussianRegressionPair, ModelPair, PolynomialPair, glm_is_regular
 
 EFFICIENCY_REACHED = "efficiency-reached"
@@ -77,8 +78,16 @@ _IMPROVEMENT_TOL = 1e-13
 # The rival attains the true model when no divergence on the domain exceeds this
 # share of the all-zero rival's (rounding leaves 1e-31 Gaussian, 1e-15 logistic).
 _ATTAIN_TOL = 1e-12
-# Bracket width at which the root find of the line-search slope stops.
+# Bracket width at which the root find of the line-search slope stops; its
+# relative share and step budget are brentq's.
 _STEP_XTOL = 1e-6
+_ROOT_RTOL = 4 * np.finfo(float).eps
+_ROOT_MAX_STEPS = 100
+# A corrective-step candidate within this share of the domain width of a
+# point already taken is that point: a root of r' that converges to a support
+# point lands within about 1e-11 of it, and a second row there only makes the
+# restricted dual near singular.
+_MERGE_TOL = 1e-9
 # The active-set solve treats a multiplier, a step, or a step's approach to a
 # row below this share of the largest of its kind as rounding; its step budget
 # is a safety cap far above the few steps a dual takes.
@@ -212,41 +221,42 @@ def efficiency_bound(value: float, psi_max: float) -> float:
 
 
 def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
-             grid_size: int = PSI_GRID_SIZE, grid_divergence=None):
+             grid_size: int = PSI_GRID_SIZE, grid_support: Support | None = None):
     """psi(x) at the candidate maximizers: the grid, the support points and,
     for a Gaussian pair, the roots of r' inside the domain, where r^2 peaks.
 
     The Gaussian maximum is thus exact; for other pairs it falls short by at
     most h^2/8 * max|psi''|, h the grid spacing. A caller that scans the
-    same grid again and again passes `grid_divergence`, the `pointwise` of
-    the grid's `inner.Support`; the values are the same floats either way.
-    Returns (points, psi); the support rows start at grid_size.
+    same grid again and again passes `grid_support`, the grid's
+    `inner.Support`, whose nodes and divergence replace `space.grid(grid_size)`;
+    the values are the same floats either way.
+    Returns (points, psi); the support rows follow the grid's.
     """
-    grid = space.grid(grid_size)
+    grid = space.grid(grid_size) if grid_support is None else grid_support.points
     parts = [design.points]
     if isinstance(pair, GaussianRegressionPair):
         parts.append(pair.residual_critical_points(beta2_hat, space.lower[0], space.upper[0]))
-    if grid_divergence is None:
+    if grid_support is None:
         points = np.vstack([grid, *parts])
         values = pair.divergence(points, beta2_hat)
     else:
         candidates = np.vstack(parts)
         points = np.vstack([grid, candidates])
-        values = np.concatenate([grid_divergence(np.asarray(beta2_hat, dtype=float)),
+        values = np.concatenate([grid_support.pointwise(np.asarray(beta2_hat, dtype=float)),
                                  pair.divergence(candidates, beta2_hat)])
-    average = design.weights @ values[grid_size:grid_size + design.size]
+    average = design.weights @ values[len(grid):len(grid) + design.size]
     return points, values - average
 
 
 def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
-                           space: DesignSpace, grid_divergence=None):
-    """(x, psi, candidates) at the top of `psi_scan`; x is copied so records
+                           space: DesignSpace, grid_support: Support | None = None):
+    """(x, psi, candidates) at the top of `psi_scan` (with the loop's
+    `grid_support` of `PSI_GRID_SIZE` nodes when given); x is copied so records
     keep no scan. `candidates` is (points, psi) of the scan's rows other than
     the inner grid nodes: the ends of the domain, the support and, for a
     Gaussian pair, the roots of r', the rows `psi_scan(..., grid_size=2)`
     gives, with the same floats. `corrective_step` adds points from them."""
-    points, psi = psi_scan(pair, design, beta2_hat, space,
-                           grid_divergence=grid_divergence)
+    points, psi = psi_scan(pair, design, beta2_hat, space, grid_support=grid_support)
     i = int(np.argmax(psi))
     rows = np.arange(PSI_GRID_SIZE - 2, psi.size)
     rows[0] = 0  # the lower end, then the upper end and what follows the grid
@@ -265,7 +275,7 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
     wherever b_a is unique. For a concave g the sign of any supergradient
     tells on which side of a the maximum lies: slope(0) <= 0 means no ascent
     step, slope(1) >= 0 means the full step, and otherwise the step is the
-    sign change of slope on (0, 1), found with `brentq`.
+    sign change of slope on (0, 1), found by Brent's method (`_brent_root`).
 
     `start` is the inner solution on the design itself (blended with the
     reference when regularizing), so g(0) and b_0 are read off it and a = 0
@@ -317,13 +327,66 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
     if solve(1.0)[2] >= 0.0:
         alpha = 1.0
     else:
-        # imported here: a Gaussian run finds no root, so it never loads scipy.optimize
-        from scipy.optimize import brentq
-        alpha = brentq(lambda a: solve(a)[2], 0.0, 1.0, xtol=_STEP_XTOL)
+        alpha = _brent_root(lambda a: solve(a)[2], 0.0, 1.0, _STEP_XTOL)
     mixed, sol, _ = solve(alpha)
     if not _improves(sol, start):
         return 0.0, design, start
     return alpha, mixed, sol
+
+
+def _brent_root(f, xpre: float, xcur: float, xtol: float) -> float:
+    """A root of f between xpre and xcur, where f changes sign, by Brent's
+    method (Brent 1973, ch. 4) step for step as `scipy.optimize.brentq`'s C
+    routine takes it, so at the same points: xblk holds the other end of the
+    bracket, and each step is the inverse linear interpolation (from two
+    points) or quadratic extrapolation (from three) when that is shorter
+    than half the previous step and stays inside the bracket, else a
+    bisection, and never shorter than delta = (xtol + rtol |x|) / 2. It
+    returns x once f(x) is 0 or the bracket is narrower than 2 delta, with
+    rtol 4 eps, and raises `RuntimeError` after 100 steps; `ValueError`
+    where f is NaN or has the same sign at both ends."""
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function is NaN at {x}; the root find cannot continue")
+        return fx
+
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("the function has the same sign at both ends")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAX_STEPS):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"the root find did not converge in {_ROOT_MAX_STEPS} steps")
 
 
 def _improves(sol: InnerSolution, start: InnerSolution) -> bool:
@@ -512,21 +575,23 @@ def corrective_step(pair: ModelPair, design: Design, x_new, start: InnerSolution
     The points are the support, x_new, and every root of r' and end of the
     domain where psi > 0 at the start's minimizer: `candidates` is (points,
     psi) of those rows of the iteration's scan, as `best_support_candidate`
-    returns them, and they hold the maximum of psi. `restricted_dual` gives
-    their weights, and a point of zero weight leaves. The segment a line search
-    explores lies among these designs, so the step is at least as good as
-    the exact line search's. The new design is solved once, by the exact
-    least-squares fit of a Gaussian inner solve, so U and the singular flag
-    are read off the inner solve as at every iterate. Returns (the new
-    weight at x_new, the new design, its inner solution); (0.0, design,
-    start) signals that no ascent step exists: the multipliers have no
-    positive sum, or the value does not rise. Any other pair raises
-    `UnsupportedModelError` (`restricted_dual`).
+    returns them, and they hold the maximum of psi. A candidate within
+    `_MERGE_TOL` of the domain width of a point already taken is that point.
+    `restricted_dual` gives their weights, and a point of zero weight
+    leaves. The segment a line search explores lies among these designs, so
+    the step is at least as good as the exact line search's. The new design
+    is solved once, by the exact least-squares fit of a Gaussian inner solve,
+    so U and the singular flag are read off the inner solve as at every
+    iterate. Returns (the new weight at x_new, read by the same rule, the new
+    design, its inner solution); (0.0, design, start) signals that no ascent
+    step exists: the multipliers have no positive sum, or the value does not
+    rise. Any other pair raises `UnsupportedModelError` (`restricted_dual`).
     """
     scanned, psi = candidates
-    points = design.points
-    for x in [np.asarray(x_new, dtype=float), *scanned[psi > 0.0]]:
-        if np.min(np.abs(points[:, 0] - x[0])) > DUPLICATE_TOL:
+    points, x_new = design.points, np.asarray(x_new, dtype=float)
+    merge = _MERGE_TOL * float(design.space.upper[0] - design.space.lower[0])
+    for x in [x_new, *scanned[psi > 0.0]]:
+        if np.min(np.abs(points[:, 0] - x[0])) > merge:
             points = np.vstack([points, x])
     multipliers, _, _ = restricted_dual(pair, points, start.beta2_hat, reg=reg)
     keep = multipliers > 0.0
@@ -538,7 +603,8 @@ def corrective_step(pair: ModelPair, design: Design, x_new, start: InnerSolution
     sol = minimize_beta2(pair, target, inner_config)
     if not _improves(sol, start):
         return 0.0, design, start
-    return new.weight_at(x_new), new, sol
+    alpha = float(new.weights[np.abs(new.points[:, 0] - x_new[0]) <= merge].sum())
+    return alpha, new, sol
 
 
 def default_reference_design(pair: ModelPair, space: DesignSpace) -> Design:
@@ -581,8 +647,8 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
     else:
         gamma = 0.0
         inner = minimize_beta2(pair, design, inner_cfg)
-    grid_divergence = prepare_support(pair, space.grid(PSI_GRID_SIZE)).pointwise
-    null_scale = float(np.max(grid_divergence(np.zeros(pair.dimension))))
+    grid = prepare_support(pair, space.grid(PSI_GRID_SIZE))
+    null_scale = float(np.max(grid.pointwise(np.zeros(pair.dimension))))
     if not regularizing and inner.singular_flag:
         warnings.warn("initial design matrix is rank deficient; the plain loop "
                       "will hand off to the regularized criterion", stacklevel=2)
@@ -599,7 +665,7 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
             boundary_warned = True
 
         x_n, psi_raw, candidates = best_support_candidate(
-            pair, design, inner.beta2_hat, space, grid_divergence)
+            pair, design, inner.beta2_hat, space, grid)
         psi_max = (1.0 - gamma) * psi_raw
         # value + psi_max is the largest divergence over the domain (mixed with
         # the reference's average when regularizing)

@@ -7,8 +7,9 @@ give weighted least squares, logistic pairs the convex KL divergence of two
 Bernoulli laws. The solve is therefore bounded Newton: each step minimizes
 the box-constrained quadratic model, a bounded weighted least-squares
 problem, by LAPACK's dgelsd (`numpy.linalg.lstsq`'s floats at less call
-overhead), and a backtracking step follows; only where the box binds is
-`scipy.optimize.lsq_linear(method="bvls")` imported and called. A cold solve
+overhead), and a backtracking step follows; where the box binds, the model
+step is bounded-variable least squares (`_bvls`, a port of
+`scipy.optimize.lsq_linear(method="bvls")` on the same dgelsd). A cold solve
 (no warm start) starts from the minimizer of the model taken at eta2 = eta1,
 where the gradient is 0 and the curvature is the Fisher weight: the
 Fisher-scoring (IRLS) start, which does not depend on the box unless the box
@@ -49,7 +50,11 @@ _MAX_NEWTON_STEPS = 800
 _INV_MAX = 1.0 / np.finfo(float).max
 # A step whose predicted decrease is below this share of the objective's
 # rounding magnitude (the pair's `kernel_rounding`) cannot be judged by its values.
-_ROUNDING = 16 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+_ROUNDING = 16 * _EPS
+# BVLS stops once no bound's multiplier has the wrong sign beyond this, or an
+# iteration lowers the cost by less than this share (lsq_linear's `tol`).
+_BVLS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -138,13 +143,72 @@ def _bounded_lstsq(a: np.ndarray, rhs: np.ndarray, box: ParamBox) -> np.ndarray:
     """argmin over the box of |a x - rhs|, as `lsq_linear(method="bvls")` finds
     it: its first step is the unconstrained minimum-norm solution of
     `numpy.linalg.lstsq`, here taken by dgelsd directly (`_lapack.lstsq`),
-    kept when it lies in the box, where it is also the constrained minimizer."""
+    kept when it lies in the box, where it is also the constrained minimizer;
+    otherwise BVLS starts from it (`_bvls`)."""
     x = lstsq(a, rhs)
     if ((x >= box.lower) & (x <= box.upper)).all():
         return x
-    # imported here: only a box that binds needs scipy.optimize
-    from scipy.optimize import lsq_linear
-    return lsq_linear(a, rhs, bounds=(box.lower, box.upper), method="bvls").x
+    return _bvls(a, rhs, x, box.lower, box.upper)
+
+
+def _bvls(a: np.ndarray, rhs: np.ndarray, x: np.ndarray, lower: np.ndarray,
+          upper: np.ndarray) -> np.ndarray:
+    """Bounded-variable least squares (Stark and Parker 1995) from the
+    unconstrained solution x, step for step as `scipy.optimize.lsq_linear`
+    runs it (`scipy/optimize/_lsq/bvls.py`), so with the same floats: x is
+    clipped into the box; the initialisation loop binds every free variable
+    whose least-squares value leaves the box until the free solution is
+    feasible; then each iteration (loop A, at most one per variable) frees
+    the bound variable whose multiplier has the wrong sign most, and loop B
+    moves toward the free least-squares solution, binding the first variable
+    it meets at a bound, until that solution is feasible. Each free-set
+    solve is dgelsd at numpy's default rcond, eps max(m, n), as BVLS calls
+    it."""
+    m, n = a.shape
+    on_bound = np.where(x <= lower, -1.0, np.where(x >= upper, 1.0, 0.0))
+    x = np.where(on_bound < 0.0, lower, np.where(on_bound > 0.0, upper, x))
+
+    def free_solve(free: np.ndarray) -> np.ndarray:
+        shifted = rhs - a.dot(x * (on_bound != 0.0))
+        return lstsq(a[:, free], shifted, _EPS * max(m, free.size))
+
+    free = np.flatnonzero(on_bound == 0.0)
+    while free.size:  # the initialisation loop
+        z = free_solve(free)
+        low, high = z < lower[free], z > upper[free]
+        x[free] = np.where(low, lower[free], np.where(high, upper[free], z))
+        on_bound[free[low]], on_bound[free[high]] = -1.0, 1.0
+        if not (low | high).any():
+            break
+        free = free[~(low | high)]
+    r = a.dot(x) - rhs
+    cost, g = 0.5 * np.dot(r, r), a.T.dot(r)
+    for _ in range(n):  # loop A
+        if np.where(on_bound == 0.0, np.abs(g), g * on_bound).max() < _BVLS_TOL:
+            break
+        on_bound[np.argmax(g * on_bound)] = 0.0
+        while True:  # loop B
+            free = np.flatnonzero(on_bound == 0.0)
+            x_free, z = x[free], free_solve(free)
+            lb, ub = lower[free], upper[free]
+            low, high = np.flatnonzero(z < lb), np.flatnonzero(z > ub)
+            v = np.hstack((low, high))
+            if not v.size:
+                x[free] = z
+                break
+            alphas = (np.hstack((lb[low] - x_free[low], ub[high] - x_free[high]))
+                      / (z[v] - x_free[v]))
+            i = np.argmin(alphas)
+            x_free *= 1 - alphas[i]
+            x_free += alphas[i] * z
+            x[free] = x_free
+            on_bound[free[v[i]]] = -1.0 if i < low.size else 1.0
+        r = a.dot(x) - rhs
+        cost_new = 0.5 * np.dot(r, r)
+        if cost - cost_new < _BVLS_TOL * cost:
+            break
+        cost, g = cost_new, a.T.dot(r)
+    return x
 
 
 def _newton(pair: ModelPair, support: Support, weights: np.ndarray,

@@ -1,6 +1,7 @@
 """Outer exchange loop: derivative, best-point search, steps, runs."""
 
 import contextlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.optimize import brentq
 
 from kldesign import algorithm
 from kldesign.algorithm import (EFFICIENCY_REACHED, STALLED_REGULARIZED,
-                                AlgoConfig, RegularizationConfig,
+                                AlgoConfig, RegularizationConfig, _brent_root,
                                 best_support_candidate, corrective_step,
                                 default_reference_design, efficiency_bound,
                                 line_search_alpha, psi_scan, restricted_dual,
@@ -78,8 +79,8 @@ class TestDirectionalDerivative:
             pair, design, space = logistic_pair(), LOGISTIC_SEGMENT_START, logistic_space()
             beta = np.array([1.5, -0.5])
         size = algorithm.PSI_GRID_SIZE
-        grid = prepare_support(pair, space.grid(size)).pointwise
-        points, psi = psi_scan(pair, design, beta, space, grid_divergence=grid)
+        grid = prepare_support(pair, space.grid(size))
+        points, psi = psi_scan(pair, design, beta, space, grid_support=grid)
         # float for float the scan in one divergence call over all candidates
         values = pair.divergence(points, beta)
         average = design.weights @ values[size:size + design.size]
@@ -113,7 +114,7 @@ class TestBestSupportCandidate:
             pair, design, space = logistic_pair(), LOGISTIC_SEGMENT_START, logistic_space()
             beta = np.array([1.5, -0.5])
         two_node = psi_scan(pair, design, beta, space, grid_size=2)
-        grid = prepare_support(pair, space.grid(algorithm.PSI_GRID_SIZE)).pointwise
+        grid = prepare_support(pair, space.grid(algorithm.PSI_GRID_SIZE))
         for held in (None, grid):
             _, _, candidates = best_support_candidate(pair, design, beta, space, held)
             for got, expected in zip(candidates, two_node):
@@ -277,11 +278,11 @@ class TestLineSearch:
                     if 0.0 < a < 1.0 and a not in steps:
                         steps.append(a)
                     return f(a)
-                return brentq(recorded, *args, **kwargs)
+                return _brent_root(recorded, *args, **kwargs)
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(algorithm, "minimize_beta2", spy)
-                patch.setattr("scipy.optimize.brentq", root)
+                patch.setattr(algorithm, "_brent_root", root)
                 alpha, mixed, _ = line_search_alpha(pair, d, x, sol, TIGHT)
             assert alpha > 0.0
             point_mass, *interior = trials
@@ -363,11 +364,11 @@ class TestLineSearchSupport:
                 if 0.0 < a < 1.0 and a not in steps:
                     steps.append(a)
                 return f(a)
-            return brentq(recorded, *args, **kwargs)
+            return _brent_root(recorded, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(algorithm, "minimize_beta2", spy)
-            patch.setattr("scipy.optimize.brentq", root)
+            patch.setattr(algorithm, "_brent_root", root)
             line_search_alpha(pair, design, x_new, minimize_beta2(pair, start, TIGHT),
                               TIGHT, reg=reg)
         point_mass, *interior = trials
@@ -466,10 +467,10 @@ def assert_step_is_the_maximum_and_the_slope_is_the_derivative(pair, design, reg
 
     def spy(f, *args, **kwargs):
         slopes.append(f)
-        return brentq(f, *args, **kwargs)
+        return _brent_root(f, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("scipy.optimize.brentq", spy)
+        patch.setattr(algorithm, "_brent_root", spy)
         alpha, _, step = line_search_alpha(pair, design, x_new, solve(0.0), TIGHT,
                                            reg=reg)
     value = step.value
@@ -508,6 +509,38 @@ class TestLineSearchProperties:
                         [0.369837934883209, 0.1812616680396219, 0.44890039707716917])
         reg = RegularizationConfig(gamma=0.2, xi_tilde=SEGMENT_REFERENCE)
         assert_step_is_the_maximum_and_the_slope_is_the_derivative(pair, design, reg, 0.8)
+
+
+def monotone_function(rng, k: int):
+    """A seeded function decreasing through a root in (0, 1): a cubic with a
+    linear term, a tanh, an exponential or a wavy line, in turn."""
+    r, c = rng.uniform(0.01, 0.99), rng.uniform(0.1, 10.0)
+    s, p = rng.uniform(0.5, 20.0), int(rng.integers(1, 6))
+    return [lambda a: c * (r - a) ** 3 + 1e-3 * (r - a),
+            lambda a: math.tanh(s * (r - a)),
+            lambda a: c * (math.exp(-p * a) - math.exp(-p * r)),
+            lambda a: c * (r - a) * (1.0 + 0.5 * math.sin(7.0 * a))][k % 4]
+
+
+class TestBrentRoot:
+    @pytest.mark.parametrize("xtol", [algorithm._STEP_XTOL, 1e-12])
+    def test_is_brentq_point_for_point(self, xtol):
+        # the same points evaluated, in the same order, and the same root
+        rng = np.random.default_rng(23)
+        for k in range(2000):
+            f = monotone_function(rng, k)
+            for sign in (1.0, -1.0):
+                ours, scipys = [], []
+                root = _brent_root(lambda a: ours.append(a) or sign * f(a), 0.0, 1.0, xtol)
+                expected = brentq(lambda a: scipys.append(a) or sign * f(a), 0.0, 1.0,
+                                  xtol=xtol)
+                assert (root, ours) == (expected, scipys), k
+
+    @pytest.mark.parametrize("f, message", [(lambda a: 1.0 + a, "same sign"),
+                                            (lambda a: math.nan, "NaN")])
+    def test_refuses_an_unbracketed_or_nan_function(self, f, message):
+        with pytest.raises(ValueError, match=message):
+            _brent_root(f, 0.0, 1.0, 1e-6)
 
 
 class TestRestrictedDual:
@@ -662,6 +695,32 @@ class TestCorrectiveStep:
         for x in new.points[:, 0]:
             assert np.min(np.abs(allowed - x)) == 0.0
         assert new.size < allowed.size  # points of zero weight left
+
+    def test_a_point_beside_a_support_point_merges_into_it(self):
+        # x_new 3e-11 from the support point -1 is that point, and the step's
+        # alpha is the weight the dual puts there
+        pair, design, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
+                               cubic_quadratic_space())
+        start = minimize_beta2(pair, design, TIGHT)
+        _, _, scanned = best_support_candidate(pair, design, start.beta2_hat, space)
+        alpha, new, _ = corrective_step(pair, design, [-1.0 + 3e-11], start, scanned, TIGHT)
+        assert -1.0 + 3e-11 not in new.points
+        assert alpha == new.weight_at(-1.0) > 0.0
+
+    def test_roots_of_r_prime_at_support_points_do_not_enter_the_dual_twice(self):
+        # the roots of r' converge to the support points: in this run one
+        # lands 9.2e-12 from 0.5, and the dual must take it as 0.5
+        with pytest.MonkeyPatch.context() as patch:
+            duals = recording_duals(patch)
+            run = run_first_order(cubic_quadratic_pair(), cubic_quadratic_start(),
+                                  cubic_quadratic_space(),
+                                  AlgoConfig(delta=1.0 - 1e-12, max_iterations=10),
+                                  benchmark_inner_config())
+        assert run.termination_reason == EFFICIENCY_REACHED
+        assert len(duals) >= 4
+        for dual in duals:
+            gaps = np.diff(np.sort(dual["points"][:, 0]))
+            assert gaps.min() > algorithm._MERGE_TOL * 2.0
 
     @pytest.mark.parametrize("regularized", [False, True], ids=["plain", "regularized"])
     @settings(derandomize=True, database=None, deadline=None, max_examples=15)

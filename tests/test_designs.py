@@ -79,6 +79,22 @@ class TestValidation:
         report = validate_design(d)
         assert any("coincide" in v for v in report.violations)
 
+    @pytest.mark.parametrize("points, pairs", [
+        ([0.9, 0.1, 0.5, 0.3], []),
+        ([0.9, 0.5, 0.1, 0.5 + 4e-13], [(1, 3)]),
+        ([0.7, 0.2, 0.7, 0.4, 0.2 - 5e-13], [(0, 2), (1, 4)]),
+        ([0.3 + 4e-13, 0.8, 0.3, 0.1, 0.3 - 4e-13], [(0, 2), (0, 4), (2, 4)]),
+        ([0.5, 0.5 + 1.5e-12, 0.2], []),
+    ], ids=["unsorted-distinct", "one-pair", "two-pairs", "cluster-of-three",
+            "just-apart"])
+    def test_every_coinciding_pair_is_reported_in_index_order(self, points, pairs):
+        d = Design(DesignSpace([0.0], [1.0]), np.array(points)[:, None],
+                   np.full(len(points), 1.0 / len(points)))
+        report = validate_design(d)
+        assert report.violations == tuple(
+            f"points {i} and {j} coincide (within 1e-12)" for i, j in pairs)
+        assert report.ok == (not pairs)
+
 
 def mix(design: Design, x, alpha: float) -> Design:
     """(1 - alpha) design + alpha delta_x, the blend with a point mass."""

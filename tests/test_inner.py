@@ -285,16 +285,43 @@ class TestBoundedStep:
     @given(data=st.data())
     def test_is_the_bvls_solution(self, half_width, binds, data):
         # the same floats as lsq_linear(method="bvls"), whether the
-        # unconstrained solution lies in the box or the box binds
-        m, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+        # unconstrained solution lies in the box or the box binds, also on
+        # rank-deficient matrices and columns scaled by 1e-3 and 1e3
+        m, d = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 4))
         entries = st.lists(st.floats(-3.0, 3.0), min_size=m * (d + 1),
                            max_size=m * (d + 1))
         a, rhs = np.split(np.array(data.draw(entries)).reshape(m, d + 1), [d], axis=1)
         rhs = rhs[:, 0]
+        if m > 1 and data.draw(st.booleans()):
+            a[-1] = data.draw(st.sampled_from([1.0, -2.0])) * a[0]
+        if d > 1 and data.draw(st.booleans()):
+            a[:, -1] = data.draw(st.sampled_from([0.0, 1.0, 3.0])) * a[:, 0]
+        a *= 10.0 ** np.array(data.draw(st.lists(st.sampled_from([-3.0, 0.0, 3.0]),
+                                                 min_size=d, max_size=d)))
         box = ParamBox([-half_width] * d, [half_width] * d)
         assume(box.contains(np.linalg.lstsq(a, rhs, rcond=-1)[0]) != binds)
         expected = lsq_linear(a, rhs, bounds=(box.lower, box.upper), method="bvls").x
         np.testing.assert_array_equal(inner._bounded_lstsq(a, rhs, box), expected)
+
+    def test_is_the_bvls_solution_on_a_seeded_sweep(self):
+        # 3,000 seeded problems, most of them binding, and the two of the
+        # first 40,000 whose result depends on BVLS's cost-change stop; a
+        # free-set solve at rcond -1, or one loop-A iteration fewer, changes
+        # the floats of some of the 3,000
+        for k in [*range(3000), 16151, 35518]:
+            rng = np.random.default_rng([23, k])
+            m, d = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+            a = rng.normal(size=(m, d)) * 10.0 ** rng.choice([-3.0, 0.0, 3.0], size=d)
+            if m > 1 and rng.random() < 0.3:
+                a[-1] = a[0] * rng.choice([1.0, -2.0])
+            if d > 1 and rng.random() < 0.3:
+                a[:, -1] = a[:, 0] * rng.choice([0.0, 1.0, 3.0])
+            rhs = rng.normal(size=m) * 10.0 ** rng.choice([-3.0, 0.0, 3.0])
+            half_width = 10.0 ** rng.uniform(-2.0, 1.0)
+            box = ParamBox(-half_width * rng.uniform(0.1, 1.0, d),
+                           half_width * rng.uniform(0.1, 1.0, d))
+            expected = lsq_linear(a, rhs, bounds=(box.lower, box.upper), method="bvls").x
+            assert inner._bounded_lstsq(a, rhs, box).tobytes() == expected.tobytes(), k
 
 
 class TestPreparedSupport:

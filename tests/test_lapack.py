@@ -39,6 +39,18 @@ def test_lstsq_matches_numpy(style):
             assert same_bits(lstsq(a, rhs), expected), (m, n, k)
 
 
+@pytest.mark.parametrize("style", STYLES)
+def test_lstsq_at_numpys_default_rcond_matches_numpy(style):
+    # rcond=None is eps * max(m, n), the cutoff BVLS's free-set solves use
+    for m, n in SHAPES:
+        for k in range(3):
+            a = matrix(style, m, n, k)
+            rhs = np.random.default_rng([m, n, k]).normal(0.0, 1.0, size=m)
+            expected = np.linalg.lstsq(a, rhs, rcond=None)[0]
+            actual = lstsq(a, rhs, np.finfo(float).eps * max(m, n))
+            assert same_bits(actual, expected), (m, n, k)
+
+
 def test_lstsq_of_one_point_is_numpys_minimum_norm_solution():
     a, rhs = np.array([[1.0, 0.5]]), np.array([2.0])
     assert same_bits(lstsq(a, rhs), np.linalg.lstsq(a, rhs, rcond=-1)[0])

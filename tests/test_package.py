@@ -75,13 +75,47 @@ print(sorted(m for m in ("scipy.optimize", "scipy.integrate", "yaml") if m in sy
 """
 
 
-def test_gaussian_paths_load_no_optimizer_integrator_or_yaml(tmp_path):
-    # scipy.optimize, scipy.integrate and yaml are imported where a call needs
-    # them; this session has loaded them already, so a new process is asked
+# A logistic run that steps into (0, 1) by the line search's root find, a
+# Newton solve whose box binds (BVLS) and a regularized certificate.
+LOGISTIC_PATHS = """
+import sys
+import kldesign
+from kldesign import benchmarks
+from kldesign.models import LogisticGlmPair, ParamBox
+space = benchmarks.logistic_space()
+start = kldesign.Design(space, [[0.2], [0.6], [0.9]], [0.3, 0.3, 0.4])
+pair = LogisticGlmPair([1.0, 1.0, 1.0], [0, 1], ParamBox([-10.0, -10.0], [10.0, 10.0]))
+run = kldesign.run_first_order(pair, start, space, kldesign.AlgoConfig(max_iterations=3))
+assert all(0.0 < r.alpha < 1.0 for r in run.history)
+boxed = LogisticGlmPair([1.0, 1.0, 1.0], [1, 2], ParamBox([-1.0, -1.0], [1.0, 1.0]))
+assert kldesign.minimize_beta2(boxed, start).at_boundary
+reg = kldesign.RegularizationConfig(gamma=0.05, xi_tilde=benchmarks.logistic_reference_design())
+singular = kldesign.Design(space, [[0.0]], [1.0])
+report = kldesign.equivalence_check(benchmarks.logistic_pair(), singular, space=space, reg=reg)
+assert report.verdict == kldesign.CERTIFIED
+print(sorted(m for m in ("scipy.optimize", "scipy.integrate", "yaml") if m in sys.modules))
+"""
+
+
+def fresh_run(script: str, *args: str) -> subprocess.CompletedProcess:
+    """`script` run by a new interpreter on this package; the test process has
+    loaded scipy.optimize, scipy.integrate and yaml already."""
     src = str(Path(kldesign.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, "-c", GAUSSIAN_PATHS, str(tmp_path / "d.json")],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_gaussian_paths_load_no_optimizer_integrator_or_yaml(tmp_path):
+    # scipy.optimize, scipy.integrate and yaml are imported where a call needs them
+    done = fresh_run(GAUSSIAN_PATHS, str(tmp_path / "d.json"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_logistic_paths_load_no_optimizer_integrator_or_yaml():
+    # the line search's root find and BVLS are the package's own
+    done = fresh_run(LOGISTIC_PATHS)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
