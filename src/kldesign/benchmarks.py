@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .algorithm import (EFFICIENCY_REACHED, STALLED_REGULARIZED, AlgoConfig,
                         RegularizationConfig, RunResult, run_first_order,
@@ -486,6 +485,7 @@ def _psi_gamma_proportionality_error(rng: np.random.Generator) -> float:
 def check_glm_regularity(ctx: BenchmarkContext) -> CheckResult:
     """Rank test, information-matrix eigenvalue test and the regularity flag
     agree on 200 random logistic design matrices."""
+    from scipy.special import expit  # imported here: no other check needs scipy.special
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     disagreements = 0

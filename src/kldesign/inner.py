@@ -142,7 +142,7 @@ def prepare_support(pair: ModelPair, points) -> Support:
 def _bounded_lstsq(a: np.ndarray, rhs: np.ndarray, box: ParamBox) -> np.ndarray:
     """argmin over the box of |a x - rhs|, as `lsq_linear(method="bvls")` finds
     it: its first step is the unconstrained minimum-norm solution of
-    `numpy.linalg.lstsq`, here taken by dgelsd directly (`_lapack.lstsq`),
+    `numpy.linalg.lstsq`, here taken from its dgelsd gufunc (`_lapack.lstsq`),
     kept when it lies in the box, where it is also the constrained minimizer;
     otherwise BVLS starts from it (`_bvls`)."""
     x = lstsq(a, rhs)
@@ -327,10 +327,13 @@ def least_squares_oracle(pair: GaussianRegressionPair, design: Design):
     """Closed-form weighted least-squares solution of the Gaussian inner problem.
 
     For Gaussian pairs the inner problem is linear least squares in beta2;
-    this independent route (the SVD least-squares solve of
-    `numpy.linalg.lstsq` on the weighted rows, box ignored) is used to
-    cross-check the numeric solver. It stays on numpy.linalg on purpose, so
-    that it shares no code with the solver's `_lapack` helpers.
+    this route (the SVD least-squares solve of `numpy.linalg.lstsq` on the
+    weighted rows, box ignored) is used to cross-check the numeric solver.
+    It is independent of the solver only in its wrapper, its scaling and
+    its ignoring of the box: both reach numpy's dgelsd gufunc
+    (`_umath_linalg.lstsq`), the solver through `_lapack.lstsq`. Item 7 of
+    ROADMAP.md (exact rational arithmetic for Gaussian pairs) is a route
+    that shares no code with the solver.
     """
     if not isinstance(pair, GaussianRegressionPair):
         raise UnsupportedModelError("least-squares oracle applies to Gaussian pairs only")

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
-from scipy.special import expit
 
 from ._lapack import root_real_parts, singular_values
 from .designs import AffineMap, _freeze
@@ -195,7 +194,7 @@ class GaussianRegressionPair(PolynomialPair):
         a column: with the endpoints they hold the maximum of r^2 / (2 sigma2). A
         nearly double root can come back complex, hence the real parts. The
         roots are the eigenvalues of the companion matrix, as `numpy.roots`
-        finds them, taken by dgeev directly (`_lapack.root_real_parts`). They
+        finds them, taken from its dgeev gufunc (`_lapack.root_real_parts`). They
         are found in the frame's x and mapped back into [lower, upper]."""
         frame, lo, hi = self.frame, lower, upper
         if frame is not None:
@@ -225,6 +224,9 @@ class LogisticGlmPair(PolynomialPair):
     """
 
     def kernel(self, eta1):
+        # expit is imported once per closure built, not at import: no
+        # Gaussian run loads scipy
+        from scipy.special import expit
         mean1 = expit(eta1)
         soft1 = softplus(eta1)
 
@@ -235,6 +237,7 @@ class LogisticGlmPair(PolynomialPair):
         return values
 
     def kernel_derivatives(self, eta1):
+        from scipy.special import expit
         mean1 = expit(eta1)
 
         def derivatives(eta2):
@@ -246,6 +249,7 @@ class LogisticGlmPair(PolynomialPair):
     def kernel_rounding(self, eta1):
         # the terms of the softplus form, the difference eta1 - eta2 at its
         # inputs; evaluated at call time, as a solve seldom asks
+        from scipy.special import expit
         return lambda eta2: ((np.abs(eta1) + np.abs(eta2)) * expit(eta1)
                              + softplus(eta2) + softplus(eta1))
 

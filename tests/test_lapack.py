@@ -121,3 +121,65 @@ def test_nan_input_raises_like_numpy():
             numpy_call()
         with pytest.raises(np.linalg.LinAlgError):
             helper()
+
+
+def test_svd_factors_are_in_fortran_order():
+    # as LAPACK writes them; restricted_dual's products round by layout, and
+    # with C-ordered factors the cubic run's final value moves by 2 ulps
+    # (0x1.fff583f564910p-5 to 0x1.fff583f564912p-5)
+    for style in STYLES:
+        for m, n in SHAPES:
+            a = matrix(style, m, n, 0)
+            if a.size:
+                for full in (False, True):
+                    left, _, right = svd(a, full)
+                    assert left.flags.f_contiguous and right.flags.f_contiguous, (m, n, full)
+
+
+def raising_handler(err, flag):
+    raise AssertionError("the caller's error handler was called")
+
+
+GOOD = np.array([[1.0, 2.0], [2.0, 3.0], [1.0, 1.0]])
+BAD = np.array([[1.0, np.nan], [2.0, 3.0], [1.0, 1.0]])
+HELPERS = {
+    "lstsq": lambda a: lstsq(a, np.ones(3)),
+    "singular_values": singular_values,
+    "svd": svd,
+    "root_real_parts": lambda a: root_real_parts(a[:, 1]),
+}
+
+
+@pytest.mark.parametrize("name", HELPERS)
+def test_helpers_leave_the_error_state_as_they_found_it(name):
+    helper = HELPERS[name]
+    for caller in ({}, {"all": "raise"},
+                   {"divide": "raise", "over": "print", "under": "warn",
+                    "invalid": "ignore", "call": raising_handler}):
+        with np.errstate(**caller):
+            before = np.geterr(), np.geterrcall()
+            helper(GOOD)
+            assert (np.geterr(), np.geterrcall()) == before, caller
+            with pytest.raises(np.linalg.LinAlgError):
+                helper(BAD)
+            assert (np.geterr(), np.geterrcall()) == before, caller
+
+
+@pytest.mark.parametrize("name", HELPERS)
+@pytest.mark.parametrize("caller", [{"invalid": "ignore"}, {"all": "raise"}])
+def test_nan_input_raises_whatever_the_callers_error_state(name, caller):
+    with np.errstate(**caller), pytest.raises(np.linalg.LinAlgError):
+        HELPERS[name](BAD)
+
+
+@pytest.mark.parametrize("p", [[1e-310, 1e10, 1.0], [np.inf, 1.0, 2.0], [1.0, np.inf, 2.0]])
+def test_root_real_parts_of_a_companion_beyond_the_floats_is_numpys(p):
+    p = np.array(p)
+    with np.errstate(over="ignore"):  # the first case's companion overflows
+        try:
+            expected = np.roots(p).real
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                root_real_parts(p)
+        else:
+            assert same_bits(root_real_parts(p), expected)

@@ -1,10 +1,13 @@
 """The package's public names, where the names it does not export live, and
 what importing it loads."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import kldesign
 from kldesign import algorithm, benchmarks
@@ -71,7 +74,6 @@ with open(sys.argv[1], "w") as f:
     json.dump(optimum.as_dict(), f)
 assert cli.main(["transform", sys.argv[1], "--offset", "2", "--matrix", "4",
                  "--output", sys.argv[1]]) == 0
-print(sorted(m for m in ("scipy.optimize", "scipy.integrate", "yaml") if m in sys.modules))
 """
 
 
@@ -93,29 +95,53 @@ reg = kldesign.RegularizationConfig(gamma=0.05, xi_tilde=benchmarks.logistic_ref
 singular = kldesign.Design(space, [[0.0]], [1.0])
 report = kldesign.equivalence_check(benchmarks.logistic_pair(), singular, space=space, reg=reg)
 assert report.verdict == kldesign.CERTIFIED
-print(sorted(m for m in ("scipy.optimize", "scipy.integrate", "yaml") if m in sys.modules))
 """
 
 
-def fresh_run(script: str, *args: str) -> subprocess.CompletedProcess:
-    """`script` run by a new interpreter on this package; the test process has
-    loaded scipy.optimize, scipy.integrate and yaml already."""
+BARE_IMPORT = """
+import kldesign, kldesign.benchmarks, kldesign.cli
+"""
+
+# the script's last line: the scipy and yaml modules it has loaded
+REPORT = """
+import json, sys
+print(json.dumps([m for m in sys.modules if m.partition(".")[0] in ("scipy", "yaml")]))
+"""
+
+
+def loaded_modules(script: str, *args: str) -> set:
+    """The scipy and yaml modules `script` loads, run by a new interpreter on
+    this package; the test process has loaded all of them already."""
     src = str(Path(kldesign.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+    done = subprocess.run([sys.executable, "-c", script + REPORT, *args], env=env,
                           capture_output=True, text=True, timeout=120)
-
-
-def test_gaussian_paths_load_no_optimizer_integrator_or_yaml(tmp_path):
-    # scipy.optimize, scipy.integrate and yaml are imported where a call needs them
-    done = fresh_run(GAUSSIAN_PATHS, str(tmp_path / "d.json"))
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return set(json.loads(done.stdout.splitlines()[-1]))
 
 
-def test_logistic_paths_load_no_optimizer_integrator_or_yaml():
-    # the line search's root find and BVLS are the package's own
-    done = fresh_run(LOGISTIC_PATHS)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+@pytest.fixture(scope="module")
+def gaussian_loaded(tmp_path_factory):
+    return loaded_modules(GAUSSIAN_PATHS, str(tmp_path_factory.mktemp("gaussian") / "d.json"))
+
+
+@pytest.fixture(scope="module")
+def logistic_loaded():
+    return loaded_modules(LOGISTIC_PATHS)
+
+
+def test_gaussian_paths_load_no_scipy_or_yaml(gaussian_loaded):
+    # LAPACK through numpy's own gufuncs, expit where a logistic closure is
+    # built, and scipy.optimize, scipy.integrate and yaml where a call needs them
+    assert gaussian_loaded == set()
+
+
+def test_import_loads_no_scipy_or_yaml():
+    assert loaded_modules(BARE_IMPORT) == set()
+
+
+def test_logistic_paths_load_scipy_special_only(logistic_loaded):
+    # expit; the line search's root find and BVLS are the package's own
+    assert "scipy.special" in logistic_loaded
+    assert not logistic_loaded & {"scipy.linalg", "scipy.optimize", "scipy.integrate", "yaml"}
