@@ -30,47 +30,60 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (201, 202, 203)
 
 
-def _feed(h, obj) -> None:
-    """Add `obj` to the hash `h`, its type and structure included."""
+def walk(obj, path: str = ""):
+    """The digest's traversal of `obj`: yields (path, leaf, data) in order,
+    where data are the bytes the digest hashes and leaf is the float or
+    array they encode, or None where they encode a type, a name, a length, a
+    dtype and shape, or a value that is neither."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        h.update(type(obj).__name__.encode())
+        yield path, None, type(obj).__name__.encode()
         for f in dataclasses.fields(obj):
-            h.update(f.name.encode())
-            _feed(h, getattr(obj, f.name))
+            yield path, None, f.name.encode()
+            yield from walk(getattr(obj, f.name), f"{path}.{f.name}")
     elif isinstance(obj, np.ndarray):
-        h.update(f"{obj.dtype.str}{obj.shape}".encode())
-        h.update(np.ascontiguousarray(obj).tobytes())
+        yield path, None, f"{obj.dtype.str}{obj.shape}".encode()
+        yield path, obj, np.ascontiguousarray(obj).tobytes()
     elif isinstance(obj, float):
-        h.update(obj.hex().encode())
+        yield path, obj, obj.hex().encode()
     elif obj is None or isinstance(obj, (bool, int, str)):
-        h.update(repr(obj).encode())
+        yield path, None, repr(obj).encode()
     elif isinstance(obj, (list, tuple)):
-        h.update(f"{type(obj).__name__}{len(obj)}".encode())
-        for item in obj:
-            _feed(h, item)
+        yield path, None, f"{type(obj).__name__}{len(obj)}".encode()
+        for i, item in enumerate(obj):
+            yield from walk(item, f"{path}[{i}]")
     else:
         raise TypeError(f"no digest for {type(obj).__name__}")
 
 
-def output_digest(seeds=SEEDS) -> dict:
-    """Digest per workload, in `workloads.WORKLOADS` order, and `total`."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+def task_outputs(seeds=SEEDS, root: Path = ROOT):
+    """Yield (workload, task, kind, output) for every task of every pass, in
+    `workloads.WORKLOADS` order, the task named by its seed, pass and index,
+    from the package and workloads of the checkout at `root`; a task that
+    raises gives (exception type, message) as its output."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
-    digests = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the singular workloads warn by design
         for name in workloads.WORKLOADS:
-            h = hashlib.sha256()
             for seed in seeds:
                 for index in range(workloads.PASSES_PER_RUN[name]):
-                    for task in workloads.build_pass(name, seed, index):
-                        h.update(task.kind.encode())
+                    for number, task in enumerate(workloads.build_pass(name, seed, index)):
                         try:
                             output = task.run()
                         except Exception as exc:  # a failed task is part of the output
                             output = (type(exc).__name__, str(exc))
-                        _feed(h, output)
-            digests[name] = h.hexdigest()
+                        yield name, f"s{seed}/p{index}/t{number}", task.kind, output
+
+
+def output_digest(seeds=SEEDS) -> dict:
+    """Digest per workload, in `workloads.WORKLOADS` order, and `total`."""
+    hashes = {}
+    for name, _, kind, output in task_outputs(seeds):
+        h = hashes.setdefault(name, hashlib.sha256())
+        h.update(kind.encode())
+        for _, _, data in walk(output):
+            h.update(data)
+    digests = {name: h.hexdigest() for name, h in hashes.items()}
     total = hashlib.sha256("".join(f"{k} {v}\n" for k, v in digests.items()).encode())
     return {"seeds": list(seeds), **digests, "total": total.hexdigest()}
 

@@ -31,7 +31,8 @@ from .designs import (AffineMap, Design, DesignSpace, blend_designs, transform_d
                       wasserstein_distance, wasserstein_distance_lp)
 from .inner import InnerConfig, least_squares_oracle, minimize_beta2
 from .models import (GaussianRegressionPair, LogisticGlmPair, ModelPair, ParamBox,
-                     _scalar_inputs, glm_is_regular, reparametrize_under_affine)
+                     _scalar_inputs, expit, glm_is_regular,
+                     reparametrize_under_affine)
 from .verify import CERTIFIED, equivalence_check, invariance_check
 
 BENCHMARK_SEED = 20240817
@@ -485,7 +486,6 @@ def _psi_gamma_proportionality_error(rng: np.random.Generator) -> float:
 def check_glm_regularity(ctx: BenchmarkContext) -> CheckResult:
     """Rank test, information-matrix eigenvalue test and the regularity flag
     agree on 200 random logistic design matrices."""
-    from scipy.special import expit  # imported here: no other check needs scipy.special
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     disagreements = 0

@@ -17,12 +17,17 @@ Built-in kinds:
   polynomial means; kernel (eta1 - eta2)^2 / (2 sigma2).
 * :class:`LogisticGlmPair` -- Bernoulli responses with logistic link; kernel
   (eta1 - eta2) expit(eta1) + softplus(eta2) - softplus(eta1).
+
+`expit` and `softplus` are the module's own, on numpy's ufuncs, so no pair
+loads SciPy. A pair refuses a parameter that is not finite when it is built.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 
 from ._lapack import root_real_parts, singular_values
 from .designs import AffineMap, _freeze
@@ -41,6 +46,8 @@ class ParamBox:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float)).ravel()
         if lo.size != hi.size or lo.size < 1:
             raise ValueError("lower and upper must be vectors of equal length >= 1")
+        _finite(lo, "lower")
+        _finite(hi, "upper")
         if not np.all(lo < hi):
             raise ValueError("parameter box must satisfy lower[j] < upper[j]")
         object.__setattr__(self, "lower", _freeze(lo))
@@ -67,10 +74,41 @@ def softplus(x) -> np.ndarray:
     return np.logaddexp(0.0, np.asarray(x, dtype=float))
 
 
+# the error state of `expit`: exp(-x) overflows to inf below x = -709.78 and
+# underflows to 0 above x = 745.13, and 1 / (1 + inf) = 0 and 1 / (1 + 0) = 1
+# are the values wanted there
+_QUIET = _make_extobj(all="ignore")
+
+
+def expit(x) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-x)), in scipy.special.expit's
+    formula on numpy's exp: 0 and 1 in the far tails and at -inf and inf,
+    NaN at NaN. numpy's exp may differ from the C library's, which scipy
+    calls, by a few ulp. Floating-point errors are ignored whatever error
+    state the caller has set: the state is built once, at import, and set on
+    numpy's error-state context variable around the call, as `_lapack` sets
+    its own, without building an `np.errstate` per call."""
+    token = _extobj_contextvar.set(_QUIET)
+    try:
+        denominator = np.exp(np.negative(x))
+        denominator += 1.0
+        return np.reciprocal(denominator)
+    finally:
+        _extobj_contextvar.reset(token)
+
+
+def _finite(values, name: str) -> None:
+    # refused as `config` refuses a non-finite number; plain floats, as a
+    # pair is rebuilt in every invariance check
+    if not all(map(math.isfinite, values.tolist())):
+        raise ValueError(f"{name}: value must be finite, got {values.tolist()}")
+
+
 def _coef(c) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(c, dtype=float)).ravel()
     if arr.size == 0:
         raise ValueError("empty coefficient vector")
+    _finite(arr, "beta1")
     return arr
 
 
@@ -172,8 +210,8 @@ class GaussianRegressionPair(PolynomialPair):
     sigma2: float = 0.5
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
         super().__post_init__()
 
     def kernel(self, eta1):
@@ -220,13 +258,12 @@ class LogisticGlmPair(PolynomialPair):
 
         (eta1 - eta2) * expit(eta1) + softplus(eta2) - softplus(eta1),
 
-    which is exact and stable for |eta| <= 700.
+    which is exact and stable for |eta| <= 700. expit is this module's
+    (numpy's exp in scipy.special.expit's formula), so its floats may differ
+    from scipy's by a few ulp.
     """
 
     def kernel(self, eta1):
-        # expit is imported once per closure built, not at import: no
-        # Gaussian run loads scipy
-        from scipy.special import expit
         mean1 = expit(eta1)
         soft1 = softplus(eta1)
 
@@ -237,7 +274,6 @@ class LogisticGlmPair(PolynomialPair):
         return values
 
     def kernel_derivatives(self, eta1):
-        from scipy.special import expit
         mean1 = expit(eta1)
 
         def derivatives(eta2):
@@ -249,7 +285,6 @@ class LogisticGlmPair(PolynomialPair):
     def kernel_rounding(self, eta1):
         # the terms of the softplus form, the difference eta1 - eta2 at its
         # inputs; evaluated at call time, as a solve seldom asks
-        from scipy.special import expit
         return lambda eta2: ((np.abs(eta1) + np.abs(eta2)) * expit(eta1)
                              + softplus(eta2) + softplus(eta1))
 

@@ -1,12 +1,14 @@
 """Divergence models, GLM information, and affine reparametrization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
-from scipy.special import expit
+from scipy.special import expit as scipy_expit
 
 from kldesign.designs import (AffineMap, Design, DesignSpace, blend_designs,
                               transform_design)
@@ -15,7 +17,8 @@ from kldesign.benchmarks import (SyntheticFamily, _glm_fisher_information as
 from kldesign.errors import UnsupportedModelError
 from kldesign.inner import prepare_support
 from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
-                             PolynomialPair, glm_is_regular, reparametrize_under_affine)
+                             PolynomialPair, expit, glm_is_regular,
+                             reparametrize_under_affine)
 
 BOX3 = ParamBox([-5.0] * 3, [5.0] * 3)
 # Fixed example sequence, so the suite stays deterministic.
@@ -129,7 +132,7 @@ class TestPolynomialPair:
         eta1 = rng.normal(0.0, 1.0, 2000) * 10.0 ** rng.uniform(-3, 2, 2000)
         eta2 = eta1 + rng.normal(0.0, 1.0, 2000) * 10.0 ** rng.uniform(-12, 1, 2000)
         one, two = eta1.astype(np.longdouble), eta2.astype(np.longdouble)
-        exact = ((one - two) * expit(one) + np.logaddexp(np.longdouble(0), two)
+        exact = ((one - two) * scipy_expit(one) + np.logaddexp(np.longdouble(0), two)
                  - np.logaddexp(np.longdouble(0), one))
         error = np.abs(pair.kernel(eta1)(eta2) - exact)
         assert np.all(error <= 4 * np.finfo(float).eps * pair.kernel_rounding(eta1)(eta2))
@@ -142,6 +145,67 @@ class TestPolynomialPair:
         beta2 = np.linspace(-0.8, 0.6, pair.dimension)
         np.testing.assert_array_equal(prepare_support(pair, xs).pointwise(beta2),
                                       pair.divergence(xs, beta2))
+
+
+class TestExpit:
+    @pytest.mark.parametrize("scale", [40.0, 800.0])
+    def test_within_four_ulp_of_scipy(self, scale):
+        # numpy's exp against the C library's, which scipy calls
+        x = np.random.default_rng(25).uniform(-scale, scale, 200_000)
+        ours, scipys = expit(x), scipy_expit(x)
+        # both nonnegative, so the distance of the bit patterns counts ulps
+        assert np.max(np.abs(ours.view(np.int64) - scipys.view(np.int64))) <= 4
+
+    def test_tails_and_nan(self):
+        far = np.array([745.5, 800.0, 1e4, 1e308, np.inf])
+        np.testing.assert_array_equal(expit(far), np.ones(far.size))
+        np.testing.assert_array_equal(expit(-far), np.zeros(far.size))
+        assert not np.signbit(expit(-far)).any()
+        np.testing.assert_array_equal(expit(np.array([np.nan, 0.0])), [np.nan, 0.5])
+        assert np.isnan(expit(np.nan))
+
+    @pytest.mark.parametrize("state", [{"all": "raise"}, {"over": "warn"}],
+                             ids=["raise", "warn"])
+    def test_ignores_the_callers_error_state(self, state):
+        # exp overflows below -709.78 and underflows above 745.13, and the
+        # result is subnormal near -709; none of it warns or raises
+        x = np.array([-800.0, -745.5, -709.5, -709.0, 0.0, 709.0, 800.0, np.inf, np.nan])
+        quiet = expit(x)
+        with np.errstate(**state):
+            found = np.geterr(), np.geterrcall()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loud = expit(x)
+            assert (np.geterr(), np.geterrcall()) == found
+        np.testing.assert_array_equal(loud, quiet)
+
+
+class TestNonFiniteParameters:
+    # refused when built, as the config refuses them: downstream a NaN true
+    # mean failed a certificate in LAPACK, an infinite box bound warned in
+    # the inner solve and an infinite beta1 gave a NaN psi_max
+    @pytest.mark.parametrize("lower, upper", [([-5, -5, -np.inf], [5] * 3),
+                                              ([-5] * 3, [5, np.inf, 5]),
+                                              ([-5] * 3, [5, 5, np.nan])])
+    def test_box_bounds(self, lower, upper):
+        with pytest.raises(ValueError, match="finite"):
+            ParamBox(lower, upper)
+
+    @pytest.mark.parametrize("family", [GaussianRegressionPair, LogisticGlmPair])
+    @pytest.mark.parametrize("beta1", [[np.nan, 0, 0, 1], [1, np.inf, 1], [-np.inf]])
+    def test_beta1(self, family, beta1):
+        with pytest.raises(ValueError, match="beta1"):
+            family(beta1, [0, 1, 2], BOX3)
+
+    @pytest.mark.parametrize("sigma2", [np.inf, np.nan])
+    def test_sigma2(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2"):
+            cubic_pair(sigma2=sigma2)
+
+    def test_finite_parameters_are_kept(self):
+        pair = reparametrize_under_affine(cubic_pair(sigma2=1e300), AffineMap(1.0, 2.0))
+        assert pair.sigma2 == 1e300 and pair.beta1.tolist() == [0, 0, 0, 1]
+        assert ParamBox([-1e308], [1e308]).dimension == 1
 
 
 class TestPolynomialKernels:

@@ -78,7 +78,8 @@ assert cli.main(["transform", sys.argv[1], "--offset", "2", "--matrix", "4",
 
 
 # A logistic run that steps into (0, 1) by the line search's root find, a
-# Newton solve whose box binds (BVLS) and a regularized certificate.
+# Newton solve whose box binds (BVLS), a regularized certificate and the
+# glm-regularity check, which weights its rows by expit.
 LOGISTIC_PATHS = """
 import sys
 import kldesign
@@ -95,6 +96,7 @@ reg = kldesign.RegularizationConfig(gamma=0.05, xi_tilde=benchmarks.logistic_ref
 singular = kldesign.Design(space, [[0.0]], [1.0])
 report = kldesign.equivalence_check(benchmarks.logistic_pair(), singular, space=space, reg=reg)
 assert report.verdict == kldesign.CERTIFIED
+assert benchmarks.check_glm_regularity(benchmarks.BenchmarkContext()).passed
 """
 
 
@@ -132,8 +134,8 @@ def logistic_loaded():
 
 
 def test_gaussian_paths_load_no_scipy_or_yaml(gaussian_loaded):
-    # LAPACK through numpy's own gufuncs, expit where a logistic closure is
-    # built, and scipy.optimize, scipy.integrate and yaml where a call needs them
+    # LAPACK through numpy's own gufuncs, and scipy.optimize, scipy.integrate
+    # and yaml where a call needs them
     assert gaussian_loaded == set()
 
 
@@ -141,7 +143,6 @@ def test_import_loads_no_scipy_or_yaml():
     assert loaded_modules(BARE_IMPORT) == set()
 
 
-def test_logistic_paths_load_scipy_special_only(logistic_loaded):
-    # expit; the line search's root find and BVLS are the package's own
-    assert "scipy.special" in logistic_loaded
-    assert not logistic_loaded & {"scipy.linalg", "scipy.optimize", "scipy.integrate", "yaml"}
+def test_logistic_paths_load_no_scipy_or_yaml(logistic_loaded):
+    # expit, the line search's root find and BVLS are the package's own
+    assert logistic_loaded == set()
