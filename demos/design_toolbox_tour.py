@@ -9,8 +9,7 @@ validation, exact transport distances, and affine images.
 import numpy as np
 
 from kldesign import (AffineMap, Design, DesignSpace, transform_design,
-                      validate_design, wasserstein_distance,
-                      wasserstein_distance_lp)
+                      validate_design, wasserstein_distance)
 
 space = DesignSpace([-1], [1])
 design = Design(space, [[-1.0], [-0.5], [0.5], [1.0]], [1 / 6, 1 / 3, 1 / 3, 1 / 6])
@@ -19,12 +18,9 @@ print("validation:", validate_design(design))
 bad = Design(space, [[-1.0], [0.5]], [0.5, 0.6])
 print("a broken design reports its violations:", validate_design(bad).violations)
 
-# exact order-1 transport distance; the 1-D quantile route and the LP agree
+# exact order-1 transport distance, the integral of |F1 - F2| over the line
 uniform = Design(space, design.points, [0.25] * 4)
-print(f"\ntransport distance (quantile formula): "
-      f"{wasserstein_distance(design, uniform):.6f}")
-print(f"transport distance (linear program):   "
-      f"{wasserstein_distance_lp(design, uniform):.6f}")
+print(f"\ntransport distance: {wasserstein_distance(design, uniform):.6f}")
 
 # affine images: z = 2 + 4x pushes the design onto [-2, 6]
 amap = AffineMap([2.0], [[4.0]])

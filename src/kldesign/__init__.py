@@ -16,7 +16,7 @@ from .algorithm import (EFFICIENCY_REACHED, MAX_ITERATIONS, RIVAL_ATTAINS_TRUTH,
                         run_regularized)
 from .designs import (AffineMap, Design, DesignSpace, ValidationReport,
                       blend_designs, transform_design, validate_design,
-                      wasserstein_distance, wasserstein_distance_lp)
+                      wasserstein_distance)
 from .errors import (ConfigError, DomainError, KLDesignError, SingularMapError,
                      UndefinedEfficiencyError, UnsupportedModelError)
 from .inner import InnerConfig, InnerSolution, least_squares_oracle, minimize_beta2
@@ -41,5 +41,4 @@ __all__ = [
     "least_squares_oracle", "minimize_beta2",
     "reparametrize_under_affine", "run_first_order", "run_regularized",
     "transform_design", "validate_design", "wasserstein_distance",
-    "wasserstein_distance_lp",
 ]

@@ -18,7 +18,8 @@ invalid flag, which numpy.linalg's error state turns into a call that
 raises. That state is built once, here; each helper sets numpy's error-state
 context variable to it around the gufunc and resets it after, as
 `np.errstate` does on entry and exit, without building an `np.errstate` per
-call.
+call. The module is the package's one importer of numpy's private names;
+it builds `models.expit`'s error state too.
 """
 
 import math
@@ -35,6 +36,7 @@ def _raise(err, flag):
 # the error state numpy.linalg sets around its gufuncs
 _RAISE_ON_FAILURE = _make_extobj(call=_raise, invalid="call", over="ignore",
                                  divide="ignore", under="ignore")
+QUIET = _make_extobj(all="ignore")  # the error state of `models.expit`
 
 
 def svd(matrix: np.ndarray, full: bool = False):

@@ -35,15 +35,15 @@ One iteration, given the current design xi_n:
      points, so their rival matrix, divergence closures and rank test are
      prepared once per search (`inner.Support`).
    Either way the next iteration starts from the step's design and
-   solution, and a step that does not raise the criterion is a zero step.
+   solution. A step that does not raise the criterion beyond rounding is a
+   zero step, and it ends the run "stalled".
 
 Singular problems (non-unique inner minimizer) make the directional
 derivative meaningless, so the plain loop stops with reason
-"stalled-regularized" when it detects one: a singular inner solve (the
-rival matrix on the support is rank deficient, which covers a support
-smaller than d2), or a zero step while the divergence gap is still
-positive. `run_regularized` then optimizes the regularized
-criterion I_gamma(xi) = I[(1-gamma) xi + gamma xi_tilde], whose directional
+"stalled-regularized" at a singular inner solve, its one trigger (the rival
+matrix on the support is rank deficient, which covers a support smaller than
+d2). `run_regularized` then optimizes the regularized criterion
+I_gamma(xi) = I[(1-gamma) xi + gamma xi_tilde], whose directional
 derivative psi_gamma(x; xi) = (1-gamma) * [I(x, b) - avg_xi I(., b)] with
 b = beta2((1-gamma) xi + gamma xi_tilde) is well defined at any design.
 """
@@ -67,9 +67,6 @@ STALLED = "stalled"
 RIVAL_ATTAINS_TRUTH = "rival-attains-truth"
 PSI_GRID_SIZE = 2001  # grid nodes of the psi scan
 
-# A zero step only signals a singular loop when the divergence gap is clearly
-# positive at this scale.
-_STALL_PSI_TOL = 1e-9
 # Ascent bookkeeping: drops beyond the first bound raise, beyond the second warn.
 _ASCENT_HARD = 1e-8
 _ASCENT_SOFT = 1e-10
@@ -691,10 +688,7 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
                 alpha, step_design, step_inner = line_search_alpha(
                     pair, design, x_n, inner, inner_cfg, reg=reg)
             if step_inner is inner:
-                if not regularizing and psi_max > _STALL_PSI_TOL * max(1.0, value):
-                    stop = STALLED_REGULARIZED
-                else:
-                    stop = STALLED
+                stop = STALLED
 
         record = IterationRecord(
             n=n, design=design, beta2_hat=inner.beta2_hat, value=value,
@@ -736,10 +730,11 @@ def run_first_order(pair: ModelPair, initial_design: Design, space: DesignSpace,
                     on_iteration=None) -> RunResult:
     """Run the plain exchange loop until the efficiency bound passes delta.
 
-    Stops with reason "stalled-regularized" when a singularity trigger fires
-    (a singular inner solve, or a zero step with a positive divergence gap);
-    rerun with `run_regularized` from there. A rival that attains the true
-    model stops it with "rival-attains-truth" and efficiency NaN.
+    Stops with reason "stalled-regularized" when the inner solve's singular
+    flag is set, the only hand-off trigger; rerun with `run_regularized`
+    from there. A step that does not raise the criterion beyond rounding
+    stops it with "stalled". A rival that attains the true model stops it
+    with "rival-attains-truth" and efficiency NaN.
     """
     return _run_loop(pair, initial_design, space, algo, inner_config, None,
                      on_iteration)

@@ -180,31 +180,6 @@ def blend_designs(first: Design, second: Design, alpha: float) -> Design:
     return Design(first.space, first.points, base_w)
 
 
-def wasserstein_distance_lp(d1: Design, d2: Design) -> float:
-    """Exact order-1 transport distance via the dense linear program.
-
-    The reference the quantile formula of `wasserstein_distance` is checked
-    against; supports stay small, so the (n1*n2)-variable LP is solved
-    exactly, with no entropic approximation.
-    """
-    # imported here: no other design operation needs scipy.optimize
-    from scipy.optimize import linprog
-    n1, n2 = d1.size, d2.size
-    cost = np.abs(d1.points - d2.points.T)
-    a_eq = np.zeros((n1 + n2, n1 * n2))
-    for i in range(n1):
-        a_eq[i, i * n2:(i + 1) * n2] = 1.0
-    for j in range(n2):
-        a_eq[n1 + j, j::n2] = 1.0
-    b_eq = np.concatenate([d1.weights, d2.weights])
-    # One marginal constraint is redundant; dropping it keeps the system full rank.
-    res = linprog(cost.ravel(), A_eq=a_eq[:-1], b_eq=b_eq[:-1],
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
-
-
 def wasserstein_distance(d1: Design, d2: Design) -> float:
     """Exact Kantorovich-Wasserstein (order-1) distance between two designs:
     the integral of |F1 - F2| over the line."""

@@ -27,9 +27,8 @@ from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
-from numpy._core.umath import _extobj_contextvar, _make_extobj
 
-from ._lapack import root_real_parts, singular_values
+from ._lapack import QUIET, _extobj_contextvar, root_real_parts, singular_values
 from .designs import AffineMap, _freeze
 from .errors import DomainError, UnsupportedModelError
 
@@ -74,21 +73,17 @@ def softplus(x) -> np.ndarray:
     return np.logaddexp(0.0, np.asarray(x, dtype=float))
 
 
-# the error state of `expit`: exp(-x) overflows to inf below x = -709.78 and
-# underflows to 0 above x = 745.13, and 1 / (1 + inf) = 0 and 1 / (1 + 0) = 1
-# are the values wanted there
-_QUIET = _make_extobj(all="ignore")
-
-
 def expit(x) -> np.ndarray:
     """The logistic function 1 / (1 + exp(-x)), in scipy.special.expit's
     formula on numpy's exp: 0 and 1 in the far tails and at -inf and inf,
     NaN at NaN. numpy's exp may differ from the C library's, which scipy
     calls, by a few ulp. Floating-point errors are ignored whatever error
-    state the caller has set: the state is built once, at import, and set on
+    state the caller has set: exp(-x) overflows to inf below x = -709.78 and
+    underflows to 0 above x = 745.13, and 1 / (1 + inf) = 0 and 1 / (1 + 0)
+    = 1 are the values wanted there. `_lapack.QUIET`, built once, is set on
     numpy's error-state context variable around the call, as `_lapack` sets
     its own, without building an `np.errstate` per call."""
-    token = _extobj_contextvar.set(_QUIET)
+    token = _extobj_contextvar.set(QUIET)
     try:
         denominator = np.exp(np.negative(x))
         denominator += 1.0

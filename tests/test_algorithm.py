@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from kldesign import algorithm
-from kldesign.algorithm import (EFFICIENCY_REACHED, STALLED_REGULARIZED,
+from kldesign.algorithm import (EFFICIENCY_REACHED, STALLED, STALLED_REGULARIZED,
                                 AlgoConfig, RegularizationConfig, _brent_root,
                                 best_support_candidate, corrective_step,
                                 default_reference_design, efficiency_bound,
@@ -29,6 +29,7 @@ from kldesign.errors import DomainError, UndefinedEfficiencyError, UnsupportedMo
 from kldesign.inner import InnerConfig, minimize_beta2, prepare_support
 from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
                              reparametrize_under_affine)
+from kldesign.verify import CERTIFIED, equivalence_check
 
 TIGHT = InnerConfig(local_tolerance=1e-10)
 FAST = InnerConfig(local_tolerance=1e-9)
@@ -965,6 +966,21 @@ class TestRuns:
         run = run_first_order(pair, start, space, algo, benchmark_inner_config())
         assert run.history[-1].singular_flag
         assert run.termination_reason == STALLED_REGULARIZED
+
+    def test_zero_step_at_a_regular_design_ends_stalled(self):
+        # The last step finds a = 3.0e-6 and raises the value by 2.6e-14, below
+        # the improvement floor, so it is a zero step. The design is regular and
+        # certifies: a zero step is not a singularity, and no hand-off follows.
+        pair = LogisticGlmPair([1, 1, 1], [0, 1], ParamBox([-10, -10], [10, 10]))
+        space = DesignSpace([0.0], [1.0])
+        start = Design(space, [[0.0], [0.4175], [1.0]], [0.22, 0.46, 0.32])
+        run = run_first_order(pair, start, space, AlgoConfig(delta=0.99999))
+        last = run.history[-1]
+        assert run.termination_reason == STALLED
+        assert not last.singular_flag
+        assert last.alpha == 0.0
+        assert 0.0 < last.psi_max <= 1e-6
+        assert equivalence_check(pair, run.final_design, space).verdict == CERTIFIED
 
     def test_plain_run_refuses_the_synthetic_family(self):
         start = Design(DesignSpace([0.0], [1.0]), [[0.2], [0.9]], [0.5, 0.5])

@@ -7,9 +7,9 @@ import pytest
 import scipy.stats
 from scipy.optimize import linprog
 
+from kldesign.benchmarks import _monotone_coupling_cost
 from kldesign.designs import (AffineMap, Design, DesignSpace, blend_designs,
-                              transform_design, validate_design,
-                              wasserstein_distance, wasserstein_distance_lp)
+                              transform_design, validate_design, wasserstein_distance)
 from kldesign.errors import DomainError, SingularMapError
 
 
@@ -165,7 +165,25 @@ class TestWasserstein:
             d1 = random_design(rng, space)
             d2 = random_design(rng, space)
             assert wasserstein_distance(d1, d2) == pytest.approx(
-                wasserstein_distance_lp(d1, d2), abs=1e-9)
+                transport_lp_oracle(d1, d2), abs=1e-9)
+
+    def test_monotone_coupling_matches_lp(self):
+        # the oracle suite's second route against this file's LP: one-point
+        # designs, designs sharing support points, and random pairs
+        rng = np.random.default_rng(17)
+        space = DesignSpace([-1.0], [1.0])
+        for k in range(60):
+            d1 = random_design(rng, space, max_points=1 if k % 4 == 0 else 8)
+            d2 = random_design(rng, space)
+            if k % 4 == 1:  # a point mass on one of d1's points
+                d2 = Design(space, d1.points[rng.integers(d1.size)], [1.0])
+            elif k % 4 == 2:  # d1's points and d2's, reweighted
+                points = np.vstack([d1.points, d2.points])
+                d2 = Design(space, points, rng.dirichlet(np.ones(len(points))))
+            assert _monotone_coupling_cost(d1, d2) == pytest.approx(
+                transport_lp_oracle(d1, d2), abs=1e-12)
+        d = chebyshev_design()
+        assert _monotone_coupling_cost(d, d) == 0.0
 
     def test_matches_scipy_in_1d(self):
         rng = np.random.default_rng(9)
