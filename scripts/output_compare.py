@@ -13,6 +13,9 @@ NaN), the largest |change - parent| / max(1, |parent|) with its path, and
 every difference that is not a float: a type, field name, length, dtype,
 shape, integer, string or exception message that differs, or a path that
 only one side has. A path reads seed/pass/task:kind, then fields and indices.
+The last line reads `identical` and the exit status is 0 when no workload
+differs; otherwise it reads `differs` and the status is 1, so a check that a
+change is float-identical can be scripted.
 """
 
 import argparse
@@ -58,8 +61,9 @@ def _keyed(others) -> dict:
     return keyed
 
 
-def compare(name: str, parent, change) -> None:
-    """Print the differences of one workload's flattened outputs."""
+def compare(name: str, parent, change) -> bool:
+    """Print the differences of one workload's flattened outputs; return
+    whether there is any: a changed float or a difference that is not one."""
     (old, old_index, old_others), (new, new_index, new_others) = parent, change
     lines = []
     old_at = {path: (start, shape) for path, start, shape in old_index}
@@ -100,6 +104,7 @@ def compare(name: str, parent, change) -> None:
     lines += [f"  only in change: {key[0]} {text}"
               for key, text in new_keyed.items() if key not in old_keyed]
     print("\n".join(lines) if lines else "  no difference that is not a float")
+    return bool(lines) or bool(changed.any())
 
 
 def main(argv=None) -> int:
@@ -122,12 +127,15 @@ def main(argv=None) -> int:
             with open(out, "rb") as f:
                 sides.append(pickle.load(f))
     print(f"seeds {' '.join(map(str, args.seeds))}; parent {parent}")
+    differs = False
     for name in dict.fromkeys([*sides[0], *sides[1]]):
         if name not in sides[0] or name not in sides[1]:
             print(f"{name}: only in {'change' if name in sides[1] else 'parent'}")
+            differs = True
         else:
-            compare(name, sides[0][name], sides[1][name])
-    return 0
+            differs |= compare(name, sides[0][name], sides[1][name])
+    print("differs" if differs else "identical")
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
