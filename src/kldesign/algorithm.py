@@ -5,7 +5,10 @@ One iteration, given the current design xi_n:
 1. inner solve: beta2_n minimizing the averaged divergence (bounded Newton,
    made by the step that produced xi_n, from that step's beta2);
 2. best-point search: x_n maximizing psi over the domain, read off
-   `psi_scan`, the scan the certificate uses (exact for Gaussian pairs);
+   `psi_scan`. A Gaussian pair's psi peaks at an end of the domain or a
+   root of r', so its scan is the two-node one (the ends, the support and
+   those roots), which is exact; a logistic pair's is the scan the
+   certificate uses, on the `PSI_GRID_SIZE`-node grid;
 3. stopping check: the efficiency bound U = value / (value + psi_max),
    a lower bound on value / optimum, is evaluated here, after the
    best-point search and before any further work. A rival that attains
@@ -65,7 +68,7 @@ MAX_ITERATIONS = "max-iterations"
 STALLED_REGULARIZED = "stalled-regularized"
 STALLED = "stalled"
 RIVAL_ATTAINS_TRUTH = "rival-attains-truth"
-PSI_GRID_SIZE = 2001  # grid nodes of the psi scan
+PSI_GRID_SIZE = 2001  # grid nodes of the certificate's and the logistic loop's psi scan
 
 # Ascent bookkeeping: drops beyond the first bound raise, beyond the second warn.
 _ASCENT_HARD = 1e-8
@@ -222,14 +225,21 @@ def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
     """psi(x) at the candidate maximizers: the grid, the support points and,
     for a Gaussian pair, the roots of r' inside the domain, where r^2 peaks.
 
-    The Gaussian maximum is thus exact; for other pairs it falls short by at
-    most h^2/8 * max|psi''|, h the grid spacing. A caller that scans the
-    same grid again and again passes `grid_support`, the grid's
-    `inner.Support`, whose nodes and divergence replace `space.grid(grid_size)`;
-    the values are the same floats either way.
+    The Gaussian maximum is thus exact at any grid size, the two ends
+    included, and a Gaussian loop scans no more (`best_support_candidate`);
+    for other pairs it falls short by at most h^2/8 * max|psi''|, h the grid
+    spacing. A caller that scans the same grid again and again passes
+    `grid_support`, the grid's `inner.Support`, whose nodes and divergence
+    replace `space.grid(grid_size)`; the values are the same floats either
+    way. The two-node grid is the domain's ends as given.
     Returns (points, psi); the support rows follow the grid's.
     """
-    grid = space.grid(grid_size) if grid_support is None else grid_support.points
+    if grid_support is not None:
+        grid = grid_support.points
+    elif grid_size == 2:  # the ends, without linspace's overhead
+        grid = np.array([space.lower, space.upper])
+    else:
+        grid = space.grid(grid_size)
     parts = [design.points]
     if isinstance(pair, GaussianRegressionPair):
         parts.append(pair.residual_critical_points(beta2_hat, space.lower[0], space.upper[0]))
@@ -247,12 +257,21 @@ def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
 
 def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
                            space: DesignSpace, grid_support: Support | None = None):
-    """(x, psi, candidates) at the top of `psi_scan` (with the loop's
-    `grid_support` of `PSI_GRID_SIZE` nodes when given); x is copied so records
-    keep no scan. `candidates` is (points, psi) of the scan's rows other than
-    the inner grid nodes: the ends of the domain, the support and, for a
-    Gaussian pair, the roots of r', the rows `psi_scan(..., grid_size=2)`
-    gives, with the same floats. `corrective_step` adds points from them."""
+    """(x, psi, candidates) at the top of the loop's psi scan; x is copied so
+    records keep no scan. `candidates` is (points, psi) of the scan's rows
+    other than the inner grid nodes: the ends of the domain, the support
+    and, for a Gaussian pair, the roots of r', the rows
+    `psi_scan(..., grid_size=2)` gives, with the same floats.
+    `corrective_step` adds points from them.
+
+    A Gaussian pair's scan is those rows alone: its psi is largest at one
+    of them, so no grid node can raise the maximum, and `grid_support` is
+    not read. A logistic pair's scan is `psi_scan` on the `PSI_GRID_SIZE`
+    grid (the loop's `grid_support` of it when given)."""
+    if isinstance(pair, GaussianRegressionPair):
+        points, psi = psi_scan(pair, design, beta2_hat, space, grid_size=2)
+        i = int(np.argmax(psi))
+        return points[i].copy(), float(psi[i]), (points, psi)
     points, psi = psi_scan(pair, design, beta2_hat, space, grid_support=grid_support)
     i = int(np.argmax(psi))
     rows = np.arange(PSI_GRID_SIZE - 2, psi.size)
@@ -644,8 +663,14 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
     else:
         gamma = 0.0
         inner = minimize_beta2(pair, design, inner_cfg)
-    grid = prepare_support(pair, space.grid(PSI_GRID_SIZE))
-    null_scale = float(np.max(grid.pointwise(np.zeros(pair.dimension))))
+    nodes, zero = space.grid(PSI_GRID_SIZE), np.zeros(pair.dimension)
+    if isinstance(pair, GaussianRegressionPair):
+        # psi peaks at an end or a root of r': the scan needs no grid
+        grid, null_row = None, pair.divergence(nodes, zero)
+    else:
+        grid = prepare_support(pair, nodes)
+        null_row = grid.pointwise(zero)
+    null_scale = float(np.max(null_row))
     if not regularizing and inner.singular_flag:
         warnings.warn("initial design matrix is rank deficient; the plain loop "
                       "will hand off to the regularized criterion", stacklevel=2)

@@ -15,8 +15,10 @@ where the gradient is 0 and the curvature is the Fisher weight: the
 Fisher-scoring (IRLS) start, which does not depend on the box unless the box
 binds. A Gaussian pair's curvature is constant, so its quadratic model is
 the objective: that start is the exact minimizer, and a Gaussian solve, warm
-or cold, is that one least-squares fit and one evaluation. Only logistic
-solves take Newton steps. Where the model at a warm start is not finite (the
+or cold, is that one least-squares fit and one evaluation. There g is 0 and
+h is the scalar 1 / sigma2, so the fit takes every row as it stands, with
+no derivative call and no row mask. Only logistic solves take Newton
+steps. Where the model at a warm start is not finite (the
 logistic curvature underflows to 0 far from eta1), the solve restarts once
 from the model start. A convex pair's minimizer is unique if and only if X
 has full column rank on the support, so the singularity flag is that rank
@@ -29,7 +31,6 @@ points. Only these polynomial-predictor pairs are solved; any other pair is
 refused.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -94,6 +95,7 @@ class Support:
     eta1: np.ndarray
     pointwise: Callable
     derivatives: Callable
+    curvature: float | None  # a Gaussian pair's constant h = 1 / sigma2, else None
     _least_singular: dict = field(default_factory=dict, repr=False, compare=False)
 
     def least_singular_value(self, weights: np.ndarray) -> float:
@@ -110,11 +112,21 @@ class Support:
         least-squares fit of eta1 with weights w h, the Fisher-scoring start;
         for a Gaussian pair it is the exact minimizer. Rows whose w / h is
         not finite (`_newton`'s test) are left out: there the curvature
-        underflowed, and the model is flat."""
-        g, h = self.derivatives(self.eta1)
-        keep = h > weights * _INV_MAX
-        scale, rhs = _model(weights[keep], self.eta1[keep], g[keep], h[keep])
-        return _bounded_lstsq(scale[:, None] * self.rows[keep], rhs, box)
+        underflowed, and the model is flat. A Gaussian pair's h is the
+        constant `curvature`, and g = (eta1 - eta1) h is +0, so its model is
+        built from those scalars on every row, the same floats; it keeps
+        every row unless sigma2 is within a factor 1 / w of the largest
+        float, which one comparison with the largest weight tells, and then
+        takes the route above."""
+        h, eta1, rows = self.curvature, self.eta1, self.rows
+        if h is not None and h > weights.max() * _INV_MAX:
+            g = 0.0  # (eta1 - eta1) h, and every row is kept
+        else:
+            g, h = self.derivatives(eta1)
+            keep = h > weights * _INV_MAX
+            weights, eta1, g, h, rows = weights[keep], eta1[keep], g[keep], h[keep], rows[keep]
+        scale, rhs = _model(weights, eta1, g, h)
+        return _bounded_lstsq(scale[:, None] * rows, rhs, box)
 
 
 def _model(weights: np.ndarray, eta: np.ndarray, g: np.ndarray, h: np.ndarray):
@@ -135,8 +147,9 @@ def prepare_support(pair: ModelPair, points) -> Support:
     eta1 = pair.true_predictor(x)
     rows = pair.rival_matrix(x)
     kernel = pair.kernel(eta1)
+    curvature = 1.0 / pair.sigma2 if isinstance(pair, GaussianRegressionPair) else None
     return Support(points, rows, eta1, lambda beta2: kernel(rows @ beta2),
-                   pair.kernel_derivatives(eta1))
+                   pair.kernel_derivatives(eta1), curvature)
 
 
 def _bounded_lstsq(a: np.ndarray, rhs: np.ndarray, box: ParamBox) -> np.ndarray:
@@ -311,15 +324,14 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
         if solved is None:  # the exact minimizer, or no finite model to descend on
             solved = start, float(weights @ support.pointwise(start))
     beta2_hat, value = solved
-    edge = 1e-9 * (box.upper - box.lower)
-    at_boundary = bool((beta2_hat <= box.lower + edge).any()
-                       or (beta2_hat >= box.upper - edge).any())
+    inside_lower, inside_upper = box._edges
     return InnerSolution(
         beta2_hat=beta2_hat,
         value=value,
-        singular_flag=(support.least_singular_value(weights)
-                       * math.dist(box.upper, box.lower) <= config.local_tolerance),
-        at_boundary=at_boundary,
+        singular_flag=(support.least_singular_value(weights) * box._diameter
+                       <= config.local_tolerance),
+        at_boundary=bool((beta2_hat <= inside_lower).any()
+                         or (beta2_hat >= inside_upper).any()),
     )
 
 

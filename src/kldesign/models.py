@@ -24,6 +24,7 @@ loads SciPy. A pair refuses a parameter that is not finite when it is built.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -66,6 +67,17 @@ class ParamBox:
 
     def clip(self, beta2) -> np.ndarray:
         return np.clip(np.asarray(beta2, dtype=float).ravel(), self.lower, self.upper)
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        # lower and upper moved inward by 1e-9 of the width: an inner minimizer
+        # outside them lies at the boundary (`inner.minimize_beta2`)
+        edge = 1e-9 * (self.upper - self.lower)
+        return self.lower + edge, self.upper - edge
+
+    @cached_property
+    def _diameter(self) -> float:
+        return math.dist(self.upper, self.lower)
 
 
 def softplus(x) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from kldesign import algorithm
+from kldesign import algorithm, inner
 from kldesign.algorithm import (EFFICIENCY_REACHED, STALLED, STALLED_REGULARIZED,
                                 AlgoConfig, RegularizationConfig, _brent_root,
                                 best_support_candidate, corrective_step,
@@ -173,6 +173,44 @@ class TestBestSupportCandidate:
         assert psi[i] >= value - average - tol
         attained = float(pair.divergence(candidates[i], beta)[0]) - average
         assert attained == pytest.approx(psi[i], abs=tol)
+
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_gaussian_candidates_hold_the_grid_maximum(self, data):
+        # a Gaussian loop scans only the ends, the support and the roots of
+        # r'; no node of the certificate's grid finds a larger psi, on the
+        # domain's own coordinate or in an affine frame
+        d2 = data.draw(st.integers(1, 4))
+        exponents = sorted(data.draw(st.lists(st.integers(0, 5), min_size=d2,
+                                              max_size=d2, unique=True)))
+        beta1 = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
+        pair = GaussianRegressionPair(
+            beta1, exponents, ParamBox([-5.0] * d2, [5.0] * d2),
+            data.draw(st.floats(0.2, 2.0)))
+        lower = data.draw(st.floats(-2.0, 1.0))
+        space = DesignSpace([lower], [lower + data.draw(st.floats(0.1, 3.0))])
+        m = data.draw(st.integers(1, 6))
+        points = data.draw(st.lists(st.floats(space.lower[0], space.upper[0]),
+                                    min_size=m, max_size=m))
+        raw = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=m,
+                                          max_size=m)))
+        design = Design(space, np.array(points)[:, None], raw / raw.sum())
+        if data.draw(st.booleans()):
+            amap = AffineMap(data.draw(st.floats(-10.0, 10.0)),
+                             data.draw(st.sampled_from([-3.0, -0.5, 0.25, 2.0, 40.0])))
+            pair = reparametrize_under_affine(pair, amap)
+            design, space = transform_design(design, amap), amap.image_box(space)
+        beta = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=d2,
+                                           max_size=d2)))
+
+        _, psi, _ = best_support_candidate(pair, design, beta, space)
+        grid_max = float(np.max(psi_scan(pair, design, beta, space,
+                                         algorithm.PSI_GRID_SIZE)[1]))
+        # psi is a difference of divergences, so rounding scales with them
+        tol = 1e-12 * max(1.0, float(np.max(pair.divergence(design.points, beta))),
+                          abs(grid_max))
+        assert psi >= grid_max - tol
 
 
 class TestEfficiencyBound:
@@ -910,6 +948,33 @@ class TestRuns:
         assert run.termination_reason == EFFICIENCY_REACHED
         pulled_back = transform_design(run.final_design, amap.inverted())
         assert wasserstein_distance(pulled_back, cubic_quadratic_optimum()) <= 0.02
+
+    @pytest.mark.parametrize("family", ["gaussian", "affine image", "logistic"])
+    def test_only_a_logistic_loop_prepares_the_psi_grid(self, family):
+        # a Gaussian scan holds its maximum at an end or a root of r', so its
+        # loop prepares no support on the 2001-node grid; a logistic loop
+        # prepares one and scans it at every iteration
+        pair, start, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
+                              cubic_quadratic_space())
+        if family == "affine image":
+            amap = AffineMap([2.0], [[4.0]])
+            pair = reparametrize_under_affine(pair, amap)
+            start, space = transform_design(start, amap), amap.image_box(space)
+        elif family == "logistic":
+            pair, start, space = logistic_pair(), LOGISTIC_SEGMENT_START, logistic_space()
+        rows = []
+
+        def recorded(pair, points):
+            rows.append(len(points))
+            return prepare_support(pair, points)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algorithm, "prepare_support", recorded)
+            patch.setattr(inner, "prepare_support", recorded)
+            run = run_first_order(pair, start, space, AlgoConfig(max_iterations=5), FAST)
+        assert len(run.history) >= 2 and rows
+        expected = 1 if family == "logistic" else 0
+        assert rows.count(algorithm.PSI_GRID_SIZE) == expected
 
     def test_regularized_gaussian_run_from_a_one_point_start(self):
         # the plain loop hands a one-point start off; the regularized loop

@@ -442,6 +442,38 @@ class TestColdStart:
             sol = minimize_beta2(pair, fixture_start(), warm_start=[495.0, 495.0])
         np.testing.assert_array_equal(sol.beta2_hat, cold.beta2_hat)
 
+    @pytest.mark.parametrize("case", ["seeded", "point mass", "zero weights",
+                                      "sigma2 1e300", "sigma2 max"])
+    def test_gaussian_start_is_the_generic_model_start(self, case):
+        # a Gaussian start skips the derivatives and the keep mask: g is +0
+        # and h the scalar 1 / sigma2, so the floats are the generic route's.
+        # At sigma2 = the largest float h = w / max_float at w = 1, and the
+        # keep rule drops that row, so the start is the empty fit's 0.
+        def generic(pair, support, weights):
+            g, h = pair.kernel_derivatives(support.eta1)(support.eta1)
+            keep = h > weights * inner._INV_MAX
+            scale, rhs = inner._model(weights[keep], support.eta1[keep], g[keep], h[keep])
+            return inner._bounded_lstsq(scale[:, None] * support.rows[keep], rhs,
+                                        pair.theta2)
+
+        rng = np.random.default_rng(2027)
+        space = DesignSpace([-1.0], [1.0])
+        if case == "seeded":
+            instances = [random_gaussian_instance(rng) for _ in range(40)]
+        else:
+            sigma2 = {"sigma2 1e300": 1e300, "sigma2 max": np.finfo(float).max}.get(case, 0.5)
+            pair = GaussianRegressionPair([0.3, 0, 0, 1], [0, 1, 2], BOX3, sigma2)
+            points, weights = {"zero weights": ([[-1.0], [0.0], [0.5], [1.0]],
+                                                [0.5, 0.0, 0.5, 0.0])}.get(
+                case, ([[0.7]], [1.0]))
+            instances = [(pair, Design(space, points, weights))]
+        for pair, design in instances:
+            support = prepare_support(pair, design.points)
+            start = support.model_start(design.weights, pair.theta2)
+            np.testing.assert_array_equal(start, generic(pair, support, design.weights))
+        if case == "sigma2 max":
+            np.testing.assert_array_equal(start, np.zeros(3))
+
     def test_model_start_leaves_out_rows_whose_curvature_underflowed(self):
         # expit'(800) is 0, so w / h is not finite at x = 1. At x = 0 the
         # start is eta1 = 0; the minimizer solves expit(b) = (1/2 + 1) / 2.
