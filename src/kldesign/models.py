@@ -19,7 +19,8 @@ Built-in kinds:
   (eta1 - eta2) expit(eta1) + softplus(eta2) - softplus(eta1).
 
 `expit` and `softplus` are the module's own, on numpy's ufuncs, so no pair
-loads SciPy. A pair refuses a parameter that is not finite when it is built.
+loads SciPy; `softplus` takes numpy's SIMD loops on the long arrays of the
+logistic grid scans and `np.logaddexp` on the short ones of a solve. A pair refuses a parameter that is not finite when it is built.
 """
 
 import math
@@ -80,9 +81,35 @@ class ParamBox:
         return math.dist(self.upper, self.lower)
 
 
+# At this many values the four SIMD ufunc loops of `softplus` cost less than
+# logaddexp's one scalar loop (about 4 us each on one core; 28 against 10 us
+# at 2,001 values, 0.7 against 3 us at 5).
+_SOFTPLUS_VECTOR_SIZE = 256
+
+
 def softplus(x) -> np.ndarray:
-    """log(1 + exp(x)) without overflow for |x| up to the float64 range."""
-    return np.logaddexp(0.0, np.asarray(x, dtype=float))
+    """log(1 + exp(x)) without overflow for |x| up to the float64 range:
+    max(x, 0) + log1p(exp(-|x|)), the formula of `np.logaddexp(0, x)`.
+    Arrays of fewer than `_SOFTPLUS_VECTOR_SIZE` values take logaddexp, one
+    call; longer ones (the logistic grid scans) the formula itself, on
+    numpy's SIMD loops of exp and log1p, which differ from logaddexp's
+    scalar libm calls by a few ulp. inf gives inf, -inf 0 and NaN NaN. As in
+    `expit`, floating-point errors (exp's underflow, logaddexp's invalid
+    flag at NaN) are ignored whatever error state the caller has set, under
+    `_lapack.QUIET`."""
+    x = np.asarray(x, dtype=float)
+    token = _extobj_contextvar.set(QUIET)
+    try:
+        if x.size < _SOFTPLUS_VECTOR_SIZE:
+            return np.logaddexp(0.0, x)
+        tail = np.abs(x)
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        np.log1p(tail, out=tail)
+        tail += np.maximum(x, 0.0)
+        return tail
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def expit(x) -> np.ndarray:

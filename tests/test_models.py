@@ -16,9 +16,10 @@ from kldesign.benchmarks import (SyntheticFamily, _glm_fisher_information as
                                  glm_fisher_information, _kl_average as kl_average)
 from kldesign.errors import UnsupportedModelError
 from kldesign.inner import prepare_support
+from kldesign import models
 from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
                              PolynomialPair, expit, glm_is_regular,
-                             reparametrize_under_affine)
+                             reparametrize_under_affine, softplus)
 
 BOX3 = ParamBox([-5.0] * 3, [5.0] * 3)
 # Fixed example sequence, so the suite stays deterministic.
@@ -178,6 +179,51 @@ class TestExpit:
                 loud = expit(x)
             assert (np.geterr(), np.geterrcall()) == found
         np.testing.assert_array_equal(loud, quiet)
+
+
+def softplus_both_ways(x: np.ndarray) -> dict:
+    """`softplus` of x on the whole array and in pieces short enough to take
+    `np.logaddexp` (a pure function of each value either way)."""
+    short = models._SOFTPLUS_VECTOR_SIZE - 1
+    return {"long": softplus(x),
+            "short": np.concatenate([softplus(x[i:i + short])
+                                     for i in range(0, x.size, short)])}
+
+
+class TestSoftplus:
+    @pytest.mark.parametrize("scale", [40.0, 800.0])
+    def test_within_two_ulp_of_logaddexp(self, scale):
+        # numpy's SIMD exp and log1p against logaddexp's scalar libm calls
+        x = np.random.default_rng(27).uniform(-scale, scale, 200_000)
+        reference = np.logaddexp(0.0, x)
+        for values in softplus_both_ways(x).values():
+            # both nonnegative, so the distance of the bit patterns counts ulps
+            assert np.max(np.abs(values.view(np.int64) - reference.view(np.int64))) <= 2
+
+    def test_infinities_nan_and_sign(self):
+        x = np.tile([np.inf, -np.inf, np.nan, -1e308, -800.0, -40.0, 0.0, 40.0, 1e308],
+                    60)
+        for values in softplus_both_ways(x).values():
+            np.testing.assert_array_equal(values[:3], [np.inf, 0.0, np.nan])
+            number = ~np.isnan(values)
+            assert number.sum() == values.size - 60
+            assert not np.signbit(values[number]).any()  # no -0.0 either
+
+    @pytest.mark.parametrize("state", [{"all": "raise"}, {"under": "warn"}],
+                             ids=["raise", "warn"])
+    def test_ignores_the_callers_error_state(self, state):
+        # exp(-|x|) underflows above |x| = 745.13 and is subnormal near 709
+        x = np.tile([-800.0, -745.5, -709.5, 0.0, 709.5, 800.0, np.inf, -np.inf, np.nan],
+                    60)
+        quiet = softplus_both_ways(x)
+        with np.errstate(**state):
+            found = np.geterr(), np.geterrcall()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loud = softplus_both_ways(x)
+            assert (np.geterr(), np.geterrcall()) == found
+        for size in ("long", "short"):
+            np.testing.assert_array_equal(loud[size], quiet[size])
 
 
 class TestNonFiniteParameters:
