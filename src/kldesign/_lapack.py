@@ -62,7 +62,11 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
 
 
 def lstsq(a: np.ndarray, rhs: np.ndarray, rcond: float = -1.0) -> np.ndarray:
-    """`numpy.linalg.lstsq(a, rhs, rcond)[0]` for a vector `rhs`, by dgelsd."""
+    """`numpy.linalg.lstsq(a, rhs, rcond)[0]` for a vector `rhs`, by dgelsd.
+    NaN input raises `LinAlgError`, but LAPACK first prints lines
+    `** On entry to DLASCL parameter number N had an illegal value` to
+    stdout (six for a 3 x 2 matrix holding one NaN), as it does under
+    `numpy.linalg.lstsq`."""
     if not a.size:
         return np.zeros(a.shape[1])
     token = _extobj_contextvar.set(_RAISE_ON_FAILURE)
