@@ -86,8 +86,9 @@ class InnerSolution:
 class Support:
     """The weight-free part of the inner problem on fixed points: the rival
     matrix, the true predictor eta1, the pointwise divergence and derivative
-    closures (the family's `kernel` and `kernel_derivatives`), and the rank
-    test, memoized per positive-weight pattern. Build it with
+    closures (the family's `kernel` and `kernel_derivatives`), a Gaussian
+    pair's constant curvature, and the rank test, memoized per
+    positive-weight pattern. Build it with
     `prepare_support`; any design on the same points can be solved on it."""
 
     points: np.ndarray
