@@ -103,12 +103,7 @@ def softplus(x) -> np.ndarray:
     try:
         if x.size < _SOFTPLUS_VECTOR_SIZE:
             return np.logaddexp(0.0, x)
-        tail = np.abs(x)
-        np.negative(tail, out=tail)
-        np.exp(tail, out=tail)
-        np.log1p(tail, out=tail)
-        tail += np.maximum(x, 0.0)
-        return tail
+        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     finally:
         _extobj_contextvar.reset(token)
 
