@@ -89,6 +89,33 @@ class TestDirectionalDerivative:
         np.testing.assert_array_equal(psi_scan(pair, design, beta, space)[1], psi)
 
 
+@st.composite
+def gaussian_scans(draw):
+    """(pair, design, beta2, space): a Gaussian pair of random degree and
+    exponents on a random interval, a random design and beta2, and in half
+    the draws all of it mapped by a random affine frame."""
+    d2 = draw(st.integers(1, 4))
+    exponents = sorted(draw(st.lists(st.integers(0, 5), min_size=d2, max_size=d2,
+                                     unique=True)))
+    beta1 = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
+    pair = GaussianRegressionPair(beta1, exponents, ParamBox([-5.0] * d2, [5.0] * d2),
+                                  draw(st.floats(0.2, 2.0)))
+    lower = draw(st.floats(-2.0, 1.0))
+    space = DesignSpace([lower], [lower + draw(st.floats(0.1, 3.0))])
+    m = draw(st.integers(1, 6))
+    points = draw(st.lists(st.floats(space.lower[0], space.upper[0]), min_size=m,
+                           max_size=m))
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+    design = Design(space, np.array(points)[:, None], raw / raw.sum())
+    beta = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=d2, max_size=d2)))
+    if draw(st.booleans()):
+        amap = AffineMap(draw(st.floats(-10.0, 10.0)),
+                         draw(st.sampled_from([-3.0, -0.5, 0.25, 2.0, 40.0])))
+        pair = reparametrize_under_affine(pair, amap)
+        design, space = transform_design(design, amap), amap.image_box(space)
+    return pair, design, beta, space
+
+
 class TestBestSupportCandidate:
     def test_matches_brute_force_grid(self):
         # residual is symmetric for the delta_0 fit, maximizer at an endpoint
@@ -141,29 +168,11 @@ class TestBestSupportCandidate:
 
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-    @given(st.data())
-    def test_gaussian_scan_maximum_is_exact(self, data):
+    @given(gaussian_scans(), st.integers(2, 21))
+    def test_gaussian_scan_maximum_is_exact(self, scan, grid_size):
         # no dense grid finds a larger psi than a coarse scan, whose best
         # candidate attains the psi it reports
-        d2 = data.draw(st.integers(1, 4))
-        exponents = sorted(data.draw(st.lists(st.integers(0, 5), min_size=d2,
-                                              max_size=d2, unique=True)))
-        beta1 = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
-        pair = GaussianRegressionPair(
-            beta1, exponents, ParamBox([-5.0] * d2, [5.0] * d2),
-            data.draw(st.floats(0.2, 2.0)))
-        lower = data.draw(st.floats(-2.0, 1.0))
-        space = DesignSpace([lower], [lower + data.draw(st.floats(0.1, 3.0))])
-        m = data.draw(st.integers(1, 6))
-        points = data.draw(st.lists(st.floats(space.lower[0], space.upper[0]),
-                                    min_size=m, max_size=m))
-        raw = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=m,
-                                          max_size=m)))
-        design = Design(space, np.array(points)[:, None], raw / raw.sum())
-        beta = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=d2,
-                                           max_size=d2)))
-        grid_size = data.draw(st.integers(2, 21))
-
+        pair, design, beta, space = scan
         candidates, psi = psi_scan(pair, design, beta, space, grid_size)
         i = int(np.argmax(psi))
         average = kl_average(pair, design, beta)
@@ -174,40 +183,15 @@ class TestBestSupportCandidate:
         attained = float(pair.divergence(candidates[i], beta)[0]) - average
         assert attained == pytest.approx(psi[i], abs=tol)
 
-
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-    @given(st.data())
-    def test_gaussian_candidates_hold_the_grid_maximum(self, data):
+    @given(gaussian_scans())
+    def test_gaussian_candidates_hold_the_grid_maximum(self, scan):
         # a Gaussian loop scans only the ends, the support and the roots of
-        # r'; no node of the certificate's grid finds a larger psi, on the
-        # domain's own coordinate or in an affine frame
-        d2 = data.draw(st.integers(1, 4))
-        exponents = sorted(data.draw(st.lists(st.integers(0, 5), min_size=d2,
-                                              max_size=d2, unique=True)))
-        beta1 = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
-        pair = GaussianRegressionPair(
-            beta1, exponents, ParamBox([-5.0] * d2, [5.0] * d2),
-            data.draw(st.floats(0.2, 2.0)))
-        lower = data.draw(st.floats(-2.0, 1.0))
-        space = DesignSpace([lower], [lower + data.draw(st.floats(0.1, 3.0))])
-        m = data.draw(st.integers(1, 6))
-        points = data.draw(st.lists(st.floats(space.lower[0], space.upper[0]),
-                                    min_size=m, max_size=m))
-        raw = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=m,
-                                          max_size=m)))
-        design = Design(space, np.array(points)[:, None], raw / raw.sum())
-        if data.draw(st.booleans()):
-            amap = AffineMap(data.draw(st.floats(-10.0, 10.0)),
-                             data.draw(st.sampled_from([-3.0, -0.5, 0.25, 2.0, 40.0])))
-            pair = reparametrize_under_affine(pair, amap)
-            design, space = transform_design(design, amap), amap.image_box(space)
-        beta = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=d2,
-                                           max_size=d2)))
-
+        # r'; no node of the certificate's grid finds a larger psi
+        pair, design, beta, space = scan
         _, psi, _ = best_support_candidate(pair, design, beta, space)
         grid_max = float(np.max(psi_scan(pair, design, beta, space,
                                          algorithm.PSI_GRID_SIZE)[1]))
-        # psi is a difference of divergences, so rounding scales with them
         tol = 1e-12 * max(1.0, float(np.max(pair.divergence(design.points, beta))),
                           abs(grid_max))
         assert psi >= grid_max - tol
