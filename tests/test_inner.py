@@ -463,10 +463,11 @@ class TestColdStart:
         else:
             sigma2 = {"sigma2 1e300": 1e300, "sigma2 max": np.finfo(float).max}.get(case, 0.5)
             pair = GaussianRegressionPair([0.3, 0, 0, 1], [0, 1, 2], BOX3, sigma2)
-            points, weights = {"zero weights": ([[-1.0], [0.0], [0.5], [1.0]],
-                                                [0.5, 0.0, 0.5, 0.0])}.get(
-                case, ([[0.7]], [1.0]))
-            instances = [(pair, Design(space, points, weights))]
+            if case == "zero weights":
+                design = Design(space, [[-1.0], [0.0], [0.5], [1.0]], [0.5, 0.0, 0.5, 0.0])
+            else:
+                design = Design(space, [[0.7]], [1.0])  # a point mass
+            instances = [(pair, design)]
         for pair, design in instances:
             support = prepare_support(pair, design.points)
             start = support.model_start(design.weights, pair.theta2)
