@@ -5,10 +5,10 @@ Users' Guide, 1999).
 The solves take 1 to 9 rows, where numpy.linalg's Python wrapper costs more
 than the routine it calls. Each helper calls the gufunc of
 `numpy.linalg._umath_linalg` that numpy.linalg calls on the same matrix
-(`lstsq` runs dgelsd, `svd_s`, `svd_f` and `svd` run dgesdd, `eigvals` runs
-dgeev). On float64 input the gufunc picks the loop numpy.linalg names by its
-`signature`, so the floats are numpy's bit for bit (the parity tests in
-tests/test_lapack.py compare them).
+(`lstsq` runs dgelsd, `solve1` runs dgesv, `svd_s`, `svd_f` and `svd` run
+dgesdd, `eigvals` runs dgeev). On float64 input the gufunc picks the loop
+numpy.linalg names by its `signature`, so the floats are numpy's bit for
+bit (the parity tests in tests/test_lapack.py compare them).
 
 Each helper keeps numpy's behaviour around the gufunc: an empty input is
 answered before LAPACK sees it (which would print an error and fail), and a
@@ -75,6 +75,17 @@ def lstsq(a: np.ndarray, rhs: np.ndarray, rcond: float = -1.0) -> np.ndarray:
     finally:
         _extobj_contextvar.reset(token)
     return x[:, 0]
+
+
+def solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """`numpy.linalg.solve(a, rhs)` for a square `a` and a vector `rhs`, by
+    dgesv. An exactly singular `a` raises `LinAlgError`; NaN input returns
+    NaN or raises where numpy.linalg.solve does."""
+    token = _extobj_contextvar.set(_RAISE_ON_FAILURE)
+    try:
+        return _umath_linalg.solve1(a, rhs)
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def root_real_parts(p: np.ndarray) -> np.ndarray:

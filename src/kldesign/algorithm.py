@@ -20,11 +20,14 @@ One iteration, given the current design xi_n:
      psi > 0 (read off step 2's scan) comes from the minimax dual
      restricted to those points (`restricted_dual`), stated in residual
      units, where it is a quadratic program with linear constraints, solved
-     exactly by a small active-set method; its multipliers are the weights,
-     and a point of zero weight leaves. Each step is fully corrective
-     (simplicial decomposition, von Hohenbalken 1977), at least as good as
-     the exact line search below, and the new design is solved once, by its
-     exact least-squares fit;
+     exactly by a small active-set method. It starts, where that point is
+     feasible, from the levelled reference of Remez's exchange read off r
+     at step 1's minimizer (Remez 1934; Cheney 1966), often the optimum
+     itself (every dual of the shipped Gaussian runs takes one KKT solve).
+     Its multipliers are the weights, and a point of zero weight leaves.
+     Each step is fully corrective (simplicial decomposition, von
+     Hohenbalken 1977), at least as good as the exact line search below,
+     and the new design is solved once, by its exact least-squares fit;
    - a logistic pair takes the exact line search of the criterion along the
      segment (1-a) xi_n + a delta_{x_n} (`line_search_alpha`); its dual has
      no such exact solve, and a general-purpose one measured slower than
@@ -57,7 +60,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._lapack import svd
+from ._lapack import solve, svd
 from .designs import Design, DesignSpace, blend_designs, validate_design
 from .errors import DomainError, UndefinedEfficiencyError, UnsupportedModelError
 from .inner import InnerConfig, InnerSolution, Support, minimize_beta2, prepare_support
@@ -505,6 +508,65 @@ def _active_set_qp(factor, target, rows, bounds, z, working):
     raise RuntimeError("the active-set solve did not reach an optimal working set")
 
 
+def _remez_reference(x: np.ndarray, residual: np.ndarray, size: int):
+    """The indices of a Remez reference of `size` points read off
+    `residual`, in the order of x, or None where r has fewer alternants.
+
+    Walked in the order of x, the residuals fall into runs of one sign, and
+    each run's largest |r_j| is an alternant. The reference is the `size`
+    consecutive alternants that hold the largest |r_j| and, of those
+    windows, have the largest smallest |r_j|, then the largest second
+    smallest, and so on: a rule that reads the same in either direction of x
+    (Remez 1934; Cheney 1966, ch. 2).
+    """
+    alternants = []
+    for i in np.argsort(x).tolist():
+        if alternants and (residual[i] < 0.0) == (residual[alternants[-1]] < 0.0):
+            if abs(residual[i]) > abs(residual[alternants[-1]]):
+                alternants[-1] = i
+        else:
+            alternants.append(i)
+    if len(alternants) < size:
+        return None
+    magnitude = np.abs(residual[alternants])
+    k = int(np.argmax(magnitude))
+    first = max(range(max(0, k - size + 1), min(k, len(alternants) - size) + 1),
+                key=lambda i: np.sort(magnitude[i:i + size]).tolist())
+    return alternants[first:first + size]
+
+
+def _levelled_start(x: np.ndarray, rows: np.ndarray, eta1: np.ndarray,
+                    residual: np.ndarray, box):
+    """The levelled point of the Remez reference (`_remez_reference`) of
+    d + 1 points, d the columns of `rows`, as a start (z, working set) of
+    the residual-unit dual, or None where it is no feasible start.
+
+    The levelled point (beta2, h) solves X_R beta2 + sign_R h = eta1_R on
+    the reference R, with the signs of its residuals, flipped where h < 0,
+    so that r_j = sign_j h there. It is a start where that solve succeeds,
+    beta2 lies in the box and no other point has |r_j| > h; the working set
+    is then the reference's rows.
+    """
+    m, d = rows.shape
+    reference = _remez_reference(x, residual, d + 1)
+    if reference is None:
+        return None
+    signs = np.where(residual[reference] < 0.0, -1.0, 1.0)
+    try:
+        z = solve(np.hstack([rows[reference], signs[:, None]]), eta1[reference])
+    except np.linalg.LinAlgError:
+        return None
+    if z[-1] < 0.0:
+        z[-1], signs = -z[-1], -signs
+    beta, h = z[:-1], z[-1]
+    outside = np.ones(m, dtype=bool)
+    outside[reference] = False
+    if not (np.all((beta >= box.lower) & (beta <= box.upper))
+            and np.all(np.abs(eta1[outside] - rows[outside] @ beta) <= h)):
+        return None
+    return z, [j if sign > 0.0 else m + j for j, sign in zip(reference, signs)]
+
+
 def restricted_dual(pair: ModelPair, points, warm_start=None, *,
                     reg: RegularizationConfig | None = None):
     """The best design on fixed points for a Gaussian pair, from the minimax
@@ -528,15 +590,27 @@ def restricted_dual(pair: ModelPair, points, warm_start=None, *,
     gamma sigma2 avg_ref I(., beta2), which is sigma2 times the objective
     above at t = s^2 / (2 sigma2), subject to the linear constraints
     -s <= r_j <= s. That is a quadratic program, solved exactly by
-    `_active_set_qp` from the feasible point (`warm_start` clipped into the
-    box, the box midpoint when None; s the largest |r_j| there) with the
-    row of that largest residual as the working set. A point's multiplier is
-    the sum of its two rows' multipliers, rescaled to sum to 1 - gamma
-    (unscaled they sum to (1-gamma) s, so all are zero where s = 0), and the
-    value is the objective divided by sigma2. Neither the constraints nor
-    the objective depend on sigma2 or on where the domain lies, and scaling
-    the true mean and the box scales the solution. Any other pair raises
-    `UnsupportedModelError`: a logistic pair steps by `line_search_alpha`.
+    `_active_set_qp` from a feasible point read off the residuals at
+    `warm_start` clipped into the box (the box midpoint when None). For a
+    nested pair, with no reference and a box that does not bind, the
+    optimum is the levelled point of a reference of Remez's exchange
+    (Remez 1934; Cheney 1966, ch. 2): d + 1 points where r alternates in
+    sign with |r_j| = s, its extrema, which the corrective step's points
+    hold. So the start is the levelled point of the reference read off r at
+    the warm start (`_levelled_start`), with the reference's rows as the
+    working set, where that point is feasible: its solve succeeds, beta2
+    lies in the box and no other point has |r_j| above s. Otherwise the
+    start is the warm start itself, s the largest |r_j| there, with the row
+    of that largest residual as the working set. The active-set method is
+    correct from either, so a levelled start that is not optimal, as where
+    gamma > 0 or the box binds, costs steps, not accuracy. A point's
+    multiplier is the sum of its two rows' multipliers, rescaled to sum to
+    1 - gamma (unscaled they sum to (1-gamma) s, so all are zero where
+    s = 0), and the value is the objective divided by sigma2. Neither the
+    constraints, the objective nor the start depend on sigma2, on where the
+    domain lies or on its direction, and scaling the true mean and the box
+    scales the solution. Any other pair raises `UnsupportedModelError`: a
+    logistic pair steps by `line_search_alpha`.
 
     Returns (multipliers, beta2, value), one multiplier per point; dividing
     the multipliers by their sum gives the weights.
@@ -563,10 +637,11 @@ def restricted_dual(pair: ModelPair, points, warm_start=None, *,
                              unit, -unit, np.eye(1, d + 1, d)])
     bounds = np.concatenate([eta1, -eta1, box.lower, -box.upper, [0.0]])
     residual = eta1 - rows @ beta
-    j = int(np.argmax(np.abs(residual)))
-    z, multipliers = _active_set_qp(factor, target, constraints, bounds,
-                                    np.append(beta, abs(residual[j])),
-                                    [j if residual[j] >= 0.0 else m + j])
+    start = _levelled_start(np.reshape(points, m), rows, eta1, residual, box)
+    if start is None:
+        j = int(np.argmax(np.abs(residual)))
+        start = np.append(beta, abs(residual[j])), [j if residual[j] >= 0.0 else m + j]
+    z, multipliers = _active_set_qp(factor, target, constraints, bounds, *start)
     # the box rows hold to rounding; those that bind hold exactly
     at_lower = multipliers[2 * m:2 * m + d] > 0.0
     at_upper = multipliers[2 * m + d:-1] > 0.0
@@ -663,12 +738,16 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
     else:
         gamma = 0.0
         inner = minimize_beta2(pair, design, inner_cfg)
-    nodes, zero = space.grid(PSI_GRID_SIZE), np.zeros(pair.dimension)
+    zero = np.zeros(pair.dimension)
     if isinstance(pair, GaussianRegressionPair):
-        # psi peaks at an end or a root of r': the scan needs no grid
-        grid, null_row = None, pair.divergence(nodes, zero)
+        # psi peaks at an end or a root of r': the scan needs no grid, and the
+        # all-zero rival's divergence m1^2 / (2 sigma2) peaks at an end or a
+        # root of m1', so its maximum there is exact
+        peaks = pair.residual_critical_points(zero, space.lower[0], space.upper[0])
+        grid = None
+        null_row = pair.divergence(np.vstack([space.lower, space.upper, peaks]), zero)
     else:
-        grid = prepare_support(pair, nodes)
+        grid = prepare_support(pair, space.grid(PSI_GRID_SIZE))
         null_row = grid.pointwise(zero)
     null_scale = float(np.max(null_row))
     if not regularizing and inner.singular_flag:

@@ -17,18 +17,18 @@ from kldesign.algorithm import (EFFICIENCY_REACHED, STALLED, STALLED_REGULARIZED
                                 default_reference_design, efficiency_bound,
                                 line_search_alpha, psi_scan, restricted_dual,
                                 run_first_order, run_regularized)
-from kldesign.benchmarks import (SyntheticFamily, _kl_average as kl_average,
-                                 benchmark_inner_config, cubic_quadratic_optimum,
-                                 cubic_quadratic_pair, cubic_quadratic_space,
-                                 cubic_quadratic_start, logistic_pair,
-                                 logistic_reference_design, logistic_space,
-                                 logistic_start_design)
+from kldesign.benchmarks import (BenchmarkContext, SyntheticFamily,
+                                 _kl_average as kl_average, benchmark_inner_config,
+                                 cubic_quadratic_optimum, cubic_quadratic_pair,
+                                 cubic_quadratic_space, cubic_quadratic_start,
+                                 logistic_pair, logistic_reference_design,
+                                 logistic_space, logistic_start_design)
 from kldesign.designs import (AffineMap, Design, DesignSpace, blend_designs,
                               transform_design, validate_design, wasserstein_distance)
 from kldesign.errors import DomainError, UndefinedEfficiencyError, UnsupportedModelError
 from kldesign.inner import InnerConfig, minimize_beta2, prepare_support
 from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
-                             reparametrize_under_affine)
+                             PolynomialPair, reparametrize_under_affine)
 from kldesign.verify import CERTIFIED, equivalence_check
 
 TIGHT = InnerConfig(local_tolerance=1e-10)
@@ -600,6 +600,26 @@ class TestRestrictedDual:
                                    [1 / 6, 1 / 3, 1 / 3, 1 / 6], atol=1e-12)
         assert value == pytest.approx(1 / 16, abs=1e-12)
 
+    def test_the_remez_reference_reads_the_same_in_either_direction(self):
+        # d + 1 consecutive alternants, the runs' largest |r| along x, that
+        # hold the largest |r|: reversing x chooses the same points
+        rng = np.random.default_rng(11)
+        longer = 0
+        for _ in range(500):
+            m, d = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            x, residual = rng.permutation(m).astype(float), rng.normal(size=m)
+            reference = algorithm._remez_reference(x, residual, d + 1)
+            mirrored = algorithm._remez_reference(-x, residual, d + 1)
+            if reference is None:
+                assert mirrored is None
+                continue
+            assert mirrored == reference[::-1]
+            assert int(np.argmax(np.abs(residual))) in reference
+            signs = residual[reference] > 0.0
+            assert np.all(signs[1:] != signs[:-1]) and np.all(np.diff(x[reference]) > 0.0)
+            longer += np.count_nonzero(np.diff(residual[np.argsort(x)] > 0.0)) > d
+        assert longer >= 100
+
     def test_logistic_pair_is_refused(self):
         # a logistic pair steps by the line search; its dual has no solver
         pair = LogisticGlmPair([1.0, -2.0, 1.5], [0, 1], ParamBox([-10.0] * 2, [10.0] * 2))
@@ -645,7 +665,8 @@ class TestRestrictedDual:
 
 def recording_duals(patch) -> list:
     """Patch `restricted_dual` and its KKT solves; the returned list collects
-    one dict per dual: its pair, points, reg, result, and KKT solves."""
+    one dict per dual: its pair, points, warm start, reg, result, and KKT
+    solves."""
     duals = []
     dual, kkt_solve = algorithm.restricted_dual, algorithm._kkt_solve
 
@@ -654,7 +675,8 @@ def recording_duals(patch) -> list:
         return kkt_solve(*args)
 
     def recorded(pair, points, warm_start=None, *, reg=None):
-        duals.append({"pair": pair, "points": points, "reg": reg, "solves": 0})
+        duals.append({"pair": pair, "points": points, "warm_start": warm_start, "reg": reg,
+                      "solves": 0})
         duals[-1]["result"] = dual(pair, points, warm_start, reg=reg)
         return duals[-1]["result"]
 
@@ -870,34 +892,81 @@ class TestRuns:
         assert [reason for d, reason in runs if d < 5] == [EFFICIENCY_REACHED] * 20
         assert [reason for d, reason in runs if d == 5] == [STALLED_REGULARIZED] * 5
 
+    def test_levelled_start_reaches_the_dual_of_the_argmax_row_start(self):
+        # Each dual of the 25 seed-7 nested runs and of the fixed-point cases
+        # of TestRestrictedDual, solved again from the argmax-row start (the
+        # levelled one refused): both are KKT points, with the same
+        # multipliers, beta2 and value to 1e-14 of the terms of r.
+        _, duals = self.nested_gaussian_suite(1.0, 5, 0.99)
+        cases = [(d["pair"], d["points"], d["warm_start"], d["reg"]) for d in duals]
+        space, points = cubic_quadratic_space(), np.array([-1.0, -0.6, 0.1, 0.8, 1.0])[:, None]
+        for pair, gamma in [(cubic_quadratic_pair(bound=0.5), None),
+                            (cubic_quadratic_pair(bound=0.5), 0.2),
+                            (cubic_quadratic_pair(), 0.2)]:
+            reg = None if gamma is None else RegularizationConfig(
+                gamma, default_reference_design(pair, space))
+            cases.append((pair, points, None, reg))
+        taken = 0
+        for pair, points, warm_start, reg in cases:
+            with pytest.MonkeyPatch.context() as patch:
+                starts = []
+                levelled = algorithm._levelled_start
+                patch.setattr(algorithm, "_levelled_start",
+                              lambda *args: starts.append(levelled(*args)) or starts[-1])
+                new = restricted_dual(pair, points, warm_start, reg=reg)
+                patch.setattr(algorithm, "_levelled_start", lambda *args: None)
+                old = restricted_dual(pair, points, warm_start, reg=reg)
+            taken += starts[0] is not None
+            for result in (new, old):
+                assert_gaussian_dual_is_a_kkt_point(pair, points, reg, result)
+            rows, eta1 = pair.rival_matrix(points), pair.true_predictor(points)
+            terms = np.max(np.abs(eta1)) + np.max(np.abs(rows) @ np.abs(old[1]))
+            assert np.max(np.abs(new[0] - old[0])) <= 1e-14
+            assert np.max(np.abs(rows @ (new[1] - old[1]))) <= 1e-14 * terms
+            assert abs(new[2] - old[2]) <= 1e-14 * terms * terms / pair.sigma2
+        assert len(cases) >= 28 and 0 < taken < len(cases)
+
+    def test_each_dual_of_the_shipped_gaussian_runs_takes_one_kkt_solve(self):
+        # the corrective step's candidates hold r's alternating extrema, so
+        # the levelled reference is the optimum and the first KKT solve
+        # confirms it (the argmax-row start took 4)
+        for name in ("benchmark_run", "transformed_run"):
+            with pytest.MonkeyPatch.context() as patch:
+                duals = recording_duals(patch)
+                getattr(BenchmarkContext(), name)()
+            assert len(duals) >= 2 and [d["solves"] for d in duals] == [1] * len(duals)
+
     def test_dual_work_is_invariant_under_scale_and_position(self):
         # The dual is solved in residual units, so neither sigma2 nor the
-        # affine image z = 2 + 4x changes the active-set work of any step (a
-        # few KKT solves each), and every run ends at the image of the same
-        # design. The truth and the box times 10 scale the whole solve, so
-        # that rung takes the same solves to the same design.
-        amap = AffineMap([2.0], [[4.0]])
+        # affine images z = 2 + 4x and z = 2 - 4x change the active-set work
+        # of any step (one KKT solve each, from the levelled reference), and
+        # every run ends at the image of the same design. The reflection
+        # reverses the order of x, which the reference is read in. The truth
+        # and the box times 10 scale the whole solve, so that rung takes the
+        # same solves to the same design.
+        maps = [AffineMap([2.0], [[4.0]]), AffineMap([2.0], [[-4.0]])]
         space, start = cubic_quadratic_space(), cubic_quadratic_start()
         base = cubic_quadratic_pair()
         scaled = replace(base, beta1=10.0 * base.beta1,
                          theta2=ParamBox(10.0 * base.theta2.lower, 10.0 * base.theta2.upper))
-        problems = [(scaled, start, space, False)]
+        problems = [(scaled, start, space, None)]
         for sigma2 in [0.5, 0.05, 0.005, 0.0005]:
             pair = replace(base, sigma2=sigma2)
-            problems += [(pair, start, space, False),
-                         (reparametrize_under_affine(pair, amap),
-                          transform_design(start, amap), amap.image_box(space), True)]
+            problems.append((pair, start, space, None))
+            problems += [(reparametrize_under_affine(pair, amap),
+                          transform_design(start, amap), amap.image_box(space), amap)
+                         for amap in maps]
         counts, finals = [], []
-        for pair, initial, domain, image in problems:
+        for pair, initial, domain, amap in problems:
             with pytest.MonkeyPatch.context() as patch:
                 duals = recording_duals(patch)
                 run = run_first_order(pair, initial, domain, AlgoConfig(delta=0.99),
                                       benchmark_inner_config())
             assert run.termination_reason == EFFICIENCY_REACHED
             counts.append([dual["solves"] for dual in duals])
-            finals.append(run.final_design if image
-                          else transform_design(run.final_design, amap))
-        assert len(counts[0]) >= 2 and max(counts[0]) <= 4
+            finals.append(run.final_design if amap is None
+                          else transform_design(run.final_design, amap.inverted()))
+        assert len(counts[0]) >= 2 and max(counts[0]) == 1
         assert counts == [counts[0]] * len(counts)
         assert max(wasserstein_distance(finals[0], d) for d in finals) <= 1e-12
 
@@ -936,8 +1005,10 @@ class TestRuns:
     @pytest.mark.parametrize("family", ["gaussian", "affine image", "logistic"])
     def test_only_a_logistic_loop_prepares_the_psi_grid(self, family):
         # a Gaussian scan holds its maximum at an end or a root of r', so its
-        # loop prepares no support on the 2001-node grid; a logistic loop
-        # prepares one and scans it at every iteration
+        # loop prepares no support on the 2001-node grid, and no divergence
+        # call of its scans or its null scale (the ends and the roots of m1')
+        # takes more than a few rows; a logistic loop prepares one and scans
+        # it at every iteration
         pair, start, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
                               cubic_quadratic_space())
         if family == "affine image":
@@ -946,19 +1017,26 @@ class TestRuns:
             start, space = transform_design(start, amap), amap.image_box(space)
         elif family == "logistic":
             pair, start, space = logistic_pair(), LOGISTIC_SEGMENT_START, logistic_space()
-        rows = []
+        rows, divergence_rows, divergence = [], [], PolynomialPair.divergence
 
         def recorded(pair, points):
             rows.append(len(points))
             return prepare_support(pair, points)
 
+        def recorded_divergence(pair, points, beta2):
+            divergence_rows.append(np.size(points))
+            return divergence(pair, points, beta2)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(algorithm, "prepare_support", recorded)
             patch.setattr(inner, "prepare_support", recorded)
+            patch.setattr(PolynomialPair, "divergence", recorded_divergence)
             run = run_first_order(pair, start, space, AlgoConfig(max_iterations=5), FAST)
-        assert len(run.history) >= 2 and rows
+        assert len(run.history) >= 2 and rows and divergence_rows
         expected = 1 if family == "logistic" else 0
         assert rows.count(algorithm.PSI_GRID_SIZE) == expected
+        if family != "logistic":
+            assert max(divergence_rows) <= 24
 
     def test_regularized_gaussian_run_from_a_one_point_start(self):
         # the plain loop hands a one-point start off; the regularized loop

@@ -4,7 +4,7 @@ answers on empty and non-finite input."""
 import numpy as np
 import pytest
 
-from kldesign._lapack import lstsq, root_real_parts, singular_values, svd
+from kldesign._lapack import lstsq, root_real_parts, singular_values, solve, svd
 from kldesign.models import _least_singular_value
 
 SHAPES = [(m, n) for m in range(10) for n in range(1, 5)]
@@ -71,6 +71,34 @@ def test_singular_values_and_svd_match_numpy(style):
             for full in (False, True):
                 for got, want in zip(svd(a, full), np.linalg.svd(a, full_matrices=full)):
                     assert same_bits(got, want), (m, n, full)
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_solve_matches_numpy(style):
+    # a singular matrix (the dependent styles) raises as numpy's solve does
+    for n in range(1, 6):
+        for k in range(3):
+            a = matrix(style, n, n, k)
+            rhs = np.random.default_rng([n, k]).normal(0.0, 1.0, size=n)
+            try:
+                expected = np.linalg.solve(a, rhs)
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    solve(a, rhs)
+            else:
+                assert same_bits(solve(a, rhs), expected), (n, k)
+
+
+def test_solve_of_a_singular_matrix_raises_whatever_the_callers_error_state():
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    for caller in ({}, {"invalid": "ignore"}, {"all": "raise"}):
+        with np.errstate(**caller):
+            before = np.geterr(), np.geterrcall()
+            assert same_bits(solve(GOOD[:2], np.ones(2)),
+                             np.linalg.solve(GOOD[:2], np.ones(2)))
+            with pytest.raises(np.linalg.LinAlgError):
+                solve(singular, np.ones(2))
+            assert (np.geterr(), np.geterrcall()) == before, caller
 
 
 def test_least_singular_value_of_no_rows_is_zero_and_silent(capfd):
