@@ -4,11 +4,17 @@ One iteration, given the current design xi_n:
 
 1. inner solve: beta2_n minimizing the averaged divergence (bounded Newton,
    made by the step that produced xi_n, from that step's beta2);
-2. best-point search: x_n maximizing psi over the domain, read off
-   `psi_scan`. A Gaussian pair's psi peaks at an end of the domain or a
-   root of r', so its scan is the two-node one (the ends, the support and
-   those roots), which is exact; a logistic pair's is the scan the
-   certificate uses, on the `PSI_GRID_SIZE`-node grid;
+2. best-point search: x_n maximizing psi over the domain
+   (`best_support_candidate`). A Gaussian pair's psi peaks at an end of
+   the domain or a root of r', so its scan is `psi_scan`'s two-node one
+   (the ends, the support and those roots), which is exact; a logistic
+   pair's scans the certificate's `PSI_GRID_SIZE`-node grid, prepared once
+   per run, and the support, whose divergence it reads off the
+   `inner.Support` that step 1's solution keeps when that solve ran on
+   exactly the support's points (a plain run's; a regularized solve runs
+   on the blend with the reference, whose points the scan does not read,
+   and the scan prepares the support's), and compares the grid's maximum
+   with the support's;
 3. stopping check: the efficiency bound U = value / (value + psi_max),
    a lower bound on value / optimum, is evaluated here, after the
    best-point search and before any further work. A rival that attains
@@ -231,10 +237,14 @@ def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
     The Gaussian maximum is thus exact at any grid size, the two ends
     included, and a Gaussian loop scans no more (`best_support_candidate`);
     for other pairs it falls short by at most h^2/8 * max|psi''|, h the grid
-    spacing. A caller that scans the same grid again and again passes
-    `grid_support`, the grid's `inner.Support`, whose nodes and divergence
-    replace `space.grid(grid_size)`; the values are the same floats either
-    way. The two-node grid is the domain's ends as given.
+    spacing. Without `grid_support` the grid and the other rows are
+    evaluated in one stacked call, as the certificate takes them. With it,
+    a grid's `inner.Support`, the grid's nodes and divergence are read off
+    it and the other rows are evaluated apart, the scan the logistic loop
+    takes (`best_support_candidate`, float for float). The two may differ
+    in the last bits of some rows: the rival predictor X beta2 is a matrix
+    product whose rows depend in their last bits on the height of X
+    (OpenBLAS). The two-node grid is the domain's ends as given.
     Returns (points, psi); the support rows follow the grid's.
     """
     if grid_support is not None:
@@ -259,7 +269,8 @@ def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
 
 
 def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
-                           space: DesignSpace, grid_support: Support | None = None):
+                           space: DesignSpace, grid_support: Support | None = None, *,
+                           support: Support | None = None):
     """(x, psi, candidates) at the top of the loop's psi scan; x is copied so
     records keep no scan. `candidates` is (points, psi) of the scan's rows
     other than the inner grid nodes: the ends of the domain, the support
@@ -268,18 +279,35 @@ def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
     `corrective_step` adds points from them.
 
     A Gaussian pair's scan is those rows alone: its psi is largest at one
-    of them, so no grid node can raise the maximum, and `grid_support` is
-    not read. A logistic pair's scan is `psi_scan` on the `PSI_GRID_SIZE`
-    grid (the loop's `grid_support` of it when given)."""
+    of them, so no grid node can raise the maximum, and neither Support is
+    read. A logistic pair's scan is `psi_scan` with `grid_support`, the
+    `inner.Support` of a grid (the `PSI_GRID_SIZE`-node grid prepared here
+    when None), float for float: the grid's divergence read off it and the
+    design's off `support`, a Support the caller holds (an inner solution's),
+    where it `holds` exactly the design's points, else off one prepared on
+    them. The two parts are not stacked: x is the grid's maximizer unless
+    the support's psi is larger, the first row of the largest psi (or of
+    the first NaN) as `np.argmax` over the stacked scan picks it."""
     if isinstance(pair, GaussianRegressionPair):
         points, psi = psi_scan(pair, design, beta2_hat, space, grid_size=2)
         i = int(np.argmax(psi))
         return points[i].copy(), float(psi[i]), (points, psi)
-    points, psi = psi_scan(pair, design, beta2_hat, space, grid_support=grid_support)
-    i = int(np.argmax(psi))
-    rows = np.arange(PSI_GRID_SIZE - 2, psi.size)
-    rows[0] = 0  # the lower end, then the upper end and what follows the grid
-    return points[i].copy(), float(psi[i]), (points[rows], psi[rows])
+    if grid_support is None:
+        grid_support = prepare_support(pair, space.grid(PSI_GRID_SIZE))
+    if support is None or not support.holds(design.points):
+        support = prepare_support(pair, design.points)
+    beta2 = np.asarray(beta2_hat, dtype=float)
+    on_support = support.pointwise(beta2)
+    average = design.weights @ on_support
+    grid_psi, support_psi = grid_support.pointwise(beta2) - average, on_support - average
+    i, j = int(np.argmax(grid_psi)), int(np.argmax(support_psi))
+    if grid_psi[i] >= support_psi[j] or math.isnan(grid_psi[i]):
+        x, psi = grid_support.points[i], grid_psi[i]
+    else:
+        x, psi = design.points[j], support_psi[j]
+    ends = [0, -1]
+    return x.copy(), float(psi), (np.vstack([grid_support.points[ends], design.points]),
+                                  np.concatenate([grid_psi[ends], support_psi]))
 
 
 def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSolution,
@@ -766,7 +794,7 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
             boundary_warned = True
 
         x_n, psi_raw, candidates = best_support_candidate(
-            pair, design, inner.beta2_hat, space, grid)
+            pair, design, inner.beta2_hat, space, grid, support=inner.support)
         psi_max = (1.0 - gamma) * psi_raw
         # value + psi_max is the largest divergence over the domain (mixed with
         # the reference's average when regularizing)

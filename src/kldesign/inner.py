@@ -27,8 +27,14 @@ which X moves eta2 by no more than the stopping tolerance counts as a null
 direction. Everything that depends on the points and not on the weights (X,
 the divergence and derivative closures, the rank test per positive-weight
 pattern) is a `Support`, built once and reusable across solves on the same
-points. Only these polynomial-predictor pairs are solved; any other pair is
-refused.
+points. A solution keeps the Support it was solved on, so a caller that
+next evaluates the divergence on exactly those points (the exchange loop's
+psi scan) reads it there instead of preparing the points again. Only on
+exactly those points: the rows of a product X b depend on the height of X
+in their last bits (OpenBLAS), so the values on a Support of more points
+(a regularized solve's blend of the design and the reference) are not
+sliced for fewer. Only these polynomial-predictor pairs are solved; any
+other pair is refused.
 """
 
 from dataclasses import dataclass, field
@@ -73,31 +79,30 @@ class InnerConfig:
 
 
 @dataclass(frozen=True)
-class InnerSolution:
-    """Box-constrained minimizer, its value and the uniqueness diagnostic."""
-
-    beta2_hat: np.ndarray
-    value: float
-    singular_flag: bool
-    at_boundary: bool
-
-
-@dataclass(frozen=True)
 class Support:
     """The weight-free part of the inner problem on fixed points: the rival
-    matrix, the true predictor eta1, the pointwise divergence and derivative
-    closures (the family's `kernel` and `kernel_derivatives`), a Gaussian
-    pair's constant curvature, and the rank test, memoized per
-    positive-weight pattern. Build it with
-    `prepare_support`; any design on the same points can be solved on it."""
+    matrix, the true predictor eta1, the kernel eta2 -> I and its derivative
+    closure (the family's `kernels` at eta1), a Gaussian pair's constant
+    curvature, and the rank test, memoized per positive-weight pattern.
+    Build it with `prepare_support`; any design on the same points can be
+    solved on it."""
 
     points: np.ndarray
     rows: np.ndarray
     eta1: np.ndarray
-    pointwise: Callable
+    kernel: Callable
     derivatives: Callable
     curvature: float | None  # a Gaussian pair's constant h = 1 / sigma2, else None
     _least_singular: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def pointwise(self, beta2: np.ndarray) -> np.ndarray:
+        """I(x_i, beta2) at each point: the kernel at eta2 = rows @ beta2."""
+        return self.kernel(self.rows @ beta2)
+
+    def holds(self, points: np.ndarray) -> bool:
+        """Whether the Support was prepared on exactly `points`, bit for bit."""
+        return (self.points.shape == points.shape
+                and self.points.tobytes() == points.tobytes())
 
     def least_singular_value(self, weights: np.ndarray) -> float:
         """`models._least_singular_value` of the rows of positive weight."""
@@ -130,6 +135,21 @@ class Support:
         return _bounded_lstsq(scale[:, None] * rows, rhs, box)
 
 
+@dataclass(frozen=True)
+class InnerSolution:
+    """Box-constrained minimizer, its value and the uniqueness diagnostic.
+    `support` is the `Support` the solve ran on, the prepared points of the
+    design it was given; it takes no part in comparisons. Its divergence
+    values are those of these points only: a caller reads them for a design
+    whose points it `holds`, never a part of them for a subset of its points."""
+
+    beta2_hat: np.ndarray
+    value: float
+    singular_flag: bool
+    at_boundary: bool
+    support: Support | None = field(default=None, compare=False, repr=False)
+
+
 def _model(weights: np.ndarray, eta: np.ndarray, g: np.ndarray, h: np.ndarray):
     """The quadratic model of the objective at the predictor eta:
     sum_i w_i h_i (eta2_i - eta_i + g_i / h_i)^2 / 2 with g, h the first and
@@ -146,11 +166,8 @@ def prepare_support(pair: ModelPair, points) -> Support:
                                     "pairs only")
     x = _scalar_inputs(points)
     eta1 = pair.true_predictor(x)
-    rows = pair.rival_matrix(x)
-    kernel = pair.kernel(eta1)
     curvature = 1.0 / pair.sigma2 if isinstance(pair, GaussianRegressionPair) else None
-    return Support(points, rows, eta1, lambda beta2: kernel(rows @ beta2),
-                   pair.kernel_derivatives(eta1), curvature)
+    return Support(points, pair.rival_matrix(x), eta1, *pair.kernels(eta1), curvature)
 
 
 def _bounded_lstsq(a: np.ndarray, rhs: np.ndarray, box: ParamBox) -> np.ndarray:
@@ -244,18 +261,21 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
     full model step is taken unless its value is worse beyond that rounding
     (an approximate Armijo test, as in Hager and Zhang 2005). Backtracking on
     such a step would accept some tiny t and stop short of the minimizer.
+    The accepted trial's predictor rows @ beta2 and value carry into the
+    next step, so each iterate is evaluated once; the full step is
+    beta2 + step itself, the floats of 1.0 * step.
     """
     box = pair.theta2
     lower, upper = box.lower, box.upper
-    rows, pointwise = support.rows, support.pointwise
+    rows, kernel = support.rows, support.kernel
 
-    def objective(b: np.ndarray) -> float:
-        return float(weights @ pointwise(b))
+    def objective(b: np.ndarray) -> tuple[np.ndarray, float]:
+        eta2 = rows @ b
+        return eta2, float(weights @ kernel(eta2))
 
     beta = start
-    value = objective(beta)
+    eta, value = objective(beta)
     for steps in range(_MAX_NEWTON_STEPS):
-        eta = rows @ beta
         g, h = support.derivatives(eta)
         if not steps and not (h > weights * _INV_MAX).all():
             return None  # w / h would overflow, or be 0 / 0
@@ -269,8 +289,9 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
         slope = float((weights * g) @ moved)
         t, rounding = 1.0, None
         for _ in range(_MAX_HALVINGS):
-            trial = np.minimum(np.maximum(beta + t * step, lower), upper)
-            trial_value = objective(trial)
+            moved_to = beta + step if t == 1.0 else beta + t * step
+            trial = np.minimum(np.maximum(moved_to, lower), upper)
+            trial_eta, trial_value = objective(trial)
             if trial_value <= value + _ARMIJO * t * slope:
                 break
             if rounding is None:  # taken once, where the full step fails
@@ -281,7 +302,7 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
             t *= 0.5
         else:
             break  # no decrease left above rounding
-        beta, value = trial, trial_value
+        beta, eta, value = trial, trial_eta, trial_value
         if t * size <= config.local_tolerance:
             break  # the objective is flat to rounding along the step
     return beta, value
@@ -300,7 +321,8 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
     restarts once from the model start. The result is a pure function of
     the inputs.
     `support` is `prepare_support(pair, design.points)`, built here when
-    None; a support on other points raises `ValueError`.
+    None; a support on other points raises `ValueError`. The solution keeps
+    it as its `support`.
     `singular_flag` is set exactly when the rival matrix X on the
     positive-weight support is rank deficient, i.e. when the minimizer is
     not unique, or when a unit direction v has |X v| * |upper - lower| at
@@ -333,6 +355,7 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
                        <= config.local_tolerance),
         at_boundary=bool((beta2_hat <= inside_lower).any()
                          or (beta2_hat >= inside_upper).any()),
+        support=support,
     )
 
 

@@ -11,8 +11,11 @@ Built-in kinds:
   polynomial predictor eta1(x), a rival eta2(x) = X(x) beta2 whose columns
   are the monomials x^e at the pair's `rival_exponents`, and a divergence
   that depends on x and beta2 only through (eta1, eta2). Each family
-  states that dependence once, as a kernel eta2 -> I over fixed eta1 and
-  its first two derivatives in eta2.
+  states that dependence once, in one entry point `kernels(eta1)`: the
+  kernel eta2 -> I over fixed eta1 and its first two derivatives in eta2,
+  two closures built from one reading of eta1 (the logistic family's
+  expit(eta1) once for both), so a prepared support (`inner.Support`)
+  computes what it reads of eta1 once.
 * :class:`GaussianRegressionPair` -- equal-variance Gaussian responses with
   polynomial means; kernel (eta1 - eta2)^2 / (2 sigma2).
 * :class:`LogisticGlmPair` -- Bernoulli responses with logistic link; kernel
@@ -182,10 +185,11 @@ class PolynomialPair:
     predictor eta1 (intercept included); the rival predictor is
     eta2 = sum_j beta2[j] * x^rival_exponents[j], one distinct nonnegative
     integer exponent per dimension of `theta2`. A family supplies
-    `kernel(eta1)`, the map eta2 -> I, and `kernel_derivatives(eta1)`, the
-    map eta2 -> (dI/deta2, d2I/deta2^2). A family whose inner solve takes
-    Newton steps (the logistic one; a Gaussian solve is one exact
-    least-squares fit) also supplies `kernel_rounding(eta1)`, the map
+    `kernels(eta1)`, the maps eta2 -> I and eta2 -> (dI/deta2, d2I/deta2^2),
+    built together so that what both read of eta1 is computed once;
+    `kernel` and `kernel_derivatives` are its two halves. A family whose
+    inner solve takes Newton steps (the logistic one; a Gaussian solve is
+    one exact least-squares fit) also supplies `kernel_rounding(eta1)`, the map
     eta2 -> the sum of the magnitudes the kernel's float operations round,
     so that machine epsilon times it bounds the rounding of I to a few
     units. All are closures over fixed eta1.
@@ -226,6 +230,12 @@ class PolynomialPair:
             powers.append(powers[-1] * x + 0.0)
         return np.concatenate([powers[e] for e in self.rival_exponents], axis=1)
 
+    def kernel(self, eta1):
+        return self.kernels(eta1)[0]
+
+    def kernel_derivatives(self, eta1):
+        return self.kernels(eta1)[1]
+
     def divergence(self, points, beta2) -> np.ndarray:
         x = _scalar_inputs(points)
         kernel = self.kernel(self.true_predictor(x))
@@ -244,18 +254,14 @@ class GaussianRegressionPair(PolynomialPair):
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
         super().__post_init__()
 
-    def kernel(self, eta1):
-        half_inv_var = 0.5 / self.sigma2
+    def kernels(self, eta1):
+        half_inv_var, inv_var = 0.5 / self.sigma2, 1.0 / self.sigma2
 
         def values(eta2) -> np.ndarray:
             resid = eta1 - eta2
             return resid * resid * half_inv_var
 
-        return values
-
-    def kernel_derivatives(self, eta1):
-        inv_var = 1.0 / self.sigma2
-        return lambda eta2: ((eta2 - eta1) * inv_var, np.full(eta2.shape, inv_var))
+        return values, lambda eta2: ((eta2 - eta1) * inv_var, np.full(eta2.shape, inv_var))
 
     def residual_critical_points(self, beta2, lower: float, upper: float) -> np.ndarray:
         """Real parts of the roots of r' in (lower, upper), r = m1 - m2(., beta2), as
@@ -293,24 +299,19 @@ class LogisticGlmPair(PolynomialPair):
     from scipy's by a few ulp.
     """
 
-    def kernel(self, eta1):
-        mean1 = expit(eta1)
+    def kernels(self, eta1):
+        mean1 = expit(eta1)  # read by both closures
         soft1 = softplus(eta1)
 
         def values(eta2) -> np.ndarray:
             val = (eta1 - eta2) * mean1 + softplus(eta2) - soft1
             return np.maximum(val, 0.0)  # clamp rounding noise; KL is nonnegative
 
-        return values
-
-    def kernel_derivatives(self, eta1):
-        mean1 = expit(eta1)
-
         def derivatives(eta2):
             mean2 = expit(eta2)
             return mean2 - mean1, mean2 * expit(-eta2)
 
-        return derivatives
+        return values, derivatives
 
     def kernel_rounding(self, eta1):
         # the terms of the softplus form, the difference eta1 - eta2 at its

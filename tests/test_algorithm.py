@@ -197,6 +197,88 @@ class TestBestSupportCandidate:
         assert psi >= grid_max - tol
 
 
+    @pytest.mark.parametrize("size", [2, 101, 4001])
+    def test_a_held_grid_of_any_size(self, size):
+        # the candidates are the held grid's ends and the support, whatever
+        # the grid's size, float for float the stacked scan's
+        pair, design, space = logistic_pair(), LOGISTIC_SEGMENT_START, logistic_space()
+        beta = np.array([1.5, -0.5])
+        grid = prepare_support(pair, space.grid(size))
+        assert_same_top(best_support_candidate(pair, design, beta, space, grid),
+                        stacked_scan_top(pair, design, beta, space, grid))
+
+    def test_a_held_support_gives_the_stacked_scan(self):
+        # the design's rows read off a Support prepared on exactly its points,
+        # on other points (a blend with a reference: one is prepared instead)
+        # or none, with the grid's maximum compared to the support's, give the
+        # stacked scan's floats; where the two maxima tie, the grid node wins
+        rng = np.random.default_rng(2029)
+        ties = above = 0
+        for k in range(120):
+            pair, design, beta, space, grid = logistic_scan_instance(rng, k % 2 == 0)
+            reference = Design(space, space.grid(3), np.full(3, 1.0 / 3.0))
+            expected = stacked_scan_top(pair, design, beta, space, grid)
+            for held in (None, prepare_support(pair, design.points),
+                         prepare_support(pair, blend_designs(design, reference, 0.05).points)):
+                assert_same_top(best_support_candidate(pair, design, beta, space, grid,
+                                                       support=held), expected)
+            _, psi = psi_scan(pair, design, beta, space, grid_support=grid)
+            lead = psi[grid.rows.shape[0]:].max() - psi[:grid.rows.shape[0]].max()
+            ties, above = ties + (lead == 0.0), above + (lead > 0.0)
+        assert ties >= 10 and above >= 1  # 56 and 2 of the 120
+
+    def test_a_grid_node_tied_with_the_support_wins(self):
+        # a rival that attains a constant truth: psi is 0 on every row, and
+        # the top of the scan is the first grid node, as in the stacked scan
+        pair = LogisticGlmPair([0.7], [0], ParamBox([-5.0], [5.0]))
+        space, beta = logistic_space(), np.array([0.7])
+        grid = prepare_support(pair, space.grid(algorithm.PSI_GRID_SIZE))
+        design = LOGISTIC_SEGMENT_START
+        top = best_support_candidate(pair, design, beta, space, grid,
+                                     support=prepare_support(pair, design.points))
+        assert top[0].tolist() == [0.0] and top[1] == 0.0
+        assert_same_top(top, stacked_scan_top(pair, design, beta, space, grid))
+
+
+def stacked_scan_top(pair, design, beta, space, grid):
+    """(x, psi, candidates) read off `psi_scan`'s one stacked scan of the held
+    grid and the support: its first largest row, and the grid's two ends with
+    the support rows."""
+    points, psi = psi_scan(pair, design, beta, space, grid_support=grid)
+    i, size = int(np.argmax(psi)), grid.rows.shape[0]
+    rows = [0, size - 1, *range(size, psi.size)]
+    return points[i], float(psi[i]), (points[rows], psi[rows])
+
+
+def assert_same_top(got, expected):
+    """The two (x, psi, candidates) hold the same floats, bit for bit."""
+    (x, psi, (points, values)), (x0, psi0, (points0, values0)) = got, expected
+    assert x.tobytes() == x0.tobytes() and x.shape == (1,)
+    assert psi.hex() == psi0.hex()
+    assert points.shape == points0.shape and points.tobytes() == points0.tobytes()
+    assert values.shape == values0.shape and values.tobytes() == values0.tobytes()
+
+
+def logistic_scan_instance(rng, on_peak: bool):
+    """(pair, design, beta2, space, grid): a logistic pair of random degree
+    and exponents, an interval, a random design (holding the grid node where
+    the divergence at beta2 peaks when `on_peak`), a beta2 in the box, and
+    the Support of the interval's `PSI_GRID_SIZE`-node grid."""
+    d2 = int(rng.integers(1, 4))
+    exponents = sorted(rng.choice(5, d2, replace=False).tolist())
+    pair = LogisticGlmPair(rng.uniform(-2.0, 2.0, int(rng.integers(1, 5))), exponents,
+                           ParamBox([-10.0] * d2, [10.0] * d2))
+    lower = float(rng.uniform(-2.0, 1.0))
+    space = DesignSpace([lower], [lower + float(rng.uniform(0.1, 3.0))])
+    grid = prepare_support(pair, space.grid(algorithm.PSI_GRID_SIZE))
+    beta = rng.uniform(-3.0, 3.0, d2)
+    m = int(rng.integers(1, 7))
+    points = rng.uniform(space.lower[0], space.upper[0], (m, 1))
+    if on_peak:
+        points[rng.integers(m)] = grid.points[np.argmax(grid.pointwise(beta))]
+    return pair, Design(space, points, rng.dirichlet(np.ones(m))), beta, space, grid
+
+
 class TestEfficiencyBound:
     def test_equality_case(self):
         assert efficiency_bound(1 / 16, 0.0) == 1.0
@@ -1008,7 +1090,7 @@ class TestRuns:
         # loop prepares no support on the 2001-node grid, and no divergence
         # call of its scans or its null scale (the ends and the roots of m1')
         # takes more than a few rows; a logistic loop prepares one and scans
-        # it at every iteration
+        # it at every iteration, its support off prepared Supports alone
         pair, start, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
                               cubic_quadratic_space())
         if family == "affine image":
@@ -1032,11 +1114,52 @@ class TestRuns:
             patch.setattr(inner, "prepare_support", recorded)
             patch.setattr(PolynomialPair, "divergence", recorded_divergence)
             run = run_first_order(pair, start, space, AlgoConfig(max_iterations=5), FAST)
-        assert len(run.history) >= 2 and rows and divergence_rows
+        assert len(run.history) >= 2 and rows
+        assert bool(divergence_rows) == (family != "logistic")
         expected = 1 if family == "logistic" else 0
         assert rows.count(algorithm.PSI_GRID_SIZE) == expected
         if family != "logistic":
             assert max(divergence_rows) <= 24
+
+    @pytest.mark.parametrize("regularized", [False, True], ids=["plain", "regularized"])
+    def test_a_logistic_loop_scans_its_support_off_prepared_supports(self, regularized):
+        # no scan of a logistic loop calls the pair's divergence: the design's
+        # rows are read off the inner solution's Support, solved on exactly
+        # the design's points in a plain run, and off one prepared on them in
+        # a regularized run, whose solves hold the blend with the reference
+        pair, space = logistic_pair(), logistic_space()
+        prepared, scanning, divergence_rows = [], [], []
+        best, divergence = algorithm.best_support_candidate, PolynomialPair.divergence
+
+        def scan(*args, **kwargs):
+            scanning.append(True)
+            try:
+                return best(*args, **kwargs)
+            finally:
+                scanning.pop()
+
+        def recorded(pair, points):
+            if scanning:
+                prepared.append(len(points))
+            return prepare_support(pair, points)
+
+        def recorded_divergence(pair, points, beta2):
+            divergence_rows.append(np.size(points))
+            return divergence(pair, points, beta2)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algorithm, "best_support_candidate", scan)
+            patch.setattr(algorithm, "prepare_support", recorded)
+            patch.setattr(PolynomialPair, "divergence", recorded_divergence)
+            if regularized:
+                run = run_regularized(pair, logistic_start_design(), space,
+                                      AlgoConfig(max_iterations=5), FAST,
+                                      RegularizationConfig(gamma=0.05))
+            else:
+                run = run_first_order(pair, LOGISTIC_SEGMENT_START, space,
+                                      AlgoConfig(max_iterations=5), FAST)
+        assert len(run.history) >= 2 and divergence_rows == []
+        assert prepared == ([r.support_size for r in run.history] if regularized else [])
 
     def test_regularized_gaussian_run_from_a_one_point_start(self):
         # the plain loop hands a one-point start off; the regularized loop

@@ -5,11 +5,15 @@ import json
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from kldesign import designs
 from kldesign.benchmarks import _monotone_coupling_cost
-from kldesign.designs import (AffineMap, Design, DesignSpace, blend_designs,
-                              transform_design, validate_design, wasserstein_distance)
+from kldesign.designs import (AffineMap, Design, DesignSpace, ValidationReport,
+                              blend_designs, transform_design, validate_design,
+                              wasserstein_distance)
 from kldesign.errors import DomainError, SingularMapError
 
 
@@ -47,7 +51,50 @@ def random_design(rng, space, max_points=8) -> Design:
     return Design(space, pts, rng.dirichlet(np.ones(m)))
 
 
+@st.composite
+def designs_to_validate(draw):
+    """A design of one to six points on [0, 1] that may break any check:
+    points at, just inside and just outside the ends' 1e-12 slack, NaN or
+    infinite, or within 1e-12 of an earlier point; NaN, infinite, negative
+    or zero weights, and weight sums off 1 by less or more than 1e-12."""
+    m = draw(st.integers(1, 6))
+    edges = st.sampled_from([0.0, 1.0, -1e-12, 1.0 + 1e-12, -2e-12, 1.0 + 2e-12,
+                             np.nan, np.inf, -np.inf])
+    points = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m, unique=True))
+    for i in range(m):
+        if draw(st.integers(0, 5)) == 0:
+            points[i] = draw(edges)
+        elif i and draw(st.integers(0, 5)) == 0:
+            points[i] = points[draw(st.integers(0, i - 1))] + draw(
+                st.sampled_from([0.0, -0.0, 5e-13, -1e-12, 1e-12, 1.5e-12]))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+    weights /= weights.sum()
+    if draw(st.integers(0, 3)) == 0:
+        weights[draw(st.integers(0, m - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf, -0.1, -0.0, 0.0]))
+    weights[0] += draw(st.sampled_from([0.0, 0.0, 5e-13, -5e-13, 2e-12, -2e-12]))
+    return Design(DesignSpace([0.0], [1.0]), np.array(points)[:, None], weights)
+
+
 class TestValidation:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(designs_to_validate())
+    def test_reports_are_those_of_the_full_checks(self, design):
+        # the path that passes a valid design without listing violations
+        # reports what the full checks report, on valid and invalid designs
+        bad = designs._violations(design, design.space)
+        assert validate_design(design) == ValidationReport(not bad, tuple(bad))
+
+    def test_a_valid_design_is_passed_without_the_full_checks(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the full checks ran on a valid design")
+
+        monkeypatch.setattr(designs, "_violations", refused)
+        for design in (chebyshev_design(), Design(DesignSpace([0.0], [1.0]), [[1.0]], [1.0]),
+                       Design(DesignSpace([0.0], [1.0]), [[-1e-12], [0.5], [1.0 + 1e-12]],
+                              [0.25, 0.5, 0.25])):
+            assert validate_design(design) == ValidationReport(True)
+
     def test_chebyshev_design_is_valid(self):
         assert validate_design(chebyshev_design()).ok
 

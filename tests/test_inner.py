@@ -253,19 +253,19 @@ class TestNewtonStop:
         # in eta, above the tolerance, where the objective no longer changes
         # in floating point. The solve must stop there, not spend its budget.
         calls = []
-        kernel = LogisticGlmPair.kernel
+        kernels = LogisticGlmPair.kernels
 
         def counting(pair, eta1):
-            values = kernel(pair, eta1)
+            values, derivatives = kernels(pair, eta1)
 
             def counted(eta2):
                 calls.append(eta2)
                 return values(eta2)
 
-            return counted
+            return counted, derivatives
 
-        # the Support's objective closure evaluates the kernel once per call
-        monkeypatch.setattr(LogisticGlmPair, "kernel", counting)
+        # the Support's kernel closure is evaluated once per objective value
+        monkeypatch.setattr(LogisticGlmPair, "kernels", counting)
         pair = LogisticGlmPair([1.0, 1.0, 1.0], [1, 2], ParamBox([-10, -10], [10, 10]))
         space = DesignSpace([0.0], [1.0])
         design = Design(space, [[0.0], [0.4018743098334744], [0.5496760922866587],
@@ -330,18 +330,18 @@ class TestPreparedSupport:
         # warm, is one bounded least-squares fit and one evaluation of the
         # objective, and a warm start does not move it
         evaluations = []
-        kernel = GaussianRegressionPair.kernel
+        kernels = GaussianRegressionPair.kernels
 
         def counting(pair, eta1):
-            values = kernel(pair, eta1)
+            values, derivatives = kernels(pair, eta1)
 
             def counted(eta2):
                 evaluations.append(eta2)
                 return values(eta2)
 
-            return counted
+            return counted, derivatives
 
-        monkeypatch.setattr(GaussianRegressionPair, "kernel", counting)
+        monkeypatch.setattr(GaussianRegressionPair, "kernels", counting)
         calls = count_bounded_lstsq(monkeypatch)
         sol = minimize_beta2(cubic_pair(), chebyshev_design(), TIGHT)
         assert (len(calls), len(evaluations)) == (1, 1)

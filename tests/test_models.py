@@ -97,8 +97,10 @@ class TestPointwiseDivergence:
 
 class TestPolynomialPair:
     def test_families_state_only_their_kernel(self):
-        # the shared methods live on the base class alone, once
-        shared = {"divergence", "rival_matrix", "true_predictor"}
+        # the shared methods live on the base class alone, once; a family
+        # states `kernels`, whose halves are `kernel` and `kernel_derivatives`
+        shared = {"divergence", "rival_matrix", "true_predictor", "kernel",
+                  "kernel_derivatives"}
         for cls in (GaussianRegressionPair, LogisticGlmPair):
             assert issubclass(cls, PolynomialPair)
             assert not shared & set(vars(cls))
@@ -121,6 +123,25 @@ class TestPolynomialPair:
         g_plus, _ = pair.kernel_derivatives(eta1)(eta2 + step)
         g_minus, _ = pair.kernel_derivatives(eta1)(eta2 - step)
         np.testing.assert_allclose(h, (g_plus - g_minus) / (2 * step), atol=1e-8)
+
+    @pytest.mark.parametrize("pair", [cubic_pair(sigma2=0.7), logistic_pair()],
+                             ids=["gaussian", "logistic"])
+    def test_shared_kernels_give_the_separate_closures_floats(self, pair):
+        # `kernels` builds the kernel and its derivatives from one reading of
+        # eta1 (one expit(eta1) for a logistic pair); on 1 to 300 points,
+        # across `_SOFTPLUS_VECTOR_SIZE`, both and the halves `kernel` and
+        # `kernel_derivatives` give the floats of closures that each read eta1
+        rng = np.random.default_rng(47)
+        for n in range(1, 301):
+            eta1 = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-3, 2.5, n)
+            eta2 = eta1 + rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-12, 1, n)
+            values, derivatives = separate_kernel_closures(pair, eta1)
+            expected = [values(eta2), *derivatives(eta2)]
+            shared_values, shared_derivatives = pair.kernels(eta1)
+            for got in ([shared_values(eta2), *shared_derivatives(eta2)],
+                        [pair.kernel(eta1)(eta2), *pair.kernel_derivatives(eta1)(eta2)]):
+                for a, b in zip(got, expected, strict=True):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), n
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="the reference values need extended precision")
@@ -146,6 +167,22 @@ class TestPolynomialPair:
         beta2 = np.linspace(-0.8, 0.6, pair.dimension)
         np.testing.assert_array_equal(prepare_support(pair, xs).pointwise(beta2),
                                       pair.divergence(xs, beta2))
+
+
+def separate_kernel_closures(pair, eta1):
+    """The family's kernel eta2 -> I and its derivatives eta2 -> (dI/deta2,
+    d2I/deta2^2) at eta1, in its formulas, as two closures that each read
+    eta1 themselves."""
+    if isinstance(pair, GaussianRegressionPair):
+        half_inv_var, inv_var = 0.5 / pair.sigma2, 1.0 / pair.sigma2
+        return (lambda eta2: (eta1 - eta2) * (eta1 - eta2) * half_inv_var,
+                lambda eta2: ((eta2 - eta1) * inv_var, np.full(eta2.shape, inv_var)))
+
+    def values(eta2):
+        return np.maximum((eta1 - eta2) * expit(eta1) + softplus(eta2) - softplus(eta1),
+                          0.0)
+
+    return values, lambda eta2: (expit(eta2) - expit(eta1), expit(eta2) * expit(-eta2))
 
 
 class TestExpit:
