@@ -230,40 +230,30 @@ def efficiency_bound(value: float, psi_max: float) -> float:
 
 
 def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
-             grid_size: int = PSI_GRID_SIZE, grid_support: Support | None = None):
+             grid_size: int = PSI_GRID_SIZE):
     """psi(x) at the candidate maximizers: the grid, the support points and,
     for a Gaussian pair, the roots of r' inside the domain, where r^2 peaks.
 
     The Gaussian maximum is thus exact at any grid size, the two ends
     included, and a Gaussian loop scans no more (`best_support_candidate`);
     for other pairs it falls short by at most h^2/8 * max|psi''|, h the grid
-    spacing. Without `grid_support` the grid and the other rows are
-    evaluated in one stacked call, as the certificate takes them. With it,
-    a grid's `inner.Support`, the grid's nodes and divergence are read off
-    it and the other rows are evaluated apart, the scan the logistic loop
-    takes (`best_support_candidate`, float for float). The two may differ
-    in the last bits of some rows: the rival predictor X beta2 is a matrix
-    product whose rows depend in their last bits on the height of X
-    (OpenBLAS). The two-node grid is the domain's ends as given.
-    Returns (points, psi); the support rows follow the grid's.
+    spacing. The grid and the other rows are evaluated in one stacked call,
+    as the certificate takes them; the logistic loop's scan
+    (`best_support_candidate`) evaluates the grid and the support apart,
+    and the two may differ in the last bits of some rows: the rival
+    predictor X beta2 is a matrix product whose rows depend in their last
+    bits on the height of X (OpenBLAS). The two-node grid is the domain's
+    ends as given. Returns (points, psi); the support rows follow the grid's.
     """
-    if grid_support is not None:
-        grid = grid_support.points
-    elif grid_size == 2:  # the ends, without linspace's overhead
+    if grid_size == 2:  # the ends, without linspace's overhead
         grid = np.array([space.lower, space.upper])
     else:
         grid = space.grid(grid_size)
     parts = [design.points]
     if isinstance(pair, GaussianRegressionPair):
         parts.append(pair.residual_critical_points(beta2_hat, space.lower[0], space.upper[0]))
-    if grid_support is None:
-        points = np.vstack([grid, *parts])
-        values = pair.divergence(points, beta2_hat)
-    else:
-        candidates = np.vstack(parts)
-        points = np.vstack([grid, candidates])
-        values = np.concatenate([grid_support.pointwise(np.asarray(beta2_hat, dtype=float)),
-                                 pair.divergence(candidates, beta2_hat)])
+    points = np.vstack([grid, *parts])
+    values = pair.divergence(points, beta2_hat)
     average = design.weights @ values[len(grid):len(grid) + design.size]
     return points, values - average
 
@@ -280,14 +270,15 @@ def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
 
     A Gaussian pair's scan is those rows alone: its psi is largest at one
     of them, so no grid node can raise the maximum, and neither Support is
-    read. A logistic pair's scan is `psi_scan` with `grid_support`, the
-    `inner.Support` of a grid (the `PSI_GRID_SIZE`-node grid prepared here
-    when None), float for float: the grid's divergence read off it and the
-    design's off `support`, a Support the caller holds (an inner solution's),
-    where it `holds` exactly the design's points, else off one prepared on
-    them. The two parts are not stacked: x is the grid's maximizer unless
-    the support's psi is larger, the first row of the largest psi (or of
-    the first NaN) as `np.argmax` over the stacked scan picks it."""
+    read. A logistic pair's scan is that of the grid `grid_support`, an
+    `inner.Support` (the `PSI_GRID_SIZE`-node grid prepared here when
+    None), and of the support: the grid's divergence is read off it and
+    the design's off `support`, a Support the caller holds (an inner
+    solution's), where it `holds` exactly the design's points, else off one
+    prepared on them. The two parts are not stacked: x is the grid's
+    maximizer unless the support's psi is larger, the first row of the
+    largest psi (or of the first NaN) as `np.argmax` over the grid's rows
+    followed by the support's picks it."""
     if isinstance(pair, GaussianRegressionPair):
         points, psi = psi_scan(pair, design, beta2_hat, space, grid_size=2)
         i = int(np.argmax(psi))

@@ -130,34 +130,13 @@ class ValidationReport:
     violations: tuple[str, ...] = ()
 
 
-_VALID = ValidationReport(True)
-
-
 def validate_design(design: Design, space: DesignSpace | None = None) -> ValidationReport:
     """Check the design invariants and report every violation found.
 
     Checks interval membership (1e-12 slack), finite nonnegative weights, weight
     sum one (1e-12), and pairwise-distinct support points (1e-12 apart).
-    A design that passes every check, as a run's start does, is told so by
-    plain comparisons of its values, without building the per-index lists;
-    any failure, NaN included, takes `_violations`, which lists them.
     """
     space = space or design.space
-    x, w = design.points[:, 0].tolist(), design.weights.tolist()
-    lower, upper = float(space.lower[0]) - BOX_SLACK, float(space.upper[0]) + BOX_SLACK
-    # nonnegative weights that sum to 1 are finite (an inf makes the sum inf);
-    # NaN fails every comparison, and the box check leaves finite points to sort
-    if (abs(float(design.weights.sum()) - 1.0) <= WEIGHT_TOL
-            and all(v >= 0.0 for v in w) and all(lower <= v <= upper for v in x)):
-        x.sort()
-        if all(b - a > DUPLICATE_TOL for a, b in zip(x, x[1:])):
-            return _VALID
-    bad = _violations(design, space)
-    return ValidationReport(len(bad) == 0, tuple(bad))
-
-
-def _violations(design: Design, space: DesignSpace) -> list[str]:
-    """Every violation of `validate_design`'s checks, in index order per check."""
     bad = []
     inside = space.contains(design.points)
     for i in np.nonzero(~inside)[0]:
@@ -176,7 +155,7 @@ def _violations(design: Design, space: DesignSpace) -> list[str]:
             near = np.abs(design.points - design.points.T) <= DUPLICATE_TOL
             for i, j in zip(*np.nonzero(np.triu(near, k=1))):
                 bad.append(f"points {i} and {j} coincide (within {DUPLICATE_TOL:g})")
-    return bad
+    return ValidationReport(len(bad) == 0, tuple(bad))
 
 
 def blend_designs(first: Design, second: Design, alpha: float) -> Design:

@@ -141,13 +141,19 @@ class InnerSolution:
     `support` is the `Support` the solve ran on, the prepared points of the
     design it was given; it takes no part in comparisons. Its divergence
     values are those of these points only: a caller reads them for a design
-    whose points it `holds`, never a part of them for a subset of its points."""
+    whose points it `holds`, never a part of them for a subset of its points.
+    A pickled or copied solution leaves it out (it holds the family's local
+    closures, which do not pickle): its `support` is None, and a caller
+    prepares the points again."""
 
     beta2_hat: np.ndarray
     value: float
     singular_flag: bool
     at_boundary: bool
     support: Support | None = field(default=None, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "support": None}
 
 
 def _model(weights: np.ndarray, eta: np.ndarray, g: np.ndarray, h: np.ndarray):
@@ -262,8 +268,7 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
     (an approximate Armijo test, as in Hager and Zhang 2005). Backtracking on
     such a step would accept some tiny t and stop short of the minimizer.
     The accepted trial's predictor rows @ beta2 and value carry into the
-    next step, so each iterate is evaluated once; the full step is
-    beta2 + step itself, the floats of 1.0 * step.
+    next step, so each iterate is evaluated once.
     """
     box = pair.theta2
     lower, upper = box.lower, box.upper
@@ -289,8 +294,7 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
         slope = float((weights * g) @ moved)
         t, rounding = 1.0, None
         for _ in range(_MAX_HALVINGS):
-            moved_to = beta + step if t == 1.0 else beta + t * step
-            trial = np.minimum(np.maximum(moved_to, lower), upper)
+            trial = np.minimum(np.maximum(beta + t * step, lower), upper)
             trial_eta, trial_value = objective(trial)
             if trial_value <= value + _ARMIJO * t * slope:
                 break

@@ -186,8 +186,8 @@ class PolynomialPair:
     eta2 = sum_j beta2[j] * x^rival_exponents[j], one distinct nonnegative
     integer exponent per dimension of `theta2`. A family supplies
     `kernels(eta1)`, the maps eta2 -> I and eta2 -> (dI/deta2, d2I/deta2^2),
-    built together so that what both read of eta1 is computed once;
-    `kernel` and `kernel_derivatives` are its two halves. A family whose
+    built together so that what both read of eta1 is computed once
+    (`divergence` takes the first alone). A family whose
     inner solve takes Newton steps (the logistic one; a Gaussian solve is
     one exact least-squares fit) also supplies `kernel_rounding(eta1)`, the map
     eta2 -> the sum of the magnitudes the kernel's float operations round,
@@ -230,15 +230,9 @@ class PolynomialPair:
             powers.append(powers[-1] * x + 0.0)
         return np.concatenate([powers[e] for e in self.rival_exponents], axis=1)
 
-    def kernel(self, eta1):
-        return self.kernels(eta1)[0]
-
-    def kernel_derivatives(self, eta1):
-        return self.kernels(eta1)[1]
-
     def divergence(self, points, beta2) -> np.ndarray:
         x = _scalar_inputs(points)
-        kernel = self.kernel(self.true_predictor(x))
+        kernel = self.kernels(self.true_predictor(x))[0]
         return kernel(self.rival_matrix(x) @ np.asarray(beta2, dtype=float))
 
 

@@ -81,7 +81,7 @@ class TestDirectionalDerivative:
             beta = np.array([1.5, -0.5])
         size = algorithm.PSI_GRID_SIZE
         grid = prepare_support(pair, space.grid(size))
-        points, psi = psi_scan(pair, design, beta, space, grid_support=grid)
+        points, psi = held_grid_scan(pair, design, beta, space, grid)
         # float for float the scan in one divergence call over all candidates
         values = pair.divergence(points, beta)
         average = design.weights @ values[size:size + design.size]
@@ -222,7 +222,7 @@ class TestBestSupportCandidate:
                          prepare_support(pair, blend_designs(design, reference, 0.05).points)):
                 assert_same_top(best_support_candidate(pair, design, beta, space, grid,
                                                        support=held), expected)
-            _, psi = psi_scan(pair, design, beta, space, grid_support=grid)
+            _, psi = held_grid_scan(pair, design, beta, space, grid)
             lead = psi[grid.rows.shape[0]:].max() - psi[:grid.rows.shape[0]].max()
             ties, above = ties + (lead == 0.0), above + (lead > 0.0)
         assert ties >= 10 and above >= 1  # 56 and 2 of the 120
@@ -240,11 +240,25 @@ class TestBestSupportCandidate:
         assert_same_top(top, stacked_scan_top(pair, design, beta, space, grid))
 
 
+def held_grid_scan(pair, design, beta, space, grid):
+    """`psi_scan` with the grid's divergence read off `grid`, its prepared
+    Support, and the other rows' from one `divergence` call: (points, psi)
+    of the grid's nodes, then the support and a Gaussian pair's roots of r'."""
+    parts = [design.points]
+    if isinstance(pair, GaussianRegressionPair):
+        parts.append(pair.residual_critical_points(beta, space.lower[0], space.upper[0]))
+    candidates = np.vstack(parts)
+    values = np.concatenate([grid.pointwise(beta), pair.divergence(candidates, beta)])
+    size = grid.rows.shape[0]
+    average = design.weights @ values[size:size + design.size]
+    return np.vstack([grid.points, candidates]), values - average
+
+
 def stacked_scan_top(pair, design, beta, space, grid):
-    """(x, psi, candidates) read off `psi_scan`'s one stacked scan of the held
-    grid and the support: its first largest row, and the grid's two ends with
-    the support rows."""
-    points, psi = psi_scan(pair, design, beta, space, grid_support=grid)
+    """(x, psi, candidates) read off one stacked scan of the held grid and
+    the support (`held_grid_scan`): its first largest row, and the grid's
+    two ends with the support rows."""
+    points, psi = held_grid_scan(pair, design, beta, space, grid)
     i, size = int(np.argmax(psi)), grid.rows.shape[0]
     rows = [0, size - 1, *range(size, psi.size)]
     return points[i], float(psi[i]), (points[rows], psi[rows])

@@ -1,6 +1,7 @@
 """Design container and measure-level operations."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,9 +12,8 @@ from scipy.optimize import linprog
 
 from kldesign import designs
 from kldesign.benchmarks import _monotone_coupling_cost
-from kldesign.designs import (AffineMap, Design, DesignSpace, ValidationReport,
-                              blend_designs, transform_design, validate_design,
-                              wasserstein_distance)
+from kldesign.designs import (AffineMap, Design, DesignSpace, blend_designs,
+                              transform_design, validate_design, wasserstein_distance)
 from kldesign.errors import DomainError, SingularMapError
 
 
@@ -79,21 +79,19 @@ def designs_to_validate(draw):
 class TestValidation:
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(designs_to_validate())
-    def test_reports_are_those_of_the_full_checks(self, design):
-        # the path that passes a valid design without listing violations
-        # reports what the full checks report, on valid and invalid designs
-        bad = designs._violations(design, design.space)
-        assert validate_design(design) == ValidationReport(not bad, tuple(bad))
-
-    def test_a_valid_design_is_passed_without_the_full_checks(self, monkeypatch):
-        def refused(*args):
-            raise AssertionError("the full checks ran on a valid design")
-
-        monkeypatch.setattr(designs, "_violations", refused)
-        for design in (chebyshev_design(), Design(DesignSpace([0.0], [1.0]), [[1.0]], [1.0]),
-                       Design(DesignSpace([0.0], [1.0]), [[-1e-12], [0.5], [1.0 + 1e-12]],
-                              [0.25, 0.5, 0.25])):
-            assert validate_design(design) == ValidationReport(True)
+    def test_ok_exactly_when_every_check_holds(self, design):
+        # on designs that may break any check, NaN and infinities included,
+        # the report lists no violation, and is ok, exactly when plain
+        # comparisons of the values pass every check; it raises no warning
+        x, w = design.points[:, 0].tolist(), design.weights.tolist()
+        slack = designs.BOX_SLACK
+        holds = (abs(float(design.weights.sum()) - 1.0) <= designs.WEIGHT_TOL
+                 and all(math.isfinite(v) and v >= 0.0 for v in w)
+                 and all(-slack <= v <= 1.0 + slack for v in x))
+        x.sort()  # the points are finite where the box check holds
+        holds = holds and all(b - a > designs.DUPLICATE_TOL for a, b in zip(x, x[1:]))
+        report = validate_design(design)
+        assert report.ok is holds and (report.violations == ()) is holds
 
     def test_chebyshev_design_is_valid(self):
         assert validate_design(chebyshev_design()).ok

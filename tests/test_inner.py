@@ -1,5 +1,6 @@
 """Inner bounded Newton solve, its singularity flag and its oracles."""
 
+import pickle
 import warnings
 
 import numpy as np
@@ -374,6 +375,21 @@ class TestPreparedSupport:
             assert (a.value, a.singular_flag, a.at_boundary) == (
                 b.value, b.singular_flag, b.at_boundary)
 
+    def test_a_solution_pickles_without_its_support(self):
+        # a solution keeps the Support it was solved on, whose closures are
+        # local to the family and do not pickle; a pickled solution leaves
+        # it out and keeps every other field
+        design = Design(DesignSpace([0.0], [1.0]), [[0.2], [0.6], [0.9]], [0.3, 0.3, 0.4])
+        for pair, d in ((cubic_pair(), chebyshev_design()),
+                        (fixture_logistic_pair((-10, -10), (10, 10)), design)):
+            sol = minimize_beta2(pair, d, TIGHT)
+            assert sol.support is not None and sol.support.holds(d.points)
+            copy = pickle.loads(pickle.dumps(sol))
+            assert copy.support is None
+            assert copy.beta2_hat.tobytes() == sol.beta2_hat.tobytes()
+            assert (copy.value, copy.singular_flag, copy.at_boundary) == (
+                sol.value, sol.singular_flag, sol.at_boundary)
+
     def test_zero_weight_point_keeps_the_flag(self):
         # three points give the quadratic rival full rank, two do not; the
         # rank test on one support follows each design's positive weights
@@ -450,7 +466,7 @@ class TestColdStart:
         # At sigma2 = the largest float h = w / max_float at w = 1, and the
         # keep rule drops that row, so the start is the empty fit's 0.
         def generic(pair, support, weights):
-            g, h = pair.kernel_derivatives(support.eta1)(support.eta1)
+            g, h = pair.kernels(support.eta1)[1](support.eta1)
             keep = h > weights * inner._INV_MAX
             scale, rhs = inner._model(weights[keep], support.eta1[keep], g[keep], h[keep])
             return inner._bounded_lstsq(scale[:, None] * support.rows[keep], rhs,

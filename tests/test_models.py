@@ -97,10 +97,8 @@ class TestPointwiseDivergence:
 
 class TestPolynomialPair:
     def test_families_state_only_their_kernel(self):
-        # the shared methods live on the base class alone, once; a family
-        # states `kernels`, whose halves are `kernel` and `kernel_derivatives`
-        shared = {"divergence", "rival_matrix", "true_predictor", "kernel",
-                  "kernel_derivatives"}
+        # the shared methods live on the base class alone, once
+        shared = {"divergence", "rival_matrix", "true_predictor"}
         for cls in (GaussianRegressionPair, LogisticGlmPair):
             assert issubclass(cls, PolynomialPair)
             assert not shared & set(vars(cls))
@@ -116,12 +114,13 @@ class TestPolynomialPair:
     def test_derivatives_match_the_kernel(self, pair):
         rng = np.random.default_rng(41)
         eta1, eta2 = rng.uniform(-3, 3, 50), rng.uniform(-3, 3, 50)
-        value, (g, h) = pair.kernel(eta1), pair.kernel_derivatives(eta1)(eta2)
+        value, derivatives = pair.kernels(eta1)
+        g, h = derivatives(eta2)
         step = 1e-5
         np.testing.assert_allclose(g, (value(eta2 + step) - value(eta2 - step))
                                    / (2 * step), atol=1e-8)
-        g_plus, _ = pair.kernel_derivatives(eta1)(eta2 + step)
-        g_minus, _ = pair.kernel_derivatives(eta1)(eta2 - step)
+        g_plus, _ = derivatives(eta2 + step)
+        g_minus, _ = derivatives(eta2 - step)
         np.testing.assert_allclose(h, (g_plus - g_minus) / (2 * step), atol=1e-8)
 
     @pytest.mark.parametrize("pair", [cubic_pair(sigma2=0.7), logistic_pair()],
@@ -129,8 +128,8 @@ class TestPolynomialPair:
     def test_shared_kernels_give_the_separate_closures_floats(self, pair):
         # `kernels` builds the kernel and its derivatives from one reading of
         # eta1 (one expit(eta1) for a logistic pair); on 1 to 300 points,
-        # across `_SOFTPLUS_VECTOR_SIZE`, both and the halves `kernel` and
-        # `kernel_derivatives` give the floats of closures that each read eta1
+        # across `_SOFTPLUS_VECTOR_SIZE`, both give the floats of closures
+        # that each read eta1
         rng = np.random.default_rng(47)
         for n in range(1, 301):
             eta1 = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-3, 2.5, n)
@@ -138,10 +137,9 @@ class TestPolynomialPair:
             values, derivatives = separate_kernel_closures(pair, eta1)
             expected = [values(eta2), *derivatives(eta2)]
             shared_values, shared_derivatives = pair.kernels(eta1)
-            for got in ([shared_values(eta2), *shared_derivatives(eta2)],
-                        [pair.kernel(eta1)(eta2), *pair.kernel_derivatives(eta1)(eta2)]):
-                for a, b in zip(got, expected, strict=True):
-                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), n
+            got = [shared_values(eta2), *shared_derivatives(eta2)]
+            for a, b in zip(got, expected, strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), n
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="the reference values need extended precision")
@@ -156,7 +154,7 @@ class TestPolynomialPair:
         one, two = eta1.astype(np.longdouble), eta2.astype(np.longdouble)
         exact = ((one - two) * scipy_expit(one) + np.logaddexp(np.longdouble(0), two)
                  - np.logaddexp(np.longdouble(0), one))
-        error = np.abs(pair.kernel(eta1)(eta2) - exact)
+        error = np.abs(pair.kernels(eta1)[0](eta2) - exact)
         assert np.all(error <= 4 * np.finfo(float).eps * pair.kernel_rounding(eta1)(eta2))
 
     @pytest.mark.parametrize("pair", [cubic_pair(sigma2=0.7), logistic_pair()],
@@ -383,7 +381,7 @@ def glm_weights(pair, rows, beta2) -> np.ndarray:
     """Diagonal of the GLM weight matrix at eta2 = rows @ beta2: the second
     derivative of the pair's divergence kernel, which does not depend on eta1."""
     eta2 = np.asarray(rows, dtype=float) @ np.asarray(beta2, dtype=float)
-    return pair.kernel_derivatives(np.zeros_like(eta2))(eta2)[1]
+    return pair.kernels(np.zeros_like(eta2))[1](eta2)[1]
 
 
 class TestGlmInformation:
