@@ -8,6 +8,7 @@ affine images of designs.
 Designs are immutable values and every operation here is a pure function.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,27 +136,28 @@ def validate_design(design: Design, space: DesignSpace | None = None) -> Validat
 
     Checks interval membership (1e-12 slack), finite nonnegative weights, weight
     sum one (1e-12), and pairwise-distinct support points (1e-12 apart).
+    The checks compare Python floats: a design has few points, and on a few
+    a numpy call costs more than the comparisons it makes.
     """
     space = space or design.space
-    bad = []
-    inside = space.contains(design.points)
-    for i in np.nonzero(~inside)[0]:
-        bad.append(f"point {i} = {design.points[i].tolist()} outside box")
-    for i in np.nonzero(~np.isfinite(design.weights))[0]:
-        bad.append(f"non-finite weight {design.weights[i]} at index {i}")
-    for i in np.nonzero(design.weights < 0.0)[0]:
-        bad.append(f"negative weight {design.weights[i]:.12g} at index {i}")
+    x, w = design.points[:, 0].tolist(), design.weights.tolist()
+    lower, upper = float(space.lower[0]) - BOX_SLACK, float(space.upper[0]) + BOX_SLACK
+    bad = [f"point {i} = {[v]} outside box" for i, v in enumerate(x) if not lower <= v <= upper]
+    bad += [f"non-finite weight {v} at index {i}" for i, v in enumerate(w) if not math.isfinite(v)]
+    bad += [f"negative weight {v:.12g} at index {i}" for i, v in enumerate(w) if v < 0.0]
     total = float(design.weights.sum())
     if abs(total - 1.0) > WEIGHT_TOL:
         bad.append(f"weight sum {total:.12g} != 1")
-    # two points coincide only if two neighbours in sorted order do; two
-    # infinite points of one sign differ by NaN, which coincides with nothing
-    with np.errstate(invalid="ignore"):
-        if (np.diff(np.sort(design.points[:, 0])) <= DUPLICATE_TOL).any():
+    # two points coincide only if two neighbours in sorted order do; a NaN
+    # point coincides with nothing, nor do two infinite points of one sign,
+    # which differ by NaN
+    ordered = sorted(v for v in x if not math.isnan(v))
+    if any(b - a <= DUPLICATE_TOL for a, b in zip(ordered, ordered[1:])):
+        with np.errstate(invalid="ignore"):
             near = np.abs(design.points - design.points.T) <= DUPLICATE_TOL
-            for i, j in zip(*np.nonzero(np.triu(near, k=1))):
-                bad.append(f"points {i} and {j} coincide (within {DUPLICATE_TOL:g})")
-    return ValidationReport(len(bad) == 0, tuple(bad))
+        for i, j in zip(*np.nonzero(np.triu(near, k=1))):
+            bad.append(f"points {i} and {j} coincide (within {DUPLICATE_TOL:g})")
+    return ValidationReport(not bad, tuple(bad))
 
 
 def blend_designs(first: Design, second: Design, alpha: float) -> Design:

@@ -1,19 +1,19 @@
 """Design container and measure-level operations."""
 
 import json
-import math
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from kldesign import designs
 from kldesign.benchmarks import _monotone_coupling_cost
-from kldesign.designs import (AffineMap, Design, DesignSpace, blend_designs,
-                              transform_design, validate_design, wasserstein_distance)
+from kldesign.designs import (AffineMap, Design, DesignSpace, ValidationReport,
+                              blend_designs, transform_design, validate_design,
+                              wasserstein_distance)
 from kldesign.errors import DomainError, SingularMapError
 
 
@@ -76,22 +76,38 @@ def designs_to_validate(draw):
     return Design(DesignSpace([0.0], [1.0]), np.array(points)[:, None], weights)
 
 
+def array_validation(design: Design) -> ValidationReport:
+    """`validate_design`'s checks and messages, each check one numpy
+    comparison over the design's arrays: the reference it is tested against."""
+    space, points, weights = design.space, design.points, design.weights
+    bad = [f"point {i} = {points[i].tolist()} outside box"
+           for i in np.nonzero(~space.contains(points))[0]]
+    bad += [f"non-finite weight {weights[i]} at index {i}"
+            for i in np.nonzero(~np.isfinite(weights))[0]]
+    bad += [f"negative weight {weights[i]:.12g} at index {i}"
+            for i in np.nonzero(weights < 0.0)[0]]
+    total = float(weights.sum())
+    if abs(total - 1.0) > designs.WEIGHT_TOL:
+        bad.append(f"weight sum {total:.12g} != 1")
+    with np.errstate(invalid="ignore"):  # inf - inf
+        near = np.abs(points - points.T) <= designs.DUPLICATE_TOL
+    bad += [f"points {i} and {j} coincide (within {designs.DUPLICATE_TOL:g})"
+            for i, j in zip(*np.nonzero(np.triu(near, k=1)))]
+    return ValidationReport(not bad, tuple(bad))
+
+
 class TestValidation:
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(designs_to_validate())
-    def test_ok_exactly_when_every_check_holds(self, design):
-        # on designs that may break any check, NaN and infinities included,
-        # the report lists no violation, and is ok, exactly when plain
-        # comparisons of the values pass every check; it raises no warning
-        x, w = design.points[:, 0].tolist(), design.weights.tolist()
-        slack = designs.BOX_SLACK
-        holds = (abs(float(design.weights.sum()) - 1.0) <= designs.WEIGHT_TOL
-                 and all(math.isfinite(v) and v >= 0.0 for v in w)
-                 and all(-slack <= v <= 1.0 + slack for v in x))
-        x.sort()  # the points are finite where the box check holds
-        holds = holds and all(b - a > designs.DUPLICATE_TOL for a, b in zip(x, x[1:]))
-        report = validate_design(design)
-        assert report.ok is holds and (report.violations == ()) is holds
+    @example(Design(DesignSpace([0.0], [1.0]), [[0.3], [np.nan], [0.3]], [0.2, 0.3, 0.5]))
+    @example(Design(DesignSpace([0.0], [1.0]), [[np.inf], [0.3], [np.inf], [0.3]],
+                    [0.25] * 4))
+    def test_reports_are_those_of_the_array_checks(self, design):
+        # the checks on Python floats report, message for message, what the
+        # same checks on arrays report, and raise no warning; a NaN point
+        # between two coinciding ones hides neither (Python's sort leaves
+        # them apart, numpy's puts NaN last)
+        assert validate_design(design) == array_validation(design)
 
     def test_chebyshev_design_is_valid(self):
         assert validate_design(chebyshev_design()).ok
