@@ -9,12 +9,11 @@ One iteration, given the current design xi_n:
    the domain or a root of r', so its scan is `psi_scan`'s two-node one
    (the ends, the support and those roots), which is exact; a logistic
    pair's scans the certificate's `PSI_GRID_SIZE`-node grid, prepared once
-   per run, and the support, whose divergence it reads off the
+   per run, followed by the support, whose divergence it reads off the
    `inner.Support` that step 1's solution keeps when that solve ran on
    exactly the support's points (a plain run's; a regularized solve runs
    on the blend with the reference, whose points the scan does not read,
-   and the scan prepares the support's), and compares the grid's maximum
-   with the support's;
+   and the scan prepares the support's), and takes x_n at their argmax;
 3. stopping check: the efficiency bound U = value / (value + psi_max),
    a lower bound on value / optimum, is evaluated here, after the
    best-point search and before any further work. A rival that attains
@@ -79,9 +78,6 @@ STALLED = "stalled"
 RIVAL_ATTAINS_TRUTH = "rival-attains-truth"
 PSI_GRID_SIZE = 2001  # grid nodes of the certificate's and the logistic loop's psi scan
 
-# Ascent bookkeeping: drops beyond the first bound raise, beyond the second warn.
-_ASCENT_HARD = 1e-8
-_ASCENT_SOFT = 1e-10
 # Step improvements below this share of the value are treated as a zero step.
 _IMPROVEMENT_TOL = 1e-13
 # The rival attains the true model when no divergence on the domain exceeds this
@@ -261,24 +257,23 @@ def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
 def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
                            space: DesignSpace, grid_support: Support | None = None, *,
                            support: Support | None = None):
-    """(x, psi, candidates) at the top of the loop's psi scan; x is copied so
-    records keep no scan. `candidates` is (points, psi) of the scan's rows
-    other than the inner grid nodes: the ends of the domain, the support
-    and, for a Gaussian pair, the roots of r', the rows
-    `psi_scan(..., grid_size=2)` gives, with the same floats.
-    `corrective_step` adds points from them.
+    """(x, psi, candidates) at the top of the loop's psi scan: the first row
+    of the largest psi (or of the first NaN), as `np.argmax` picks it; x is
+    copied so records keep no scan.
 
-    A Gaussian pair's scan is those rows alone: its psi is largest at one
-    of them, so no grid node can raise the maximum, and neither Support is
-    read. A logistic pair's scan is that of the grid `grid_support`, an
-    `inner.Support` (the `PSI_GRID_SIZE`-node grid prepared here when
-    None), and of the support: the grid's divergence is read off it and
-    the design's off `support`, a Support the caller holds (an inner
-    solution's), where it `holds` exactly the design's points, else off one
-    prepared on them. The two parts are not stacked: x is the grid's
-    maximizer unless the support's psi is larger, the first row of the
-    largest psi (or of the first NaN) as `np.argmax` over the grid's rows
-    followed by the support's picks it."""
+    A Gaussian pair's scan is the rows of `psi_scan(..., grid_size=2)`, with
+    its floats: the ends of the domain, the support and the roots of r'.
+    Its psi is largest at one of them, so no grid node can raise the
+    maximum, and neither Support is read. `candidates` is (points, psi) of
+    those rows, which `corrective_step` adds points from.
+
+    A logistic pair's scan is the grid `grid_support`, an `inner.Support`
+    (the `PSI_GRID_SIZE`-node grid prepared here when None), followed by
+    the support: the grid's divergence is read off it and the design's off
+    `support`, a Support the caller holds (an inner solution's), where it
+    `holds` exactly the design's points, else off one prepared on them.
+    The two parts are evaluated apart, not as `psi_scan`'s one stacked
+    call. Its step reads no rows of the scan, so `candidates` is None."""
     if isinstance(pair, GaussianRegressionPair):
         points, psi = psi_scan(pair, design, beta2_hat, space, grid_size=2)
         i = int(np.argmax(psi))
@@ -290,15 +285,10 @@ def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
     beta2 = np.asarray(beta2_hat, dtype=float)
     on_support = support.pointwise(beta2)
     average = design.weights @ on_support
-    grid_psi, support_psi = grid_support.pointwise(beta2) - average, on_support - average
-    i, j = int(np.argmax(grid_psi)), int(np.argmax(support_psi))
-    if grid_psi[i] >= support_psi[j] or math.isnan(grid_psi[i]):
-        x, psi = grid_support.points[i], grid_psi[i]
-    else:
-        x, psi = design.points[j], support_psi[j]
-    ends = [0, -1]
-    return x.copy(), float(psi), (np.vstack([grid_support.points[ends], design.points]),
-                                  np.concatenate([grid_psi[ends], support_psi]))
+    psi = np.concatenate([grid_support.pointwise(beta2), on_support]) - average
+    i, size = int(np.argmax(psi)), len(grid_support.points)
+    x = grid_support.points[i] if i < size else design.points[i - size]
+    return x.copy(), float(psi[i]), None
 
 
 def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSolution,
@@ -734,11 +724,15 @@ def _resolve_reference(pair: ModelPair, space: DesignSpace,
     if not isinstance(pair, PolynomialPair):  # as minimize_beta2 refuses it
         raise UnsupportedModelError("regularization applies to polynomial-predictor "
                                     "pairs only")
-    xi_tilde = reg.xi_tilde or default_reference_design(pair, space)
-    rows = pair.rival_matrix(xi_tilde.points)  # rank d2 needs d2 support points
+    if reg.xi_tilde is None:
+        return default_reference_design(pair, space)
+    report = validate_design(reg.xi_tilde, space)
+    if not report.ok:
+        raise DomainError("invalid reference design: " + "; ".join(report.violations))
+    rows = pair.rival_matrix(reg.xi_tilde.points)  # rank d2 needs d2 support points
     if not glm_is_regular(rows):
         raise DomainError("reference design has a singular rival design matrix")
-    return xi_tilde
+    return reg.xi_tilde
 
 
 def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
@@ -820,15 +814,6 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
         history.append(record)
         if on_iteration is not None:
             on_iteration(record)
-        if len(history) >= 2:
-            drop = history[-2].value - value
-            if drop > _ASCENT_HARD:
-                raise RuntimeError(
-                    f"criterion decreased by {drop:.3e} at iteration {n}; "
-                    "every step raises the criterion")
-            if drop > _ASCENT_SOFT:
-                warnings.warn(f"criterion dipped by {drop:.3e} at iteration {n}",
-                              stacklevel=2)
         if stop is not None:
             reason = stop
             break
@@ -871,7 +856,8 @@ def run_regularized(pair: ModelPair, initial_design: Design, space: DesignSpace,
     Every inner solve runs on (1-gamma) xi_n + gamma xi_tilde, which is
     regular by construction; the reported gap and stopping bound use the
     scaled derivative (1-gamma) psi, so the certificate stays valid at
-    singular optima.
+    singular optima. A given xi_tilde that `validate_design` refuses on the
+    space, or whose rival matrix is singular, raises `DomainError`.
     """
     return _run_loop(pair, initial_design, space, algo, inner_config, reg,
                      on_iteration)

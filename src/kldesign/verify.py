@@ -1,9 +1,12 @@
 """Post-hoc certification of candidate optimal designs.
 
-The equivalence check evaluates the directional derivative on the loop's own
-scan, `algorithm.psi_scan`: a design is certified optimal when the derivative
-is nonpositive everywhere and vanishes on the support. The scan is exact for
-Gaussian pairs; for others, grid spacing h hides at most h^2/8 * max|psi''|.
+The equivalence check evaluates the directional derivative on
+`algorithm.psi_scan`, the grid and the support in one stacked call: a design
+is certified optimal when the derivative is nonpositive everywhere and
+vanishes on the support. The loop's best-point search scans apart
+(`algorithm.best_support_candidate`), so its psi may differ from the
+check's in the last bits. The scan is exact for Gaussian pairs; for others,
+grid spacing h hides at most h^2/8 * max|psi''|.
 For singular designs the derivative is only defined through the regularized
 criterion, so the check asks for a regularization config first.
 """
@@ -74,7 +77,8 @@ def equivalence_check(pair: ModelPair, design: Design,
     support) the verdict is "singular-needs-regularization" (the derivative
     is not trustworthy there). With `reg`, the scaled derivative of the
     regularized criterion is used instead, which is valid for any design;
-    its reference design must be regular, as for `run_regularized`. The
+    its reference design must be valid and regular, as for
+    `run_regularized`, else `DomainError` is raised. The
     pass tolerance scales with the criterion value: 1e-6 * max(1, value).
     """
     space = space or design.space

@@ -130,17 +130,12 @@ class TestBestSupportCandidate:
         assert abs(abs(brute) - 1.0) <= 1e-3
         assert psi >= 0.0
 
-    @pytest.mark.parametrize("family", ["gaussian", "logistic"])
-    def test_candidates_are_the_scan_on_the_domain_ends(self, family):
+    def test_candidates_are_the_scan_on_the_domain_ends(self):
         # the rows the corrective step adds points from, float for float those
-        # of a two-node scan, with the loop's held grid evaluator or without
-        if family == "gaussian":
-            pair, design, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
-                                   cubic_quadratic_space())
-            beta = np.array([0.1, 0.6, -0.2])
-        else:
-            pair, design, space = logistic_pair(), LOGISTIC_SEGMENT_START, logistic_space()
-            beta = np.array([1.5, -0.5])
+        # of a two-node scan, with a held grid evaluator or without
+        pair, design, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
+                               cubic_quadratic_space())
+        beta = np.array([0.1, 0.6, -0.2])
         two_node = psi_scan(pair, design, beta, space, grid_size=2)
         grid = prepare_support(pair, space.grid(algorithm.PSI_GRID_SIZE))
         for held in (None, grid):
@@ -199,8 +194,8 @@ class TestBestSupportCandidate:
 
     @pytest.mark.parametrize("size", [2, 101, 4001])
     def test_a_held_grid_of_any_size(self, size):
-        # the candidates are the held grid's ends and the support, whatever
-        # the grid's size, float for float the stacked scan's
+        # the top of the held grid and the support, whatever the grid's size,
+        # float for float the stacked scan's
         pair, design, space = logistic_pair(), LOGISTIC_SEGMENT_START, logistic_space()
         beta = np.array([1.5, -0.5])
         grid = prepare_support(pair, space.grid(size))
@@ -210,8 +205,8 @@ class TestBestSupportCandidate:
     def test_a_held_support_gives_the_stacked_scan(self):
         # the design's rows read off a Support prepared on exactly its points,
         # on other points (a blend with a reference: one is prepared instead)
-        # or none, with the grid's maximum compared to the support's, give the
-        # stacked scan's floats; where the two maxima tie, the grid node wins
+        # or none give the stacked scan's top, float for float; where the
+        # grid's and the support's maxima tie, the grid node wins
         rng = np.random.default_rng(2029)
         ties = above = 0
         for k in range(120):
@@ -255,22 +250,20 @@ def held_grid_scan(pair, design, beta, space, grid):
 
 
 def stacked_scan_top(pair, design, beta, space, grid):
-    """(x, psi, candidates) read off one stacked scan of the held grid and
-    the support (`held_grid_scan`): its first largest row, and the grid's
-    two ends with the support rows."""
+    """(x, psi) read off one stacked scan of the held grid and the support
+    (`held_grid_scan`): its first largest row."""
     points, psi = held_grid_scan(pair, design, beta, space, grid)
-    i, size = int(np.argmax(psi)), grid.rows.shape[0]
-    rows = [0, size - 1, *range(size, psi.size)]
-    return points[i], float(psi[i]), (points[rows], psi[rows])
+    i = int(np.argmax(psi))
+    return points[i], float(psi[i])
 
 
 def assert_same_top(got, expected):
-    """The two (x, psi, candidates) hold the same floats, bit for bit."""
-    (x, psi, (points, values)), (x0, psi0, (points0, values0)) = got, expected
+    """A logistic scan's (x, psi, candidates) holds the (x, psi) expected,
+    bit for bit, and no candidate rows."""
+    (x, psi, candidates), (x0, psi0) = got, expected
     assert x.tobytes() == x0.tobytes() and x.shape == (1,)
     assert psi.hex() == psi0.hex()
-    assert points.shape == points0.shape and points.tobytes() == points0.tobytes()
-    assert values.shape == values0.shape and values.tobytes() == values0.tobytes()
+    assert candidates is None
 
 
 def logistic_scan_instance(rng, on_peak: bool):
@@ -887,13 +880,20 @@ class TestCorrectiveStep:
                                                                          abs=1e-9)
 
 
+def assert_ascends(run):
+    """Each recorded value exceeds the one before it: the loop takes a step
+    only where its solution improves on the start beyond rounding."""
+    values = [r.value for r in run.history]
+    assert all(b > a for a, b in zip(values, values[1:]))
+
+
 class TestRuns:
     def test_benchmark_run_converges(self, ctx):
         run = ctx.benchmark_run()
         assert run.termination_reason == EFFICIENCY_REACHED
         assert run.final_efficiency > 0.99
-        values = np.array([r.value for r in run.history])
-        assert np.all(np.diff(values) >= -1e-10)
+        assert_ascends(run)
+        assert_ascends(ctx.transformed_run())
         # U is a lower bound on the efficiency value / (1/16); the affine
         # image of the fixture has the same optimum value
         for rec in run.history + ctx.transformed_run().history:
@@ -964,6 +964,7 @@ class TestRuns:
                     run = run_first_order(pair, start, space,
                                           AlgoConfig(delta=delta, max_iterations=300),
                                           benchmark_inner_config())
+                assert_ascends(run)
                 runs.append((d, run.termination_reason))
         for dual in duals:
             assert_gaussian_dual_is_a_kkt_point(dual["pair"], dual["points"], dual["reg"],
@@ -1183,14 +1184,14 @@ class TestRuns:
                               AlgoConfig(delta=0.99, max_iterations=50), FAST,
                               RegularizationConfig(gamma=0.05))
         assert run.termination_reason == EFFICIENCY_REACHED
-        values = [r.value for r in run.history]
-        assert np.all(np.diff(values) > 0.0)
+        assert_ascends(run)
 
     def test_logistic_loop_steps_to_the_raw_mixture(self, ctx):
         # no support is merged or dropped: each iterate is the blend of the
         # last with a point mass at its best point, float for float
         steps = 0
         for run in (ctx.logistic_plain_run(), ctx.logistic_regularized_run()):
+            assert_ascends(run)
             for rec, following in zip(run.history, run.history[1:]):
                 expected = mixture(rec.design, rec.best_point, rec.alpha)
                 np.testing.assert_array_equal(following.design.points, expected.points)
@@ -1262,6 +1263,25 @@ class TestRuns:
         assert run.termination_reason == EFFICIENCY_REACHED
         assert run.regularized and run.gamma == 0.05
         assert run.final_design.weight_at([0.0]) >= 0.95
+
+    @pytest.mark.parametrize("entry", ["run", "certificate"])
+    @pytest.mark.parametrize("points, weights, violation", [
+        ([[0.0], [1.0 / 3.0], [2.0 / 3.0], [1.5]], [0.25] * 4,
+         r"point 3 = \[1.5\] outside box"),
+        ([[0.0], [1.0 / 3.0], [2.0 / 3.0], [1.0]], [math.nan, 0.25, 0.25, 0.25],
+         "non-finite weight nan at index 0"),
+    ], ids=["outside", "nan-weight"])
+    def test_an_invalid_reference_design_is_refused(self, entry, points, weights,
+                                                    violation):
+        # a library caller's reference is validated as the initial design is,
+        # by the regularized run and by the regularized certificate
+        pair, space, start = logistic_pair(), logistic_space(), logistic_start_design()
+        reg = RegularizationConfig(gamma=0.05, xi_tilde=Design(space, points, weights))
+        with pytest.raises(DomainError, match=f"invalid reference design: {violation}"):
+            if entry == "run":
+                run_regularized(pair, start, space, AlgoConfig(), FAST, reg)
+            else:
+                equivalence_check(pair, start, space, inner_config=FAST, reg=reg)
 
     def test_regularized_records_scale_the_gap(self):
         # psi_gamma = (1 - gamma) psi with the blended-design minimizer
