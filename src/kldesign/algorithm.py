@@ -4,16 +4,16 @@ One iteration, given the current design xi_n:
 
 1. inner solve: beta2_n minimizing the averaged divergence (bounded Newton,
    made by the step that produced xi_n, from that step's beta2);
-2. best-point search: x_n maximizing psi over the domain
-   (`best_support_candidate`). A Gaussian pair's psi peaks at an end of
-   the domain or a root of r', so its scan is `psi_scan`'s two-node one
-   (the ends, the support and those roots), which is exact; a logistic
-   pair's scans the certificate's `PSI_GRID_SIZE`-node grid, prepared once
-   per run, followed by the support, whose divergence it reads off the
-   `inner.Support` that step 1's solution keeps when that solve ran on
-   exactly the support's points (a plain run's; a regularized solve runs
-   on the blend with the reference, whose points the scan does not read,
-   and the scan prepares the support's), and takes x_n at their argmax;
+2. best-point search: x_n at the argmax of `psi_scan`, the scan the
+   certificate reads too (`best_support_candidate`). A Gaussian pair's psi
+   peaks at an end of the domain or a root of r', so its scan is the
+   support, the ends and those roots, with no grid, and is exact; a
+   logistic pair's is the `PSI_GRID_SIZE`-node grid (`psi_grid`, so a
+   hand-off's regularized run scans the plain run's) followed by the
+   support, whose divergence it reads off the `inner.Support` that step
+   1's solution keeps when that solve ran on exactly the support's points
+   (a plain run's; a regularized solve runs on the blend with the
+   reference, and the scan prepares the support's);
 3. stopping check: the efficiency bound U = value / (value + psi_max),
    a lower bound on value / optimum, is evaluated here, after the
    best-point search and before any further work. A rival that attains
@@ -225,70 +225,66 @@ def efficiency_bound(value: float, psi_max: float) -> float:
     return value / total
 
 
-def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
-             grid_size: int = PSI_GRID_SIZE):
-    """psi(x) at the candidate maximizers: the grid, the support points and,
-    for a Gaussian pair, the roots of r' inside the domain, where r^2 peaks.
+# (pair, (lower, upper, size), Support) of the last grid asked for; one entry,
+# read once per call, so a caller always gets the grid of its own request
+_psi_grid = [None]
 
-    The Gaussian maximum is thus exact at any grid size, the two ends
-    included, and a Gaussian loop scans no more (`best_support_candidate`);
-    for other pairs it falls short by at most h^2/8 * max|psi''|, h the grid
-    spacing. The grid and the other rows are evaluated in one stacked call,
-    as the certificate takes them; the logistic loop's scan
-    (`best_support_candidate`) evaluates the grid and the support apart,
-    and the two may differ in the last bits of some rows: the rival
-    predictor X beta2 is a matrix product whose rows depend in their last
-    bits on the height of X (OpenBLAS). The two-node grid is the domain's
-    ends as given. Returns (points, psi); the support rows follow the grid's.
-    """
-    if grid_size == 2:  # the ends, without linspace's overhead
-        grid = np.array([space.lower, space.upper])
-    else:
-        grid = space.grid(grid_size)
-    parts = [design.points]
+
+def psi_grid(pair: ModelPair, space: DesignSpace, size: int) -> Support:
+    """The `inner.Support` of `space.grid(size)`, kept for the last (pair,
+    lower, upper, size) asked for only, as a run, its hand-off and a
+    certificate ask for it in turn; a grid kept per pair would grow with the
+    pairs a caller keeps. The entry holds the pair, matched by identity, so
+    no other pair takes its id; a pair is immutable, so the grid never goes
+    stale."""
+    key, last = (space.lower.tobytes(), space.upper.tobytes(), size), _psi_grid[0]
+    if last is None or last[0] is not pair or last[1] != key:
+        last = _psi_grid[0] = (pair, key, prepare_support(pair, space.grid(size)))
+    return last[2]
+
+
+def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
+             grid: Support | None, *, support: Support | None = None):
+    """psi(x) = I(x, beta2_hat) - avg_design I(., beta2_hat) on the rows of
+    the scan the loop (`best_support_candidate`) and the certificate
+    (`verify.equivalence_check`) both read: the nodes of `grid`, a prepared
+    Support (`psi_grid`), then the design's support points, then, for a
+    Gaussian pair, the domain's ends and the roots of r'. Returns (points,
+    psi).
+
+    A Gaussian pair's r^2 peaks at an end or a root of r', so its maximum
+    is exact without a grid, which only its certificate scans; its support,
+    ends and roots take one `pair.divergence` call. A logistic pair's
+    maximum falls short by at most h^2/8 * max|psi''|, h the grid spacing;
+    its support rows are read off `support` where it `holds` the design's
+    points exactly (an inner solution's), else off a Support prepared on
+    them, never off a Support of more points: the rows of X b depend in
+    their last bits on the height of X (OpenBLAS)."""
     if isinstance(pair, GaussianRegressionPair):
-        parts.append(pair.residual_critical_points(beta2_hat, space.lower[0], space.upper[0]))
-    points = np.vstack([grid, *parts])
-    values = pair.divergence(points, beta2_hat)
-    average = design.weights @ values[len(grid):len(grid) + design.size]
+        roots = pair.residual_critical_points(beta2_hat, space.lower[0], space.upper[0])
+        points = np.vstack([design.points, space.lower, space.upper, roots])
+        values = pair.divergence(points, beta2_hat)
+    else:
+        if support is None or not support.holds(design.points):
+            support = prepare_support(pair, design.points)
+        points, values = design.points, support.pointwise(beta2_hat)
+    average = design.weights @ values[:design.size]
+    if grid is not None:
+        points = np.concatenate([grid.points, points])
+        values = np.concatenate([grid.pointwise(beta2_hat), values])
     return points, values - average
 
 
 def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
-                           space: DesignSpace, grid_support: Support | None = None, *,
+                           space: DesignSpace, grid: Support | None, *,
                            support: Support | None = None):
-    """(x, psi, candidates) at the top of the loop's psi scan: the first row
-    of the largest psi (or of the first NaN), as `np.argmax` picks it; x is
-    copied so records keep no scan.
-
-    A Gaussian pair's scan is the rows of `psi_scan(..., grid_size=2)`, with
-    its floats: the ends of the domain, the support and the roots of r'.
-    Its psi is largest at one of them, so no grid node can raise the
-    maximum, and neither Support is read. `candidates` is (points, psi) of
-    those rows, which `corrective_step` adds points from.
-
-    A logistic pair's scan is the grid `grid_support`, an `inner.Support`
-    (the `PSI_GRID_SIZE`-node grid prepared here when None), followed by
-    the support: the grid's divergence is read off it and the design's off
-    `support`, a Support the caller holds (an inner solution's), where it
-    `holds` exactly the design's points, else off one prepared on them.
-    The two parts are evaluated apart, not as `psi_scan`'s one stacked
-    call. Its step reads no rows of the scan, so `candidates` is None."""
-    if isinstance(pair, GaussianRegressionPair):
-        points, psi = psi_scan(pair, design, beta2_hat, space, grid_size=2)
-        i = int(np.argmax(psi))
-        return points[i].copy(), float(psi[i]), (points, psi)
-    if grid_support is None:
-        grid_support = prepare_support(pair, space.grid(PSI_GRID_SIZE))
-    if support is None or not support.holds(design.points):
-        support = prepare_support(pair, design.points)
-    beta2 = np.asarray(beta2_hat, dtype=float)
-    on_support = support.pointwise(beta2)
-    average = design.weights @ on_support
-    psi = np.concatenate([grid_support.pointwise(beta2), on_support]) - average
-    i, size = int(np.argmax(psi)), len(grid_support.points)
-    x = grid_support.points[i] if i < size else design.points[i - size]
-    return x.copy(), float(psi[i]), None
+    """(x, psi, scan) at the top of `psi_scan` on the same arguments: the
+    first row of the largest psi (or of the first NaN), as `np.argmax`
+    picks it, and scan its (points, psi), whose rows `corrective_step` adds
+    points from; x is copied so records keep no scan."""
+    points, psi = psi_scan(pair, design, beta2_hat, space, grid, support=support)
+    i = int(np.argmax(psi))
+    return points[i].copy(), float(psi[i]), (points, psi)
 
 
 def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSolution,
@@ -760,7 +756,7 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
         grid = None
         null_row = pair.divergence(np.vstack([space.lower, space.upper, peaks]), zero)
     else:
-        grid = prepare_support(pair, space.grid(PSI_GRID_SIZE))
+        grid = psi_grid(pair, space, PSI_GRID_SIZE)
         null_row = grid.pointwise(zero)
     null_scale = float(np.max(null_row))
     if not regularizing and inner.singular_flag:

@@ -27,12 +27,12 @@ which X moves eta2 by no more than the stopping tolerance counts as a null
 direction. Everything that depends on the points and not on the weights (X,
 the divergence and derivative closures, the rank test per positive-weight
 pattern) is a `Support`, built once and reusable across solves on the same
-points. A solution keeps the Support it was solved on, so a caller that
-next evaluates the divergence on exactly those points (the exchange loop's
-psi scan) reads it there instead of preparing the points again. Only on
-exactly those points: the rows of a product X b depend on the height of X
-in their last bits (OpenBLAS), so the values on a Support of more points
-(a regularized solve's blend of the design and the reference) are not
+points. A solution keeps the Support it was solved on, so a caller that next
+evaluates the divergence on exactly those points (the psi scan of the loop
+and the certificate) reads it there instead of preparing the points again.
+Only on exactly those points: the rows of a product X b depend on the height
+of X in their last bits (OpenBLAS), so the values on a Support of more
+points (a regularized solve's blend of the design and the reference) are not
 sliced for fewer. Only these polynomial-predictor pairs are solved; any
 other pair is refused.
 """
@@ -44,7 +44,7 @@ import numpy as np
 
 from ._lapack import lstsq
 from .designs import Design
-from .errors import UnsupportedModelError
+from .errors import DomainError, UnsupportedModelError
 from .models import (GaussianRegressionPair, ModelPair, ParamBox, PolynomialPair,
                      _least_singular_value, _scalar_inputs)
 
@@ -166,11 +166,14 @@ def _model(weights: np.ndarray, eta: np.ndarray, g: np.ndarray, h: np.ndarray):
 
 def prepare_support(pair: ModelPair, points) -> Support:
     """The `Support` of `pair` at `points`; only polynomial-predictor pairs
-    have one (`UnsupportedModelError` otherwise)."""
+    have one (`UnsupportedModelError` otherwise), and a point that is not
+    finite raises `DomainError` here, before LAPACK reads it."""
     if not isinstance(pair, PolynomialPair):
         raise UnsupportedModelError("the inner solve applies to polynomial-predictor "
                                     "pairs only")
     x = _scalar_inputs(points)
+    if np.count_nonzero(np.isfinite(x)) < x.size:  # half the time of .all()
+        raise DomainError(f"point {float(x[~np.isfinite(x)][0])} is not finite")
     eta1 = pair.true_predictor(x)
     curvature = 1.0 / pair.sigma2 if isinstance(pair, GaussianRegressionPair) else None
     return Support(points, pair.rival_matrix(x), eta1, *pair.kernels(eta1), curvature)

@@ -1,12 +1,11 @@
 """Post-hoc certification of candidate optimal designs.
 
 The equivalence check evaluates the directional derivative on
-`algorithm.psi_scan`, the grid and the support in one stacked call: a design
-is certified optimal when the derivative is nonpositive everywhere and
-vanishes on the support. The loop's best-point search scans apart
-(`algorithm.best_support_candidate`), so its psi may differ from the
-check's in the last bits. The scan is exact for Gaussian pairs; for others,
-grid spacing h hides at most h^2/8 * max|psi''|.
+`algorithm.psi_scan`, the scan the loop's best-point search reads: the grid
+(`algorithm.psi_grid`), the support and, for a Gaussian pair, the domain's
+ends and the roots of r'. A design is certified optimal when the derivative
+is nonpositive everywhere and vanishes on the support. The scan is exact for
+Gaussian pairs; for others, grid spacing h hides at most h^2/8 * max|psi''|.
 For singular designs the derivative is only defined through the regularized
 criterion, so the check asks for a regularization config first.
 """
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithm import (PSI_GRID_SIZE, RegularizationConfig, _resolve_reference,
-                        psi_scan)
+                        psi_grid, psi_scan)
 from .designs import Design, DesignSpace, AffineMap, blend_designs, transform_design
 from .inner import InnerConfig, minimize_beta2
 from .models import ModelPair, reparametrize_under_affine
@@ -97,7 +96,8 @@ def equivalence_check(pair: ModelPair, design: Design,
         singular = False
     value = sol.value
 
-    points, psi = psi_scan(pair, design, sol.beta2_hat, space, grid_size)
+    points, psi = psi_scan(pair, design, sol.beta2_hat, space,
+                           psi_grid(pair, space, grid_size), support=sol.support)
     psi = scale * psi
     grid, grid_psi = points[:grid_size], psi[:grid_size]
     support_psi = psi[grid_size:grid_size + design.size]

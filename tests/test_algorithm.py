@@ -1,7 +1,9 @@
 """Outer exchange loop: derivative, best-point search, steps, runs."""
 
 import contextlib
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +17,8 @@ from kldesign.algorithm import (EFFICIENCY_REACHED, STALLED, STALLED_REGULARIZED
                                 AlgoConfig, RegularizationConfig, _brent_root,
                                 best_support_candidate, corrective_step,
                                 default_reference_design, efficiency_bound,
-                                line_search_alpha, psi_scan, restricted_dual,
-                                run_first_order, run_regularized)
+                                line_search_alpha, psi_grid, psi_scan,
+                                restricted_dual, run_first_order, run_regularized)
 from kldesign.benchmarks import (BenchmarkContext, SyntheticFamily,
                                  _kl_average as kl_average, benchmark_inner_config,
                                  cubic_quadratic_optimum, cubic_quadratic_pair,
@@ -45,15 +47,16 @@ class TestDirectionalDerivative:
     def test_value_at_the_center(self):
         # psi(0) = 0 - 1/16 at the analytic optimum parameters; the middle of
         # three grid nodes is x = 0
-        points, psi = psi_scan(cubic_quadratic_pair(), cubic_quadratic_optimum(),
-                               OPT_BETA, cubic_quadratic_space(), grid_size=3)
+        pair, space = cubic_quadratic_pair(), cubic_quadratic_space()
+        points, psi = psi_scan(pair, cubic_quadratic_optimum(), OPT_BETA, space,
+                               psi_grid(pair, space, 3))
         assert points[1, 0] == 0.0
         assert psi[1] == pytest.approx(-0.0625, abs=1e-15)
 
     def test_zero_at_support_points(self):
+        pair, space = cubic_quadratic_pair(), cubic_quadratic_space()
         opt = cubic_quadratic_optimum()
-        points, psi = psi_scan(cubic_quadratic_pair(), opt, OPT_BETA,
-                               cubic_quadratic_space(), grid_size=3)
+        points, psi = psi_scan(pair, opt, OPT_BETA, space, psi_grid(pair, space, 3))
         np.testing.assert_array_equal(points[3:3 + opt.size], opt.points)
         for value in psi[3:3 + opt.size]:
             assert value == pytest.approx(0.0, abs=1e-15)
@@ -66,27 +69,74 @@ class TestDirectionalDerivative:
             m = int(rng.integers(1, 8))
             d = Design(space, rng.uniform(-1, 1, (m, 1)), rng.dirichlet(np.ones(m)))
             b = rng.uniform(-3, 3, 3)
-            _, psi = psi_scan(pair, d, b, space, grid_size=2)
-            assert abs(float(d.weights @ psi[2:2 + m])) <= 1e-10
+            _, psi = psi_scan(pair, d, b, space, None)
+            assert abs(float(d.weights @ psi[:m])) <= 1e-10
 
 
     @pytest.mark.parametrize("family", ["gaussian", "logistic"])
     def test_a_held_grid_evaluator_gives_the_same_scan(self, family):
+        # the grid's nodes, the support, then a Gaussian pair's ends and roots
+        # of r'; psi is the divergence less its average over the design, and
+        # a logistic support's rows read off a Support held on exactly its
+        # points, on other points or on none are the same floats
         if family == "gaussian":
             pair, design, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
                                    cubic_quadratic_space())
             beta = np.array([0.1, 0.6, -0.2])
+            tail = [space.lower, space.upper,
+                    pair.residual_critical_points(beta, -1.0, 1.0)]
         else:
             pair, design, space = logistic_pair(), LOGISTIC_SEGMENT_START, logistic_space()
-            beta = np.array([1.5, -0.5])
-        size = algorithm.PSI_GRID_SIZE
-        grid = prepare_support(pair, space.grid(size))
-        points, psi = held_grid_scan(pair, design, beta, space, grid)
-        # float for float the scan in one divergence call over all candidates
+            beta, tail = np.array([1.5, -0.5]), []
+        grid = psi_grid(pair, space, 101)
+        points, psi = psi_scan(pair, design, beta, space, grid)
+        np.testing.assert_array_equal(points, np.vstack([grid.points, design.points,
+                                                         *tail]))
         values = pair.divergence(points, beta)
-        average = design.weights @ values[size:size + design.size]
-        np.testing.assert_array_equal(psi, values - average)
-        np.testing.assert_array_equal(psi_scan(pair, design, beta, space)[1], psi)
+        average = design.weights @ values[101:101 + design.size]
+        np.testing.assert_allclose(psi, values - average, rtol=0, atol=1e-15)
+        reference = Design(space, space.grid(3), np.full(3, 1.0 / 3.0))
+        for held in (prepare_support(pair, design.points),
+                     prepare_support(pair, blend_designs(design, reference, 0.05).points)):
+            held_points, held_psi = psi_scan(pair, design, beta, space, grid, support=held)
+            assert held_points.tobytes() == points.tobytes()
+            assert held_psi.tobytes() == psi.tobytes()
+        without = psi_scan(pair, design, beta, space, None)
+        assert without[0].tobytes() == points[101:].tobytes()
+        assert without[1].tobytes() == psi[101:].tobytes()
+
+
+class TestPsiGrid:
+    def test_the_same_request_gets_the_same_support(self):
+        pair, space = logistic_pair(), logistic_space()
+        grid = psi_grid(pair, space, 101)
+        np.testing.assert_array_equal(grid.points, space.grid(101))
+        assert psi_grid(pair, DesignSpace([0.0], [1.0]), 101) is grid
+
+    def test_another_pair_size_or_frame_gets_a_new_support(self):
+        pair, space = logistic_pair(), logistic_space()
+        amap = AffineMap([2.0], [[4.0]])
+        for other, other_space, size in ((logistic_pair(), space, 101),
+                                         (pair, space, 201),
+                                         (pair, DesignSpace([0.0], [2.0]), 101),
+                                         (reparametrize_under_affine(pair, amap),
+                                          amap.image_box(space), 101),
+                                         (reparametrize_under_affine(pair, amap),
+                                          space, 101)):
+            grid = psi_grid(pair, space, 101)
+            fresh = psi_grid(other, other_space, size)
+            assert fresh is not grid
+            np.testing.assert_array_equal(fresh.points, other_space.grid(size))
+
+    def test_only_the_last_grid_is_kept(self):
+        first, second, space = logistic_pair(), logistic_pair(), logistic_space()
+        grid = psi_grid(first, space, 101)
+        psi_grid(second, space, 101)
+        assert psi_grid(first, space, 101) is not grid  # the first one was dropped
+        released = weakref.ref(second)
+        del second
+        gc.collect()
+        assert released() is None  # and so was the pair it held
 
 
 @st.composite
@@ -123,32 +173,35 @@ class TestBestSupportCandidate:
         space = cubic_quadratic_space()
         d0 = Design(space, [[0.0]], [1.0])
         sol = minimize_beta2(pair, d0, TIGHT)
-        x, psi, _ = best_support_candidate(pair, d0, sol.beta2_hat, space)
+        x, psi, _ = best_support_candidate(pair, d0, sol.beta2_hat, space, None)
         grid = np.linspace(-1, 1, 10000)
         brute = grid[np.argmax(pair.divergence(grid, sol.beta2_hat))]
         assert abs(abs(x[0]) - 1.0) <= 1e-6
         assert abs(abs(brute) - 1.0) <= 1e-3
         assert psi >= 0.0
 
-    def test_candidates_are_the_scan_on_the_domain_ends(self):
-        # the rows the corrective step adds points from, float for float those
-        # of a two-node scan, with a held grid evaluator or without
-        pair, design, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
-                               cubic_quadratic_space())
-        beta = np.array([0.1, 0.6, -0.2])
-        two_node = psi_scan(pair, design, beta, space, grid_size=2)
-        grid = prepare_support(pair, space.grid(algorithm.PSI_GRID_SIZE))
-        for held in (None, grid):
-            _, _, candidates = best_support_candidate(pair, design, beta, space, held)
-            for got, expected in zip(candidates, two_node):
-                np.testing.assert_array_equal(got, expected)
+    def test_candidates_are_the_scan_rows(self):
+        # (x, psi) is the first largest row of psi_scan on the same arguments,
+        # whose rows it returns as they stand, with a grid or without
+        for pair, design, space, beta in (
+                (cubic_quadratic_pair(), cubic_quadratic_start(), cubic_quadratic_space(),
+                 np.array([0.1, 0.6, -0.2])),
+                (logistic_pair(), LOGISTIC_SEGMENT_START, logistic_space(),
+                 np.array([1.5, -0.5]))):
+            for grid in (None, psi_grid(pair, space, algorithm.PSI_GRID_SIZE)):
+                x, psi, scan = best_support_candidate(pair, design, beta, space, grid)
+                expected = psi_scan(pair, design, beta, space, grid)
+                for got, rows in zip(scan, expected):
+                    assert got.tobytes() == rows.tobytes()
+                i = int(np.argmax(expected[1]))
+                assert_same_top((x, psi), (expected[0][i], float(expected[1][i])))
 
     def test_zero_gap_at_the_optimum(self):
         pair = cubic_quadratic_pair()
         opt = cubic_quadratic_optimum()
         sol = minimize_beta2(pair, opt, TIGHT)
         _, psi, _ = best_support_candidate(pair, opt, sol.beta2_hat,
-                                           cubic_quadratic_space())
+                                           cubic_quadratic_space(), None)
         assert abs(psi) <= 1e-8
 
     def test_constant_divergence(self):
@@ -157,7 +210,8 @@ class TestBestSupportCandidate:
         # with this beta2 the divergence is largest at 0 and the design sits there
         sol = minimize_beta2(pair, blend_designs(d0, logistic_reference_design(),
                                                  0.05), TIGHT)
-        x, psi, _ = best_support_candidate(pair, d0, sol.beta2_hat, logistic_space())
+        x, psi, _ = best_support_candidate(pair, d0, sol.beta2_hat, logistic_space(),
+                                           loop_grid(pair, logistic_space()))
         assert x[0] == pytest.approx(0.0, abs=1e-9)
         assert psi == pytest.approx(0.0, abs=1e-9)
 
@@ -168,7 +222,8 @@ class TestBestSupportCandidate:
         # no dense grid finds a larger psi than a coarse scan, whose best
         # candidate attains the psi it reports
         pair, design, beta, space = scan
-        candidates, psi = psi_scan(pair, design, beta, space, grid_size)
+        candidates, psi = psi_scan(pair, design, beta, space,
+                                   psi_grid(pair, space, grid_size))
         i = int(np.argmax(psi))
         average = kl_average(pair, design, beta)
         # psi is a difference of divergences, so rounding scales with them
@@ -184,9 +239,9 @@ class TestBestSupportCandidate:
         # a Gaussian loop scans only the ends, the support and the roots of
         # r'; no node of the certificate's grid finds a larger psi
         pair, design, beta, space = scan
-        _, psi, _ = best_support_candidate(pair, design, beta, space)
-        grid_max = float(np.max(psi_scan(pair, design, beta, space,
-                                         algorithm.PSI_GRID_SIZE)[1]))
+        _, psi, _ = best_support_candidate(pair, design, beta, space, None)
+        grid_max = float(np.max(psi_scan(pair, design, beta, space, psi_grid(
+            pair, space, algorithm.PSI_GRID_SIZE))[1]))
         tol = 1e-12 * max(1.0, float(np.max(pair.divergence(design.points, beta))),
                           abs(grid_max))
         assert psi >= grid_max - tol
@@ -194,90 +249,91 @@ class TestBestSupportCandidate:
 
     @pytest.mark.parametrize("size", [2, 101, 4001])
     def test_a_held_grid_of_any_size(self, size):
-        # the top of the held grid and the support, whatever the grid's size,
-        # float for float the stacked scan's
+        # the loop's top on a held grid of any size is the certificate's at
+        # that size, float for float
         pair, design, space = logistic_pair(), LOGISTIC_SEGMENT_START, logistic_space()
-        beta = np.array([1.5, -0.5])
-        grid = prepare_support(pair, space.grid(size))
-        assert_same_top(best_support_candidate(pair, design, beta, space, grid),
-                        stacked_scan_top(pair, design, beta, space, grid))
+        sol = minimize_beta2(pair, design)
+        report = equivalence_check(pair, design, space, grid_size=size)
+        top = best_support_candidate(pair, design, sol.beta2_hat, space,
+                                     psi_grid(pair, space, size), support=sol.support)
+        assert report.beta2_hat.tobytes() == sol.beta2_hat.tobytes()
+        assert_same_top(top, (report.psi_argmax, report.psi_max))
 
-    def test_a_held_support_gives_the_stacked_scan(self):
+    def test_the_loop_and_the_certificate_read_the_same_floats(self):
+        # at the same beta2 the loop's top is the certificate's, bit for bit;
+        # before the two read one scan, they differed on 43 of these 300
+        # instances
+        rng = np.random.default_rng(2031)
+        for k in range(300):
+            pair, design, _, space, grid = logistic_scan_instance(rng, k % 2 == 0)
+            sol = minimize_beta2(pair, design)
+            x, psi, _ = best_support_candidate(pair, design, sol.beta2_hat, space, grid,
+                                               support=sol.support)
+            report = equivalence_check(pair, design, space)
+            assert report.beta2_hat.tobytes() == sol.beta2_hat.tobytes()
+            assert_same_top((x, psi), (report.psi_argmax, report.psi_max))
+
+    def test_a_held_support_gives_the_same_top(self):
         # the design's rows read off a Support prepared on exactly its points,
         # on other points (a blend with a reference: one is prepared instead)
-        # or none give the stacked scan's top, float for float; where the
-        # grid's and the support's maxima tie, the grid node wins
+        # or none give the same top, float for float; where the grid's and
+        # the support's maxima tie, the grid node wins
         rng = np.random.default_rng(2029)
         ties = above = 0
         for k in range(120):
             pair, design, beta, space, grid = logistic_scan_instance(rng, k % 2 == 0)
             reference = Design(space, space.grid(3), np.full(3, 1.0 / 3.0))
-            expected = stacked_scan_top(pair, design, beta, space, grid)
-            for held in (None, prepare_support(pair, design.points),
+            expected = best_support_candidate(pair, design, beta, space, grid)
+            for held in (prepare_support(pair, design.points),
                          prepare_support(pair, blend_designs(design, reference, 0.05).points)):
                 assert_same_top(best_support_candidate(pair, design, beta, space, grid,
                                                        support=held), expected)
-            _, psi = held_grid_scan(pair, design, beta, space, grid)
-            lead = psi[grid.rows.shape[0]:].max() - psi[:grid.rows.shape[0]].max()
+            psi, size = expected[2][1], len(grid.points)
+            lead = psi[size:].max() - psi[:size].max()
             ties, above = ties + (lead == 0.0), above + (lead > 0.0)
+            if lead == 0.0:
+                assert int(np.argmax(psi)) < size
         assert ties >= 10 and above >= 1  # 56 and 2 of the 120
 
     def test_a_grid_node_tied_with_the_support_wins(self):
         # a rival that attains a constant truth: psi is 0 on every row, and
-        # the top of the scan is the first grid node, as in the stacked scan
+        # the top of the scan is the first grid node
         pair = LogisticGlmPair([0.7], [0], ParamBox([-5.0], [5.0]))
         space, beta = logistic_space(), np.array([0.7])
-        grid = prepare_support(pair, space.grid(algorithm.PSI_GRID_SIZE))
         design = LOGISTIC_SEGMENT_START
-        top = best_support_candidate(pair, design, beta, space, grid,
-                                     support=prepare_support(pair, design.points))
-        assert top[0].tolist() == [0.0] and top[1] == 0.0
-        assert_same_top(top, stacked_scan_top(pair, design, beta, space, grid))
+        x, psi, (_, rows) = best_support_candidate(
+            pair, design, beta, space, psi_grid(pair, space, algorithm.PSI_GRID_SIZE),
+            support=prepare_support(pair, design.points))
+        assert x.tolist() == [0.0] and psi == 0.0 and not rows.any()
 
 
-def held_grid_scan(pair, design, beta, space, grid):
-    """`psi_scan` with the grid's divergence read off `grid`, its prepared
-    Support, and the other rows' from one `divergence` call: (points, psi)
-    of the grid's nodes, then the support and a Gaussian pair's roots of r'."""
-    parts = [design.points]
+def loop_grid(pair, space):
+    """The grid the loop scans: none for a Gaussian pair, whose scan is
+    exact without one, and the `PSI_GRID_SIZE`-node grid otherwise."""
     if isinstance(pair, GaussianRegressionPair):
-        parts.append(pair.residual_critical_points(beta, space.lower[0], space.upper[0]))
-    candidates = np.vstack(parts)
-    values = np.concatenate([grid.pointwise(beta), pair.divergence(candidates, beta)])
-    size = grid.rows.shape[0]
-    average = design.weights @ values[size:size + design.size]
-    return np.vstack([grid.points, candidates]), values - average
-
-
-def stacked_scan_top(pair, design, beta, space, grid):
-    """(x, psi) read off one stacked scan of the held grid and the support
-    (`held_grid_scan`): its first largest row."""
-    points, psi = held_grid_scan(pair, design, beta, space, grid)
-    i = int(np.argmax(psi))
-    return points[i], float(psi[i])
+        return None
+    return psi_grid(pair, space, algorithm.PSI_GRID_SIZE)
 
 
 def assert_same_top(got, expected):
-    """A logistic scan's (x, psi, candidates) holds the (x, psi) expected,
-    bit for bit, and no candidate rows."""
-    (x, psi, candidates), (x0, psi0) = got, expected
+    """Two scans' (x, psi, ...) tops hold the same x and psi, bit for bit."""
+    (x, psi), (x0, psi0) = got[:2], expected[:2]
     assert x.tobytes() == x0.tobytes() and x.shape == (1,)
     assert psi.hex() == psi0.hex()
-    assert candidates is None
 
 
 def logistic_scan_instance(rng, on_peak: bool):
     """(pair, design, beta2, space, grid): a logistic pair of random degree
     and exponents, an interval, a random design (holding the grid node where
     the divergence at beta2 peaks when `on_peak`), a beta2 in the box, and
-    the Support of the interval's `PSI_GRID_SIZE`-node grid."""
+    the interval's `PSI_GRID_SIZE`-node grid (`psi_grid`)."""
     d2 = int(rng.integers(1, 4))
     exponents = sorted(rng.choice(5, d2, replace=False).tolist())
     pair = LogisticGlmPair(rng.uniform(-2.0, 2.0, int(rng.integers(1, 5))), exponents,
                            ParamBox([-10.0] * d2, [10.0] * d2))
     lower = float(rng.uniform(-2.0, 1.0))
     space = DesignSpace([lower], [lower + float(rng.uniform(0.1, 3.0))])
-    grid = prepare_support(pair, space.grid(algorithm.PSI_GRID_SIZE))
+    grid = psi_grid(pair, space, algorithm.PSI_GRID_SIZE)
     beta = rng.uniform(-3.0, 3.0, d2)
     m = int(rng.integers(1, 7))
     points = rng.uniform(space.lower[0], space.upper[0], (m, 1))
@@ -339,7 +395,7 @@ class TestLineSearch:
         start = cubic_quadratic_start()
         sol = minimize_beta2(pair, start, TIGHT)
         x_new, psi, _ = best_support_candidate(pair, start, sol.beta2_hat,
-                                               cubic_quadratic_space())
+                                               cubic_quadratic_space(), None)
         assert psi > 0.0
         alpha, mixed, step = line_search_alpha(pair, start, x_new, sol, TIGHT)
         value = step.value
@@ -377,7 +433,8 @@ class TestLineSearch:
             d = Design(space, rng.uniform(-1.0, 1.0, (m, 1)), rng.dirichlet(np.ones(m)))
             sol = minimize_beta2(pair, d, TIGHT)
             top = d.points[int(np.argmax(pair.divergence(d.points, sol.beta2_hat)))]
-            x = {"new": lambda: best_support_candidate(pair, d, sol.beta2_hat, space)[0],
+            x = {"new": lambda: best_support_candidate(pair, d, sol.beta2_hat, space,
+                                                       None)[0],
                  "support": lambda: top, "near_support": lambda: top + 5e-13}[where]()
             trials, steps = [], []
 
@@ -572,7 +629,7 @@ def assert_step_is_the_maximum_and_the_slope_is_the_derivative(pair, design, reg
 
     # the segment the loop takes: toward the top of the psi scan
     x_new, _, _ = best_support_candidate(pair, design, solve(0.0).beta2_hat,
-                                         design.space)
+                                         design.space, loop_grid(pair, design.space))
 
     # the slope line_search_alpha hands to its root find, if it gets there
     slopes = []
@@ -812,7 +869,7 @@ class TestCorrectiveStep:
         pair, opt = cubic_quadratic_pair(), cubic_quadratic_optimum()
         sol = minimize_beta2(pair, opt, TIGHT)
         candidates = best_support_candidate(pair, opt, sol.beta2_hat,
-                                            cubic_quadratic_space())[2]
+                                            cubic_quadratic_space(), None)[2]
         alpha, design, step = corrective_step(pair, opt, [0.3], sol, candidates, TIGHT)
         assert (alpha, design, step) == (0.0, opt, sol)
 
@@ -822,9 +879,10 @@ class TestCorrectiveStep:
         pair, design, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
                                cubic_quadratic_space())
         start = minimize_beta2(pair, design, TIGHT)
-        x_new, _, scanned = best_support_candidate(pair, design, start.beta2_hat, space)
+        x_new, _, scanned = best_support_candidate(pair, design, start.beta2_hat, space,
+                                                   None)
         _, new, _ = corrective_step(pair, design, x_new, start, scanned, TIGHT)
-        candidates, psi = psi_scan(pair, design, start.beta2_hat, space, grid_size=2)
+        candidates, psi = psi_scan(pair, design, start.beta2_hat, space, None)
         allowed = np.concatenate([design.points[:, 0], x_new, candidates[psi > 0.0, 0]])
         for x in new.points[:, 0]:
             assert np.min(np.abs(allowed - x)) == 0.0
@@ -836,7 +894,7 @@ class TestCorrectiveStep:
         pair, design, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
                                cubic_quadratic_space())
         start = minimize_beta2(pair, design, TIGHT)
-        _, _, scanned = best_support_candidate(pair, design, start.beta2_hat, space)
+        _, _, scanned = best_support_candidate(pair, design, start.beta2_hat, space, None)
         alpha, new, _ = corrective_step(pair, design, [-1.0 + 3e-11], start, scanned, TIGHT)
         assert -1.0 + 3e-11 not in new.points
         assert alpha == new.weight_at(-1.0) > 0.0
@@ -864,7 +922,7 @@ class TestCorrectiveStep:
         target = design if reg is None else blend_designs(design, reg.xi_tilde, reg.gamma)
         start = minimize_beta2(pair, target, TIGHT)
         x_new, _, candidates = best_support_candidate(pair, design, start.beta2_hat,
-                                                      design.space)
+                                                      design.space, None)
         alpha, new, step = corrective_step(pair, design, x_new, start, candidates,
                                            TIGHT, reg=reg)
         searched = line_search_alpha(pair, design, x_new, start, TIGHT, reg=reg)[2]
@@ -1135,6 +1193,29 @@ class TestRuns:
         assert rows.count(algorithm.PSI_GRID_SIZE) == expected
         if family != "logistic":
             assert max(divergence_rows) <= 24
+
+    def test_a_hand_off_prepares_its_psi_grid_once(self):
+        # the regularized run after the plain one, on the same pair and
+        # space, scans the grid the plain run prepared (`psi_grid`); the
+        # parent prepared it again
+        pair, space = logistic_pair(), logistic_space()
+        rows = []
+
+        def recorded(pair, points):
+            rows.append(len(points))
+            return prepare_support(pair, points)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algorithm, "prepare_support", recorded)
+            patch.setattr(inner, "prepare_support", recorded)
+            plain = run_first_order(pair, logistic_start_design(), space,
+                                    AlgoConfig(max_iterations=50), FAST)
+            regularized = run_regularized(pair, logistic_start_design(), space,
+                                          AlgoConfig(max_iterations=5), FAST,
+                                          RegularizationConfig(gamma=0.05))
+        assert plain.termination_reason == STALLED_REGULARIZED
+        assert len(regularized.history) >= 2
+        assert rows.count(algorithm.PSI_GRID_SIZE) == 1
 
     @pytest.mark.parametrize("regularized", [False, True], ids=["plain", "regularized"])
     def test_a_logistic_loop_scans_its_support_off_prepared_supports(self, regularized):

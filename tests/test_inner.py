@@ -14,7 +14,7 @@ from kldesign.designs import Design, DesignSpace, blend_designs
 from kldesign import inner
 from kldesign.inner import (InnerConfig, least_squares_oracle, minimize_beta2,
                             prepare_support)
-from kldesign.errors import UnsupportedModelError
+from kldesign.errors import DomainError, UnsupportedModelError
 from kldesign.benchmarks import SyntheticFamily, _kl_average as kl_average
 from kldesign.models import GaussianRegressionPair, LogisticGlmPair, ParamBox
 
@@ -389,6 +389,20 @@ class TestPreparedSupport:
             assert copy.beta2_hat.tobytes() == sol.beta2_hat.tobytes()
             assert (copy.value, copy.singular_flag, copy.at_boundary) == (
                 sol.value, sol.singular_flag, sol.at_boundary)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("family", ["gaussian", "logistic"])
+    def test_a_point_that_is_not_finite_is_refused_before_lapack(self, capfd, family,
+                                                                 bad):
+        # `Design` takes the point; the solve names it before dgelsd reads
+        # it, so LAPACK prints no "On entry to DLASCL" line and raises no
+        # LinAlgError
+        pair = cubic_pair() if family == "gaussian" else fixture_logistic_pair(
+            (-10, -10), (10, 10))
+        design = Design(DesignSpace([0.0], [1.0]), [[0.0], [bad], [1.0]], [1 / 3] * 3)
+        with pytest.raises(DomainError, match=f"point {bad} is not finite"):
+            minimize_beta2(pair, design, TIGHT)
+        assert "DLASCL" not in capfd.readouterr().out
 
     def test_zero_weight_point_keeps_the_flag(self):
         # three points give the quadratic rival full rank, two do not; the

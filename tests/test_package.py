@@ -38,7 +38,8 @@ def test_public_names_are_pinned():
 
 def test_unexported_names_resolve_in_their_modules():
     moved = {algorithm: ["best_support_candidate", "corrective_step",
-                         "line_search_alpha", "restricted_dual"],
+                         "line_search_alpha", "psi_grid", "psi_scan",
+                         "restricted_dual"],
              benchmarks: ["SyntheticFamily", "_kl_average", "_glm_fisher_information"]}
     for module, names in moved.items():
         for name in names:

@@ -70,7 +70,8 @@ class TestEquivalenceCheck:
         report = equivalence_check(cubic_quadratic_pair(), design,
                                    inner_config=verify_inner_config())
         x, psi, _ = best_support_candidate(cubic_quadratic_pair(), design,
-                                           report.beta2_hat, cubic_quadratic_space())
+                                           report.beta2_hat, cubic_quadratic_space(),
+                                           None)
         assert psi == report.psi_max
         np.testing.assert_array_equal(x, report.psi_argmax)
         assert x.base is None  # a copy: iteration records do not keep the scan
