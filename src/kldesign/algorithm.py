@@ -10,10 +10,10 @@ One iteration, given the current design xi_n:
    support, the ends and those roots, with no grid, and is exact; a
    logistic pair's is the `PSI_GRID_SIZE`-node grid (`psi_grid`, so a
    hand-off's regularized run scans the plain run's) followed by the
-   support, whose divergence it reads off the `inner.Support` that step
-   1's solution keeps when that solve ran on exactly the support's points
-   (a plain run's; a regularized solve runs on the blend with the
-   reference, and the scan prepares the support's);
+   support, whose divergence it reads off step 1's solution (its
+   `pointwise`, whose leading rows are the support's: a regularized solve
+   runs on the blend with the reference, whose points follow the
+   support's);
 3. stopping check: the efficiency bound U = value / (value + psi_max),
    a lower bound on value / optimum, is evaluated here, after the
    best-point search and before any further work. A rival that attains
@@ -111,8 +111,9 @@ class AlgoConfig:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError("max_iterations must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,7 @@ def psi_grid(pair: ModelPair, space: DesignSpace, size: int) -> Support:
 
 
 def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
-             grid: Support | None, *, support: Support | None = None):
+             grid: Support | None, *, pointwise: np.ndarray | None = None):
     """psi(x) = I(x, beta2_hat) - avg_design I(., beta2_hat) on the rows of
     the scan the loop (`best_support_candidate`) and the certificate
     (`verify.equivalence_check`) both read: the nodes of `grid`, a prepared
@@ -256,18 +257,18 @@ def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
     is exact without a grid, which only its certificate scans; its support,
     ends and roots take one `pair.divergence` call. A logistic pair's
     maximum falls short by at most h^2/8 * max|psi''|, h the grid spacing;
-    its support rows are read off `support` where it `holds` the design's
-    points exactly (an inner solution's), else off a Support prepared on
-    them, never off a Support of more points: the rows of X b depend in
-    their last bits on the height of X (OpenBLAS)."""
+    its support rows are the leading rows of `pointwise`, the
+    `InnerSolution.pointwise` of the solve that gave beta2_hat, run on the
+    design or on a blend that begins with the design's points; when None
+    they are evaluated here by `pair.divergence`."""
     if isinstance(pair, GaussianRegressionPair):
         roots = pair.residual_critical_points(beta2_hat, space.lower[0], space.upper[0])
         points = np.vstack([design.points, space.lower, space.upper, roots])
         values = pair.divergence(points, beta2_hat)
     else:
-        if support is None or not support.holds(design.points):
-            support = prepare_support(pair, design.points)
-        points, values = design.points, support.pointwise(beta2_hat)
+        if pointwise is None:
+            pointwise = pair.divergence(design.points, beta2_hat)
+        points, values = design.points, pointwise[:design.size]
     average = design.weights @ values[:design.size]
     if grid is not None:
         points = np.concatenate([grid.points, points])
@@ -277,12 +278,12 @@ def psi_scan(pair: ModelPair, design: Design, beta2_hat, space: DesignSpace,
 
 def best_support_candidate(pair: ModelPair, design: Design, beta2_hat,
                            space: DesignSpace, grid: Support | None, *,
-                           support: Support | None = None):
+                           pointwise: np.ndarray | None = None):
     """(x, psi, scan) at the top of `psi_scan` on the same arguments: the
     first row of the largest psi (or of the first NaN), as `np.argmax`
     picks it, and scan its (points, psi), whose rows `corrective_step` adds
     points from; x is copied so records keep no scan."""
-    points, psi = psi_scan(pair, design, beta2_hat, space, grid, support=support)
+    points, psi = psi_scan(pair, design, beta2_hat, space, grid, pointwise=pointwise)
     i = int(np.argmax(psi))
     return points[i].copy(), float(psi[i]), (points, psi)
 
@@ -775,7 +776,7 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
             boundary_warned = True
 
         x_n, psi_raw, candidates = best_support_candidate(
-            pair, design, inner.beta2_hat, space, grid, support=inner.support)
+            pair, design, inner.beta2_hat, space, grid, pointwise=inner.pointwise)
         psi_max = (1.0 - gamma) * psi_raw
         # value + psi_max is the largest divergence over the domain (mixed with
         # the reference's average when regularizing)

@@ -27,14 +27,12 @@ which X moves eta2 by no more than the stopping tolerance counts as a null
 direction. Everything that depends on the points and not on the weights (X,
 the divergence and derivative closures, the rank test per positive-weight
 pattern) is a `Support`, built once and reusable across solves on the same
-points. A solution keeps the Support it was solved on, so a caller that next
-evaluates the divergence on exactly those points (the psi scan of the loop
-and the certificate) reads it there instead of preparing the points again.
-Only on exactly those points: the rows of a product X b depend on the height
-of X in their last bits (OpenBLAS), so the values on a Support of more
-points (a regularized solve's blend of the design and the reference) are not
-sliced for fewer. Only these polynomial-predictor pairs are solved; any
-other pair is refused.
+points. A solution keeps the divergence I(x_i, beta2_hat) at each point it
+was solved on, the rows its value averages, so the psi scan of the loop and
+the certificate reads the design's rows there instead of evaluating them
+again: a plain solve runs on the design itself, and a regularized one on
+its blend with the reference, whose points follow the design's. Only these
+polynomial-predictor pairs are solved; any other pair is refused.
 """
 
 from dataclasses import dataclass, field
@@ -43,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from ._lapack import lstsq
-from .designs import Design
+from .designs import Design, _freeze
 from .errors import DomainError, UnsupportedModelError
 from .models import (GaussianRegressionPair, ModelPair, ParamBox, PolynomialPair,
                      _least_singular_value, _scalar_inputs)
@@ -74,8 +72,8 @@ class InnerConfig:
     local_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.local_tolerance <= 0:
-            raise ValueError("local_tolerance must be positive")
+        if not 0.0 < self.local_tolerance < np.inf:  # NaN fails too
+            raise ValueError("local_tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -99,10 +97,12 @@ class Support:
         """I(x_i, beta2) at each point: the kernel at eta2 = rows @ beta2."""
         return self.kernel(self.rows @ beta2)
 
-    def holds(self, points: np.ndarray) -> bool:
-        """Whether the Support was prepared on exactly `points`, bit for bit."""
-        return (self.points.shape == points.shape
-                and self.points.tobytes() == points.tobytes())
+    def objective(self, weights, beta2) -> tuple[np.ndarray, np.ndarray, float]:
+        """(eta2, I(x_i, beta2) at each point, sum_i w_i I(x_i, beta2)) at
+        beta2, the floats of `pointwise`."""
+        eta2 = self.rows @ beta2
+        row = self.kernel(eta2)
+        return eta2, row, float(weights @ row)
 
     def least_singular_value(self, weights: np.ndarray) -> float:
         """`models._least_singular_value` of the rows of positive weight."""
@@ -138,22 +138,17 @@ class Support:
 @dataclass(frozen=True)
 class InnerSolution:
     """Box-constrained minimizer, its value and the uniqueness diagnostic.
-    `support` is the `Support` the solve ran on, the prepared points of the
-    design it was given; it takes no part in comparisons. Its divergence
-    values are those of these points only: a caller reads them for a design
-    whose points it `holds`, never a part of them for a subset of its points.
-    A pickled or copied solution leaves it out (it holds the family's local
-    closures, which do not pickle): its `support` is None, and a caller
-    prepares the points again."""
+    `pointwise` is I(x_i, beta2_hat) at each point of the design the solve
+    was given, in its order, the rows `value` averages; it is read-only and
+    takes no part in comparisons. A design blended with another
+    (`blend_designs`) keeps its points first, so a solve on the blend holds
+    the design's rows as its leading ones."""
 
     beta2_hat: np.ndarray
     value: float
     singular_flag: bool
     at_boundary: bool
-    support: Support | None = field(default=None, compare=False, repr=False)
-
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "support": None}
+    pointwise: np.ndarray = field(compare=False, repr=False)
 
 
 def _model(weights: np.ndarray, eta: np.ndarray, g: np.ndarray, h: np.ndarray):
@@ -251,14 +246,15 @@ def _bvls(a: np.ndarray, rhs: np.ndarray, x: np.ndarray, lower: np.ndarray,
     return x
 
 
-def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
-            start: np.ndarray, config: InnerConfig) -> tuple[np.ndarray, float] | None:
+def _newton(pair: ModelPair, support: Support, weights: np.ndarray, start: np.ndarray,
+            config: InnerConfig) -> tuple[np.ndarray, np.ndarray, float] | None:
     """Bounded Newton descent in beta2 for a logistic pair, convex in
     eta2 = rows @ beta2 (a Gaussian solve is its model start, and never
-    enters here); returns the last iterate and its objective
-    sum_i w_i I(x_i, beta2), or None when the model at `start` is not
-    finite: where the curvature h = expit'(eta2) underflows to 0, w / h is
-    infinite (tested on h, before the model divides by it).
+    enters here); returns the last iterate, the I(x_i, beta2) there and
+    their objective sum_i w_i I(x_i, beta2) (`Support.objective`), or None
+    when the model at `start` is not finite: where the curvature
+    h = expit'(eta2) underflows to 0, w / h is infinite (tested on h, before
+    the model divides by it).
 
     Each step moves toward the box-constrained minimizer of `_model`,
     a bounded weighted least-squares solution: the `lstsq` solution when that
@@ -270,19 +266,14 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
     full model step is taken unless its value is worse beyond that rounding
     (an approximate Armijo test, as in Hager and Zhang 2005). Backtracking on
     such a step would accept some tiny t and stop short of the minimizer.
-    The accepted trial's predictor rows @ beta2 and value carry into the
-    next step, so each iterate is evaluated once.
+    The accepted trial's predictor rows @ beta2, divergence and value carry
+    into the next step, so each iterate is evaluated once.
     """
     box = pair.theta2
     lower, upper = box.lower, box.upper
-    rows, kernel = support.rows, support.kernel
-
-    def objective(b: np.ndarray) -> tuple[np.ndarray, float]:
-        eta2 = rows @ b
-        return eta2, float(weights @ kernel(eta2))
-
+    rows = support.rows
     beta = start
-    eta, value = objective(beta)
+    eta, row, value = support.objective(weights, beta)
     for steps in range(_MAX_NEWTON_STEPS):
         g, h = support.derivatives(eta)
         if not steps and not (h > weights * _INV_MAX).all():
@@ -298,7 +289,7 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
         t, rounding = 1.0, None
         for _ in range(_MAX_HALVINGS):
             trial = np.minimum(np.maximum(beta + t * step, lower), upper)
-            trial_eta, trial_value = objective(trial)
+            trial_eta, trial_row, trial_value = support.objective(weights, trial)
             if trial_value <= value + _ARMIJO * t * slope:
                 break
             if rounding is None:  # taken once, where the full step fails
@@ -309,10 +300,10 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray,
             t *= 0.5
         else:
             break  # no decrease left above rounding
-        beta, eta, value = trial, trial_eta, trial_value
+        beta, eta, row, value = trial, trial_eta, trial_row, trial_value
         if t * size <= config.local_tolerance:
             break  # the objective is flat to rounding along the step
-    return beta, value
+    return beta, row, value
 
 
 def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerConfig(),
@@ -329,7 +320,9 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
     the inputs.
     `support` is `prepare_support(pair, design.points)`, built here when
     None; a support on other points raises `ValueError`. The solution keeps
-    it as its `support`.
+    the divergence at the design's points, at beta2_hat, as its `pointwise`.
+    A weight that is negative or NaN raises `DomainError`, before LAPACK
+    reads it.
     `singular_flag` is set exactly when the rival matrix X on the
     positive-weight support is rank deficient, i.e. when the minimizer is
     not unique, or when a unit direction v has |X v| * |upper - lower| at
@@ -343,6 +336,8 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
     elif not np.array_equal(support.points, design.points):
         raise ValueError("the support was prepared on other points than the design's")
     box, weights = pair.theta2, design.weights
+    if np.count_nonzero(weights >= 0.0) < weights.size:  # NaN fails too
+        raise DomainError(f"weight {weights[~(weights >= 0.0)][0]} is not nonnegative")
     gaussian = isinstance(pair, GaussianRegressionPair)
     solved = None
     if warm_start is not None and not gaussian:
@@ -352,8 +347,8 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
         if not gaussian:
             solved = _newton(pair, support, weights, start, config)
         if solved is None:  # the exact minimizer, or no finite model to descend on
-            solved = start, float(weights @ support.pointwise(start))
-    beta2_hat, value = solved
+            solved = start, *support.objective(weights, start)[1:]
+    beta2_hat, pointwise, value = solved
     inside_lower, inside_upper = box._edges
     return InnerSolution(
         beta2_hat=beta2_hat,
@@ -362,7 +357,7 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
                        <= config.local_tolerance),
         at_boundary=bool((beta2_hat <= inside_lower).any()
                          or (beta2_hat >= inside_upper).any()),
-        support=support,
+        pointwise=_freeze(pointwise),
     )
 
 

@@ -3,7 +3,10 @@
 The equivalence check evaluates the directional derivative on
 `algorithm.psi_scan`, the scan the loop's best-point search reads: the grid
 (`algorithm.psi_grid`), the support and, for a Gaussian pair, the domain's
-ends and the roots of r'. A design is certified optimal when the derivative
+ends and the roots of r'. A logistic support's divergence is read off the
+check's own inner solve (`InnerSolution.pointwise`), which runs on the
+design, or on its blend with the reference when regularized, whose leading
+points are the design's. A design is certified optimal when the derivative
 is nonpositive everywhere and vanishes on the support. The scan is exact for
 Gaussian pairs; for others, grid spacing h hides at most h^2/8 * max|psi''|.
 For singular designs the derivative is only defined through the regularized
@@ -97,7 +100,7 @@ def equivalence_check(pair: ModelPair, design: Design,
     value = sol.value
 
     points, psi = psi_scan(pair, design, sol.beta2_hat, space,
-                           psi_grid(pair, space, grid_size), support=sol.support)
+                           psi_grid(pair, space, grid_size), pointwise=sol.pointwise)
     psi = scale * psi
     grid, grid_psi = points[:grid_size], psi[:grid_size]
     support_psi = psi[grid_size:grid_size + design.size]

@@ -76,9 +76,10 @@ class TestDirectionalDerivative:
     @pytest.mark.parametrize("family", ["gaussian", "logistic"])
     def test_a_held_grid_evaluator_gives_the_same_scan(self, family):
         # the grid's nodes, the support, then a Gaussian pair's ends and roots
-        # of r'; psi is the divergence less its average over the design, and
-        # a logistic support's rows read off a Support held on exactly its
-        # points, on other points or on none are the same floats
+        # of r'; psi is the divergence less its average over the design. A
+        # logistic support's rows are the leading rows of `pointwise` as
+        # given, the floats of a Support prepared on its points when None; a
+        # Gaussian scan reads no `pointwise`
         if family == "gaussian":
             pair, design, space = (cubic_quadratic_pair(), cubic_quadratic_start(),
                                    cubic_quadratic_space())
@@ -95,10 +96,13 @@ class TestDirectionalDerivative:
         values = pair.divergence(points, beta)
         average = design.weights @ values[101:101 + design.size]
         np.testing.assert_allclose(psi, values - average, rtol=0, atol=1e-15)
-        reference = Design(space, space.grid(3), np.full(3, 1.0 / 3.0))
-        for held in (prepare_support(pair, design.points),
-                     prepare_support(pair, blend_designs(design, reference, 0.05).points)):
-            held_points, held_psi = psi_scan(pair, design, beta, space, grid, support=held)
+        rows = prepare_support(pair, design.points).pointwise(beta)
+        if family == "logistic":
+            assert psi[101:].tobytes() == (rows - design.weights @ rows).tobytes()
+        for held in (rows, np.append(rows, [np.nan, 1.0]),
+                     *([np.full(design.size, np.nan)] if family == "gaussian" else [])):
+            held_points, held_psi = psi_scan(pair, design, beta, space, grid,
+                                             pointwise=held)
             assert held_points.tobytes() == points.tobytes()
             assert held_psi.tobytes() == psi.tobytes()
         without = psi_scan(pair, design, beta, space, None)
@@ -255,7 +259,7 @@ class TestBestSupportCandidate:
         sol = minimize_beta2(pair, design)
         report = equivalence_check(pair, design, space, grid_size=size)
         top = best_support_candidate(pair, design, sol.beta2_hat, space,
-                                     psi_grid(pair, space, size), support=sol.support)
+                                     psi_grid(pair, space, size), pointwise=sol.pointwise)
         assert report.beta2_hat.tobytes() == sol.beta2_hat.tobytes()
         assert_same_top(top, (report.psi_argmax, report.psi_max))
 
@@ -268,26 +272,43 @@ class TestBestSupportCandidate:
             pair, design, _, space, grid = logistic_scan_instance(rng, k % 2 == 0)
             sol = minimize_beta2(pair, design)
             x, psi, _ = best_support_candidate(pair, design, sol.beta2_hat, space, grid,
-                                               support=sol.support)
+                                               pointwise=sol.pointwise)
             report = equivalence_check(pair, design, space)
             assert report.beta2_hat.tobytes() == sol.beta2_hat.tobytes()
             assert_same_top((x, psi), (report.psi_argmax, report.psi_max))
 
+    def test_the_regularized_loop_and_certificate_read_the_same_floats(self):
+        # a regularized loop's top, read off its solve on the blend with the
+        # reference and scaled by 1 - gamma, is the regularized certificate's
+        # at the same design, bit for bit
+        rng = np.random.default_rng(2037)
+        reg = RegularizationConfig(gamma=0.05)
+        for k in range(300):
+            pair, design, _, space, grid = logistic_scan_instance(rng, k % 2 == 0)
+            reference = default_reference_design(pair, space)
+            sol = minimize_beta2(pair, blend_designs(design, reference, reg.gamma))
+            x, psi, _ = best_support_candidate(pair, design, sol.beta2_hat, space, grid,
+                                               pointwise=sol.pointwise)
+            report = equivalence_check(pair, design, space, reg=reg)
+            assert report.beta2_hat.tobytes() == sol.beta2_hat.tobytes()
+            assert_same_top((x, (1.0 - reg.gamma) * psi),
+                            (report.psi_argmax, report.psi_max))
+
     def test_a_held_support_gives_the_same_top(self):
-        # the design's rows read off a Support prepared on exactly its points,
-        # on other points (a blend with a reference: one is prepared instead)
-        # or none give the same top, float for float; where the grid's and
-        # the support's maxima tie, the grid node wins
+        # the design's rows given alone, given with a reference's rows after
+        # them (as a regularized solve holds them) or not given give the same
+        # top, float for float; where the grid's and the support's maxima
+        # tie, the grid node wins
         rng = np.random.default_rng(2029)
         ties = above = 0
         for k in range(120):
             pair, design, beta, space, grid = logistic_scan_instance(rng, k % 2 == 0)
-            reference = Design(space, space.grid(3), np.full(3, 1.0 / 3.0))
+            rows = prepare_support(pair, design.points).pointwise(beta)
+            reference = prepare_support(pair, space.grid(3)).pointwise(beta)
             expected = best_support_candidate(pair, design, beta, space, grid)
-            for held in (prepare_support(pair, design.points),
-                         prepare_support(pair, blend_designs(design, reference, 0.05).points)):
+            for held in (rows, np.concatenate([rows, reference])):
                 assert_same_top(best_support_candidate(pair, design, beta, space, grid,
-                                                       support=held), expected)
+                                                       pointwise=held), expected)
             psi, size = expected[2][1], len(grid.points)
             lead = psi[size:].max() - psi[:size].max()
             ties, above = ties + (lead == 0.0), above + (lead > 0.0)
@@ -303,7 +324,7 @@ class TestBestSupportCandidate:
         design = LOGISTIC_SEGMENT_START
         x, psi, (_, rows) = best_support_candidate(
             pair, design, beta, space, psi_grid(pair, space, algorithm.PSI_GRID_SIZE),
-            support=prepare_support(pair, design.points))
+            pointwise=prepare_support(pair, design.points).pointwise(beta))
         assert x.tolist() == [0.0] and psi == 0.0 and not rows.any()
 
 
@@ -340,6 +361,18 @@ def logistic_scan_instance(rng, on_peak: bool):
     if on_peak:
         points[rng.integers(m)] = grid.points[np.argmax(grid.pointwise(beta))]
     return pair, Design(space, points, rng.dirichlet(np.ones(m))), beta, space, grid
+
+
+class TestAlgoConfig:
+    @pytest.mark.parametrize("iterations", [2.5, 3.0, True, 0, -1, "5"])
+    def test_max_iterations_is_an_integer_of_at_least_one(self, iterations):
+        # as a config file's `algorithm.max_iterations` is; `range` would
+        # refuse a float only once the loop starts
+        with pytest.raises(ValueError, match="max_iterations"):
+            AlgoConfig(max_iterations=iterations)
+
+    def test_a_numpy_integer_is_an_integer(self):
+        assert AlgoConfig(max_iterations=np.int64(3)).max_iterations == 3
 
 
 class TestEfficiencyBound:
@@ -1219,10 +1252,10 @@ class TestRuns:
 
     @pytest.mark.parametrize("regularized", [False, True], ids=["plain", "regularized"])
     def test_a_logistic_loop_scans_its_support_off_prepared_supports(self, regularized):
-        # no scan of a logistic loop calls the pair's divergence: the design's
-        # rows are read off the inner solution's Support, solved on exactly
-        # the design's points in a plain run, and off one prepared on them in
-        # a regularized run, whose solves hold the blend with the reference
+        # no scan of a logistic loop prepares or evaluates the design's
+        # points: their rows are read off the inner solution's `pointwise`,
+        # solved on the design's points in a plain run and on the blend with
+        # the reference, which begins with them, in a regularized run
         pair, space = logistic_pair(), logistic_space()
         prepared, scanning, divergence_rows = [], [], []
         best, divergence = algorithm.best_support_candidate, PolynomialPair.divergence
@@ -1254,8 +1287,7 @@ class TestRuns:
             else:
                 run = run_first_order(pair, LOGISTIC_SEGMENT_START, space,
                                       AlgoConfig(max_iterations=5), FAST)
-        assert len(run.history) >= 2 and divergence_rows == []
-        assert prepared == ([r.support_size for r in run.history] if regularized else [])
+        assert len(run.history) >= 2 and divergence_rows == [] and prepared == []
 
     def test_regularized_gaussian_run_from_a_one_point_start(self):
         # the plain loop hands a one-point start off; the regularized loop

@@ -1,7 +1,9 @@
 """Inner bounded Newton solve, its singularity flag and its oracles."""
 
+import copy
 import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from kldesign.inner import (InnerConfig, least_squares_oracle, minimize_beta2,
 from kldesign.errors import DomainError, UnsupportedModelError
 from kldesign.benchmarks import SyntheticFamily, _kl_average as kl_average
 from kldesign.models import GaussianRegressionPair, LogisticGlmPair, ParamBox
+from kldesign.verify import equivalence_check
 
 BOX3 = ParamBox([-5.0] * 3, [5.0] * 3)
 TIGHT = InnerConfig(local_tolerance=1e-10)
@@ -249,6 +252,14 @@ class TestSingularDiagnostics:
 
 
 class TestNewtonStop:
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, 0.0, -1e-9])
+    def test_the_tolerance_is_finite_and_positive(self, tolerance):
+        # as a config file's `inner.local_tolerance` is: a NaN tolerance never
+        # stops Newton before its step cap, an infinite one stops every solve
+        # at its start
+        with pytest.raises(ValueError, match="local_tolerance"):
+            InnerConfig(local_tolerance=tolerance)
+
     def test_stops_where_the_objective_is_flat_to_rounding(self, monkeypatch):
         # A regularized certificate's design: the Newton step stalls near 2e-8
         # in eta, above the tolerance, where the objective no longer changes
@@ -375,20 +386,43 @@ class TestPreparedSupport:
             assert (a.value, a.singular_flag, a.at_boundary) == (
                 b.value, b.singular_flag, b.at_boundary)
 
-    def test_a_solution_pickles_without_its_support(self):
-        # a solution keeps the Support it was solved on, whose closures are
-        # local to the family and do not pickle; a pickled solution leaves
-        # it out and keeps every other field
+    @pytest.mark.parametrize("case", ["gaussian", "logistic cold", "logistic warm",
+                                      "warm start restarts", "regularized"])
+    def test_a_solution_keeps_the_rows_of_its_points(self, case):
+        # `pointwise` is the divergence at beta2_hat on the points the solve
+        # ran on, the floats a Support prepared on them gives, read-only; a
+        # regularized solve runs on the blend, whose leading rows are the
+        # design's
+        pair, design, warm = fixture_logistic_pair((-10, -10), (10, 10)), fixture_start(), None
+        if case == "gaussian":
+            pair, design = cubic_pair(), chebyshev_design()
+        elif case == "logistic warm":
+            warm = [1.0, -2.0]
+        elif case == "warm start restarts":
+            pair, warm = fixture_logistic_pair((-10, -10), (1000, 1000)), [495.0, 495.0]
+        elif case == "regularized":
+            plain = Design(design.space, [[0.25], [1.0]], [0.5, 0.5])
+            reference = Design(design.space, [[0.0], [0.5], [1.0]], [1 / 3] * 3)
+            design = blend_designs(plain, reference, 0.05)
+            assert design.points[:2].tobytes() == plain.points.tobytes()
+            assert design.size == 4
+        sol = minimize_beta2(pair, design, TIGHT, warm)
+        expected = prepare_support(pair, design.points).pointwise(sol.beta2_hat)
+        assert sol.pointwise.tobytes() == expected.tobytes()
+        assert sol.value == float(design.weights @ expected)
+        assert not sol.pointwise.flags.writeable
+
+    def test_a_pickled_or_copied_solution_keeps_its_rows(self):
         design = Design(DesignSpace([0.0], [1.0]), [[0.2], [0.6], [0.9]], [0.3, 0.3, 0.4])
         for pair, d in ((cubic_pair(), chebyshev_design()),
                         (fixture_logistic_pair((-10, -10), (10, 10)), design)):
             sol = minimize_beta2(pair, d, TIGHT)
-            assert sol.support is not None and sol.support.holds(d.points)
-            copy = pickle.loads(pickle.dumps(sol))
-            assert copy.support is None
-            assert copy.beta2_hat.tobytes() == sol.beta2_hat.tobytes()
-            assert (copy.value, copy.singular_flag, copy.at_boundary) == (
-                sol.value, sol.singular_flag, sol.at_boundary)
+            for twin in (pickle.loads(pickle.dumps(sol)), copy.copy(sol),
+                         copy.deepcopy(sol), replace(sol)):
+                assert twin.pointwise.tobytes() == sol.pointwise.tobytes()
+                assert twin.beta2_hat.tobytes() == sol.beta2_hat.tobytes()
+                assert (twin.value, twin.singular_flag, twin.at_boundary) == (
+                    sol.value, sol.singular_flag, sol.at_boundary)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("family", ["gaussian", "logistic"])
@@ -402,6 +436,21 @@ class TestPreparedSupport:
         design = Design(DesignSpace([0.0], [1.0]), [[0.0], [bad], [1.0]], [1 / 3] * 3)
         with pytest.raises(DomainError, match=f"point {bad} is not finite"):
             minimize_beta2(pair, design, TIGHT)
+        assert "DLASCL" not in capfd.readouterr().out
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan])
+    @pytest.mark.parametrize("family", ["gaussian", "logistic"])
+    def test_a_negative_or_nan_weight_is_refused_before_lapack(self, capfd, family, bad):
+        # `Design` takes the weight; the solve names it before sqrt(w h) or
+        # dgelsd reads it, so no RuntimeWarning, no "On entry to DLASCL" line
+        # and no LinAlgError; a certificate solves through here too
+        pair = cubic_pair() if family == "gaussian" else fixture_logistic_pair(
+            (-10, -10), (10, 10))
+        design = Design(DesignSpace([0.0], [1.0]), [[0.0], [0.5], [1.0]],
+                        [0.75, bad, 0.75])
+        for check in (minimize_beta2, equivalence_check):
+            with pytest.raises(DomainError, match=f"weight {bad} is not nonnegative"):
+                check(pair, design)
         assert "DLASCL" not in capfd.readouterr().out
 
     def test_zero_weight_point_keeps_the_flag(self):

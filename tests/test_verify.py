@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kldesign import algorithm, inner
 from kldesign.algorithm import (AlgoConfig, RegularizationConfig,
                                 best_support_candidate, run_first_order)
 from kldesign.benchmarks import (SyntheticFamily, cubic_quadratic_optimum,
@@ -12,8 +13,8 @@ from kldesign.benchmarks import (SyntheticFamily, cubic_quadratic_optimum,
                                  verify_inner_config)
 from kldesign.designs import AffineMap, Design, DesignSpace, transform_design
 from kldesign.errors import DomainError, UnsupportedModelError
-from kldesign.inner import InnerConfig, least_squares_oracle
-from kldesign.models import reparametrize_under_affine
+from kldesign.inner import InnerConfig, least_squares_oracle, prepare_support
+from kldesign.models import PolynomialPair, reparametrize_under_affine
 from kldesign.verify import (CERTIFIED, REJECTED, SINGULAR, equivalence_check,
                              invariance_check)
 
@@ -75,6 +76,34 @@ class TestEquivalenceCheck:
         assert psi == report.psi_max
         np.testing.assert_array_equal(x, report.psi_argmax)
         assert x.base is None  # a copy: iteration records do not keep the scan
+
+    @pytest.mark.parametrize("regularized", [False, True], ids=["plain", "regularized"])
+    def test_a_logistic_certificate_reads_its_support_off_its_solve(self, regularized):
+        # the design's points are prepared once, by the inner solve of a plain
+        # certificate, and never by its scan; a regularized certificate
+        # solves the blend with the reference, whose leading rows the scan
+        # reads. No pair's divergence is evaluated
+        pair, space = logistic_pair(), logistic_space()
+        design = Design(space, [[0.1], [0.45], [0.8]], [0.3, 0.3, 0.4])
+        reg = RegularizationConfig(gamma=0.05) if regularized else None
+        prepared, divergence_rows = [], []
+        divergence = PolynomialPair.divergence
+
+        def recorded(pair, points):
+            prepared.append(np.asarray(points).tobytes())
+            return prepare_support(pair, points)
+
+        def recorded_divergence(pair, points, beta2):
+            divergence_rows.append(np.size(points))
+            return divergence(pair, points, beta2)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algorithm, "prepare_support", recorded)
+            patch.setattr(inner, "prepare_support", recorded)
+            patch.setattr(PolynomialPair, "divergence", recorded_divergence)
+            report = equivalence_check(pair, design, space, reg=reg)
+        assert report.support_psi.size == design.size and divergence_rows == []
+        assert prepared.count(design.points.tobytes()) == (0 if regularized else 1)
 
     def test_singular_without_regularization(self):
         d0 = Design(logistic_space(), [[0.0]], [1.0])
