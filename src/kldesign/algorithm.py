@@ -24,11 +24,13 @@ One iteration, given the current design xi_n:
      design on the support, x_n and the other candidates of step 2 where
      psi > 0 (read off step 2's scan) comes from the minimax dual
      restricted to those points (`restricted_dual`), stated in residual
-     units, where it is a quadratic program with linear constraints, solved
-     exactly by a small active-set method. It starts, where that point is
-     feasible, from the levelled reference of Remez's exchange read off r
-     at step 1's minimizer (Remez 1934; Cheney 1966), often the optimum
-     itself (every dual of the shipped Gaussian runs takes one KKT solve).
+     units, where it is a quadratic program with linear constraints. It
+     starts, where that point is feasible, from the levelled reference of
+     Remez's exchange read off r at step 1's minimizer (Remez 1934; Cheney
+     1966), often the optimum itself: one square solve for its KKT
+     multipliers tells, and accepts it (every dual of the shipped Gaussian
+     runs is accepted there). Otherwise a small active-set method solves
+     the program exactly.
      Its multipliers are the weights, and a point of zero weight leaves.
      Each step is fully corrective (simplicial decomposition, von
      Hohenbalken 1977), at least as good as the exact line search below,
@@ -66,7 +68,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._lapack import solve, svd
-from .designs import Design, DesignSpace, blend_designs, validate_design
+from .designs import Design, DesignSpace, _value_type, blend_designs, validate_design
 from .errors import DomainError, UndefinedEfficiencyError, UnsupportedModelError
 from .inner import InnerConfig, InnerSolution, Support, minimize_beta2, prepare_support
 from .models import GaussianRegressionPair, ModelPair, PolynomialPair, glm_is_regular
@@ -128,6 +130,7 @@ class RegularizationConfig:
             raise ValueError("gamma must lie strictly between 0 and 1")
 
 
+@_value_type
 @dataclass(frozen=True)
 class IterationRecord:
     """State of one outer iteration, taken before the design update.
@@ -152,6 +155,7 @@ class IterationRecord:
         return self.design.size
 
 
+@_value_type
 @dataclass(frozen=True)
 class RunResult:
     """Final certified design plus the full iteration history."""
@@ -454,6 +458,12 @@ def _kkt_solve(active: np.ndarray, factor: np.ndarray, target: np.ndarray,
     return step, inverse @ (right[:rank] @ gradient), rank
 
 
+def _kkt_optimal(multipliers: np.ndarray) -> bool:
+    """Whether no multiplier is negative beyond rounding: the test by which
+    a KKT point of the convex dual is its optimum (NaN fails it)."""
+    return bool(multipliers.min() >= -_QP_ROUNDING * np.abs(multipliers).max())
+
+
 def _active_set_qp(factor, target, rows, bounds, z, working):
     """Minimize |F z - y|^2 / 2 (F = `factor`, y = `target`) subject to
     rows @ z >= bounds, by the primal active-set method (Nocedal and Wright,
@@ -470,10 +480,10 @@ def _active_set_qp(factor, target, rows, bounds, z, working):
     rounding, never blocks), and that row joins the working set. Where the
     step is zero (after a full step, with working rows of full rank, or
     below rounding) lambda are the multipliers: z is optimal when none is
-    negative beyond rounding, and otherwise the most negative row leaves. A
-    working set met again at a zero step means that the multipliers it
-    dropped were rounding, so z is returned there. Returns z and one
-    multiplier per row, zero off the final working set.
+    negative beyond rounding (`_kkt_optimal`), and otherwise the most
+    negative row leaves. A working set met again at a zero step means that
+    the multipliers it dropped were rounding, so z is returned there.
+    Returns z and one multiplier per row, zero off the final working set.
     """
     n = z.size
     norms = np.abs(rows).max(axis=1)
@@ -488,15 +498,13 @@ def _active_set_qp(factor, target, rows, bounds, z, working):
         size = np.abs(step).max()
         if minimal or rank == n or size <= _QP_ROUNDING * np.abs(z).max():
             z = z + step
-            i = int(np.argmin(multipliers)) if working else 0
             key = frozenset(working)
-            if (not working or key in met
-                    or multipliers[i] >= -_QP_ROUNDING * np.abs(multipliers).max()):
+            if not working or key in met or _kkt_optimal(multipliers):
                 out = np.zeros(len(rows))
                 out[working] = np.maximum(multipliers, 0.0)
                 return z, out
             met.add(key)
-            del working[i]
+            del working[int(np.argmin(multipliers))]
             minimal = False
             continue
         toward = rows @ step
@@ -573,6 +581,38 @@ def _levelled_start(x: np.ndarray, rows: np.ndarray, eta1: np.ndarray,
     return z, [j if sign > 0.0 else m + j for j, sign in zip(reference, signs)]
 
 
+def _levelled_multipliers(rows: np.ndarray, z: np.ndarray, working: list):
+    """One multiplier per point where the levelled start (z, working) of
+    the plain residual-unit dual (gamma = 0; `_levelled_start`) is its
+    optimum, else None.
+
+    There the objective s^2 / 2 has the gradient (0, ..., 0, s), and the
+    working rows, s - r_j >= 0 or s + r_j >= 0 on the d + 1 points of the
+    reference, as many as the unknowns, so that their multipliers solve
+    the square system A_W' lambda = (0, ..., 0, s). The dual is a convex
+    quadratic program and z is feasible, so z is its optimum when no
+    multiplier is negative beyond rounding (`_kkt_optimal`, the test
+    `_active_set_qp` stops on). None where A_W is singular or that test
+    fails.
+    """
+    m, n = rows.shape[0], z.size
+    index = np.array(working)
+    reference = index % m
+    active = np.hstack([np.where(index < m, 1.0, -1.0)[:, None] * rows[reference],
+                        np.ones((n, 1))])
+    gradient = np.zeros(n)
+    gradient[-1] = z[-1]
+    try:
+        multipliers = solve(active.T, gradient)
+    except np.linalg.LinAlgError:
+        return None
+    if not _kkt_optimal(multipliers):
+        return None
+    out = np.zeros(m)
+    out[reference] = np.maximum(multipliers, 0.0)
+    return out
+
+
 def restricted_dual(pair: ModelPair, points, warm_start=None, *,
                     reg: RegularizationConfig | None = None):
     """The best design on fixed points for a Gaussian pair, from the minimax
@@ -595,28 +635,33 @@ def restricted_dual(pair: ModelPair, points, warm_start=None, *,
     over (beta2 in the box, s >= 0) minimize (1-gamma) s^2 / 2 +
     gamma sigma2 avg_ref I(., beta2), which is sigma2 times the objective
     above at t = s^2 / (2 sigma2), subject to the linear constraints
-    -s <= r_j <= s. That is a quadratic program, solved exactly by
-    `_active_set_qp` from a feasible point read off the residuals at
-    `warm_start` clipped into the box (the box midpoint when None). For a
-    nested pair, with no reference and a box that does not bind, the
-    optimum is the levelled point of a reference of Remez's exchange
-    (Remez 1934; Cheney 1966, ch. 2): d + 1 points where r alternates in
-    sign with |r_j| = s, its extrema, which the corrective step's points
-    hold. So the start is the levelled point of the reference read off r at
-    the warm start (`_levelled_start`), with the reference's rows as the
-    working set, where that point is feasible: its solve succeeds, beta2
-    lies in the box and no other point has |r_j| above s. Otherwise the
-    start is the warm start itself, s the largest |r_j| there, with the row
-    of that largest residual as the working set. The active-set method is
+    -s <= r_j <= s. That is a quadratic program. For a nested pair, with
+    no reference and a box that does not bind, its optimum is the levelled
+    point of a reference of Remez's exchange (Remez 1934; Cheney 1966,
+    ch. 2): d + 1 points where r alternates in sign with |r_j| = s, its
+    extrema, which the corrective step's points hold. So the start is the
+    levelled point of the reference read off r at `warm_start` clipped into
+    the box (the box midpoint when None; `_levelled_start`), with the
+    reference's rows as the working set, where that point is feasible: its
+    solve succeeds, beta2 lies in the box and no other point has |r_j|
+    above s. Without a reference, that start is accepted as it stands where
+    its KKT multipliers, one square solve, pass the optimality test of the
+    active-set method (`_levelled_multipliers`), and no further system is
+    built. Otherwise the program is built and solved exactly by
+    `_active_set_qp`, from the levelled start where it is feasible, else
+    from the warm start itself, s the largest |r_j| there, with the row of
+    that largest residual as the working set. The active-set method is
     correct from either, so a levelled start that is not optimal, as where
-    gamma > 0 or the box binds, costs steps, not accuracy. A point's
-    multiplier is the sum of its two rows' multipliers, rescaled to sum to
-    1 - gamma (unscaled they sum to (1-gamma) s, so all are zero where
-    s = 0), and the value is the objective divided by sigma2. Neither the
-    constraints, the objective nor the start depend on sigma2, on where the
-    domain lies or on its direction, and scaling the true mean and the box
-    scales the solution. Any other pair raises `UnsupportedModelError`: a
-    logistic pair steps by `line_search_alpha`.
+    the box binds, costs steps, not accuracy. A regularized dual always
+    takes the active-set method: its objective needs the reference's rows
+    built anyway, and no shipped run is regularized, so one path serves it.
+    A point's multiplier is the sum of its two rows' multipliers, rescaled
+    to sum to 1 - gamma (unscaled they sum to (1-gamma) s, so all are zero
+    where s = 0), and the value is the objective divided by sigma2.
+    Neither the constraints, the objective nor the start depend on sigma2,
+    on where the domain lies or on its direction, and scaling the true mean
+    and the box scales the solution. Any other pair raises
+    `UnsupportedModelError`: a logistic pair steps by `line_search_alpha`.
 
     Returns (multipliers, beta2, value), one multiplier per point; dividing
     the multipliers by their sum gives the weights.
@@ -628,33 +673,40 @@ def restricted_dual(pair: ModelPair, points, warm_start=None, *,
     beta = box.midpoint if warm_start is None else box.clip(warm_start)
     rows, eta1 = pair.rival_matrix(points), pair.true_predictor(points)
     m, d = rows.shape
-    # the objective |F z - y|^2 / 2 of z = (beta2, s): (1-gamma) s^2 / 2,
-    # plus gamma avg_ref r^2 / 2 when regularizing
-    factor, target = np.eye(1, d + 1, d) * math.sqrt(1.0 - gamma), np.zeros(1)
-    if reg is not None:
-        reference = prepare_support(pair, reg.xi_tilde.points)
-        root = np.sqrt(gamma * reg.xi_tilde.weights)
-        factor = np.vstack([np.hstack([root[:, None] * reference.rows,
-                                       np.zeros((root.size, 1))]), factor])
-        target = np.append(root * reference.eta1, 0.0)
-    ones, unit = np.ones((m, 1)), np.eye(d, d + 1)
-    # s - r_j >= 0, s + r_j >= 0, the box, s >= 0
-    constraints = np.vstack([np.hstack([rows, ones]), np.hstack([-rows, ones]),
-                             unit, -unit, np.eye(1, d + 1, d)])
-    bounds = np.concatenate([eta1, -eta1, box.lower, -box.upper, [0.0]])
     residual = eta1 - rows @ beta
     start = _levelled_start(np.reshape(points, m), rows, eta1, residual, box)
-    if start is None:
-        j = int(np.argmax(np.abs(residual)))
-        start = np.append(beta, abs(residual[j])), [j if residual[j] >= 0.0 else m + j]
-    z, multipliers = _active_set_qp(factor, target, constraints, bounds, *start)
-    # the box rows hold to rounding; those that bind hold exactly
-    at_lower = multipliers[2 * m:2 * m + d] > 0.0
-    at_upper = multipliers[2 * m + d:-1] > 0.0
-    beta = np.where(at_lower, box.lower,
-                    np.where(at_upper, box.upper, box.clip(z[:-1])))
+    multipliers = None
+    if reg is None and start is not None:
+        multipliers = _levelled_multipliers(rows, *start)
+    if multipliers is not None:
+        z = start[0]
+        beta = z[:-1]
+    else:
+        # the objective |F z - y|^2 / 2 of z = (beta2, s): (1-gamma) s^2 / 2,
+        # plus gamma avg_ref r^2 / 2 when regularizing
+        factor, target = np.eye(1, d + 1, d) * math.sqrt(1.0 - gamma), np.zeros(1)
+        if reg is not None:
+            reference = prepare_support(pair, reg.xi_tilde.points)
+            root = np.sqrt(gamma * reg.xi_tilde.weights)
+            factor = np.vstack([np.hstack([root[:, None] * reference.rows,
+                                           np.zeros((root.size, 1))]), factor])
+            target = np.append(root * reference.eta1, 0.0)
+        ones, unit = np.ones((m, 1)), np.eye(d, d + 1)
+        # s - r_j >= 0, s + r_j >= 0, the box, s >= 0
+        constraints = np.vstack([np.hstack([rows, ones]), np.hstack([-rows, ones]),
+                                 unit, -unit, np.eye(1, d + 1, d)])
+        bounds = np.concatenate([eta1, -eta1, box.lower, -box.upper, [0.0]])
+        if start is None:
+            j = int(np.argmax(np.abs(residual)))
+            start = np.append(beta, abs(residual[j])), [j if residual[j] >= 0.0 else m + j]
+        z, multipliers = _active_set_qp(factor, target, constraints, bounds, *start)
+        # the box rows hold to rounding; those that bind hold exactly
+        at_lower = multipliers[2 * m:2 * m + d] > 0.0
+        at_upper = multipliers[2 * m + d:-1] > 0.0
+        beta = np.where(at_lower, box.lower,
+                        np.where(at_upper, box.upper, box.clip(z[:-1])))
+        multipliers = multipliers[:m] + multipliers[m:2 * m]
     s = z[-1]
-    multipliers = multipliers[:m] + multipliers[m:2 * m]
     total = float(np.sum(multipliers))
     if total > 0.0:
         multipliers = multipliers * ((1.0 - gamma) / total)

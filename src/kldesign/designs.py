@@ -9,7 +9,7 @@ Designs are immutable values and every operation here is a pure function.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,6 +47,47 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _same(a, b) -> bool:
+    """Field equality of `_value_type`: arrays by `np.array_equal`."""
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def _value_type(cls):
+    """Give a frozen dataclass that holds numpy arrays a value's `==` and
+    copies. `==` compares the fields the dataclass compares, arrays by
+    `np.array_equal`: the generated `==` asks an array comparison for one
+    truth value, and raises for two distinct arrays. Pickling, `copy.copy`
+    and `copy.deepcopy` keep each read-only array read-only: they build the
+    copy without `__post_init__`, and numpy unpickles and deep-copies
+    arrays as writeable ones. Apply it above `@dataclass` on each class,
+    subclasses too, since the dataclass generates `==` anew for each."""
+    names = tuple(f.name for f in fields(cls) if f.compare)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(_same(getattr(self, name), getattr(other, name)) for name in names)
+
+    def __getstate__(self):
+        state = self.__dict__
+        return state, [name for name, value in state.items()
+                       if isinstance(value, np.ndarray) and not value.flags.writeable]
+
+    def __setstate__(self, state):
+        values, frozen = state
+        self.__dict__.update(values)
+        for name in frozen:
+            _freeze(values[name])
+
+    cls.__eq__, cls.__getstate__, cls.__setstate__ = __eq__, __getstate__, __setstate__
+    return cls
+
+
+@_value_type
 @dataclass(frozen=True)
 class DesignSpace:
     """Compact nondegenerate interval [lower, upper] of one experimental variable.
@@ -81,6 +122,7 @@ class DesignSpace:
         return np.linspace(self.lower[0], self.upper[0], size)[:, None]
 
 
+@_value_type
 @dataclass(frozen=True)
 class Design:
     """Probability measure with finite support: points (n, 1) and weights (n,)."""

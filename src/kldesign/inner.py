@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from ._lapack import lstsq
-from .designs import Design, _freeze
+from .designs import Design, _freeze, _value_type
 from .errors import DomainError, UnsupportedModelError
 from .models import (GaussianRegressionPair, ModelPair, ParamBox, PolynomialPair,
                      _least_singular_value, _scalar_inputs)
@@ -135,6 +135,7 @@ class Support:
         return _bounded_lstsq(scale[:, None] * rows, rhs, box)
 
 
+@_value_type
 @dataclass(frozen=True)
 class InnerSolution:
     """Box-constrained minimizer, its value and the uniqueness diagnostic.
@@ -306,6 +307,13 @@ def _newton(pair: ModelPair, support: Support, weights: np.ndarray, start: np.nd
     return beta, row, value
 
 
+def refuse_negative_weights(weights: np.ndarray) -> None:
+    """Raise `DomainError` at a weight that is negative or NaN: one
+    comparison and one count, cheap enough for every solve."""
+    if np.count_nonzero(weights >= 0.0) < weights.size:  # NaN fails too
+        raise DomainError(f"weight {weights[~(weights >= 0.0)][0]} is not nonnegative")
+
+
 def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerConfig(),
                    warm_start=None, *, support: Support | None = None) -> InnerSolution:
     """Minimize the design-averaged divergence over the rival parameter box.
@@ -336,8 +344,7 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
     elif not np.array_equal(support.points, design.points):
         raise ValueError("the support was prepared on other points than the design's")
     box, weights = pair.theta2, design.weights
-    if np.count_nonzero(weights >= 0.0) < weights.size:  # NaN fails too
-        raise DomainError(f"weight {weights[~(weights >= 0.0)][0]} is not nonnegative")
+    refuse_negative_weights(weights)
     gaussian = isinstance(pair, GaussianRegressionPair)
     solved = None
     if warm_start is not None and not gaussian:

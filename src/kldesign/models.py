@@ -35,10 +35,11 @@ from typing import Union
 import numpy as np
 
 from ._lapack import QUIET, _extobj_contextvar, root_real_parts, singular_values
-from .designs import AffineMap, _freeze
+from .designs import AffineMap, _freeze, _value_type
 from .errors import DomainError, UnsupportedModelError
 
 
+@_value_type
 @dataclass(frozen=True)
 class ParamBox:
     """Closed box approximating the rival model's open parameter set."""
@@ -176,6 +177,7 @@ def _exponents(exponents, box: ParamBox) -> tuple[int, ...]:
     return tuple(int(e) for e in exps)
 
 
+@_value_type
 @dataclass(frozen=True)
 class PolynomialPair:
     """A GLM pair with polynomial predictors: the divergence depends on x and
@@ -236,6 +238,7 @@ class PolynomialPair:
         return kernel(self.rival_matrix(x) @ np.asarray(beta2, dtype=float))
 
 
+@_value_type
 @dataclass(frozen=True)
 class GaussianRegressionPair(PolynomialPair):
     """Equal-variance Gaussian responses; the predictors are the means, and the
@@ -281,6 +284,7 @@ class GaussianRegressionPair(PolynomialPair):
         return roots if frame is None else np.minimum(np.maximum(frame.apply(roots), lower), upper)
 
 
+@_value_type
 @dataclass(frozen=True)
 class LogisticGlmPair(PolynomialPair):
     """Bernoulli responses P(Y=1|x) = expit(eta_i(x)). The divergence is

@@ -19,8 +19,9 @@ import numpy as np
 
 from .algorithm import (PSI_GRID_SIZE, RegularizationConfig, _resolve_reference,
                         psi_grid, psi_scan)
-from .designs import Design, DesignSpace, AffineMap, blend_designs, transform_design
-from .inner import InnerConfig, minimize_beta2
+from .designs import (AffineMap, Design, DesignSpace, _value_type, blend_designs,
+                      transform_design)
+from .inner import InnerConfig, minimize_beta2, refuse_negative_weights
 from .models import ModelPair, reparametrize_under_affine
 
 CERTIFIED = "certified"
@@ -28,6 +29,7 @@ REJECTED = "rejected"
 SINGULAR = "singular-needs-regularization"
 
 
+@_value_type
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Scan evidence for (or against) the optimality of a design."""
@@ -80,7 +82,8 @@ def equivalence_check(pair: ModelPair, design: Design,
     is not trustworthy there). With `reg`, the scaled derivative of the
     regularized criterion is used instead, which is valid for any design;
     its reference design must be valid and regular, as for
-    `run_regularized`, else `DomainError` is raised. The
+    `run_regularized`, else `DomainError` is raised. Either way a weight of
+    the design that is negative or NaN raises `DomainError`. The
     pass tolerance scales with the criterion value: 1e-6 * max(1, value).
     """
     space = space or design.space
@@ -91,6 +94,7 @@ def equivalence_check(pair: ModelPair, design: Design,
         gamma = None
         singular = sol.singular_flag
     else:
+        refuse_negative_weights(design.weights)  # the blend's weights may hide it
         xi_tilde = _resolve_reference(pair, space, reg)
         blended = blend_designs(design, xi_tilde, reg.gamma)
         sol = minimize_beta2(pair, blended, inner_config)  # value: I_gamma(design)

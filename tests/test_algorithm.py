@@ -799,20 +799,61 @@ class TestRestrictedDual:
             longer += np.count_nonzero(np.diff(residual[np.argsort(x)] > 0.0)) > d
         assert longer >= 100
 
+    def test_an_exact_fit_has_zero_multipliers_on_every_path(self):
+        # The truth 0.5 - x^2 lies in the rival span {1, x^2}, and r at the
+        # warm start is + - + on -1, 0, 0.5, so the levelled point is the
+        # truth's beta2 with h = 0. Accepted there, solved by the active-set
+        # method from it, or from the argmax-row start: zero multipliers,
+        # the truth's beta2 and value 0.
+        pair = exact_fit_pair()
+        points = np.array([-1.0, 0.0, 0.5])[:, None]
+        results = []
+        with pytest.MonkeyPatch.context() as patch:
+            entries = active_set_entries(patch)
+            results.append(restricted_dual(pair, points, [0.6, -1.8]))
+            assert not entries
+            forced_active_set(patch)
+            results.append(restricted_dual(pair, points, [0.6, -1.8]))
+            patch.setattr(algorithm, "_levelled_start", lambda *args: None)
+            results.append(restricted_dual(pair, points, [0.6, -1.8]))
+            assert len(entries) == 2
+        for multipliers, beta, value in results:
+            assert np.all(multipliers == 0.0) and value == 0.0
+            np.testing.assert_allclose(beta, [0.5, -1.0], rtol=0.0, atol=1e-15)
+
+    def test_a_levelled_start_with_a_negative_multiplier_goes_to_the_qp(self, monkeypatch):
+        # {x} is no Haar span on [-1, 1]: r alternates on the reference and
+        # the levelled point is feasible, yet a multiplier is negative, so
+        # the active-set method takes over from that start
+        pair = GaussianRegressionPair([-0.48, 1.21, 0.71, 0.03], [1],
+                                      ParamBox([-10.0], [10.0]), 0.5)
+        points = np.array([-0.96, 0.33, 0.82])[:, None]
+        starts, levelled = [], algorithm._levelled_start
+        monkeypatch.setattr(algorithm, "_levelled_start",
+                            lambda *args: starts.append(levelled(*args)) or starts[-1])
+        entries = active_set_entries(monkeypatch)
+        result = restricted_dual(pair, points, [1.29])
+        assert starts[0] is not None and len(entries) == 1
+        assert entries[0][-2:] == starts[0]
+        assert_gaussian_dual_is_a_kkt_point(pair, points, None, result)
+
     def test_logistic_pair_is_refused(self):
         # a logistic pair steps by the line search; its dual has no solver
         pair = LogisticGlmPair([1.0, -2.0, 1.5], [0, 1], ParamBox([-10.0] * 2, [10.0] * 2))
         with pytest.raises(UnsupportedModelError):
             restricted_dual(pair, DesignSpace([0.0], [1.0]).grid(41))
 
-    def test_regularized_value_is_the_criterion_of_its_design(self):
+    def test_regularized_value_is_the_criterion_of_its_design(self, monkeypatch):
         # the multipliers sum to 1 - gamma, and the design they weight,
-        # blended with the reference, has the dual value as its criterion
+        # blended with the reference, has the dual value as its criterion;
+        # a regularized dual is solved by the active-set method
         pair, space = cubic_quadratic_pair(), cubic_quadratic_space()
         reg = RegularizationConfig(gamma=0.2,
                                    xi_tilde=default_reference_design(pair, space))
         points = np.array([-1.0, -0.6, 0.1, 0.8, 1.0])[:, None]
+        entries = active_set_entries(monkeypatch)
         result = restricted_dual(pair, points, reg=reg)
+        assert len(entries) == 1
         assert_gaussian_dual_is_a_kkt_point(pair, points, reg, result)
         multipliers, _, value = result
         assert multipliers.sum() == pytest.approx(0.8, abs=1e-9)
@@ -821,17 +862,20 @@ class TestRestrictedDual:
         assert minimize_beta2(pair, blended, TIGHT).value == pytest.approx(value, abs=1e-10)
 
     @pytest.mark.parametrize("regularized", [False, True], ids=["plain", "regularized"])
-    def test_a_binding_box(self, regularized):
+    def test_a_binding_box(self, regularized, monkeypatch):
         # with the box at +-0.5 the slope 0.75 of the best quadratic is out of
-        # reach: beta2[1] stops at the bound, and the dual value is still the
-        # criterion of the design its multipliers weight
+        # reach: beta2[1] stops at the bound, which the active-set method
+        # finds, and the dual value is still the criterion of the design its
+        # multipliers weight
         pair, space = cubic_quadratic_pair(bound=0.5), cubic_quadratic_space()
         reg = (RegularizationConfig(gamma=0.2,
                                     xi_tilde=default_reference_design(pair, space))
                if regularized else None)
         gamma = reg.gamma if regularized else 0.0
         points = np.array([-1.0, -0.6, 0.1, 0.8, 1.0])[:, None]
+        entries = active_set_entries(monkeypatch)
         result = restricted_dual(pair, points, reg=reg)
+        assert len(entries) == 1
         assert_gaussian_dual_is_a_kkt_point(pair, points, reg, result)
         multipliers, beta, value = result
         assert multipliers.sum() == pytest.approx(1.0 - gamma, abs=1e-12)
@@ -843,25 +887,49 @@ class TestRestrictedDual:
 
 
 def recording_duals(patch) -> list:
-    """Patch `restricted_dual` and its KKT solves; the returned list collects
-    one dict per dual: its pair, points, warm start, reg, result, and KKT
-    solves."""
+    """Patch `restricted_dual`, its active-set solves and their KKT solves;
+    the returned list collects one dict per dual: its pair, points, warm
+    start, reg, result, entries into `_active_set_qp` ("qp") and KKT solves
+    ("solves")."""
     duals = []
-    dual, kkt_solve = algorithm.restricted_dual, algorithm._kkt_solve
+    dual = algorithm.restricted_dual
 
-    def counted(*args):
-        duals[-1]["solves"] += 1
-        return kkt_solve(*args)
+    def counted(key, function):
+        def call(*args):
+            duals[-1][key] += 1
+            return function(*args)
+        return call
 
     def recorded(pair, points, warm_start=None, *, reg=None):
         duals.append({"pair": pair, "points": points, "warm_start": warm_start, "reg": reg,
-                      "solves": 0})
+                      "qp": 0, "solves": 0})
         duals[-1]["result"] = dual(pair, points, warm_start, reg=reg)
         return duals[-1]["result"]
 
-    patch.setattr(algorithm, "_kkt_solve", counted)
+    patch.setattr(algorithm, "_kkt_solve", counted("solves", algorithm._kkt_solve))
+    patch.setattr(algorithm, "_active_set_qp", counted("qp", algorithm._active_set_qp))
     patch.setattr(algorithm, "restricted_dual", recorded)
     return duals
+
+
+def exact_fit_pair() -> GaussianRegressionPair:
+    """The truth 0.5 - x^2 and the rival span {1, x^2}, which holds it."""
+    return GaussianRegressionPair([0.5, 0.0, -1.0], [0, 2], ParamBox([-2.0] * 2, [2.0] * 2),
+                                  0.5)
+
+
+def active_set_entries(patch) -> list:
+    """Patch `_active_set_qp` to record its calls; the returned list holds
+    one entry per call."""
+    calls, qp = [], algorithm._active_set_qp
+    patch.setattr(algorithm, "_active_set_qp", lambda *args: calls.append(args) or qp(*args))
+    return calls
+
+
+def forced_active_set(patch) -> None:
+    """Refuse every levelled start's acceptance, so that each dual builds
+    the quadratic program and solves it by `_active_set_qp`."""
+    patch.setattr(algorithm, "_levelled_multipliers", lambda *args: None)
 
 
 def assert_gaussian_dual_is_a_kkt_point(pair, points, reg, result):
@@ -898,6 +966,20 @@ def assert_gaussian_dual_is_a_kkt_point(pair, points, reg, result):
 
 
 class TestCorrectiveStep:
+    def test_an_exact_fit_takes_a_zero_step(self):
+        # the truth lies in the rival span: psi is rounding, the dual's
+        # multipliers are all zero and the step is the zero step
+        pair, space = exact_fit_pair(), DesignSpace([-1.0], [1.0])
+        design = Design(space, [-1.0, 0.0, 0.5], [0.3, 0.4, 0.3])
+        sol = minimize_beta2(pair, design, TIGHT)
+        x_new, _, candidates = best_support_candidate(pair, design, sol.beta2_hat, space,
+                                                      None)
+        with pytest.MonkeyPatch.context() as patch:
+            duals = recording_duals(patch)
+            alpha, new, step = corrective_step(pair, design, x_new, sol, candidates, TIGHT)
+        assert len(duals) == 1 and np.all(duals[0]["result"][0] == 0.0)
+        assert alpha == 0.0 and new is design and step is sol
+
     def test_no_step_at_the_optimum(self):
         pair, opt = cubic_quadratic_pair(), cubic_quadratic_optimum()
         sol = minimize_beta2(pair, opt, TIGHT)
@@ -1082,9 +1164,10 @@ class TestRuns:
 
     def test_levelled_start_reaches_the_dual_of_the_argmax_row_start(self):
         # Each dual of the 25 seed-7 nested runs and of the fixed-point cases
-        # of TestRestrictedDual, solved again from the argmax-row start (the
-        # levelled one refused): both are KKT points, with the same
-        # multipliers, beta2 and value to 1e-14 of the terms of r.
+        # of TestRestrictedDual, solved again by the active-set method from
+        # the levelled start (its acceptance refused) and from the argmax-row
+        # start (the levelled one refused): all three are KKT points, with
+        # the same multipliers, beta2 and value to 1e-14 of the terms of r.
         _, duals = self.nested_gaussian_suite(1.0, 5, 0.99)
         cases = [(d["pair"], d["points"], d["warm_start"], d["reg"]) for d in duals]
         space, points = cubic_quadratic_space(), np.array([-1.0, -0.6, 0.1, 0.8, 1.0])[:, None]
@@ -1094,40 +1177,50 @@ class TestRuns:
             reg = None if gamma is None else RegularizationConfig(
                 gamma, default_reference_design(pair, space))
             cases.append((pair, points, None, reg))
-        taken = 0
+        taken = accepted = 0
         for pair, points, warm_start, reg in cases:
             with pytest.MonkeyPatch.context() as patch:
                 starts = []
                 levelled = algorithm._levelled_start
                 patch.setattr(algorithm, "_levelled_start",
                               lambda *args: starts.append(levelled(*args)) or starts[-1])
+                entries = active_set_entries(patch)
                 new = restricted_dual(pair, points, warm_start, reg=reg)
+                accepted += not entries
+                forced_active_set(patch)
+                solved = restricted_dual(pair, points, warm_start, reg=reg)
                 patch.setattr(algorithm, "_levelled_start", lambda *args: None)
                 old = restricted_dual(pair, points, warm_start, reg=reg)
             taken += starts[0] is not None
-            for result in (new, old):
-                assert_gaussian_dual_is_a_kkt_point(pair, points, reg, result)
             rows, eta1 = pair.rival_matrix(points), pair.true_predictor(points)
             terms = np.max(np.abs(eta1)) + np.max(np.abs(rows) @ np.abs(old[1]))
-            assert np.max(np.abs(new[0] - old[0])) <= 1e-14
-            assert np.max(np.abs(rows @ (new[1] - old[1]))) <= 1e-14 * terms
-            assert abs(new[2] - old[2]) <= 1e-14 * terms * terms / pair.sigma2
-        assert len(cases) >= 28 and 0 < taken < len(cases)
+            for result in (new, solved, old):
+                assert_gaussian_dual_is_a_kkt_point(pair, points, reg, result)
+            for one, other in ((new, solved), (solved, old)):
+                assert np.max(np.abs(one[0] - other[0])) <= 1e-14
+                assert np.max(np.abs(rows @ (one[1] - other[1]))) <= 1e-14 * terms
+                assert abs(one[2] - other[2]) <= 1e-14 * terms * terms / pair.sigma2
+        assert len(cases) >= 28 and 0 < accepted <= taken < len(cases)
 
-    def test_each_dual_of_the_shipped_gaussian_runs_takes_one_kkt_solve(self):
+    def test_each_dual_of_the_shipped_gaussian_runs_is_accepted_at_its_levelled_start(self):
         # the corrective step's candidates hold r's alternating extrema, so
-        # the levelled reference is the optimum and the first KKT solve
-        # confirms it (the argmax-row start took 4)
+        # the levelled reference is the optimum, its multipliers pass the
+        # optimality test, and no dual enters the active-set method (which
+        # took one KKT solve to confirm it, and 4 from the argmax-row start)
         for name in ("benchmark_run", "transformed_run"):
             with pytest.MonkeyPatch.context() as patch:
                 duals = recording_duals(patch)
                 getattr(BenchmarkContext(), name)()
-            assert len(duals) >= 2 and [d["solves"] for d in duals] == [1] * len(duals)
+            assert len(duals) >= 2
+            for dual in duals:
+                assert (dual["qp"], dual["solves"]) == (0, 0)
+                assert_gaussian_dual_is_a_kkt_point(dual["pair"], dual["points"], None,
+                                                    dual["result"])
 
     def test_dual_work_is_invariant_under_scale_and_position(self):
         # The dual is solved in residual units, so neither sigma2 nor the
         # affine images z = 2 + 4x and z = 2 - 4x change the active-set work
-        # of any step (one KKT solve each, from the levelled reference), and
+        # of any step (none: each levelled reference is accepted), and
         # every run ends at the image of the same design. The reflection
         # reverses the order of x, which the reference is read in. The truth
         # and the box times 10 scale the whole solve, so that rung takes the
@@ -1151,10 +1244,10 @@ class TestRuns:
                 run = run_first_order(pair, initial, domain, AlgoConfig(delta=0.99),
                                       benchmark_inner_config())
             assert run.termination_reason == EFFICIENCY_REACHED
-            counts.append([dual["solves"] for dual in duals])
+            counts.append([(dual["qp"], dual["solves"]) for dual in duals])
             finals.append(run.final_design if amap is None
                           else transform_design(run.final_design, amap.inverted()))
-        assert len(counts[0]) >= 2 and max(counts[0]) == 1
+        assert len(counts[0]) >= 2 and counts[0] == [(0, 0)] * len(counts[0])
         assert counts == [counts[0]] * len(counts)
         assert max(wasserstein_distance(finals[0], d) for d in finals) <= 1e-12
 

@@ -1,6 +1,9 @@
 """Design container and measure-level operations."""
 
+import copy
 import json
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +13,17 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from kldesign import designs
-from kldesign.benchmarks import _monotone_coupling_cost
+from kldesign.algorithm import AlgoConfig, run_first_order
+from kldesign.benchmarks import (_monotone_coupling_cost, cubic_quadratic_optimum,
+                                 cubic_quadratic_pair, cubic_quadratic_space,
+                                 cubic_quadratic_start)
 from kldesign.designs import (AffineMap, Design, DesignSpace, ValidationReport,
                               blend_designs, transform_design, validate_design,
                               wasserstein_distance)
 from kldesign.errors import DomainError, SingularMapError
+from kldesign.inner import minimize_beta2
+from kldesign.models import GaussianRegressionPair, LogisticGlmPair, ParamBox
+from kldesign.verify import equivalence_check
 
 
 def chebyshev_design() -> Design:
@@ -361,3 +370,65 @@ class TestSerialization:
         d = Design(DesignSpace([0.0], [1.0]), [[0.1], [0.2], [0.3]], w)
         restored = json.loads(json.dumps(d.as_dict()))["weights"]
         assert restored == d.weights.tolist()
+
+
+def value_instance(name: str):
+    """An instance of the frozen value type `name`, and one that differs
+    from it in one field."""
+    box = ParamBox([-2.0, -2.0], [2.0, 2.0])
+    if name == "DesignSpace":
+        space = DesignSpace([-1.0], [1.0])
+        return space, DesignSpace([-1.0], [2.0])
+    if name == "Design":
+        design = chebyshev_design()
+        return design, replace(design, weights=[0.25] * 4)
+    if name == "ParamBox":
+        return box, ParamBox([-2.0, -2.0], [2.0, 3.0])
+    if name == "GaussianRegressionPair":
+        pair = GaussianRegressionPair([0.0, 0.0, 0.0, 1.0], [0, 1], box, 0.5)
+        return pair, replace(pair, beta1=[0.0, 0.0, 0.0, 2.0])
+    if name == "LogisticGlmPair":
+        pair = LogisticGlmPair([1.0, -2.0, 1.5], [0, 1], box)
+        return pair, replace(pair, beta1=[1.0, -2.0, 1.0])
+    if name == "InnerSolution":
+        sol = minimize_beta2(cubic_quadratic_pair(), chebyshev_design())
+        return sol, replace(sol, beta2_hat=sol.beta2_hat + 1.0)
+    if name == "EquivalenceReport":
+        report = equivalence_check(cubic_quadratic_pair(), cubic_quadratic_optimum(),
+                                   grid_size=101)
+        return report, replace(report, grid_psi=report.grid_psi + 1.0)
+    run = run_first_order(cubic_quadratic_pair(), cubic_quadratic_start(),
+                          cubic_quadratic_space(), AlgoConfig(max_iterations=2))
+    if name == "IterationRecord":
+        record = run.history[0]
+        return record, replace(record, best_point=record.best_point + 1.0)
+    return run, replace(run, history=run.history[:1])
+
+
+class TestValueTypes:
+    """Frozen value types compare by value, and their copies keep the
+    read-only arrays read-only (`designs._value_type`)."""
+
+    @pytest.mark.parametrize("name", [
+        "DesignSpace", "Design", "ParamBox", "GaussianRegressionPair", "LogisticGlmPair",
+        "InnerSolution", "EquivalenceReport", "IterationRecord", "RunResult"])
+    def test_pickled_and_copied_values_stay_equal_and_read_only(self, name):
+        value, other = value_instance(name)
+        writeable = {key: array.flags.writeable for key, array in vars(value).items()
+                     if isinstance(array, np.ndarray)}
+        # the run's records and the report hold arrays a caller may write
+        assert (name in ("EquivalenceReport", "IterationRecord", "RunResult")
+                or False in writeable.values())
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                     copy.deepcopy(value)):
+            assert type(twin) is type(value)
+            assert twin == value and value == twin and not twin != value
+            assert twin != other and value != other
+            assert {key: array.flags.writeable for key, array in vars(twin).items()
+                    if isinstance(array, np.ndarray)} == writeable
+        assert value != object()
+
+    def test_a_copied_design_refuses_writes(self):
+        design = copy.deepcopy(chebyshev_design())
+        with pytest.raises(ValueError, match="read-only"):
+            design.weights[0] = 1.0

@@ -128,6 +128,14 @@ class TestEquivalenceCheck:
             equivalence_check(logistic_pair(), d0, grid_size=1001,
                               inner_config=verify_inner_config(), reg=reg)
 
+    @pytest.mark.parametrize("bad", [-0.01, np.nan])
+    def test_regularized_check_refuses_a_negative_or_nan_weight(self, bad):
+        # the reference has a point at 0, so the blend's weight there is
+        # positive: the design's own weight must be checked
+        design = Design(logistic_space(), [[0.0], [0.45], [0.8]], [bad, 0.51, 0.5])
+        with pytest.raises(DomainError, match=f"weight {bad} is not nonnegative"):
+            equivalence_check(logistic_pair(), design, reg=RegularizationConfig(gamma=0.05))
+
     def test_refuses_the_synthetic_family(self):
         design = Design(DesignSpace([0.0], [1.0]), [[0.2], [0.9]], [0.5, 0.5])
         with pytest.raises(UnsupportedModelError):
