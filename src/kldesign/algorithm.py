@@ -40,13 +40,14 @@ One iteration, given the current design xi_n:
      no such exact solve, and a general-purpose one measured slower than
      this search, so `restricted_dual` is Gaussian only. The criterion
      is concave along the segment, and each inner solve's minimizer gives
-     its supergradient in a (Danskin), so the step is the root of that
-     slope, bracketed by its signs at 0 and 1 and found by Brent's method,
-     a port of `scipy.optimize.brentq`. The search starts from step
-     1's solution, so a = 0 is not solved again, and it returns the mixture
-     it steps to with its solution. Every trial a in (0, 1) weights the same
-     points, so their rival matrix, divergence closures and rank test are
-     prepared once per search (`inner.Support`).
+     its supergradient in a (Danskin), so the step is where that slope,
+     nonincreasing in a, changes sign: bracketed by its signs at 0 and 1,
+     it is found by a search built for the slope's shape (`_slope_root`).
+     The search starts from step 1's solution, so a = 0 is not solved
+     again, and it returns the mixture it steps to with its solution.
+     Every trial a in (0, 1) weights the same points, so their rival
+     matrix, divergence closures and rank test are prepared once per
+     search (`inner.Support`).
    Either way the next iteration starts from the step's design and
    solution. A step that does not raise the criterion beyond rounding is a
    zero step, and it ends the run "stalled".
@@ -70,7 +71,8 @@ import numpy as np
 from ._lapack import solve, svd
 from .designs import Design, DesignSpace, _value_type, blend_designs, validate_design
 from .errors import DomainError, UndefinedEfficiencyError, UnsupportedModelError
-from .inner import InnerConfig, InnerSolution, Support, minimize_beta2, prepare_support
+from .inner import (InnerConfig, InnerSolution, Support, minimize_beta2, prepare_support,
+                    refuse_negative_weights)
 from .models import GaussianRegressionPair, ModelPair, PolynomialPair, glm_is_regular
 
 EFFICIENCY_REACHED = "efficiency-reached"
@@ -85,11 +87,9 @@ _IMPROVEMENT_TOL = 1e-13
 # The rival attains the true model when no divergence on the domain exceeds this
 # share of the all-zero rival's (rounding leaves 1e-31 Gaussian, 1e-15 logistic).
 _ATTAIN_TOL = 1e-12
-# Bracket width at which the root find of the line-search slope stops; its
-# relative share and step budget are brentq's.
+# Bracket width at which the line search's search for the slope's sign change
+# stops.
 _STEP_XTOL = 1e-6
-_ROOT_RTOL = 4 * np.finfo(float).eps
-_ROOT_MAX_STEPS = 100
 # A corrective-step candidate within this share of the domain width of a
 # point already taken is that point: a root of r' that converges to a support
 # point lands within about 1e-11 of it, and a second row there only makes the
@@ -301,10 +301,12 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
     and by Danskin's theorem slope(a) = (1-gamma) [I(x, b_a) - avg_design
     I(., b_a)], read off the inner minimizer b_a at a (gamma = 0 unless
     regularizing), is a supergradient of g at a; it is the derivative
-    wherever b_a is unique. For a concave g the sign of any supergradient
-    tells on which side of a the maximum lies: slope(0) <= 0 means no ascent
-    step, slope(1) >= 0 means the full step, and otherwise the step is the
-    sign change of slope on (0, 1), found by Brent's method (`_brent_root`).
+    wherever b_a is unique, and nonincreasing in a. For a concave g the sign
+    of any supergradient tells on which side of a the maximum lies:
+    slope(0) <= 0 means no ascent step, slope(1) >= 0 means the full step,
+    and otherwise the step is the sign change of slope on (0, 1), found by
+    `_slope_root` from slope(0), within `_STEP_XTOL`. A NaN slope raises
+    `ValueError`.
 
     `start` is the inner solution on the design itself (blended with the
     reference when regularizing), so g(0) and b_0 are read off it and a = 0
@@ -325,97 +327,87 @@ def line_search_alpha(pair: ModelPair, design: Design, x_new, start: InnerSoluti
     slope_support = prepare_support(pair, np.vstack([design.points, mass.points]))
     scale = 1.0 - (reg.gamma if reg is not None else 0.0)
 
-    def slope(sol: InnerSolution) -> float:
+    def slope(a: float, sol: InnerSolution) -> float:
         row = slope_support.pointwise(sol.beta2_hat)  # the support, then x_new
-        return scale * (row[-1] - design.weights @ row[:-1])
+        value = float(scale * (row[-1] - design.weights @ row[:-1]))
+        if math.isnan(value):
+            raise ValueError(f"the slope is NaN at a = {a}; the search cannot continue")
+        return value
 
     interior = None  # the Support of every a in (0, 1), prepared at the first
     warm = start.beta2_hat
-    slope0 = slope(start)
-    solved = {0.0: (design, start, slope0)}
 
-    def solve(a: float) -> tuple[Design, InnerSolution, float]:
+    def trial(a: float) -> tuple[float, tuple[Design, InnerSolution]]:
         nonlocal interior, warm
-        if a not in solved:
-            point_mass = a == 1.0
-            mixed = blend_designs(design, mass, a)
-            target = mixed if reg is None else blend_designs(mixed, reg.xi_tilde,
-                                                             reg.gamma)
-            if not point_mass and interior is None:
-                interior = (slope_support if np.array_equal(slope_support.points,
-                                                            target.points)
-                            else prepare_support(pair, target.points))
-            sol = minimize_beta2(pair, target, inner_config, warm_start=warm,
-                                 support=None if point_mass else interior)
-            solved[a] = (mixed, sol, slope(sol))
-            warm = sol.beta2_hat
-        return solved[a]
+        mixed = blend_designs(design, mass, a)
+        target = _criterion_design(mixed, reg)
+        if a < 1.0 and interior is None:
+            interior = (slope_support if np.array_equal(slope_support.points,
+                                                        target.points)
+                        else prepare_support(pair, target.points))
+        sol = minimize_beta2(pair, target, inner_config, warm_start=warm,
+                             support=interior if a < 1.0 else None)
+        warm = sol.beta2_hat
+        return slope(a, sol), (mixed, sol)
 
+    slope0 = slope(0.0, start)
     if slope0 <= 0.0:
         return 0.0, design, start
-    if solve(1.0)[2] >= 0.0:
-        alpha = 1.0
-    else:
-        alpha = _brent_root(lambda a: solve(a)[2], 0.0, 1.0, _STEP_XTOL)
-    mixed, sol, _ = solve(alpha)
+    alpha = 1.0
+    slope1, (mixed, sol) = trial(alpha)
+    if slope1 < 0.0:
+        alpha, (mixed, sol) = _slope_root(trial, slope0, _STEP_XTOL)
     if not _improves(sol, start):
         return 0.0, design, start
     return alpha, mixed, sol
 
 
-def _brent_root(f, xpre: float, xcur: float, xtol: float) -> float:
-    """A root of f between xpre and xcur, where f changes sign, by Brent's
-    method (Brent 1973, ch. 4) step for step as `scipy.optimize.brentq`'s C
-    routine takes it, so at the same points: xblk holds the other end of the
-    bracket, and each step is the inverse linear interpolation (from two
-    points) or quadratic extrapolation (from three) when that is shorter
-    than half the previous step and stays inside the bracket, else a
-    bisection, and never shorter than delta = (xtol + rtol |x|) / 2. It
-    returns x once f(x) is 0 or the bracket is narrower than 2 delta, with
-    rtol 4 eps, and raises `RuntimeError` after 100 steps; `ValueError`
-    where f is NaN or has the same sign at both ends."""
+def _slope_root(slope, slope0: float, xtol: float):
+    """Where a slope nonincreasing on [0, 1] changes sign, to within xtol.
 
-    def value(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"the function is NaN at {x}; the root find cannot continue")
-        return fx
-
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("the function has the same sign at both ends")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_ROOT_MAX_STEPS):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"the root find did not converge in {_ROOT_MAX_STEPS} steps")
+    `slope(a)` returns (the slope at a, a payload) for a in (0, 1); the
+    slope is `slope0` > 0 at 0 and negative at 1, so the bracket [0, 1]
+    holds the sign change. Each trial is the root of the linear-fractional
+    function (p + q a) / (1 + r a) through the three latest points of
+    (0, slope0) and the trials (Jarratt and Nudds 1965): a shape that
+    falls and levels off, as the line search's slope does. The end a = 1
+    never enters the model, since the point mass's slope lies off that
+    shape. The trial is the bracket's midpoint instead while fewer than
+    three points are known, where the model's root is not inside the
+    bracket, or where the bracket has not halved over the last three
+    trials. Every trial stays at least xtol/2 inside the bracket, so once
+    the model has converged its trial lands just past the root and the
+    last one closes the bracket from the far side. The search stops at a
+    zero slope or once the bracket is at most xtol wide. Both ends then lie
+    within xtol of the sign change, and it returns (a, payload) of the
+    trial at the end whose slope is nearer 0. The bracket halves at least
+    once every four trials, so a search takes at most 4 ceil(log2(1/xtol))
+    trials (80 at xtol = 1e-6).
+    """
+    # the bracket's ends, (a, slope, payload), where 0 and 1 count as infinitely
+    # steep so that a trial is returned; the model's points; the last four widths
+    lo, hi = (0.0, math.inf, None), (1.0, -math.inf, None)
+    recent, widths = [(0.0, slope0, None)], [1.0] * 4
+    while True:
+        a = (lo[0] + hi[0]) / 2
+        if len(recent) == 3 and widths[-1] <= widths[0] / 2:
+            (a0, f0, _), (a1, f1, _), (a2, f2, _) = recent
+            # the map keeps the cross-ratio of (a0, a1, a2, root) in (f0, f1, f2, 0)
+            c, d = (a2 - a0) * (f2 - f1) * f0, (a2 - a1) * (f2 - f0) * f1
+            root = (c * a1 - d * a0) / (c - d) if c != d else a
+            if lo[0] < root < hi[0]:
+                a = root
+        a = min(max(a, lo[0] + xtol / 2), hi[0] - xtol / 2)
+        value, payload = slope(a)
+        end = (a, value, payload)
+        if value > 0.0:
+            lo = end
+        else:
+            hi = end
+        recent, widths = (recent + [end])[-3:], widths[1:] + [hi[0] - lo[0]]
+        if value == 0.0 or hi[0] - lo[0] <= xtol:
+            a, _, payload = min(lo, hi, key=lambda end: abs(end[1]))
+            return a, payload
 
 
 def _improves(sol: InnerSolution, start: InnerSolution) -> bool:
@@ -656,8 +648,9 @@ def restricted_dual(pair: ModelPair, points, warm_start=None, *,
     takes the active-set method: its objective needs the reference's rows
     built anyway, and no shipped run is regularized, so one path serves it.
     A point's multiplier is the sum of its two rows' multipliers, rescaled
-    to sum to 1 - gamma (unscaled they sum to (1-gamma) s, so all are zero
-    where s = 0), and the value is the objective divided by sigma2.
+    to sum to 1 - gamma; unscaled they sum to (1-gamma) s, so all are zero
+    where s is at most `_QP_ROUNDING` of the largest |eta1_j|, an exact fit
+    to rounding. The value is the objective divided by sigma2.
     Neither the constraints, the objective nor the start depend on sigma2,
     on where the domain lies or on its direction, and scaling the true mean
     and the box scales the solution. Any other pair raises
@@ -708,8 +701,10 @@ def restricted_dual(pair: ModelPair, points, warm_start=None, *,
         multipliers = multipliers[:m] + multipliers[m:2 * m]
     s = z[-1]
     total = float(np.sum(multipliers))
-    if total > 0.0:
+    if s > _QP_ROUNDING * float(np.abs(eta1).max()) and total > 0.0:
         multipliers = multipliers * ((1.0 - gamma) / total)
+    else:  # an exact fit: multipliers summing to (1-gamma) s are rounding
+        multipliers = np.zeros(m)
     value = (1.0 - gamma) * s * s * 0.5 / pair.sigma2
     if reg is not None:
         value += gamma * reg.xi_tilde.weights @ reference.pointwise(beta)
@@ -748,8 +743,7 @@ def corrective_step(pair: ModelPair, design: Design, x_new, start: InnerSolution
     if not (np.isfinite(total) and total > 0.0):
         return 0.0, design, start
     new = Design(design.space, points[keep], multipliers[keep] / total)
-    target = new if reg is None else blend_designs(new, reg.xi_tilde, reg.gamma)
-    sol = minimize_beta2(pair, target, inner_config)
+    sol = minimize_beta2(pair, _criterion_design(new, reg), inner_config)
     if not _improves(sol, start):
         return 0.0, design, start
     alpha = float(new.weights[np.abs(new.points[:, 0] - x_new[0]) <= merge].sum())
@@ -766,6 +760,24 @@ def default_reference_design(pair: ModelPair, space: DesignSpace) -> Design:
         raise DomainError("default reference design is not regular for this pair; "
                           "supply an explicit xi_tilde")
     return design
+
+
+def _criterion_design(design: Design, reg: RegularizationConfig | None) -> Design:
+    """The design whose inner solve gives the criterion at `design`: the
+    design itself, or its blend with the reference when regularizing."""
+    return design if reg is None else blend_designs(design, reg.xi_tilde, reg.gamma)
+
+
+def _solve_criterion(pair: ModelPair, design: Design, space: DesignSpace,
+                     inner_config: InnerConfig, reg: RegularizationConfig | None):
+    """The first solve of a run or a certificate: (reg with its reference
+    resolved on `space`, the inner solution of `_criterion_design`). A
+    weight of the design that is negative or NaN raises `DomainError`, as
+    does a reference `_resolve_reference` refuses."""
+    if reg is not None:
+        refuse_negative_weights(design.weights)  # the blend's weights may hide it
+        reg = replace(reg, xi_tilde=_resolve_reference(pair, space, reg))
+    return reg, minimize_beta2(pair, _criterion_design(design, reg), inner_config)
 
 
 def _resolve_reference(pair: ModelPair, space: DesignSpace,
@@ -792,14 +804,9 @@ def _run_loop(pair: ModelPair, initial_design: Design, space: DesignSpace,
         raise DomainError("invalid initial design: " + "; ".join(report.violations))
 
     design = initial_design
+    reg, inner = _solve_criterion(pair, design, space, inner_cfg, reg)
     regularizing = reg is not None
-    if regularizing:
-        reg = replace(reg, xi_tilde=_resolve_reference(pair, space, reg))
-        gamma = reg.gamma
-        inner = minimize_beta2(pair, blend_designs(design, reg.xi_tilde, gamma), inner_cfg)
-    else:
-        gamma = 0.0
-        inner = minimize_beta2(pair, design, inner_cfg)
+    gamma = reg.gamma if regularizing else 0.0
     zero = np.zeros(pair.dimension)
     if isinstance(pair, GaussianRegressionPair):
         # psi peaks at an end or a root of r': the scan needs no grid, and the

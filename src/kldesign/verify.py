@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithm import (PSI_GRID_SIZE, RegularizationConfig, _resolve_reference,
-                        psi_grid, psi_scan)
-from .designs import (AffineMap, Design, DesignSpace, _value_type, blend_designs,
-                      transform_design)
-from .inner import InnerConfig, minimize_beta2, refuse_negative_weights
+from .algorithm import (PSI_GRID_SIZE, RegularizationConfig, _solve_criterion, psi_grid,
+                        psi_scan)
+from .designs import AffineMap, Design, DesignSpace, _value_type, transform_design
+from .inner import InnerConfig, minimize_beta2
 from .models import ModelPair, reparametrize_under_affine
 
 CERTIFIED = "certified"
@@ -87,17 +86,12 @@ def equivalence_check(pair: ModelPair, design: Design,
     pass tolerance scales with the criterion value: 1e-6 * max(1, value).
     """
     space = space or design.space
-
+    reg, sol = _solve_criterion(pair, design, space, inner_config, reg)
     if reg is None:
-        sol = minimize_beta2(pair, design, inner_config)
         scale = 1.0
         gamma = None
         singular = sol.singular_flag
-    else:
-        refuse_negative_weights(design.weights)  # the blend's weights may hide it
-        xi_tilde = _resolve_reference(pair, space, reg)
-        blended = blend_designs(design, xi_tilde, reg.gamma)
-        sol = minimize_beta2(pair, blended, inner_config)  # value: I_gamma(design)
+    else:  # sol.value is I_gamma(design)
         scale = 1.0 - reg.gamma
         gamma = reg.gamma
         singular = False

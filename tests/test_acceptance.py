@@ -61,3 +61,34 @@ class TestAcceptance:
         """Two cmd_run calls on one config produce byte-identical
         iterations.csv and result.json apart from its timestamp."""
         _run(benchmarks.check_cli_determinism, ctx)
+
+
+# The printed details of each check that are not rounding: reasons, counts and
+# values whose printed digits hold on any machine. Rounding-level errors
+# (support_psi_max, value gaps, psi_gamma_max, quadrature and oracle errors)
+# depend on the BLAS and `exp` in use, so only the checks' own bounds hold them.
+PRINTED = {
+    "benchmark-optimum": {"reason": "efficiency-reached", "iterations": 3,
+                          "wasserstein": "0.00360", "value": "0.06249500",
+                          "beta2_err": "1.29e-05"},
+    "optimum-certificate": {"verdict": "certified", "offset_psi_max": "-6.8040e-03"},
+    "affine-invariance": {"reason": "efficiency-reached", "wasserstein": "0.01442"},
+    "singular-logistic": {"plain_reason": "stalled-regularized",
+                          "reg_reason": "efficiency-reached", "reg_iterations": 2,
+                          "mass_at_zero": "1.0000"},
+    "discontinuity-gap": {"criterion_gap": "0.999957"},
+    "oracle-suite": {},
+    "glm-regularity": {"disagreements": 0},
+    "cli-determinism": {},
+}
+
+
+def test_every_check_prints_its_shipped_values(ctx):
+    """`kl-design benchmark` passes every check with the printed values it
+    shipped with, so a change that moves one shows here."""
+    assert list(PRINTED) == [name for name, _ in benchmarks.ALL_CHECKS]
+    for name, check in benchmarks.ALL_CHECKS:
+        result = check(ctx)
+        assert result.passed, result.summary()
+        printed = {key: result.details[key] for key in PRINTED[name]}
+        assert printed == PRINTED[name], result.summary()

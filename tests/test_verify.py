@@ -136,6 +136,24 @@ class TestEquivalenceCheck:
         with pytest.raises(DomainError, match=f"weight {bad} is not nonnegative"):
             equivalence_check(logistic_pair(), design, reg=RegularizationConfig(gamma=0.05))
 
+    @pytest.mark.parametrize("family", ["gaussian", "logistic"])
+    @pytest.mark.parametrize("gamma", [None, 0.05])
+    def test_solves_the_criterion_as_the_loop_does(self, family, gamma):
+        # the certificate's solve and a run's first are one solve: the same
+        # minimizer and value, plain or regularized
+        if family == "gaussian":
+            pair, design = cubic_quadratic_pair(), cubic_quadratic_start()
+        else:
+            pair, design = logistic_pair(), Design(logistic_space(), [[0.1], [0.5], [0.9]],
+                                                   [0.2, 0.3, 0.5])
+        reg = None if gamma is None else RegularizationConfig(gamma=gamma)
+        config = verify_inner_config()
+        report = equivalence_check(pair, design, inner_config=config, reg=reg)
+        first = algorithm._run_loop(pair, design, design.space, AlgoConfig(max_iterations=1),
+                                    config, reg).history[0]
+        np.testing.assert_array_equal(report.beta2_hat, first.beta2_hat)
+        assert report.criterion_value == first.value
+
     def test_refuses_the_synthetic_family(self):
         design = Design(DesignSpace([0.0], [1.0]), [[0.2], [0.9]], [0.5, 0.5])
         with pytest.raises(UnsupportedModelError):
