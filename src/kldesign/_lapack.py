@@ -5,10 +5,13 @@ Users' Guide, 1999).
 The solves take 1 to 9 rows, where numpy.linalg's Python wrapper costs more
 than the routine it calls. Each helper calls the gufunc of
 `numpy.linalg._umath_linalg` that numpy.linalg calls on the same matrix
-(`lstsq` runs dgelsd, `solve1` runs dgesv, `svd_s`, `svd_f` and `svd` run
-dgesdd, `eigvals` runs dgeev). On float64 input the gufunc picks the loop
-numpy.linalg names by its `signature`, so the floats are numpy's bit for
-bit (the parity tests in tests/test_lapack.py compare them).
+(`lstsq` runs dgelsd, `solve1` runs dgesv, `svd` runs dgesdd for the
+singular values alone, `eigvals` runs dgeev: the four gufuncs the package
+reaches, which tests/test_package.py pins; a solve on no shipped run's
+path, such as the active-set method's SVDs, takes numpy.linalg itself). On
+float64 input the gufunc picks the loop numpy.linalg names by its
+`signature`, so the floats are numpy's bit for bit (the parity tests in
+tests/test_lapack.py compare them).
 
 Each helper keeps numpy's behaviour around the gufunc: an empty input is
 answered before LAPACK sees it (which would print an error and fail), and a
@@ -37,17 +40,6 @@ def _raise(err, flag):
 _RAISE_ON_FAILURE = _make_extobj(call=_raise, invalid="call", over="ignore",
                                  divide="ignore", under="ignore")
 QUIET = _make_extobj(all="ignore")  # of `models.expit` and `models.softplus`
-
-
-def svd(matrix: np.ndarray, full: bool = False):
-    """`numpy.linalg.svd(matrix, full_matrices=full)` by dgesdd, for a
-    nonempty matrix, with both factors in Fortran order, as LAPACK writes
-    them: the products the caller forms with them round by layout."""
-    token = _extobj_contextvar.set(_RAISE_ON_FAILURE)
-    try:
-        return (_umath_linalg.svd_f if full else _umath_linalg.svd_s)(matrix, order="F")
-    finally:
-        _extobj_contextvar.reset(token)
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:

@@ -24,13 +24,12 @@ One iteration, given the current design xi_n:
      design on the support, x_n and the other candidates of step 2 where
      psi > 0 (read off step 2's scan) comes from the minimax dual
      restricted to those points (`restricted_dual`), stated in residual
-     units, where it is a quadratic program with linear constraints. It
-     starts, where that point is feasible, from the levelled reference of
-     Remez's exchange read off r at step 1's minimizer (Remez 1934; Cheney
-     1966), often the optimum itself: one square solve for its KKT
-     multipliers tells, and accepts it (every dual of the shipped Gaussian
-     runs is accepted there). Otherwise a small active-set method solves
-     the program exactly.
+     units, where it is a quadratic program with linear constraints. The
+     levelled point of the Remez reference read off r at step 1's minimizer
+     (Remez 1934; Cheney 1966) is often its optimum: one square solve for
+     its KKT multipliers tells, and accepts it (every dual of the shipped
+     Gaussian runs ends there). Otherwise a small active-set method solves
+     the program exactly from step 1's minimizer.
      Its multipliers are the weights, and a point of zero weight leaves.
      Each step is fully corrective (simplicial decomposition, von
      Hohenbalken 1977), at least as good as the exact line search below,
@@ -68,7 +67,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._lapack import solve, svd
+from ._lapack import solve
 from .designs import Design, DesignSpace, _value_type, blend_designs, validate_design
 from .errors import DomainError, UndefinedEfficiencyError, UnsupportedModelError
 from .inner import (InnerConfig, InnerSolution, Support, minimize_beta2, prepare_support,
@@ -433,7 +432,7 @@ def _kkt_solve(active: np.ndarray, factor: np.ndarray, target: np.ndarray,
     """
     n = z.size
     if len(active):
-        left, values, right = svd(active, full=True)
+        left, values, right = np.linalg.svd(active)
         rank = np.count_nonzero(values > _EPS * max(active.shape) * values[0])
     else:
         left, values, right, rank = np.zeros((0, 0)), np.zeros(0), np.eye(n), 0
@@ -441,7 +440,8 @@ def _kkt_solve(active: np.ndarray, factor: np.ndarray, target: np.ndarray,
     step = right[:rank].T @ (inverse.T @ correction)
     null = right[rank:].T
     if rank < n:
-        reduced_left, reduced, reduced_right = svd(factor @ null)
+        reduced_left, reduced, reduced_right = np.linalg.svd(factor @ null,
+                                                             full_matrices=False)
         keep = reduced > flat
         misfit = target - factor @ (z + step)
         step = step + null @ (reduced_right[keep].T @ (
@@ -541,17 +541,23 @@ def _remez_reference(x: np.ndarray, residual: np.ndarray, size: int):
     return alternants[first:first + size]
 
 
-def _levelled_start(x: np.ndarray, rows: np.ndarray, eta1: np.ndarray,
-                    residual: np.ndarray, box):
-    """The levelled point of the Remez reference (`_remez_reference`) of
-    d + 1 points, d the columns of `rows`, as a start (z, working set) of
-    the residual-unit dual, or None where it is no feasible start.
+def _levelled_optimum(x: np.ndarray, rows: np.ndarray, eta1: np.ndarray,
+                      residual: np.ndarray, box):
+    """(multipliers, z) at the levelled point z = (beta2, h) of the Remez
+    reference (`_remez_reference`) of d + 1 points, d the columns of `rows`,
+    one multiplier per point, where z is the optimum of the plain
+    residual-unit dual (gamma = 0), else None.
 
-    The levelled point (beta2, h) solves X_R beta2 + sign_R h = eta1_R on
-    the reference R, with the signs of its residuals, flipped where h < 0,
-    so that r_j = sign_j h there. It is a start where that solve succeeds,
-    beta2 lies in the box and no other point has |r_j| > h; the working set
-    is then the reference's rows.
+    The levelled point solves X_R beta2 + sign_R h = eta1_R on the reference
+    R, with the signs of its residuals, flipped where h < 0, so that r_j =
+    sign_j h there. It is feasible where that solve succeeds, beta2 lies in
+    the box and no other point has |r_j| > h. There the objective s^2 / 2 has
+    the gradient (0, ..., 0, h), and the rows s - sign_j r_j >= 0 active on
+    R, as many as the unknowns, give the multipliers of the square system
+    A_R' lambda = (0, ..., 0, h). The dual is a convex quadratic program, so
+    z is its optimum when no multiplier is negative beyond rounding
+    (`_kkt_optimal`, the test `_active_set_qp` stops on). None where a solve
+    is singular or a test fails.
     """
     m, d = rows.shape
     reference = _remez_reference(x, residual, d + 1)
@@ -560,49 +566,24 @@ def _levelled_start(x: np.ndarray, rows: np.ndarray, eta1: np.ndarray,
     signs = np.where(residual[reference] < 0.0, -1.0, 1.0)
     try:
         z = solve(np.hstack([rows[reference], signs[:, None]]), eta1[reference])
+        if z[-1] < 0.0:
+            z[-1], signs = -z[-1], -signs
+        active = np.hstack([signs[:, None] * rows[reference], np.ones((d + 1, 1))])
+        gradient = np.zeros(d + 1)
+        gradient[-1] = z[-1]
+        multipliers = solve(active.T, gradient)
     except np.linalg.LinAlgError:
         return None
-    if z[-1] < 0.0:
-        z[-1], signs = -z[-1], -signs
     beta, h = z[:-1], z[-1]
     outside = np.ones(m, dtype=bool)
     outside[reference] = False
     if not (np.all((beta >= box.lower) & (beta <= box.upper))
-            and np.all(np.abs(eta1[outside] - rows[outside] @ beta) <= h)):
-        return None
-    return z, [j if sign > 0.0 else m + j for j, sign in zip(reference, signs)]
-
-
-def _levelled_multipliers(rows: np.ndarray, z: np.ndarray, working: list):
-    """One multiplier per point where the levelled start (z, working) of
-    the plain residual-unit dual (gamma = 0; `_levelled_start`) is its
-    optimum, else None.
-
-    There the objective s^2 / 2 has the gradient (0, ..., 0, s), and the
-    working rows, s - r_j >= 0 or s + r_j >= 0 on the d + 1 points of the
-    reference, as many as the unknowns, so that their multipliers solve
-    the square system A_W' lambda = (0, ..., 0, s). The dual is a convex
-    quadratic program and z is feasible, so z is its optimum when no
-    multiplier is negative beyond rounding (`_kkt_optimal`, the test
-    `_active_set_qp` stops on). None where A_W is singular or that test
-    fails.
-    """
-    m, n = rows.shape[0], z.size
-    index = np.array(working)
-    reference = index % m
-    active = np.hstack([np.where(index < m, 1.0, -1.0)[:, None] * rows[reference],
-                        np.ones((n, 1))])
-    gradient = np.zeros(n)
-    gradient[-1] = z[-1]
-    try:
-        multipliers = solve(active.T, gradient)
-    except np.linalg.LinAlgError:
-        return None
-    if not _kkt_optimal(multipliers):
+            and np.all(np.abs(eta1[outside] - rows[outside] @ beta) <= h)
+            and _kkt_optimal(multipliers)):
         return None
     out = np.zeros(m)
     out[reference] = np.maximum(multipliers, 0.0)
-    return out
+    return out, z
 
 
 def restricted_dual(pair: ModelPair, points, warm_start=None, *,
@@ -627,26 +608,20 @@ def restricted_dual(pair: ModelPair, points, warm_start=None, *,
     over (beta2 in the box, s >= 0) minimize (1-gamma) s^2 / 2 +
     gamma sigma2 avg_ref I(., beta2), which is sigma2 times the objective
     above at t = s^2 / (2 sigma2), subject to the linear constraints
-    -s <= r_j <= s. That is a quadratic program. For a nested pair, with
-    no reference and a box that does not bind, its optimum is the levelled
-    point of a reference of Remez's exchange (Remez 1934; Cheney 1966,
-    ch. 2): d + 1 points where r alternates in sign with |r_j| = s, its
-    extrema, which the corrective step's points hold. So the start is the
-    levelled point of the reference read off r at `warm_start` clipped into
-    the box (the box midpoint when None; `_levelled_start`), with the
-    reference's rows as the working set, where that point is feasible: its
-    solve succeeds, beta2 lies in the box and no other point has |r_j|
-    above s. Without a reference, that start is accepted as it stands where
-    its KKT multipliers, one square solve, pass the optimality test of the
-    active-set method (`_levelled_multipliers`), and no further system is
-    built. Otherwise the program is built and solved exactly by
-    `_active_set_qp`, from the levelled start where it is feasible, else
-    from the warm start itself, s the largest |r_j| there, with the row of
-    that largest residual as the working set. The active-set method is
-    correct from either, so a levelled start that is not optimal, as where
-    the box binds, costs steps, not accuracy. A regularized dual always
-    takes the active-set method: its objective needs the reference's rows
-    built anyway, and no shipped run is regularized, so one path serves it.
+    -s <= r_j <= s (which imply s >= 0). That is a quadratic program. For a
+    nested pair, with no reference and a box that does not bind, its optimum
+    is the levelled point of a reference of Remez's exchange (Remez 1934;
+    Cheney 1966, ch. 2): d + 1 points where r alternates in sign with |r_j|
+    = s, its extrema, which the corrective step's points hold. So a dual
+    without a reference first tests the levelled point of the reference
+    read off r at `warm_start` clipped into the box (the box midpoint when
+    None): where that point is feasible and its KKT multipliers, one square
+    solve, pass the optimality test of the active-set method, it is the
+    answer, and no program is built (`_levelled_optimum`; every dual of the
+    shipped Gaussian runs ends there). Every other dual, a regularized one
+    among them, builds the program and solves it exactly by
+    `_active_set_qp`, from the clipped warm start, s the largest |r_j|
+    there, with the row of that largest residual as the working set.
     A point's multiplier is the sum of its two rows' multipliers, rescaled
     to sum to 1 - gamma; unscaled they sum to (1-gamma) s, so all are zero
     where s is at most `_QP_ROUNDING` of the largest |eta1_j|, an exact fit
@@ -667,12 +642,10 @@ def restricted_dual(pair: ModelPair, points, warm_start=None, *,
     rows, eta1 = pair.rival_matrix(points), pair.true_predictor(points)
     m, d = rows.shape
     residual = eta1 - rows @ beta
-    start = _levelled_start(np.reshape(points, m), rows, eta1, residual, box)
-    multipliers = None
-    if reg is None and start is not None:
-        multipliers = _levelled_multipliers(rows, *start)
-    if multipliers is not None:
-        z = start[0]
+    levelled = (None if reg is not None
+                else _levelled_optimum(np.reshape(points, m), rows, eta1, residual, box))
+    if levelled is not None:
+        multipliers, z = levelled
         beta = z[:-1]
     else:
         # the objective |F z - y|^2 / 2 of z = (beta2, s): (1-gamma) s^2 / 2,
@@ -685,17 +658,17 @@ def restricted_dual(pair: ModelPair, points, warm_start=None, *,
                                            np.zeros((root.size, 1))]), factor])
             target = np.append(root * reference.eta1, 0.0)
         ones, unit = np.ones((m, 1)), np.eye(d, d + 1)
-        # s - r_j >= 0, s + r_j >= 0, the box, s >= 0
+        # s - r_j >= 0, s + r_j >= 0 (which imply s >= 0), the box
         constraints = np.vstack([np.hstack([rows, ones]), np.hstack([-rows, ones]),
-                                 unit, -unit, np.eye(1, d + 1, d)])
-        bounds = np.concatenate([eta1, -eta1, box.lower, -box.upper, [0.0]])
-        if start is None:
-            j = int(np.argmax(np.abs(residual)))
-            start = np.append(beta, abs(residual[j])), [j if residual[j] >= 0.0 else m + j]
-        z, multipliers = _active_set_qp(factor, target, constraints, bounds, *start)
+                                 unit, -unit])
+        bounds = np.concatenate([eta1, -eta1, box.lower, -box.upper])
+        j = int(np.argmax(np.abs(residual)))
+        z, multipliers = _active_set_qp(factor, target, constraints, bounds,
+                                        np.append(beta, abs(residual[j])),
+                                        [j if residual[j] >= 0.0 else m + j])
         # the box rows hold to rounding; those that bind hold exactly
         at_lower = multipliers[2 * m:2 * m + d] > 0.0
-        at_upper = multipliers[2 * m + d:-1] > 0.0
+        at_upper = multipliers[2 * m + d:] > 0.0
         beta = np.where(at_lower, box.lower,
                         np.where(at_upper, box.upper, box.clip(z[:-1])))
         multipliers = multipliers[:m] + multipliers[m:2 * m]

@@ -48,6 +48,13 @@ def _common_flags(parser: argparse.ArgumentParser):
                         help="suppress per-iteration log lines")
 
 
+def _json_text(payload) -> str:
+    """`payload` as indented standard JSON: a float that is not finite,
+    which JSON lacks, is written as null."""
+    payload = json.loads(json.dumps(payload), parse_constant=lambda name: None)
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kl-design",
@@ -85,7 +92,8 @@ def _parser() -> argparse.ArgumentParser:
                          help="print fixture names without running")
     p_bench.add_argument("--only", action="append", default=None,
                          help="run only the named fixture (repeatable)")
-    _common_flags(p_bench)
+    p_bench.add_argument("--output-dir", default=None,
+                         help="write the singular-logistic fixture's psi curve here")
     p_bench.set_defaults(func=cmd_benchmark)
     return parser
 
@@ -114,10 +122,9 @@ def cmd_run(args) -> int:
 
     payload = result.to_dict()
     payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    (outdir / "result.json").write_text(json.dumps(payload, indent=2) + "\n")
+    (outdir / "result.json").write_text(_json_text(payload))
     (outdir / "iterations.csv").write_text(iterations_to_csv(result.history))
-    (outdir / "final_design.json").write_text(
-        json.dumps(result.final_design.as_dict(), indent=2) + "\n")
+    (outdir / "final_design.json").write_text(_json_text(result.final_design.as_dict()))
     if not args.quiet:
         print(f"terminated: {result.termination_reason} "
               f"(value={result.final_value:.10g}, U={result.final_efficiency:.6f})")
@@ -133,8 +140,7 @@ def cmd_verify(args) -> int:
                                inner_config=setup.inner, reg=setup.reg)
     outdir = setup.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "certificate.json").write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n")
+    (outdir / "certificate.json").write_text(_json_text(report.to_dict()))
     (outdir / "psi_curve.csv").write_text(report.psi_curve_csv())
     if not args.quiet:
         print(f"verdict: {report.verdict} (psi_max={report.psi_max:.4e}, "
@@ -148,7 +154,7 @@ def cmd_transform(args) -> int:
     amap = AffineMap(_to_float(args.offset, "--offset"),
                      _to_float(args.matrix, "--matrix"))
     transformed = transform_design(design, amap)
-    text = json.dumps(transformed.as_dict(), indent=2) + "\n"
+    text = _json_text(transformed.as_dict())
     if args.output:
         Path(args.output).write_text(text)
     else:

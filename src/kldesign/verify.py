@@ -142,15 +142,6 @@ class InvarianceReport:
     tolerance: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "value_original": self.value_original,
-            "value_transformed": self.value_transformed,
-            "difference": self.difference,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 def invariance_check(pair: ModelPair, design: Design, amap: AffineMap,
                      inner_config: InnerConfig = InnerConfig()) -> InvarianceReport:

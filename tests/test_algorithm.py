@@ -855,9 +855,9 @@ class TestRestrictedDual:
     def test_an_exact_fit_has_zero_multipliers_on_every_path(self):
         # The truth 0.5 - x^2 lies in the rival span {1, x^2}, and r at the
         # warm start is + - + on -1, 0, 0.5, so the levelled point is the
-        # truth's beta2 with h = 0. Accepted there, solved by the active-set
-        # method from it, or from the argmax-row start: zero multipliers,
-        # the truth's beta2 and value 0.
+        # truth's beta2 with h = 0. Accepted there, or solved by the
+        # active-set method from the argmax-row start: zero multipliers, the
+        # truth's beta2 and value 0.
         pair = exact_fit_pair()
         points = np.array([-1.0, 0.0, 0.5])[:, None]
         results = []
@@ -867,9 +867,7 @@ class TestRestrictedDual:
             assert not entries
             forced_active_set(patch)
             results.append(restricted_dual(pair, points, [0.6, -1.8]))
-            patch.setattr(algorithm, "_levelled_start", lambda *args: None)
-            results.append(restricted_dual(pair, points, [0.6, -1.8]))
-            assert len(entries) == 2
+            assert len(entries) == 1
         for multipliers, beta, value in results:
             assert np.all(multipliers == 0.0) and value == 0.0
             np.testing.assert_allclose(beta, [0.5, -1.0], rtol=0.0, atol=1e-15)
@@ -887,17 +885,25 @@ class TestRestrictedDual:
     def test_a_levelled_start_with_a_negative_multiplier_goes_to_the_qp(self, monkeypatch):
         # {x} is no Haar span on [-1, 1]: r alternates on the reference and
         # the levelled point is feasible, yet a multiplier is negative, so
-        # the active-set method takes over from that start
+        # the active-set method solves the program from the argmax row
         pair = GaussianRegressionPair([-0.48, 1.21, 0.71, 0.03], [1],
                                       ParamBox([-10.0], [10.0]), 0.5)
         points = np.array([-0.96, 0.33, 0.82])[:, None]
-        starts, levelled = [], algorithm._levelled_start
-        monkeypatch.setattr(algorithm, "_levelled_start",
-                            lambda *args: starts.append(levelled(*args)) or starts[-1])
+        rows, eta1 = pair.rival_matrix(points), pair.true_predictor(points)
+        residual = eta1 - rows @ [1.29]
+        reference = algorithm._remez_reference(points[:, 0], residual, 2)
+        signs = np.sign(residual[reference])
+        beta, h = np.linalg.solve(np.column_stack([rows[reference], signs]), eta1[reference])
+        assert reference == [0, 1] and h > abs(eta1[2] - rows[2, 0] * beta)
+        active = np.column_stack([signs[:, None] * rows[reference], np.ones(2)])
+        assert np.linalg.solve(active.T, [0.0, h]).min() < 0.0
         entries = active_set_entries(monkeypatch)
         result = restricted_dual(pair, points, [1.29])
-        assert starts[0] is not None and len(entries) == 1
-        assert entries[0][-2:] == starts[0]
+        assert len(entries) == 1
+        z, working = entries[0][-2:]
+        j = int(np.argmax(np.abs(residual)))
+        np.testing.assert_array_equal(z, [1.29, abs(residual[j])])
+        assert working == [j if residual[j] >= 0.0 else 3 + j]
         assert_gaussian_dual_is_a_kkt_point(pair, points, None, result)
 
     def test_logistic_pair_is_refused(self):
@@ -996,9 +1002,9 @@ def active_set_entries(patch) -> list:
 
 
 def forced_active_set(patch) -> None:
-    """Refuse every levelled start's acceptance, so that each dual builds
-    the quadratic program and solves it by `_active_set_qp`."""
-    patch.setattr(algorithm, "_levelled_multipliers", lambda *args: None)
+    """Refuse every levelled point, so that each dual builds the quadratic
+    program and solves it by `_active_set_qp` from the argmax row."""
+    patch.setattr(algorithm, "_levelled_optimum", lambda *args: None)
 
 
 def assert_gaussian_dual_is_a_kkt_point(pair, points, reg, result):
@@ -1252,9 +1258,9 @@ class TestRuns:
     def test_levelled_start_reaches_the_dual_of_the_argmax_row_start(self):
         # Each dual of the 25 seed-7 nested runs and of the fixed-point cases
         # of TestRestrictedDual, solved again by the active-set method from
-        # the levelled start (its acceptance refused) and from the argmax-row
-        # start (the levelled one refused): all three are KKT points, with
-        # the same multipliers, beta2 and value to 1e-14 of the terms of r.
+        # the argmax-row start (the levelled point refused): both are KKT
+        # points, with the same multipliers, beta2 and value to 1e-14 of the
+        # terms of r, whether the levelled point was accepted or not.
         _, duals = self.nested_gaussian_suite(1.0, 5, 0.99)
         cases = [(d["pair"], d["points"], d["warm_start"], d["reg"]) for d in duals]
         space, points = cubic_quadratic_space(), np.array([-1.0, -0.6, 0.1, 0.8, 1.0])[:, None]
@@ -1264,30 +1270,22 @@ class TestRuns:
             reg = None if gamma is None else RegularizationConfig(
                 gamma, default_reference_design(pair, space))
             cases.append((pair, points, None, reg))
-        taken = accepted = 0
+        accepted = 0
         for pair, points, warm_start, reg in cases:
             with pytest.MonkeyPatch.context() as patch:
-                starts = []
-                levelled = algorithm._levelled_start
-                patch.setattr(algorithm, "_levelled_start",
-                              lambda *args: starts.append(levelled(*args)) or starts[-1])
                 entries = active_set_entries(patch)
                 new = restricted_dual(pair, points, warm_start, reg=reg)
                 accepted += not entries
                 forced_active_set(patch)
-                solved = restricted_dual(pair, points, warm_start, reg=reg)
-                patch.setattr(algorithm, "_levelled_start", lambda *args: None)
                 old = restricted_dual(pair, points, warm_start, reg=reg)
-            taken += starts[0] is not None
             rows, eta1 = pair.rival_matrix(points), pair.true_predictor(points)
             terms = np.max(np.abs(eta1)) + np.max(np.abs(rows) @ np.abs(old[1]))
-            for result in (new, solved, old):
+            for result in (new, old):
                 assert_gaussian_dual_is_a_kkt_point(pair, points, reg, result)
-            for one, other in ((new, solved), (solved, old)):
-                assert np.max(np.abs(one[0] - other[0])) <= 1e-14
-                assert np.max(np.abs(rows @ (one[1] - other[1]))) <= 1e-14 * terms
-                assert abs(one[2] - other[2]) <= 1e-14 * terms * terms / pair.sigma2
-        assert len(cases) >= 28 and 0 < accepted <= taken < len(cases)
+            assert np.max(np.abs(new[0] - old[0])) <= 1e-14
+            assert np.max(np.abs(rows @ (new[1] - old[1]))) <= 1e-14 * terms
+            assert abs(new[2] - old[2]) <= 1e-14 * terms * terms / pair.sigma2
+        assert len(cases) >= 28 and 0 < accepted < len(cases)
 
     def test_each_dual_of_the_shipped_gaussian_runs_is_accepted_at_its_levelled_start(self):
         # the corrective step's candidates hold r's alternating extrema, so

@@ -1,6 +1,7 @@
 """Command-line interface: run, verify, transform, benchmark."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,11 @@ from kldesign.config import load_run_config
 from kldesign.designs import Design, DesignSpace
 from kldesign.errors import ConfigError
 from kldesign.inner import minimize_beta2
+
+def refuse_constant(name):
+    """`parse_constant` of a strict JSON parse: NaN and Infinity are no JSON."""
+    raise ValueError(f"not standard JSON: {name}")
+
 
 BASE_MODEL = """\
 model:
@@ -205,9 +211,15 @@ class TestRun:
         cfg = write(tmp_path / "run.yaml", model + START_DESIGN)
         rc = cli.main(["run", cfg, "--output-dir", str(tmp_path / "out"), "--quiet"])
         assert rc == 6
-        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        result = json.loads((tmp_path / "out" / "result.json").read_text(),
+                            parse_constant=refuse_constant)
         assert result["termination_reason"] == "rival-attains-truth"
         assert len(result["iterations"]) == 1
+        # the undefined efficiency bound is null in JSON, nan in the CSV
+        assert result["final_efficiency"] is None
+        assert result["iterations"][0]["efficiency"] is None
+        csv = (tmp_path / "out" / "iterations.csv").read_text().splitlines()
+        assert csv[1].split(",")[4] == "nan"
 
     def test_second_experimental_variable_is_rejected_at_parse_time(self, tmp_path):
         two_d = BASE_MODEL.replace("lower: [-1]\n  upper: [1]",
@@ -449,6 +461,29 @@ class TestTransform:
         assert not (tmp_path / "missing").exists()
 
 
+class TestJsonOutputs:
+    def test_a_float_that_is_not_finite_is_written_as_null(self):
+        text = cli._json_text({"a": [0.1 + 0.2, math.nan], "b": (math.inf, -math.inf),
+                               "c": 2, "d": True})
+        assert json.loads(text, parse_constant=refuse_constant) == {
+            "a": [0.30000000000000004, None], "b": [None, None], "c": 2, "d": True}
+
+    def test_each_json_file_is_strict_json_in_json_dumps_layout(self, tmp_path):
+        # the layout of json.dumps(..., indent=2), so a finite output keeps its bytes
+        out = tmp_path / "out"
+        cfg = write(tmp_path / "run.yaml", BASE_MODEL + START_DESIGN)
+        design = str(out / "final_design.json")
+        assert cli.main(["run", cfg, "--output-dir", str(out), "--quiet"]) == 0
+        # the default delta stops short of a certified design: the verdict is "rejected"
+        assert cli.main(["verify", cfg, design, "--output-dir", str(out), "--quiet"]) == 4
+        assert cli.main(["transform", design, "--offset", "2", "--matrix", "4",
+                         "--output", str(out / "image.json")]) == 0
+        for name in ("result.json", "final_design.json", "certificate.json", "image.json"):
+            text = (out / name).read_text()
+            payload = json.loads(text, parse_constant=refuse_constant)
+            assert text == json.dumps(payload, indent=2) + "\n", name
+
+
 class TestDesignFiles:
     @pytest.mark.parametrize("kind", NOT_DESIGNS)
     @pytest.mark.parametrize("command", ["transform", "verify"])
@@ -509,12 +544,17 @@ class TestBenchmarkCommand:
             return CheckResult("always fails", False, 0.0)
 
         monkeypatch.setattr(benchmarks, "ALL_CHECKS", (("failing", failing),))
-        assert cli.main(["benchmark", "--quiet"]) == 1
+        assert cli.main(["benchmark"]) == 1
         assert "0/1 checks passed" in capsys.readouterr().out
 
     def test_cheap_fixture_passes(self):
-        rc = cli.main(["benchmark", "--only", "discontinuity-gap", "--quiet"])
+        rc = cli.main(["benchmark", "--only", "discontinuity-gap"])
         assert rc == 0
+
+    def test_quiet_is_no_benchmark_flag(self, capsys):
+        # the command prints no per-iteration lines to suppress
+        assert cli.main(["benchmark", "--quiet", "--list"]) == 1
+        assert "unrecognized arguments: --quiet" in capsys.readouterr().err
 
     def test_output_dir_under_a_file_exits_1(self, tmp_path, capsys):
         (tmp_path / "some_file").write_text("")

@@ -4,7 +4,7 @@ answers on empty and non-finite input."""
 import numpy as np
 import pytest
 
-from kldesign._lapack import lstsq, root_real_parts, singular_values, solve, svd
+from kldesign._lapack import lstsq, root_real_parts, singular_values, solve
 from kldesign.models import _least_singular_value
 
 SHAPES = [(m, n) for m in range(10) for n in range(1, 5)]
@@ -63,14 +63,10 @@ def test_lstsq_without_rows_is_zero_and_silent(capfd):
 
 
 @pytest.mark.parametrize("style", STYLES)
-def test_singular_values_and_svd_match_numpy(style):
+def test_singular_values_match_numpy(style):
     for m, n in SHAPES:
         a = matrix(style, m, n, 0)
         assert same_bits(singular_values(a), np.linalg.svd(a, compute_uv=False)), (m, n)
-        if a.size:
-            for full in (False, True):
-                for got, want in zip(svd(a, full), np.linalg.svd(a, full_matrices=full)):
-                    assert same_bits(got, want), (m, n, full)
 
 
 @pytest.mark.parametrize("style", STYLES)
@@ -143,25 +139,11 @@ def test_nan_input_raises_like_numpy():
     for helper, numpy_call in [
             (lambda: lstsq(a, np.ones(3)), lambda: np.linalg.lstsq(a, np.ones(3), rcond=-1)),
             (lambda: singular_values(a), lambda: np.linalg.svd(a, compute_uv=False)),
-            (lambda: svd(a), lambda: np.linalg.svd(a)),
             (lambda: root_real_parts(p), lambda: np.roots(p))]:
         with pytest.raises(np.linalg.LinAlgError):
             numpy_call()
         with pytest.raises(np.linalg.LinAlgError):
             helper()
-
-
-def test_svd_factors_are_in_fortran_order():
-    # as LAPACK writes them; restricted_dual's products round by layout, and
-    # with C-ordered factors the cubic run's final value moves by 2 ulps
-    # (0x1.fff583f564910p-5 to 0x1.fff583f564912p-5)
-    for style in STYLES:
-        for m, n in SHAPES:
-            a = matrix(style, m, n, 0)
-            if a.size:
-                for full in (False, True):
-                    left, _, right = svd(a, full)
-                    assert left.flags.f_contiguous and right.flags.f_contiguous, (m, n, full)
 
 
 def raising_handler(err, flag):
@@ -173,7 +155,6 @@ BAD = np.array([[1.0, np.nan], [2.0, 3.0], [1.0, 1.0]])
 HELPERS = {
     "lstsq": lambda a: lstsq(a, np.ones(3)),
     "singular_values": singular_values,
-    "svd": svd,
     "root_real_parts": lambda a: root_real_parts(a[:, 1]),
 }
 

@@ -178,3 +178,13 @@ def test_only_lapack_imports_numpy_private_modules():
                    for name in names for p in private):
                 importers.add(path.name)
     assert importers == {"_lapack.py"}
+
+
+def test_lapack_reaches_four_umath_linalg_gufuncs():
+    # numpy's private surface the package depends on: a name added here, or
+    # one numpy moves, shows in this set
+    tree = ast.parse((Path(kldesign.__file__).parent / "_lapack.py").read_text())
+    reached = {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "_umath_linalg"}
+    assert reached == {"lstsq", "solve1", "svd", "eigvals"}
