@@ -8,10 +8,10 @@ than the routine it calls. Each helper calls the gufunc of
 (`lstsq` runs dgelsd, `solve1` runs dgesv, `svd` runs dgesdd for the
 singular values alone, `eigvals` runs dgeev: the four gufuncs the package
 reaches, which tests/test_package.py pins; a solve on no shipped run's
-path, such as the active-set method's SVDs, takes numpy.linalg itself). On
-float64 input the gufunc picks the loop numpy.linalg names by its
-`signature`, so the floats are numpy's bit for bit (the parity tests in
-tests/test_lapack.py compare them).
+path, such as the SVDs of the active-set method in `_active_set`, takes
+numpy.linalg itself). On float64 input the gufunc picks the loop
+numpy.linalg names by its `signature`, so the floats are numpy's bit for bit
+(the parity tests in tests/test_lapack.py compare them).
 
 Each helper keeps numpy's behaviour around the gufunc: an empty input is
 answered before LAPACK sees it (which would print an error and fail), and a

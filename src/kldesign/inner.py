@@ -32,7 +32,10 @@ was solved on, the rows its value averages, so the psi scan of the loop and
 the certificate reads the design's rows there instead of evaluating them
 again: a plain solve runs on the design itself, and a regularized one on
 its blend with the reference, whose points follow the design's. Only these
-polynomial-predictor pairs are solved; any other pair is refused.
+polynomial-predictor pairs are solved; any other pair is refused. The loop
+and both of its steps read two helpers here: the design whose solve gives
+the criterion (`_criterion_design`) and the test that a step's solution
+improves on its start (`_improves`).
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from ._lapack import lstsq
-from .designs import Design, _freeze, _value_type
+from .designs import Design, _freeze, _value_type, blend_designs
 from .errors import DomainError, UnsupportedModelError
 from .models import (GaussianRegressionPair, ModelPair, ParamBox, PolynomialPair,
                      _least_singular_value, _scalar_inputs)
@@ -60,6 +63,8 @@ _ROUNDING = 16 * _EPS
 # BVLS stops once no bound's multiplier has the wrong sign beyond this, or an
 # iteration lowers the cost by less than this share (lsq_linear's `tol`).
 _BVLS_TOL = 1e-10
+# Step improvements below this share of the value are treated as a zero step.
+_IMPROVEMENT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -366,6 +371,18 @@ def minimize_beta2(pair: ModelPair, design: Design, config: InnerConfig = InnerC
                          or (beta2_hat >= inside_upper).any()),
         pointwise=_freeze(pointwise),
     )
+
+
+def _criterion_design(design: Design, reg) -> Design:
+    """The design whose inner solve gives the criterion at `design`: the
+    design itself, or, when `reg` (a `RegularizationConfig`) is given, its
+    blend with the reference."""
+    return design if reg is None else blend_designs(design, reg.xi_tilde, reg.gamma)
+
+
+def _improves(sol: InnerSolution, start: InnerSolution) -> bool:
+    """Whether a step's solution improves on the start's beyond rounding."""
+    return sol.value - start.value > _IMPROVEMENT_TOL * max(1.0, abs(start.value))
 
 
 def least_squares_oracle(pair: GaussianRegressionPair, design: Design):

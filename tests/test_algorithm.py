@@ -12,13 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from kldesign import algorithm, inner
+from kldesign import _active_set, algorithm, gaussian_step, inner, logistic_step
 from kldesign.algorithm import (EFFICIENCY_REACHED, STALLED, STALLED_REGULARIZED,
-                                AlgoConfig, RegularizationConfig, _slope_root,
-                                best_support_candidate, corrective_step,
-                                default_reference_design, efficiency_bound,
-                                line_search_alpha, psi_grid, psi_scan,
-                                restricted_dual, run_first_order, run_regularized)
+                                AlgoConfig, RegularizationConfig, best_support_candidate,
+                                default_reference_design, efficiency_bound, psi_grid,
+                                psi_scan, run_first_order, run_regularized)
 from kldesign.benchmarks import (BenchmarkContext, SyntheticFamily,
                                  _kl_average as kl_average, benchmark_inner_config,
                                  cubic_quadratic_optimum, cubic_quadratic_pair,
@@ -28,7 +26,9 @@ from kldesign.benchmarks import (BenchmarkContext, SyntheticFamily,
 from kldesign.designs import (AffineMap, Design, DesignSpace, blend_designs,
                               transform_design, validate_design, wasserstein_distance)
 from kldesign.errors import DomainError, UndefinedEfficiencyError, UnsupportedModelError
+from kldesign.gaussian_step import corrective_step, restricted_dual
 from kldesign.inner import InnerConfig, minimize_beta2, prepare_support
+from kldesign.logistic_step import _slope_root, line_search_alpha
 from kldesign.models import (GaussianRegressionPair, LogisticGlmPair, ParamBox,
                              PolynomialPair, reparametrize_under_affine)
 from kldesign.verify import CERTIFIED, equivalence_check
@@ -406,7 +406,7 @@ class TestLineSearch:
             return minimize_beta2(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(algorithm, "minimize_beta2", spy)
+            patch.setattr(logistic_step, "minimize_beta2", spy)
             alpha, mixed, step = line_search_alpha(pair, opt, [0.3], sol, TIGHT)
         assert alpha == 0.0
         assert mixed is opt and step is sol
@@ -479,8 +479,8 @@ class TestLineSearch:
                 return _slope_root(lambda a: steps.append(a) or f(a), *args, **kwargs)
 
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(algorithm, "minimize_beta2", spy)
-                patch.setattr(algorithm, "_slope_root", root)
+                patch.setattr(logistic_step, "minimize_beta2", spy)
+                patch.setattr(logistic_step, "_slope_root", root)
                 alpha, mixed, _ = line_search_alpha(pair, d, x, sol, TIGHT)
             assert alpha > 0.0
             point_mass, *interior = trials
@@ -561,8 +561,8 @@ class TestLineSearchSupport:
             return _slope_root(lambda a: steps.append(a) or f(a), *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(algorithm, "minimize_beta2", spy)
-            patch.setattr(algorithm, "_slope_root", root)
+            patch.setattr(logistic_step, "minimize_beta2", spy)
+            patch.setattr(logistic_step, "_slope_root", root)
             line_search_alpha(pair, design, x_new, minimize_beta2(pair, start, TIGHT),
                               TIGHT, reg=reg)
         point_mass, *interior = trials
@@ -602,8 +602,8 @@ class TestLineSearchSupport:
             return minimize_beta2(*args, support=support, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(algorithm, "prepare_support", counted)
-            patch.setattr(algorithm, "minimize_beta2", spy)
+            patch.setattr(logistic_step, "prepare_support", counted)
+            patch.setattr(logistic_step, "minimize_beta2", spy)
             line_search_alpha(pair, design, x_new, minimize_beta2(pair, start, TIGHT),
                               TIGHT, reg=reg)
         assert supports[1:] and all(s is supports[1] for s in supports[1:])
@@ -664,7 +664,7 @@ def assert_step_is_the_maximum_and_the_slope_is_the_derivative(pair, design, reg
         return _slope_root(f, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(algorithm, "_slope_root", spy)
+        patch.setattr(logistic_step, "_slope_root", spy)
         alpha, _, step = line_search_alpha(pair, design, x_new, solve(0.0), TIGHT,
                                            reg=reg)
     value = step.value
@@ -731,7 +731,7 @@ class TestSlopeRoot:
         a, payload = _slope_root(lambda t: trials.append(t) or (f(t), -t), f(0.0), xtol)
         return a, payload, trials
 
-    @pytest.mark.parametrize("xtol", [algorithm._STEP_XTOL, 1e-12])
+    @pytest.mark.parametrize("xtol", [logistic_step._STEP_XTOL, 1e-12])
     def test_finds_brentqs_root_within_xtol(self, xtol):
         bound = 4 * math.ceil(math.log2(1.0 / xtol))
         rng = np.random.default_rng(23)
@@ -752,16 +752,16 @@ class TestSlopeRoot:
         # and 9.7 with a bisection whenever two trials have not halved the
         # bracket
         rng = np.random.default_rng(23)
-        trials = sum(len(self.search(monotone_function(rng, k), algorithm._STEP_XTOL)[2])
+        trials = sum(len(self.search(monotone_function(rng, k), logistic_step._STEP_XTOL)[2])
                      for k in range(2000))
         assert trials <= 19_000
 
     def test_the_plateau_takes_fewer_trials_than_brents_method(self):
         # brentq evaluates 16 points inside (0, 1); leaving (0, slope0) out of
         # the model takes 16 trials too
-        brent = brentq(plateau_slope, 0.0, 1.0, xtol=algorithm._STEP_XTOL,
+        brent = brentq(plateau_slope, 0.0, 1.0, xtol=logistic_step._STEP_XTOL,
                        full_output=True)[1].function_calls - 2
-        assert len(self.search(plateau_slope, algorithm._STEP_XTOL)[2]) <= 12 < brent
+        assert len(self.search(plateau_slope, logistic_step._STEP_XTOL)[2]) <= 12 < brent
 
     @pytest.mark.parametrize("f, root", [
         (plateau_slope, brentq(plateau_slope, 0.0, 1.0, xtol=1e-15)),
@@ -773,9 +773,9 @@ class TestSlopeRoot:
     def test_hard_shapes_stop_within_the_bound(self, f, root):
         # a plateau, a step, a pole, and a sign change flat to tenth order,
         # where the model alone takes 97 trials, each stop within the bound
-        a, _, trials = self.search(f, algorithm._STEP_XTOL)
-        assert abs(a - root) <= algorithm._STEP_XTOL
-        assert len(trials) <= 4 * math.ceil(math.log2(1.0 / algorithm._STEP_XTOL)) == 80
+        a, _, trials = self.search(f, logistic_step._STEP_XTOL)
+        assert abs(a - root) <= logistic_step._STEP_XTOL
+        assert len(trials) <= 4 * math.ceil(math.log2(1.0 / logistic_step._STEP_XTOL)) == 80
 
     @pytest.mark.parametrize("where", [0.0, 1.0, 0.5])
     def test_a_nan_slope_raises(self, where):
@@ -793,7 +793,7 @@ class TestSlopeRoot:
         if where == 0.0:
             start = replace(start, beta2_hat=np.full_like(start.beta2_hat, math.nan))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(algorithm, "minimize_beta2", spy)
+            patch.setattr(logistic_step, "minimize_beta2", spy)
             with pytest.raises(ValueError, match="NaN"):
                 line_search_alpha(pair, design, x_new, start, TIGHT)
 
@@ -840,8 +840,8 @@ class TestRestrictedDual:
         for _ in range(500):
             m, d = int(rng.integers(1, 30)), int(rng.integers(1, 6))
             x, residual = rng.permutation(m).astype(float), rng.normal(size=m)
-            reference = algorithm._remez_reference(x, residual, d + 1)
-            mirrored = algorithm._remez_reference(-x, residual, d + 1)
+            reference = gaussian_step._remez_reference(x, residual, d + 1)
+            mirrored = gaussian_step._remez_reference(-x, residual, d + 1)
             if reference is None:
                 assert mirrored is None
                 continue
@@ -891,7 +891,7 @@ class TestRestrictedDual:
         points = np.array([-0.96, 0.33, 0.82])[:, None]
         rows, eta1 = pair.rival_matrix(points), pair.true_predictor(points)
         residual = eta1 - rows @ [1.29]
-        reference = algorithm._remez_reference(points[:, 0], residual, 2)
+        reference = gaussian_step._remez_reference(points[:, 0], residual, 2)
         signs = np.sign(residual[reference])
         beta, h = np.linalg.solve(np.column_stack([rows[reference], signs]), eta1[reference])
         assert reference == [0, 1] and h > abs(eta1[2] - rows[2, 0] * beta)
@@ -905,6 +905,27 @@ class TestRestrictedDual:
         np.testing.assert_array_equal(z, [1.29, abs(residual[j])])
         assert working == [j if residual[j] >= 0.0 else 3 + j]
         assert_gaussian_dual_is_a_kkt_point(pair, points, None, result)
+
+    def test_a_levelled_point_with_a_negative_h_goes_to_the_qp(self, monkeypatch):
+        # r at the box midpoint is + + - on -0.9, 0.1, 0.35, so the reference
+        # is -0.9, 0.35, whose levelled point has h < 0: such a point is never
+        # optimal, and the active-set method solves the program
+        pair = GaussianRegressionPair([0.2, -1.7, -0.1], [1], ParamBox([-50.0], [50.0]),
+                                      0.5)
+        points = np.array([-0.9, 0.1, 0.35])[:, None]
+        rows, eta1 = pair.rival_matrix(points), pair.true_predictor(points)
+        residual = eta1 - rows @ pair.theta2.midpoint
+        reference = gaussian_step._remez_reference(points[:, 0], residual, 2)
+        signs = np.sign(residual[reference])
+        _, h = np.linalg.solve(np.column_stack([rows[reference], signs]), eta1[reference])
+        assert reference == [0, 2] and h == pytest.approx(-0.38295, abs=1e-5)
+        assert gaussian_step._levelled_optimum(points[:, 0], rows, eta1, residual,
+                                               pair.theta2) is None
+        entries = active_set_entries(monkeypatch)
+        result = restricted_dual(pair, points)
+        assert len(entries) == 1
+        assert_gaussian_dual_is_a_kkt_point(pair, points, None, result)
+        np.testing.assert_allclose(result[0], [0.1, 0.9, 0.0], rtol=0.0, atol=1e-12)
 
     def test_logistic_pair_is_refused(self):
         # a logistic pair steps by the line search; its dual has no solver
@@ -961,7 +982,7 @@ def recording_duals(patch) -> list:
     start, reg, result, entries into `_active_set_qp` ("qp") and KKT solves
     ("solves")."""
     duals = []
-    dual = algorithm.restricted_dual
+    dual = gaussian_step.restricted_dual
 
     def counted(key, function):
         def call(*args):
@@ -975,9 +996,10 @@ def recording_duals(patch) -> list:
         duals[-1]["result"] = dual(pair, points, warm_start, reg=reg)
         return duals[-1]["result"]
 
-    patch.setattr(algorithm, "_kkt_solve", counted("solves", algorithm._kkt_solve))
-    patch.setattr(algorithm, "_active_set_qp", counted("qp", algorithm._active_set_qp))
-    patch.setattr(algorithm, "restricted_dual", recorded)
+    patch.setattr(_active_set, "_kkt_solve", counted("solves", _active_set._kkt_solve))
+    patch.setattr(gaussian_step, "_active_set_qp",
+                  counted("qp", gaussian_step._active_set_qp))
+    patch.setattr(gaussian_step, "restricted_dual", recorded)
     return duals
 
 
@@ -996,15 +1018,16 @@ def haar_exact_fit_pair() -> GaussianRegressionPair:
 def active_set_entries(patch) -> list:
     """Patch `_active_set_qp` to record its calls; the returned list holds
     one entry per call."""
-    calls, qp = [], algorithm._active_set_qp
-    patch.setattr(algorithm, "_active_set_qp", lambda *args: calls.append(args) or qp(*args))
+    calls, qp = [], gaussian_step._active_set_qp
+    patch.setattr(gaussian_step, "_active_set_qp",
+                  lambda *args: calls.append(args) or qp(*args))
     return calls
 
 
 def forced_active_set(patch) -> None:
     """Refuse every levelled point, so that each dual builds the quadratic
     program and solves it by `_active_set_qp` from the argmax row."""
-    patch.setattr(algorithm, "_levelled_optimum", lambda *args: None)
+    patch.setattr(gaussian_step, "_levelled_optimum", lambda *args: None)
 
 
 def assert_gaussian_dual_is_a_kkt_point(pair, points, reg, result):
@@ -1065,7 +1088,7 @@ class TestCorrectiveStep:
                                                       None)
         solves = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(algorithm, "minimize_beta2",
+            patch.setattr(gaussian_step, "minimize_beta2",
                           lambda *args, **kwargs: solves.append(1) or minimize_beta2(
                               *args, **kwargs))
             duals = recording_duals(patch)
@@ -1120,7 +1143,7 @@ class TestCorrectiveStep:
         assert len(duals) >= 4
         for dual in duals:
             gaps = np.diff(np.sort(dual["points"][:, 0]))
-            assert gaps.min() > algorithm._MERGE_TOL * 2.0
+            assert gaps.min() > gaussian_step._MERGE_TOL * 2.0
 
     @pytest.mark.parametrize("regularized", [False, True], ids=["plain", "regularized"])
     @settings(derandomize=True, database=None, deadline=None, max_examples=15)
@@ -1195,6 +1218,7 @@ class TestRuns:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(algorithm, "minimize_beta2", spy)
+            patch.setattr(gaussian_step, "minimize_beta2", spy)
             run = run_first_order(cubic_quadratic_pair(), cubic_quadratic_start(),
                                   cubic_quadratic_space(),
                                   AlgoConfig(delta=1.0 - 1e-12, max_iterations=10),
@@ -1395,6 +1419,8 @@ class TestRuns:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(algorithm, "prepare_support", recorded)
+            patch.setattr(gaussian_step, "prepare_support", recorded)
+            patch.setattr(logistic_step, "prepare_support", recorded)
             patch.setattr(inner, "prepare_support", recorded)
             patch.setattr(PolynomialPair, "divergence", recorded_divergence)
             run = run_first_order(pair, start, space, AlgoConfig(max_iterations=5), FAST)
@@ -1418,6 +1444,8 @@ class TestRuns:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(algorithm, "prepare_support", recorded)
+            patch.setattr(gaussian_step, "prepare_support", recorded)
+            patch.setattr(logistic_step, "prepare_support", recorded)
             patch.setattr(inner, "prepare_support", recorded)
             plain = run_first_order(pair, logistic_start_design(), space,
                                     AlgoConfig(max_iterations=50), FAST)

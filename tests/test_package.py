@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import kldesign
-from kldesign import algorithm, benchmarks
+from kldesign import algorithm, benchmarks, gaussian_step, logistic_step
 from kldesign.models import PolynomialPair
 
 PUBLIC = [
@@ -38,8 +38,9 @@ def test_public_names_are_pinned():
 
 def test_unexported_names_resolve_in_their_modules():
     moved = {algorithm: ["best_support_candidate", "corrective_step",
-                         "line_search_alpha", "psi_grid", "psi_scan",
-                         "restricted_dual"],
+                         "line_search_alpha", "psi_grid", "psi_scan"],
+             gaussian_step: ["corrective_step", "restricted_dual"],
+             logistic_step: ["line_search_alpha"],
              benchmarks: ["SyntheticFamily", "_kl_average", "_glm_fisher_information"]}
     for module, names in moved.items():
         for name in names:
@@ -47,6 +48,41 @@ def test_unexported_names_resolve_in_their_modules():
             assert not hasattr(kldesign, name.lstrip("_"))
     # a Support's pointwise closure is the one closure over fixed points
     assert not hasattr(PolynomialPair, "divergence_evaluator")
+
+
+def test_the_loop_binds_the_step_and_scan_functions_it_calls():
+    # the loop calls each family's step by its own binding, and perfbench's
+    # tracer wraps every binding of the function it finds on `algorithm`
+    assert algorithm.line_search_alpha is logistic_step.line_search_alpha
+    assert algorithm.corrective_step is gaussian_step.corrective_step
+    assert algorithm.best_support_candidate.__module__ == "kldesign.algorithm"
+    assert algorithm.line_search_alpha.__module__ == "kldesign.logistic_step"
+
+
+def imported_modules(name: str) -> set:
+    """The modules that the package's module `name` imports, the package's
+    own as `kldesign.<module>`."""
+    tree = ast.parse((Path(kldesign.__file__).parent / f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ("kldesign." * bool(node.level) + (node.module or "")).rstrip(".")
+            if module == "kldesign":
+                found.update(f"kldesign.{alias.name}" for alias in node.names)
+            else:
+                found.add(module)
+    return found
+
+
+def test_the_active_set_method_and_the_steps_do_not_import_the_loop():
+    # the active-set method knows no designs or pairs, and each step stands
+    # below the loop that calls it, so no import cycle can form
+    assert imported_modules("_active_set") == {"numpy"}
+    assert "kldesign.inner" in imported_modules("gaussian_step")
+    for step in ("gaussian_step", "logistic_step"):
+        assert "kldesign.algorithm" not in imported_modules(step)
 
 
 # A cubic run, its certificate and its invariance check, a config given as a
